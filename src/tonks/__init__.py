@@ -13,9 +13,9 @@ wavefunction, and diagonalizing the resulting graph Laplacian.  A
 finite-coupling exact-diagonalization oracle is included for validation.
 """
 
-from .traps import Trap, Orbital, HarmonicBasis, TabulatedBasis, solve_tabulated
+from .traps import Trap, HarmonicBasis, TabulatedBasis, solve_tabulated
 from .slater import SlaterState, make_level
-from .weights import BoundaryWeight, IntegrationConfig, ToleranceError, gamma, all_gammas
+from .weights import BoundaryWeight, ToleranceError, gamma, all_gammas
 from .sectors import ComponentSpec, SectorGraph, build_graph, laplacian, projected_laplacian
 from .spectrum import KSpectrum, EnergyExpansion, SectorWavefunction, solve, classify, expansion
 from .oracle import EDConfig, EDResult, SlopeFit, delta_tensor, diagonalize, slope_fit, two_body_reference
@@ -24,14 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Trap",
-    "Orbital",
     "HarmonicBasis",
     "TabulatedBasis",
     "solve_tabulated",
     "SlaterState",
     "make_level",
     "BoundaryWeight",
-    "IntegrationConfig",
     "ToleranceError",
     "gamma",
     "all_gammas",

@@ -6,7 +6,8 @@ fits from the finite-coupling oracle against the Laplacian K values),
 density (one-body density of one adiabatic state).  Settings come from
 an INI config file overridden by command-line flags; results are
 written atomically as JSON or CSV.  Exit codes: 0 success, 2 bad
-input, 3 tolerance or validation failure.
+input (including a trap table too coarse to solve), 3 tolerance or
+validation failure.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from .oracle import EDConfig, diagonalize, slope_fit
 from .sectors import ComponentSpec, build_graph, laplacian, projected_laplacian, cycle_ordering
 from .slater import make_level
 from .spectrum import SectorWavefunction, classify, solve
-from .traps import HarmonicBasis, Trap, solve_tabulated
-from .weights import IntegrationConfig, ToleranceError, all_gammas
+from .traps import ConvergenceError, HarmonicBasis, Trap, solve_tabulated
+from .weights import ToleranceError, all_gammas
 
-_INT_KEYS = {"n", "level", "samples", "seed", "strata", "threads", "orbitals",
-             "n_modes", "states", "state", "bins"}
-_FLOAT_KEYS = {"omega", "tol", "margin", "rtol", "grid_lo", "grid_hi", "mc_target"}
+_INT_KEYS = {"n", "level", "seed", "orbitals", "n_modes", "states", "state", "bins"}
+_FLOAT_KEYS = {"omega", "tol", "margin", "rtol", "grid_lo", "grid_hi"}
 _BOOL_KEYS = {"timestamp"}
+SCHEMA_VERSION = 2
 
 _DEFAULTS = {
     "trap": "harmonic",
@@ -45,13 +46,8 @@ _DEFAULTS = {
     "n": 2,
     "level": 0,
     "components": "",
-    "method": "auto",
     "tol": 1e-10,
-    "samples": 2_000_000,
-    "seed": 0,
-    "strata": 64,
-    "threads": 1,
-    "mc_target": 0.0,  # 0 means: no standard-error bound
+    "seed": 0,  # recorded in provenance; every result is deterministic
     "format": "",
     "timestamp": True,
     "n_modes": 30,
@@ -67,10 +63,10 @@ _DEFAULTS = {
 _CONFIG_SECTIONS = {
     "trap": ("trap", "omega", "margin", "orbitals"),
     "particles": ("n", "level", "components"),
-    "integration": ("method", "tol", "samples", "seed", "strata", "threads", "mc_target"),
+    "integration": ("tol", "seed"),
     "output": ("format", "timestamp"),
     "validate": ("n_modes", "g", "states", "rtol"),
-    "density": ("state", "grid_lo", "grid_hi", "bins", "samples", "seed"),
+    "density": ("state", "grid_lo", "grid_hi", "bins", "seed"),
 }
 
 
@@ -121,7 +117,6 @@ def _settings(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         s.update(_load_config(args.config))
     for key in s:
-        flag = key.replace("_", "-")
         val = getattr(args, key, None)
         if val is not None:
             s[key] = val
@@ -144,18 +139,6 @@ def _build_problem(s: dict):
         trap_desc = s["trap"]
     state = make_level(basis, n, level=s["level"])
     return state, trap_desc
-
-
-def _integration_config(s: dict) -> IntegrationConfig:
-    return IntegrationConfig(
-        method=s["method"],
-        tol=s["tol"],
-        samples=s["samples"],
-        seed=s["seed"],
-        strata=s["strata"],
-        threads=s["threads"],
-        mc_target=s["mc_target"] or None,
-    )
 
 
 def _components(s: dict, n: int) -> ComponentSpec:
@@ -233,7 +216,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def _cmd_gamma(args) -> int:
     s = _settings(args)
     state, trap_desc = _build_problem(s)
-    gammas = all_gammas(state, _integration_config(s))
+    gammas = all_gammas(state, tol=s["tol"])
     fmt = _pick_format(s, args.output)
     if fmt == "csv":
         text = _csv_text(
@@ -242,16 +225,14 @@ def _cmd_gamma(args) -> int:
         )
     else:
         payload = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "command": "gamma",
             "units": _units(s),
             "input": {
                 "trap": trap_desc,
                 "n_particles": s["n"],
                 "level": s["level"],
-                "method": s["method"],
                 "tol": s["tol"],
-                "samples": s["samples"],
             },
             "slater": {
                 "occupation": list(state.occupation),
@@ -270,7 +251,7 @@ def _cmd_spectrum(args) -> int:
     state, trap_desc = _build_problem(s)
     n = s["n"]
     comp = _components(s, n)
-    gammas = all_gammas(state, _integration_config(s))
+    gammas = all_gammas(state, tol=s["tol"])
     graph = build_graph(n, comp)
     lap = laplacian(graph, gammas)
     full = classify(solve(lap), graph)
@@ -287,7 +268,7 @@ def _cmd_spectrum(args) -> int:
         text = _csv_text(["index", "k_value", "group", "label"], rows)
     else:
         payload = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "command": "spectrum",
             "units": _units(s),
             "input": {
@@ -295,9 +276,7 @@ def _cmd_spectrum(args) -> int:
                 "n_particles": n,
                 "level": s["level"],
                 "components": list(comp.sizes),
-                "method": s["method"],
                 "tol": s["tol"],
-                "samples": s["samples"],
             },
             "slater": {
                 "occupation": list(state.occupation),
@@ -339,7 +318,7 @@ def _cmd_validate(args) -> int:
     if n not in (2, 3):
         raise InputError("the oracle supports n in {2, 3}")
     state, _ = _build_problem(s)
-    gammas = all_gammas(state, _integration_config(s))
+    gammas = all_gammas(state, tol=s["tol"])
     graph = build_graph(n)
     k_pred = np.sort(solve(laplacian(graph, gammas)).values)
     m = len(k_pred)
@@ -360,7 +339,7 @@ def _cmd_validate(args) -> int:
     rel = np.abs(k_fit - k_pred) / denom
     ok = bool(np.all(rel <= s["rtol"]))
     payload = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "command": "validate",
         "input": {
             "n_particles": n,
@@ -387,7 +366,7 @@ def _cmd_density(args) -> int:
     s = _settings(args)
     state, trap_desc = _build_problem(s)
     n = s["n"]
-    gammas = all_gammas(state, _integration_config(s))
+    gammas = all_gammas(state, tol=s["tol"])
     graph = build_graph(n)
     full = solve(laplacian(graph, gammas))
     j = s["state"]
@@ -397,7 +376,7 @@ def _cmd_density(args) -> int:
     if s["grid_hi"] <= s["grid_lo"] or s["bins"] < 1:
         raise InputError("density grid must satisfy grid_lo < grid_hi and bins >= 1")
     edges = np.linspace(s["grid_lo"], s["grid_hi"], s["bins"] + 1)
-    per, total = wave.one_body_density(edges, samples=s["samples"], seed=s["seed"])
+    per, total = wave.one_body_density(edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
     fmt = _pick_format(s, args.output)
     if fmt == "csv":
@@ -410,7 +389,7 @@ def _cmd_density(args) -> int:
         text = _csv_text(header, rows)
     else:
         payload = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "command": "density",
             "units": _units(s),
             "input": {
@@ -419,8 +398,6 @@ def _cmd_density(args) -> int:
                 "level": s["level"],
                 "state": j,
                 "k_value": float(full.values[j]),
-                "samples": s["samples"],
-                "seed": s["seed"],
             },
             "grid_centers": [float(c) for c in centers],
             "total": [float(v) for v in total],
@@ -440,15 +417,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--orbitals", type=int, help="orbital count solved for tabulated traps")
     p.add_argument("--n", type=int, help="particle number")
     p.add_argument("--level", type=int, help="free-fermion excitation level")
-    p.add_argument("--method", choices=["auto", "quadrature", "monte-carlo"],
-                   help="boundary-weight integration method")
-    p.add_argument("--tol", type=float, help="quadrature tolerance")
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, help="Monte Carlo seed")
-    p.add_argument("--strata", type=int, help="Monte Carlo strata")
-    p.add_argument("--threads", type=int, help="Monte Carlo threads")
-    p.add_argument("--mc-target", type=float, dest="mc_target",
-                   help="required Monte Carlo standard error (0: no bound)")
+    p.add_argument("--tol", type=float, help="absolute error bound on the boundary weights")
+    p.add_argument("--seed", type=int, help="seed recorded in the provenance block")
     p.add_argument("--format", choices=["json", "csv"], help="output format")
     p.add_argument("--output", "-o", help="output path (stdout when omitted)")
     p.add_argument("--no-timestamp", action="store_true",
@@ -499,7 +469,7 @@ def main(argv=None) -> int:
     except ToleranceError as exc:
         print(f"tolerance not met: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,19 +10,24 @@ full wavefunction by scaling the reference determinant sector by
 sector: Psi(x) = a_sigma(x) Psi_ref(x), where sigma(x) is the ordering
 of the coordinates.  The uniform vector leaves the determinant
 untouched (slope zero); the alternating-sign vector builds the
-node-free profile that tracks the bosonic branch.
+node-free profile that tracks the bosonic branch.  One-body densities
+are exact: each particle's density mixes the slot densities of the
+reference state, which the ordered-overlap engine in `weights` gives in
+closed form up to a one-dimensional quadrature.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .sectors import SectorGraph, build_graph
+from .sectors import SectorGraph
 from .slater import SlaterState
+from .weights import slot_cdf
 
 
 @dataclass(frozen=True)
@@ -167,7 +172,6 @@ class SectorWavefunction:
         if normalize:
             a = a / math.sqrt(total)
         self.amplitudes = a
-        self._graph = build_graph(n)
 
     def sector_index(self, x) -> np.ndarray:
         """Canonical node index of the ordering sector containing each configuration."""
@@ -186,31 +190,23 @@ class SectorWavefunction:
         p = self.amplitudes**2 / math.factorial(self.state.n)
         return p / p.sum()
 
-    def one_body_density(self, grid: np.ndarray, samples: int = 200_000,
-                         seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Seeded Monte Carlo one-body density histogram on a bin-edge grid.
+    def one_body_density(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact one-body densities, averaged over the bins of an edge grid.
 
-        Returns (per-particle densities, total density), with the total
-        normalized to the particle number.  Importance samples a product
-        normal sized to the occupied orbitals and self-normalizes.
+        Returns (per-particle densities, total density), the total
+        normalized to the particle number.  In the sector with ordering
+        sigma particle i occupies slot sigma^-1(i), and every sector holds
+        the same ordered distribution, so rho_i is the a_sigma^2-weighted
+        mix of the exact slot densities from the ordered overlaps.
         """
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be an increasing array of bin edges")
         n = self.state.n
-        radius = self.state.basis.decay_radius(self.state.occupation, eps=1e-10)
-        sigma = max(radius / 3.0, 0.5)
-        rng = np.random.default_rng(seed)
-        x = rng.normal(0.0, sigma, size=(samples, n))
-        logq = -0.5 * np.sum((x / sigma) ** 2, axis=1) - n * math.log(sigma * math.sqrt(2 * math.pi))
-        psi = self(x)
-        wgt = psi**2 * np.exp(-logq)
-        total_w = float(np.sum(wgt))
-        if total_w <= 0:
-            raise RuntimeError("all sampled configurations fell outside the state's support")
-        widths = np.diff(grid)
-        per = np.zeros((n, len(grid) - 1))
-        for i in range(n):
-            hist, _ = np.histogram(x[:, i], bins=grid, weights=wgt)
-            per[i] = hist / (total_w * widths)
+        slots = np.diff(slot_cdf(self.state, grid), axis=1) / np.diff(grid)
+        # mix[i, s]: weight of the sectors that put particle i in slot s.
+        mix = np.zeros((n, n))
+        perms = np.array(list(itertools.permutations(range(n))))
+        np.add.at(mix, (perms, np.arange(n)), self.amplitudes[:, None] ** 2)
+        per = mix @ slots / np.sum(self.amplitudes**2)
         return per, per.sum(axis=0)

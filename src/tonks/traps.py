@@ -8,11 +8,10 @@ Richardson extrapolation in the grid spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
 HARMONIC_INDEX_CAP = 200
@@ -75,22 +74,6 @@ class Trap:
         return Trap.from_table(data[:, 0], data[:, 1], margin=margin)
 
 
-@dataclass(frozen=True)
-class Orbital:
-    """One normalized trap eigenstate with evaluator and derivative."""
-
-    n: int
-    energy: float
-    _value: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    _derivative: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-
-    def __call__(self, x) -> np.ndarray:
-        return self._value(np.asarray(x, dtype=float))
-
-    def derivative(self, x) -> np.ndarray:
-        return self._derivative(np.asarray(x, dtype=float))
-
-
 def _hermite_ladder(u: np.ndarray, n_top: int) -> np.ndarray:
     """Normalized harmonic orbitals h_0..h_n_top at unit frequency, shape (n_top+1, *u.shape).
 
@@ -149,17 +132,6 @@ class HarmonicBasis:
             ders[row] = amp * s * hp
         return vals, ders
 
-    def orbital(self, n: int) -> Orbital:
-        self._check_index(n)
-
-        def value(x, _n=n):
-            return self.eval_many([_n], np.asarray(x, dtype=float))[0][0]
-
-        def derivative(x, _n=n):
-            return self.eval_many([_n], np.asarray(x, dtype=float))[1][0]
-
-        return Orbital(n=n, energy=self.energy(n), _value=value, _derivative=derivative)
-
     def decay_radius(self, ns: Sequence[int], eps: float = 1e-12) -> float:
         """Radius beyond which every listed orbital is below eps in magnitude."""
         n_top = max(ns)
@@ -187,6 +159,9 @@ class TabulatedBasis:
         self._grid = grid
         self._lo = float(grid[0])
         self._hi = float(grid[-1])
+        # scipy.interpolate is slow to load and only tabulated traps need it.
+        from scipy.interpolate import CubicSpline
+
         self._splines = []
         for j in range(vectors.shape[1]):
             psi = vectors[:, j]
@@ -222,17 +197,6 @@ class TabulatedBasis:
             ders[row] = np.where(inside, dspl(xc), 0.0)
         return vals, ders
 
-    def orbital(self, n: int) -> Orbital:
-        self._check_index(n)
-
-        def value(x, _n=n):
-            return self.eval_many([_n], np.asarray(x, dtype=float))[0][0]
-
-        def derivative(x, _n=n):
-            return self.eval_many([_n], np.asarray(x, dtype=float))[1][0]
-
-        return Orbital(n=n, energy=self.energy(n), _value=value, _derivative=derivative)
-
     def decay_radius(self, ns: Sequence[int], eps: float = 1e-12) -> float:
         # Orbitals are identically zero outside the sampled window.
         return max(abs(self._lo), abs(self._hi))
@@ -249,6 +213,8 @@ def _fd_energies(grid: np.ndarray, pot: np.ndarray, count: int) -> tuple[np.ndar
 
 def _refine(grid: np.ndarray, pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Halve the grid spacing, interpolating the potential with a cubic spline."""
+    from scipy.interpolate import CubicSpline
+
     fine = np.linspace(grid[0], grid[-1], 2 * len(grid) - 1)
     return fine, CubicSpline(grid, pot)(fine)
 

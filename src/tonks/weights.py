@@ -1,4 +1,4 @@
-"""Boundary weights of the ordering graph.
+"""Boundary weights and slot distributions from ordered overlaps.
 
 When two neighbouring particles in the ordered configuration
 x_1 < ... < x_N meet at the k-th boundary (x_k = x_{k+1} = z), the
@@ -7,33 +7,45 @@ strong-coupling energy shift is controlled by
     gamma_k = N! * integral over the ordered free coordinates and z of
               (d Psi / d x_k at the coincidence)^2
 
-where Psi is the free-fermion reference state.  Small particle numbers
-(N <= 3) are integrated by adaptive composite Gauss-Legendre panels;
-larger N uses stratified, sharded Monte Carlo with a deterministic
-seeded reduction.  On the coincidence plane the two touching gradient
-components are opposite, so the squared gradient equals the squared
-half-jump of the derivative; both forms are available.
+where Psi is the free-fermion reference state.  The spectators enter
+only through products of two Slater minors, so by Andreief /
+Cauchy-Binet their ordered integrals collapse onto the ordered overlap
+matrix A(z)_ij = integral_{-inf}^z phi_i phi_j of the occupied orbitals.
+With G(lambda) = lambda A(z) + (A(inf) - A(z)) and the two rows of U
+holding phi'(z) and phi(z),
+
+    gamma_k = integral dz [lambda^(k-1)] det [[G, U^T], [U, 0]],
+
+a polynomial of degree N-2 in lambda whose coefficients are read off by
+an FFT over N-1 roots of unity; one pass yields every boundary.  The
+same overlaps give the probability of exactly m particles below x as
+[lambda^m] det G(lambda) / det A(inf), hence the exact distribution of
+each ordered slot.  The z integral uses composite Gauss-Legendre panels
+doubled until the change, plus a rounding floor, is below the tolerance.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtri
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .slater import SlaterState
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+METHOD = "ordered-overlap"
+DEFAULT_TOL = 1e-10
+PANEL_ORDER = 16
+START_PANELS = 4
+MAX_DOUBLINGS = 8
+DECAY_EPS = 1e-12
+EPS = float(np.finfo(float).eps)
 
 
 class ToleranceError(RuntimeError):
     """Requested integration tolerance was not reached; carries the best estimate."""
 
-    def __init__(self, message: str, best: "BoundaryWeight"):
+    def __init__(self, message: str, best: "BoundaryWeight | None"):
         super().__init__(message)
         self.best = best
 
@@ -48,271 +60,167 @@ class BoundaryWeight:
     method: str
 
 
-@dataclass(frozen=True)
-class IntegrationConfig:
-    """Controls for the boundary-weight integrators.
+def _rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes t and weights w on [-1, 1] and the integration matrix.
 
-    method is "auto" (quadrature up to N=3, Monte Carlo beyond),
-    "quadrature", or "monte-carlo".  tol bounds the quadrature error
-    estimate; mc_target, when set, bounds the Monte Carlo standard error.
-    Monte Carlo work is split into a fixed number of shards so results
-    are bit-identical for any thread count.
+    S[q, r] integrates the r-th Lagrange basis polynomial from -1 to t[q],
+    so S @ f is the running integral of the interpolant of f at the nodes.
     """
-
-    method: str = "auto"
-    tol: float = 1e-10
-    samples: int = 2_000_000
-    seed: int = 0
-    strata: int = 64
-    shards: int = 16
-    threads: int = 1
-    mc_target: float | None = None
-    max_doublings: int = 8
-    panel_order: int = 16
-    decay_eps: float = 1e-12
-    form: str = "gradient"
-
-    def __post_init__(self):
-        if self.method not in ("auto", "quadrature", "monte-carlo"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.form not in ("gradient", "jump"):
-            raise ValueError(f"unknown integrand form {self.form!r}")
-        if self.samples < self.strata * self.shards:
-            raise ValueError("need at least one sample per stratum and shard")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be at least 1")
+    t, w = leggauss(PANEL_ORDER)
+    p = legvander(t, PANEL_ORDER)
+    n = np.arange(1, PANEL_ORDER)
+    # integral_{-1}^t P_n = (P_{n+1}(t) - P_{n-1}(t)) / (2n + 1) for n >= 1.
+    lint = np.column_stack([t + 1.0, (p[:, 2:] - p[:, :-2]) / (2 * n + 1)])
+    coeff = (p[:, :PANEL_ORDER] * w[:, None]).T * (np.arange(PANEL_ORDER) + 0.5)[:, None]
+    return t, w, lint @ coeff
 
 
-def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[order] = leggauss(order)
-    return _LEGGAUSS_CACHE[order]
+_T, _W, _S = _rule()
 
 
-def _panel_rule(lo: float, hi: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
-    x0, w0 = _gauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    wts = (half[:, None] * w0[None, :]).ravel()
-    return nodes, wts
+def _overlaps(state: SlaterState, breaks: np.ndarray):
+    """Composite Gauss-Legendre rule over the panels between breaks, with overlaps.
 
-
-def _coincidence_value(state: SlaterState, conf: np.ndarray, slot: np.ndarray, form: str) -> np.ndarray:
-    """N! times the squared boundary derivative for ordered configurations.
-
-    conf rows are ordered configurations whose 0-based slots (slot, slot+1)
-    hold the coincident pair.
+    Returns the rule weights (P, p), the orbital values and derivatives at
+    its nodes (N, P, p), and A at the nodes (P, p, N, N) and at the breaks
+    (P + 1, N, N).  A at the nodes integrates each panel's interpolant.
     """
-    _, g = state.psi_grad(conf)
-    rows = np.arange(conf.shape[0])
-    if form == "gradient":
-        gk = g[rows, slot]
-    else:
-        gk = 0.5 * (g[rows, slot] - g[rows, slot + 1])
-    return math.factorial(state.n) * gk * gk
-
-
-def _quad_value(state: SlaterState, k: int, radius: float, panels: int, order: int, form: str) -> float:
-    """One composite-rule evaluation of gamma_k for N in {2, 3}."""
+    half = 0.5 * np.diff(breaks)
+    z = (breaks[:-1] + half)[:, None] + half[:, None] * _T
+    vals, ders = state.basis.eval_many(list(state.occupation), z)
+    f = np.einsum("ipq,jpq->pqij", vals, vals)
     n = state.n
-    z, wz = _panel_rule(-radius, radius, panels, order)
-    if n == 2:
-        conf = np.column_stack([z, z])
-        f = _coincidence_value(state, conf, np.zeros(len(z), dtype=int), form)
-        return float(np.dot(wz, f))
-    s, ws = _panel_rule(0.0, 1.0, panels, order)
-    zz = np.repeat(z, len(s))
-    ss = np.tile(s, len(z))
-    ww = np.repeat(wz, len(s)) * np.tile(ws, len(z))
-    if k == 1:
-        y = zz + (radius - zz) * ss
-        jac = radius - zz
-        conf = np.column_stack([zz, zz, y])
-        slot = np.zeros(len(zz), dtype=int)
-    else:
-        y = -radius + (zz + radius) * ss
-        jac = zz + radius
-        conf = np.column_stack([y, zz, zz])
-        slot = np.ones(len(zz), dtype=int)
-    f = _coincidence_value(state, conf, slot, form)
-    return float(np.dot(ww, f * jac))
+    panel = np.einsum("p,q,pqij->pij", half, _W, f)
+    at_breaks = np.concatenate([np.zeros((1, n, n)), np.cumsum(panel, axis=0)])
+    at_nodes = at_breaks[:-1, None] + half[:, None, None, None] * np.einsum("qr,prij->pqij", _S, f)
+    return half[:, None] * _W, vals, ders, at_nodes, at_breaks
 
 
-def _truncation_bound(state: SlaterState, k: int, radius: float, form: str) -> float:
-    """Crude bound on the mass outside the integration box from edge probes.
+def _lambda_coefficients(det_at, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients in lambda of a polynomial of the given degree, and its size.
 
-    Probes the integrand along the domain boundary (pair at |z| = R, or
-    free coordinate pinned at the box edge) and scales by the box measure.
+    det_at(lambda) evaluates the polynomial (a stack of them); it is read at
+    degree + 1 roots of unity and transformed back by an FFT.  The second
+    result is the largest modulus on the unit circle, the scale of the
+    rounding in every coefficient.
     """
-    n = state.n
-    probes = np.linspace(-radius, radius, 17)
-    if n == 2:
-        z = np.array([-radius, radius])
-        conf = np.column_stack([z, z])
-        f = _coincidence_value(state, conf, np.zeros(2, dtype=int), form)
-        return float(np.max(f)) * 2.0 * radius
-    if k == 1:
-        conf = np.vstack([
-            np.column_stack([probes, probes, np.full_like(probes, radius)]),
-            np.column_stack([np.full_like(probes, -radius), np.full_like(probes, -radius), probes]),
-        ])
-        slots = np.zeros(conf.shape[0], dtype=int)
-    else:
-        conf = np.vstack([
-            np.column_stack([np.full_like(probes, -radius), probes, probes]),
-            np.column_stack([probes, np.full_like(probes, radius), np.full_like(probes, radius)]),
-        ])
-        slots = np.ones(conf.shape[0], dtype=int)
-    f = _coincidence_value(state, conf, slots, form)
-    return float(np.max(f)) * (2.0 * radius) ** 2
+    m = degree + 1
+    vals = np.stack([det_at(np.exp(2j * np.pi * i / m)) for i in range(m)], axis=-1)
+    return np.fft.fft(vals, axis=-1).real / m, np.max(np.abs(vals), axis=-1)
 
 
-def _quad_gamma(state: SlaterState, k: int, cfg: IntegrationConfig) -> BoundaryWeight:
-    if state.n > 3:
-        raise ValueError("quadrature boundary weights support at most 3 particles; use Monte Carlo")
-    radius = state.basis.decay_radius(state.occupation, eps=cfg.decay_eps)
-    panels = 4
-    prev = _quad_value(state, k, radius, panels, cfg.panel_order, cfg.form)
-    trunc = _truncation_bound(state, k, radius, cfg.form)
-    best = None
-    for _ in range(cfg.max_doublings):
+def _refine(compute, tol: float, select=slice(None)):
+    """Double the panels until |Q(2P) - Q(P)| plus the rounding floor is within tol.
+
+    compute(panels) returns (estimate, floor) arrays; only the entries
+    picked by select must converge.  Returns (estimate, error, panels,
+    converged).
+    """
+    panels = START_PANELS
+    prev, _ = compute(panels)
+    for _ in range(MAX_DOUBLINGS):
         panels *= 2
-        cur = _quad_value(state, k, radius, panels, cfg.panel_order, cfg.form)
-        err = abs(cur - prev) + trunc
-        best = BoundaryWeight(k=k, value=cur, error=err, method="quadrature")
-        if err <= cfg.tol:
-            return best
+        cur, floor = compute(panels)
+        err = np.abs(cur - prev) + floor
+        if np.max(err[select]) <= tol:
+            return cur, err, panels, True
         prev = cur
-    raise ToleranceError(
-        f"quadrature for boundary {k} reached error {best.error:.3e} "
-        f"after {panels} panels, above tol {cfg.tol:.1e}",
-        best,
-    )
+    return cur, err, panels, False
 
 
-def _mc_shard_counts(cfg: IntegrationConfig) -> list[int]:
-    per_stratum = cfg.samples // cfg.strata
-    base = per_stratum // cfg.shards
-    extra = per_stratum % cfg.shards
-    return [base + (1 if r < extra else 0) for r in range(cfg.shards)]
+def _support(state: SlaterState) -> float:
+    return state.basis.decay_radius(state.occupation, eps=DECAY_EPS)
 
 
-def _mc_shard(state: SlaterState, cfg: IntegrationConfig, seed_seq, count: int,
-              sigma_z: float, sigma_w: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-stratum, per-boundary (sum, sumsq) accumulated over one shard."""
-    n = state.n
-    rng = np.random.default_rng(seed_seq)
-    nb = n - 1
-    sums = np.zeros((cfg.strata, nb))
-    sumsq = np.zeros((cfg.strata, nb))
-    fact = 1.0 / math.factorial(n - 2)
-    for s in range(cfg.strata):
-        u = rng.random(count)
-        z = sigma_z * ndtri((s + u) / cfg.strata)
-        w = rng.normal(0.0, sigma_w, size=(count, n - 2))
-        jcount = np.sum(w < z[:, None], axis=1)
-        conf = np.concatenate([w, z[:, None], z[:, None]], axis=1)
-        conf.sort(axis=1)
-        f = _coincidence_value(state, conf, jcount, cfg.form)
-        logq = -0.5 * (z / sigma_z) ** 2 - math.log(sigma_z * math.sqrt(2 * math.pi))
-        logq = logq - 0.5 * np.sum((w / sigma_w) ** 2, axis=1) \
-            - (n - 2) * math.log(sigma_w * math.sqrt(2 * math.pi))
-        v = fact * f * np.exp(-logq)
-        for k0 in range(nb):
-            vk = np.where(jcount == k0, v, 0.0)
-            sums[s, k0] += vk.sum()
-            sumsq[s, k0] += np.dot(vk, vk)
-    return sums, sumsq
+def _gamma_pass(state: SlaterState, radius: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """All N-1 boundary weights on one composite rule, with their rounding floor.
 
-
-def _mc_gammas(state: SlaterState, cfg: IntegrationConfig) -> list[BoundaryWeight]:
-    """All boundary weights from one stratified stream.
-
-    Each sample's ordered configuration selects exactly one boundary, so a
-    single stream estimates every gamma_k at once.  The doubled coordinate
-    is stratified through the normal inverse CDF; shards are reduced in a
-    fixed order so results do not depend on the thread count.
+    The floor is N machine epsilons times the integral of the largest
+    |det| on the lambda circle, the scale every coefficient is read from.
     """
     n = state.n
-    if n < 2:
-        raise ValueError("Monte Carlo boundary weights need at least 2 particles")
-    radius = state.basis.decay_radius(state.occupation, eps=1e-10)
-    sigma_w = max(radius / 3.5, 0.5)
-    sigma_z = sigma_w
-    counts = _mc_shard_counts(cfg)
-    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.shards)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(
-                lambda rc: _mc_shard(state, cfg, rc[1], rc[0], sigma_z, sigma_w),
-                zip(counts, seqs),
-            ))
-    else:
-        parts = [_mc_shard(state, cfg, sq, c, sigma_z, sigma_w) for c, sq in zip(counts, seqs)]
-    nb = n - 1
-    sums = np.zeros((cfg.strata, nb))
-    sumsq = np.zeros((cfg.strata, nb))
-    for ps, pq in parts:
-        sums += ps
-        sumsq += pq
-    per_stratum = sum(counts)
-    mean = sums.sum(axis=0) / (cfg.strata * per_stratum)
-    var_s = (sumsq - sums**2 / per_stratum) / (per_stratum - 1)
-    sem = np.sqrt(np.sum(var_s, axis=0) / (cfg.strata**2 * per_stratum))
-    out = []
-    for k0 in range(nb):
-        bw = BoundaryWeight(k=k0 + 1, value=float(mean[k0]), error=float(sem[k0]),
-                            method="monte-carlo")
-        if cfg.mc_target is not None and bw.error > cfg.mc_target:
-            raise ToleranceError(
-                f"Monte Carlo standard error {bw.error:.3e} for boundary {bw.k} "
-                f"is above the requested target {cfg.mc_target:.1e}",
-                bw,
-            )
-        out.append(bw)
+    w, vals, ders, a, at_breaks = _overlaps(state, np.linspace(-radius, radius, panels + 1))
+    border = np.zeros(a.shape[:2] + (n + 2, n + 2))
+    border[..., :n, :n] = at_breaks[-1] - a
+    u = np.stack([ders, vals]).transpose(2, 3, 0, 1)
+    border[..., n:, :n] = u
+    border[..., :n, n:] = np.swapaxes(u, -1, -2)
+
+    def det_at(lam):
+        mat = border.astype(complex)
+        mat[..., :n, :n] += lam * a
+        return np.linalg.det(mat)
+
+    coef, size = _lambda_coefficients(det_at, n - 2)
+    floor = EPS * n * float(np.sum(w * size))
+    return np.einsum("pq,pqk->k", w, coef), np.full(n - 1, floor)
+
+
+def _weights(state: SlaterState, tol: float, ks: list[int]) -> list[BoundaryWeight]:
+    if state.n < 2:
+        raise ValueError("boundary weights need at least 2 particles")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    radius = _support(state)
+    values, errors, panels, ok = _refine(lambda p: _gamma_pass(state, radius, p), tol,
+                                         np.asarray(ks) - 1)
+    out = [BoundaryWeight(k=k, value=float(v), error=float(e), method=METHOD)
+           for k, (v, e) in enumerate(zip(values, errors), start=1)]
+    if not ok:
+        worst = max((out[k - 1] for k in ks), key=lambda b: b.error)
+        raise ToleranceError(
+            f"boundary {worst.k} reached error {worst.error:.3e} after {panels} panels, "
+            f"above tol {tol:.1e}",
+            worst,
+        )
     return out
 
 
-def _resolve_method(state: SlaterState, cfg: IntegrationConfig) -> str:
-    if cfg.method == "auto":
-        return "quadrature" if state.n <= 3 else "monte-carlo"
-    return cfg.method
-
-
-def gamma(state: SlaterState, k: int, config: IntegrationConfig | None = None) -> BoundaryWeight:
+def gamma(state: SlaterState, k: int, tol: float = DEFAULT_TOL) -> BoundaryWeight:
     """The boundary weight gamma_k of a reference state, with error estimate."""
-    cfg = config or IntegrationConfig()
     n = state.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"boundary index {k} outside 1..{n - 1}")
-    if _resolve_method(state, cfg) == "quadrature":
-        return _quad_gamma(state, k, cfg)
-    return _mc_gammas(state, cfg)[k - 1]
+    return _weights(state, tol, [k])[k - 1]
 
 
-def all_gammas(state: SlaterState, config: IntegrationConfig | None = None,
-               use_parity: bool | None = None) -> list[BoundaryWeight]:
-    """All boundary weights gamma_1..gamma_{N-1}.
+def all_gammas(state: SlaterState, tol: float = DEFAULT_TOL) -> list[BoundaryWeight]:
+    """All boundary weights gamma_1..gamma_{N-1} from one pass.
 
-    For a parity-symmetric trap gamma_k equals gamma_{N-k}; with
-    use_parity (defaulting to the basis symmetry flag) the quadrature
-    path computes only the lower half and mirrors the rest.  The Monte
-    Carlo path estimates every boundary from one stream regardless.
+    No parity shortcut is taken, so gamma_k = gamma_{N-k} in a symmetric
+    trap stays an independent check of the reported errors.
     """
-    cfg = config or IntegrationConfig()
+    return _weights(state, tol, list(range(1, state.n)))
+
+
+def slot_cdf(state: SlaterState, x) -> np.ndarray:
+    """Exact distribution functions of the ordered slots in the reference state.
+
+    F[s, j] is the probability that the (s+1)-th particle from the left
+    lies at or below x[j]: the probability of at least s+1 particles
+    below x[j], summed from the coefficients of det G(lambda) / det A(inf).
+    The panels are doubled until every value settles within DEFAULT_TOL.
+    """
     n = state.n
-    parity = bool(getattr(state.basis, "symmetric", False)) if use_parity is None else use_parity
-    if _resolve_method(state, cfg) == "monte-carlo":
-        return _mc_gammas(state, cfg)
-    out: list[BoundaryWeight | None] = [None] * (n - 1)
-    for k in range(1, n):
-        mirror = n - k
-        if parity and out[mirror - 1] is not None:
-            src = out[mirror - 1]
-            out[k - 1] = replace(src, k=k)
-        else:
-            out[k - 1] = _quad_gamma(state, k, cfg)
-    return out
+    x = np.asarray(x, dtype=float)
+    radius = _support(state)
+    inside = np.clip(x, -radius, radius)
+
+    def compute(panels):
+        breaks = np.union1d(np.linspace(-radius, radius, panels + 1), inside)
+        *_, at_breaks = _overlaps(state, breaks)
+        a = at_breaks[np.searchsorted(breaks, inside)]
+        rest = at_breaks[-1] - a
+        coef, size = _lambda_coefficients(lambda lam: np.linalg.det(lam * a + rest), n)
+        prob = coef / coef.sum(axis=-1, keepdims=True)
+        cdf = np.cumsum(prob[..., ::-1], axis=-1)[..., -2::-1]
+        return cdf.T, EPS * n * np.broadcast_to(size / coef.sum(axis=-1), cdf.T.shape)
+
+    cdf, err, panels, ok = _refine(compute, DEFAULT_TOL)
+    if not ok:
+        raise ToleranceError(
+            f"slot distribution reached error {float(np.max(err)):.3e} after {panels} panels, "
+            f"above tol {DEFAULT_TOL:.1e}",
+            None,
+        )
+    return cdf

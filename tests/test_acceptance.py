@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from tonks.oracle import EDConfig, diagonalize, slope_fit, two_body_slope
+from tonks.oracle import EDConfig, diagonalize, mc_gammas, slope_fit, two_body_slope
 from tonks.sectors import ComponentSpec, build_graph, cycle_ordering, laplacian, projected_laplacian
 from tonks.slater import make_level
 from tonks.spectrum import SectorWavefunction, expansion, solve
 from tonks.traps import HarmonicBasis
-from tonks.weights import IntegrationConfig, all_gammas, gamma
+from tonks.weights import all_gammas, gamma
 
 GAMMA_2 = math.sqrt(2.0 / math.pi)
 GAMMA_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
@@ -110,8 +110,7 @@ def test_criterion_3_gamma_cross_validation(state2, state3):
     assert abs(q1.value - q2.value) < 3.0 * (q1.error + q2.error)
 
     start = time.perf_counter()
-    mc = all_gammas(state3, IntegrationConfig(method="monte-carlo",
-                                              samples=10_000_000, seed=3))
+    mc = mc_gammas(state3, samples=10_000_000, seed=3)
     mc_elapsed = time.perf_counter() - start
     assert mc_elapsed < 60.0
     for w, q in zip(mc, (q1, q2)):
@@ -154,8 +153,7 @@ def test_criterion_5_structural_invariants(basis, state3):
 
     weights = {3: [gamma(state3, 1).value] * 2}
     state4 = make_level(basis, 4)
-    mc4 = all_gammas(state4, IntegrationConfig(samples=400_000, seed=2))
-    weights[4] = [w.value for w in mc4]
+    weights[4] = [w.value for w in all_gammas(state4)]
 
     for n, w in weights.items():
         graph = build_graph(n)

@@ -24,7 +24,7 @@ def test_version():
 def test_spectrum_json_schema():
     proc = run_cli("spectrum", "--n", "3", "--no-timestamp")
     doc = json.loads(proc.stdout)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "spectrum"
     assert doc["slater"]["occupation"] == [0, 1, 2]
     assert doc["slater"]["free_energy"] == pytest.approx(4.5)
@@ -69,7 +69,7 @@ def test_gamma_csv(tmp_path):
     k, value, error, method = lines[1].split(",")
     assert int(k) == 1
     assert float(value) == pytest.approx(np.sqrt(2.0 / np.pi), abs=1e-10)
-    assert method == "quadrature"
+    assert method == "ordered-overlap"
 
 
 def test_config_file_and_override(tmp_path):
@@ -89,8 +89,8 @@ def test_bad_inputs_exit_two(tmp_path):
 
 
 def test_unreached_tolerance_exits_three():
-    run_cli("gamma", "--n", "4", "--method", "monte-carlo", "--samples", "20000",
-            "--mc-target", "1e-9", expect=3)
+    proc = run_cli("gamma", "--n", "4", "--tol", "1e-20", expect=3)
+    assert proc.stderr.startswith("tolerance not met:")
 
 
 def test_validate_two_body():
@@ -111,8 +111,7 @@ def test_validate_failure_exits_three():
 
 def test_density_output():
     proc = run_cli("density", "--n", "2", "--state", "1", "--bins", "40",
-                   "--grid-lo", "-5", "--grid-hi", "5", "--samples", "20000",
-                   "--no-timestamp")
+                   "--grid-lo", "-5", "--grid-hi", "5", "--no-timestamp")
     doc = json.loads(proc.stdout)
     centers = np.array(doc["grid_centers"])
     total = np.array(doc["total"])
@@ -121,4 +120,36 @@ def test_density_output():
     assert total.shape == (40,)
     assert per.shape == (2, 40)
     width = centers[1] - centers[0]
-    assert float(np.sum(total)) * width == pytest.approx(2.0, abs=0.1)
+    assert float(np.sum(total)) * width == pytest.approx(2.0, abs=1e-6)
+    np.testing.assert_allclose(per.sum(axis=0), total, rtol=1e-14)
+    assert set(doc["input"]) == {"trap", "n_particles", "level", "state", "k_value"}
+
+
+def test_coarse_table_exits_two(tmp_path):
+    # 801 points on [-8, 8] cannot resolve the orbitals the CLI solves.
+    table = tmp_path / "coarse.dat"
+    x = np.linspace(-8.0, 8.0, 801)
+    np.savetxt(table, np.column_stack([x, 0.5 * x * x]))
+    proc = run_cli("gamma", "--n", "2", "--trap", str(table), expect=2)
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "not converged" in lines[0]
+
+
+def test_removed_options_exit_two(tmp_path):
+    for flag, value in (("--method", "monte-carlo"), ("--samples", "1000"),
+                        ("--strata", "8"), ("--threads", "2"), ("--mc-target", "0.1")):
+        run_cli("gamma", "--n", "2", flag, value, expect=2)
+    ini = tmp_path / "old.ini"
+    ini.write_text("[integration]\nmethod = auto\n")
+    proc = run_cli("gamma", "--config", str(ini), expect=2)
+    assert "unknown key 'method'" in proc.stderr
+
+
+def test_seed_only_reaches_provenance():
+    a = json.loads(run_cli("gamma", "--n", "3", "--seed", "1", "--no-timestamp").stdout)
+    b = json.loads(run_cli("gamma", "--n", "3", "--seed", "2", "--no-timestamp").stdout)
+    assert a["provenance"]["seed"] == 1 and b["provenance"]["seed"] == 2
+    assert a["gammas"] == b["gammas"]
+    assert a["schema_version"] == 2
+    assert set(a["input"]) == {"trap", "n_particles", "level", "tol"}

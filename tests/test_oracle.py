@@ -1,4 +1,4 @@
-"""Finite-coupling oracle: contact integrals, diagonalization, slope fits."""
+"""Finite-coupling oracle: contact integrals, diagonalization, slope fits, Monte Carlo weights."""
 
 import math
 
@@ -13,11 +13,15 @@ from tonks.oracle import (
     SlopeFit,
     delta_tensor,
     diagonalize,
+    mc_gammas,
     slope_fit,
     two_body_reference,
     two_body_slope,
 )
 from tonks.sectors import ComponentSpec
+from tonks.slater import make_level
+from tonks.traps import HarmonicBasis
+from tonks.weights import all_gammas, gamma
 
 GAMMA_2 = math.sqrt(2.0 / math.pi)
 
@@ -178,3 +182,44 @@ def test_sparse_matches_dense(monkeypatch):
     np.testing.assert_allclose(sparse.interaction, dense.interaction, atol=1e-6)
     again = diagonalize(cfg)
     np.testing.assert_array_equal(again.energies, sparse.energies)
+
+
+@pytest.fixture(scope="module")
+def state3():
+    return make_level(HarmonicBasis(), 3)
+
+
+@pytest.fixture(scope="module")
+def mc3(state3):
+    return mc_gammas(state3, samples=400_000, seed=3)
+
+
+def test_monte_carlo_matches_quadrature(state3, mc3):
+    for k, w in enumerate(mc3, start=1):
+        assert w.method == "monte-carlo"
+        exact = gamma(state3, k)
+        assert w.error < 0.02
+        assert abs(w.value - exact.value) < 3.0 * (w.error + exact.error)
+
+
+def test_monte_carlo_deterministic(state3, mc3):
+    again = mc_gammas(state3, samples=400_000, seed=3)
+    for a, b in zip(mc3, again):
+        assert b.value == a.value
+        assert b.error == a.error
+
+
+def test_monte_carlo_matches_exact_four_body():
+    state4 = make_level(HarmonicBasis(), 4)
+    exact = all_gammas(state4)
+    mc = mc_gammas(state4, samples=400_000, seed=2)
+    for e, w in zip(exact, mc):
+        assert w.error < 0.02 * w.value
+        assert abs(w.value - e.value) < 3.0 * w.error
+
+
+def test_monte_carlo_input_checks(state3):
+    with pytest.raises(ValueError, match="sample"):
+        mc_gammas(state3, samples=100)
+    with pytest.raises(ValueError, match="2 particles"):
+        mc_gammas(make_level(HarmonicBasis(), 1), samples=10_000)

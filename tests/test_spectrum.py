@@ -9,6 +9,7 @@ from tonks.sectors import ComponentSpec, build_graph, laplacian, projected_lapla
 from tonks.slater import make_level
 from tonks.spectrum import EnergyExpansion, SectorWavefunction, classify, expansion, solve
 from tonks.traps import HarmonicBasis
+from tonks.weights import slot_cdf
 
 GAMMA_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
 
@@ -153,20 +154,58 @@ def test_sector_probabilities(basis):
     assert p.sum() == pytest.approx(1.0)
 
 
+def _free_density_bins(basis, n, grid):
+    """Bin averages of sum_{m<n} phi_m^2 by a 16-point rule per bin."""
+    t, w = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(grid)
+    x = (grid[:-1] + half)[:, None] + half[:, None] * t
+    vals, _ = basis.eval_many(range(n), x)
+    return np.sum(vals**2, axis=0) @ w / 2.0
+
+
 def test_one_body_density(basis):
     state = make_level(basis, 2)
     wave = SectorWavefunction(state, np.ones(2))
     grid = np.linspace(-6.0, 6.0, 61)
-    per, total = wave.one_body_density(grid, samples=200_000, seed=4)
+    per, total = wave.one_body_density(grid)
     assert per.shape == (2, 60)
     widths = np.diff(grid)
-    assert float(np.sum(total * widths)) == pytest.approx(2.0, abs=0.01)
+    assert float(np.sum(total * widths)) == pytest.approx(2.0, abs=1e-8)
     # the determinant's exact density is the sum of orbital densities
-    centers = 0.5 * (grid[1:] + grid[:-1])
-    vals, _ = basis.eval_many((0, 1), centers)
-    exact = np.sum(vals**2, axis=0)
-    assert np.max(np.abs(total - exact)) < 0.05
-    per2, total2 = wave.one_body_density(grid, samples=200_000, seed=4)
+    np.testing.assert_allclose(total, _free_density_bins(basis, 2, grid), rtol=0, atol=1e-12)
+    # equal amplitudes: both particles share the same density
+    np.testing.assert_allclose(per[0], per[1], rtol=0, atol=1e-15)
+    per2, total2 = wave.one_body_density(grid)
     np.testing.assert_array_equal(total2, total)
     with pytest.raises(ValueError):
         wave.one_body_density(np.array([1.0, 0.0]))
+
+
+def test_total_density_is_free_for_every_state(basis, hexagon):
+    _, _, spec = hexagon
+    state = make_level(basis, 3)
+    grid = np.linspace(-5.0, 5.0, 81)
+    free = _free_density_bins(basis, 3, grid)
+    for j in range(spec.n_states):
+        per, total = SectorWavefunction(state, spec.vectors[:, j]).one_body_density(grid)
+        np.testing.assert_allclose(per.sum(axis=0), total, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(total, free, rtol=0, atol=1e-12)
+
+
+def test_single_sector_density_follows_its_ordering(basis):
+    # Node 3 in lexicographic order is the ordering (1, 2, 0): particle 1
+    # leftmost, then particle 2, then particle 0.
+    state = make_level(basis, 3)
+    single = np.zeros(6)
+    single[3] = 1.0
+    grid = np.linspace(-6.0, 6.0, 121)
+    per, _ = SectorWavefunction(state, single).one_body_density(grid)
+    slots = np.diff(slot_cdf(state, grid), axis=1) / np.diff(grid)
+    for slot, particle in enumerate((1, 2, 0)):
+        np.testing.assert_allclose(per[particle], slots[slot], rtol=0, atol=1e-15)
+    centers = 0.5 * (grid[1:] + grid[:-1])
+    means = per @ (centers * np.diff(grid))
+    assert means[1] < means[2] < means[0]
+    # a configuration with particle 1 leftmost and particle 0 rightmost lies in node 3
+    x = np.array([[0.4, -1.1, 0.0]])
+    assert SectorWavefunction(state, single).sector_index(x)[0] == 3
