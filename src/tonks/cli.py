@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .oracle import EDConfig, diagonalize, slope_fit
-from .sectors import ComponentSpec, build_graph, laplacian, projected_laplacian, cycle_ordering
+from .sectors import (NODE_CAP, ComponentSpec, build_graph, cycle_ordering, laplacian,
+                      projected_laplacian)
 from .slater import make_level
 from .spectrum import SectorWavefunction, classify, solve
 from .traps import ConvergenceError, HarmonicBasis, Trap, solve_tabulated
@@ -36,7 +37,7 @@ from .weights import ToleranceError, all_gammas
 _INT_KEYS = {"n", "level", "seed", "orbitals", "n_modes", "states", "state", "bins"}
 _FLOAT_KEYS = {"omega", "tol", "margin", "rtol", "grid_lo", "grid_hi"}
 _BOOL_KEYS = {"timestamp"}
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _DEFAULTS = {
     "trap": "harmonic",
@@ -253,20 +254,33 @@ def _cmd_spectrum(args) -> int:
     comp = _components(s, n)
     gammas = all_gammas(state, tol=s["tol"])
     graph = build_graph(n, comp)
-    lap = laplacian(graph, gammas)
-    full = classify(solve(lap), graph)
     proj = solve(projected_laplacian(graph, gammas))
+    # Above the node cap only the projected block is computed and written.
+    full = None
+    if math.factorial(n) <= NODE_CAP:
+        orderings = build_graph(n)
+        full = classify(solve(laplacian(orderings, gammas)), graph)
     fmt = _pick_format(s, args.output)
     if fmt == "csv":
-        rows = []
-        group_of = {}
-        for gi, idx in enumerate(full.groups):
-            for j in idx:
-                group_of[j] = gi
-        for j, k in enumerate(full.values):
-            rows.append([j, repr(float(k)), group_of[j], full.labels[group_of[j]]])
+        # Without the full spectrum the projected rows carry no label.
+        spec = proj if full is None else full
+        rows = [[j, repr(float(spec.values[j])), gi, spec.labels[gi] if spec.labels else ""]
+                for gi, idx in enumerate(spec.groups) for j in idx]
         text = _csv_text(["index", "k_value", "group", "label"], rows)
     else:
+        spectrum = {}
+        if full is not None:
+            spectrum["full"] = {
+                "k_values": [float(v) for v in full.values],
+                "groups": [list(gr) for gr in full.groups],
+                "labels": list(full.labels),
+                "retained_dims": list(full.retained),
+            }
+        spectrum["projected"] = {
+            "dimension": graph.n_nodes,
+            "k_values": [float(v) for v in proj.values],
+        }
+        spectrum["energy_law"] = "E_j(g) = free_energy - k_values[j] / g"
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "spectrum",
@@ -283,28 +297,18 @@ def _cmd_spectrum(args) -> int:
                 "free_energy": state.energy,
             },
             "gammas": _gamma_rows(gammas),
-            "graph": {"nodes": graph.n_nodes, "edges": int(graph.edges.shape[0])},
-            "spectrum": {
-                "full": {
-                    "k_values": [float(v) for v in full.values],
-                    "groups": [list(gr) for gr in full.groups],
-                    "labels": list(full.labels),
-                    "retained_dims": list(full.retained),
-                },
-                "projected": {
-                    "dimension": graph.n_orbits,
-                    "k_values": [float(v) for v in proj.values],
-                },
-                "energy_law": "E_j(g) = free_energy - k_values[j] / g",
-            },
-            "amplitudes": {
-                "node_order": [",".join(str(e + 1) for e in p) for p in graph.perms],
-                "vectors": [[float(v) for v in full.vectors[:, j]] for j in range(full.n_states)],
-            },
-            "provenance": _provenance(s),
         }
-        if n == 3:
-            payload["amplitudes"]["cycle_order"] = [int(i) for i in cycle_ordering(graph)]
+        if full is not None:
+            payload["graph"] = {"nodes": orderings.n_nodes, "edges": len(orderings.edges)}
+        payload["spectrum"] = spectrum
+        if full is not None:
+            payload["amplitudes"] = {
+                "node_order": [",".join(str(e + 1) for e in p) for p in orderings.words],
+                "vectors": [[float(v) for v in full.vectors[:, j]] for j in range(full.n_states)],
+            }
+            if n == 3:
+                payload["amplitudes"]["cycle_order"] = [int(i) for i in cycle_ordering(orderings)]
+        payload["provenance"] = _provenance(s)
         text = _json_text(payload)
     _write_text(args.output, text)
     return 0

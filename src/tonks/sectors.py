@@ -1,31 +1,41 @@
 """The graph of spatial orderings and its weighted Laplacian.
 
-Each node is a permutation sigma, read as "slot s of the ordered
-configuration x_(1) < ... < x_(N) holds particle sigma_s".  Two
-orderings are adjacent when they differ by swapping the particles in
-neighbouring slots (k, k+1); that edge carries the boundary weight
-gamma_k.  Strong-coupling amplitudes live on the nodes: an adiabatic
-state is a_sigma times the reference determinant in sector sigma, and
-its energy slope K is an eigenvalue of the graph Laplacian.
+An ordering sigma reads "slot s of the ordered configuration
+x_(1) < ... < x_(N) holds particle sigma_s".  Two orderings are
+adjacent when they differ by swapping the particles in neighbouring
+slots (k, k+1); that edge carries the boundary weight gamma_k.
+Strong-coupling amplitudes live on the orderings: an adiabatic state is
+a_sigma times the reference determinant in sector sigma, and its energy
+slope K is an eigenvalue of the graph Laplacian.
 
 Exchange statistics enter through a component assignment: particles of
 the same component are identical fermions, and admissible amplitude
 vectors are invariant under relabeling them.  (In this amplitude
 convention the reference determinant already carries the full
-antisymmetry; the uniform vector reproduces it identically.)
+antisymmetry; the uniform vector reproduces it identically.)  Such a
+vector depends only on the component word c(sigma_1)...c(sigma_N), and
+every word is reached by the same number prod_c n_c! of orderings, so
+the Laplacian restricted to invariant vectors is the weighted Laplacian
+on words: -gamma_k between two words that differ by swapping unequal
+letters in slots k and k+1.  This is the spin-chain Hamiltonian
+sum_k gamma_k (1 - P_{k,k+1}).  The graph is built on words throughout;
+with every particle its own component the words are the N! orderings.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .weights import BoundaryWeight
 
-GRAPH_PARTICLE_CAP = 8
-DENSE_NODE_CAP = 720
+# Largest node count of any graph: the words of a composition, or the n!
+# orderings of the full graph.  The dense eigensolve of the largest
+# graph takes about 3 s and 150 MB.
+NODE_CAP = 2520
 
 
 @dataclass(frozen=True)
@@ -62,136 +72,107 @@ class ComponentSpec:
     def n(self) -> int:
         return sum(self.sizes)
 
-    def generators(self) -> list[tuple[int, int]]:
-        """Adjacent same-component label transpositions generating the relabeling group."""
-        gens = []
-        start = 0
-        for s in self.sizes:
-            for p in range(start, start + s - 1):
-                gens.append((p, p + 1))
-            start += s
-        return gens
-
-
-def _perm_sign(p: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    @property
+    def n_words(self) -> int:
+        """Number of distinct component words, n! / prod_c n_c!."""
+        return math.factorial(self.n) // math.prod(math.factorial(s) for s in self.sizes)
 
 
 @dataclass(frozen=True)
 class SectorGraph:
-    """Ordering graph for n particles with a component assignment.
+    """Ordering graph on the component words of n particles.
 
-    perms lists the nodes in lexicographic order; edges rows are
-    (node u, node v, 0-based slot) for each adjacent-slot swap; orbit
-    maps each node to its relabeling orbit and carries the symmetry
-    projection implicitly.
+    words lists the nodes in lexicographic order, one word of component
+    letters per row (with all components singletons, the n!
+    permutations); edges rows are (node u, node v, 0-based slot), u < v,
+    for each swap of unequal letters in neighbouring slots; signs is
+    (-1)^(inversions) of each word, which flips across every edge.
+    codes are the base-kappa values of the words, ascending.
     """
 
     n: int
     components: ComponentSpec
-    perms: tuple[tuple[int, ...], ...]
+    words: np.ndarray = field(repr=False)
     edges: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
-    orbit: np.ndarray = field(repr=False)
-    orbit_sizes: np.ndarray = field(repr=False)
+    codes: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.perms)
+        return len(self.words)
 
-    @property
-    def n_orbits(self) -> int:
-        return len(self.orbit_sizes)
+    def index(self, words) -> np.ndarray:
+        """Node index of each word along the last axis, by lexicographic rank."""
+        words = np.asarray(words)
+        kappa = len(self.components.sizes)
+        if words.shape[-1:] != (self.n,) or np.any((words < 0) | (words >= kappa)):
+            raise KeyError(f"not a word of this graph: {words}")
+        codes = words.astype(np.int64) @ _radix(kappa, self.n)
+        idx = np.minimum(np.searchsorted(self.codes, codes), self.n_nodes - 1)
+        if np.any(self.codes[idx] != codes):
+            raise KeyError(f"not a word of this graph: {words}")
+        return idx
 
-    def index(self, perm) -> int:
-        p = tuple(perm)
-        lo, hi = 0, len(self.perms)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.perms[mid] < p:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.perms) or self.perms[lo] != p:
-            raise KeyError(f"not a node of this graph: {p}")
-        return lo
 
-    def projection_matrix(self) -> np.ndarray:
-        """Dense orthonormal basis of relabeling-invariant amplitude vectors.
+def _radix(kappa: int, n: int) -> np.ndarray:
+    """Place values of a base-kappa word code, most significant slot first."""
+    if kappa ** n >= 2**63:
+        raise ValueError(f"words of {n} letters over {kappa} components overflow 63-bit codes")
+    return kappa ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-        Column j is the normalized indicator of orbit j.
-        """
-        p = np.zeros((self.n_nodes, self.n_orbits))
-        amp = 1.0 / np.sqrt(self.orbit_sizes.astype(float))
-        p[np.arange(self.n_nodes), self.orbit] = amp[self.orbit]
-        return p
+
+def _arrangements(sizes: tuple[int, ...]) -> np.ndarray:
+    """Every word with sizes[c] copies of letter c, one per row, in lexicographic order."""
+    words = np.zeros((1, 0), dtype=np.int8)
+    left = np.array([sizes])
+    for _ in range(sum(sizes)):
+        # Row-major nonzero: prefixes in order, then letters ascending.
+        parent, letter = np.nonzero(left)
+        words = np.column_stack([words[parent], letter.astype(np.int8)])
+        left = left[parent]
+        left[np.arange(len(parent)), letter] -= 1
+    return words
 
 
 def build_graph(n: int, components: ComponentSpec | None = None) -> SectorGraph:
-    """Enumerate the ordering graph for n particles.
+    """Generate the word graph for n particles (distinguishable by default).
 
-    Node count grows as n!, so n is capped at GRAPH_PARTICLE_CAP.
+    Each slot-k neighbour is found by its word code in O(dim) per slot.
+    The node count is capped at NODE_CAP.
     """
     if n < 2:
         raise ValueError("the ordering graph needs at least 2 particles")
-    if n > GRAPH_PARTICLE_CAP:
-        raise ValueError(f"n={n} exceeds the graph cap of {GRAPH_PARTICLE_CAP} particles")
     comp = components or ComponentSpec.distinguishable(n)
     if comp.n != n:
         raise ValueError(f"component sizes {comp.sizes} sum to {comp.n}, expected {n}")
-    perms = tuple(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
+    if comp.n_words > NODE_CAP:
+        raise ValueError(
+            f"components {comp.sizes} give {comp.n_words} words, "
+            f"above the graph cap of {NODE_CAP} nodes"
+        )
+    kappa = len(comp.sizes)
+    radix = _radix(kappa, n)
+    words = _arrangements(comp.sizes)
+    wide = words.astype(np.int64)
+    codes = wide @ radix
     edges = []
-    for u, p in enumerate(perms):
-        for s in range(n - 1):
-            q = list(p)
-            q[s], q[s + 1] = q[s + 1], q[s]
-            v = index[tuple(q)]
-            if u < v:
-                edges.append((u, v, s))
-    edges_arr = np.array(edges, dtype=np.int64)
-    signs = np.array([_perm_sign(p) for p in perms], dtype=np.int64)
-    # Orbits of the relabeling action pi . sigma = (pi(sigma_1), ..., pi(sigma_N)).
-    gens = comp.generators()
-    orbit = np.full(len(perms), -1, dtype=np.int64)
-    n_orbits = 0
-    for start in range(len(perms)):
-        if orbit[start] >= 0:
-            continue
-        stack = [start]
-        orbit[start] = n_orbits
-        while stack:
-            u = stack.pop()
-            p = perms[u]
-            for a, b in gens:
-                q = tuple(b if e == a else a if e == b else e for e in p)
-                v = index[q]
-                if orbit[v] < 0:
-                    orbit[v] = n_orbits
-                    stack.append(v)
-        n_orbits += 1
-    sizes = np.bincount(orbit, minlength=n_orbits)
+    for k in range(n - 1):
+        a, b = wide[:, k], wide[:, k + 1]
+        # Swapping a < b raises the word, so each edge is listed once, from u < v.
+        u = np.flatnonzero(a < b)
+        step = (b[u] - a[u]) * (radix[k] - radix[k + 1])
+        v = np.searchsorted(codes, codes[u] + step)
+        edges.append(np.column_stack([u, v, np.full(len(u), k)]))
+    inversions = sum(
+        np.sum(wide[:, i, None] > wide[:, i + 1 :], axis=1) for i in range(n - 1)
+    )
     return SectorGraph(
         n=n,
         components=comp,
-        perms=perms,
-        edges=edges_arr,
-        signs=signs,
-        orbit=orbit,
-        orbit_sizes=sizes,
+        words=words,
+        edges=np.concatenate(edges),
+        signs=1 - 2 * (inversions % 2),
+        codes=codes,
     )
 
 
@@ -215,67 +196,47 @@ def _weight_array(graph: SectorGraph, gammas) -> np.ndarray:
     return arr
 
 
-def laplacian(graph: SectorGraph, gammas) -> np.ndarray:
-    """Dense weighted graph Laplacian over all n! orderings."""
-    if graph.n_nodes > DENSE_NODE_CAP:
-        raise ValueError(
-            f"{graph.n_nodes} nodes is too large for a dense Laplacian; "
-            "use projected_laplacian with a component assignment"
-        )
-    w = _weight_array(graph, gammas)
-    m = graph.n_nodes
-    lap = np.zeros((m, m))
+def _weighted_degrees(graph: SectorGraph, w: np.ndarray) -> np.ndarray:
     u, v, s = graph.edges.T
-    g = w[s]
-    np.add.at(lap, (u, u), g)
-    np.add.at(lap, (v, v), g)
-    np.subtract.at(lap, (u, v), g)
-    np.subtract.at(lap, (v, u), g)
-    return lap
+    m = graph.n_nodes
+    return np.bincount(u, weights=w[s], minlength=m) + np.bincount(v, weights=w[s], minlength=m)
 
 
-def projected_laplacian(graph: SectorGraph, gammas) -> np.ndarray:
-    """Laplacian restricted to relabeling-invariant amplitudes.
+def projected_laplacian(graph: SectorGraph, gammas) -> csr_array:
+    """Sparse weighted Laplacian on the graph's component words.
 
-    Assembled edge by edge in the orbit basis, so the full n! x n!
-    matrix is never formed.
+    This is the full ordering Laplacian restricted to relabeling-invariant
+    amplitudes, in the basis of normalized word indicators.
     """
     w = _weight_array(graph, gammas)
-    d = graph.n_orbits
-    amp = 1.0 / np.sqrt(graph.orbit_sizes.astype(float))
-    lap = np.zeros((d, d))
     u, v, s = graph.edges.T
-    ou = graph.orbit[u]
-    ov = graph.orbit[v]
-    g = w[s]
-    same = ou == ov
-    diff = ~same
-    # Same-orbit edges: (P_u - P_v) vanishes since orbit amplitudes are equal.
-    np.add.at(lap, (ou[diff], ou[diff]), g[diff] * amp[ou[diff]] ** 2)
-    np.add.at(lap, (ov[diff], ov[diff]), g[diff] * amp[ov[diff]] ** 2)
-    cross = g[diff] * amp[ou[diff]] * amp[ov[diff]]
-    np.subtract.at(lap, (ou[diff], ov[diff]), cross)
-    np.subtract.at(lap, (ov[diff], ou[diff]), cross)
-    return lap
+    diag = np.arange(graph.n_nodes)
+    rows = np.concatenate([u, v, diag])
+    cols = np.concatenate([v, u, diag])
+    vals = np.concatenate([-w[s], -w[s], _weighted_degrees(graph, w)])
+    return csr_array((vals, (rows, cols)), shape=(graph.n_nodes,) * 2)
+
+
+def laplacian(graph: SectorGraph, gammas) -> np.ndarray:
+    """Dense weighted Laplacian over all n! orderings of the graph's particles."""
+    return projected_laplacian(build_graph(graph.n), gammas).toarray()
 
 
 def trace_identity_gap(graph: SectorGraph, gammas) -> float:
     """Relative gap between the Laplacian trace and n! * sum of weights.
 
-    Accumulates the weighted degree of every node, which must cover each
-    boundary exactly once.
+    Accumulates the weighted degree of every ordering, which must cover
+    each boundary exactly once.
     """
-    w = _weight_array(graph, gammas)
-    m = graph.n_nodes
-    expected = m * float(np.sum(w))
-    u, v, s = graph.edges.T
-    g = w[s]
-    diag = np.bincount(u, weights=g, minlength=m) + np.bincount(v, weights=g, minlength=m)
-    return abs(float(diag.sum()) - expected) / max(abs(expected), 1.0)
+    full = build_graph(graph.n)
+    w = _weight_array(full, gammas)
+    expected = full.n_nodes * float(np.sum(w))
+    total = float(_weighted_degrees(full, w).sum())
+    return abs(total - expected) / max(abs(expected), 1.0)
 
 
 def cycle_ordering(graph: SectorGraph) -> np.ndarray:
-    """Hexagon tour for n=3: canonical node indices in cycle order.
+    """Hexagon tour for n=3: indices among the 6 orderings in cycle order.
 
     Starts at the ordering (2,1,3) (1-based particle labels) and walks
     the six sectors by alternating the upper (k=2) and lower (k=1)
@@ -283,24 +244,23 @@ def cycle_ordering(graph: SectorGraph) -> np.ndarray:
     """
     if graph.n != 3:
         raise ValueError("the cycle ordering is defined for n=3 only")
-    cur = (1, 0, 2)
-    order = [graph.index(cur)]
+    cur = [1, 0, 2]
+    tour = [cur]
     slot = 1
     for _ in range(5):
-        q = list(cur)
-        q[slot], q[slot + 1] = q[slot + 1], q[slot]
-        cur = tuple(q)
-        order.append(graph.index(cur))
+        cur = list(cur)
+        cur[slot], cur[slot + 1] = cur[slot + 1], cur[slot]
+        tour.append(cur)
         slot = 1 - slot
-    return np.array(order, dtype=np.int64)
+    return build_graph(3).index(tour)
 
 
 def dump_edges(graph: SectorGraph, gammas) -> str:
-    """Edge list as text: one line per edge, 'sigma tau k gamma_k' with 1-based labels."""
+    """Edge list as text: one line per edge, 'u v k gamma_k' with 1-based letters."""
     w = _weight_array(graph, gammas)
     lines = []
     for u, v, s in graph.edges:
-        pu = ",".join(str(e + 1) for e in graph.perms[u])
-        pv = ",".join(str(e + 1) for e in graph.perms[v])
+        pu = ",".join(str(e + 1) for e in graph.words[u])
+        pv = ",".join(str(e + 1) for e in graph.words[v])
         lines.append(f"{pu} {pv} {s + 1} {w[s]:.12g}")
     return "\n".join(lines) + "\n"

@@ -5,27 +5,32 @@ coefficients K_j of the large-coupling expansion
 
     E_j(g) = E_free - K_j / g + O(1/g^2),
 
-one per admissible amplitude vector.  An amplitude vector a assembles a
-full wavefunction by scaling the reference determinant sector by
-sector: Psi(x) = a_sigma(x) Psi_ref(x), where sigma(x) is the ordering
-of the coordinates.  The uniform vector leaves the determinant
-untouched (slope zero); the alternating-sign vector builds the
-node-free profile that tracks the bosonic branch.  One-body densities
-are exact: each particle's density mixes the slot densities of the
-reference state, which the ordered-overlap engine in `weights` gives in
-closed form up to a one-dimensional quadrature.
+one per admissible amplitude vector.  The Laplacian, dense over the n!
+orderings or sparse over component words, is diagonalized in a buffer
+of the solver's own by LAPACK's divide-and-conquer eigensolver, which copes
+well with the large degenerate groups of these graphs.
+
+An amplitude vector a assembles a full wavefunction by scaling the
+reference determinant sector by sector: Psi(x) = a_sigma(x) Psi_ref(x),
+where sigma(x) is the ordering of the coordinates, numbered by the
+lexicographic rank of the ordering graph.  The uniform vector leaves
+the determinant untouched (slope zero); the alternating-sign vector
+builds the node-free profile that tracks the bosonic branch.  One-body
+densities are exact: each particle's density mixes the slot densities
+of the reference state, which the ordered-overlap engine in `weights`
+gives in closed form up to a one-dimensional quadrature.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse import issparse
 
-from .sectors import SectorGraph
+from .sectors import SectorGraph, build_graph
 from .slater import SlaterState
 from .weights import slot_cdf
 
@@ -57,16 +62,30 @@ class KSpectrum:
         return v @ v.T
 
 
-def solve(lap: np.ndarray, degeneracy_tol: float | None = None) -> KSpectrum:
-    """Full spectrum of a (projected or full) ordering Laplacian."""
-    lap = np.asarray(lap, dtype=float)
+def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
+    """Full spectrum of a (projected or full) ordering Laplacian, dense or sparse.
+
+    The matrix is copied into a Fortran-ordered buffer that LAPACK's
+    divide-and-conquer eigensolver overwrites; the caller's matrix is
+    untouched.
+    """
+    sparse = issparse(lap)
+    lap = lap.astype(float, copy=False) if sparse else np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError("laplacian must be square")
-    asym = np.max(np.abs(lap - lap.T)) if lap.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(lap))) if lap.size else 1.0)
+    # Sparse inputs are checked in sparse form, so the only dense copy is the buffer.
+    if sparse:
+        asym = float(abs(lap - lap.T).max()) if lap.nnz else 0.0
+        peak = float(abs(lap).max()) if lap.nnz else 0.0
+        buf = lap.toarray(order="F")
+    else:
+        asym = float(np.max(np.abs(lap - lap.T))) if lap.size else 0.0
+        peak = float(np.max(np.abs(lap))) if lap.size else 0.0
+        buf = np.array(lap, order="F")
+    scale = max(1.0, peak)
     if asym > 1e-12 * scale:
         raise ValueError(f"laplacian is not symmetric (asymmetry {asym:.3e})")
-    vals, vecs = eigh(lap)
+    vals, vecs = eigh(buf, driver="evd", overwrite_a=True, check_finite=False)
     tol = degeneracy_tol if degeneracy_tol is not None else 1e-8 * scale
     groups = []
     start = 0
@@ -85,21 +104,28 @@ def solve(lap: np.ndarray, degeneracy_tol: float | None = None) -> KSpectrum:
 def classify(spectrum: KSpectrum, graph: SectorGraph) -> KSpectrum:
     """Label degenerate groups by exchange character.
 
+    spectrum is that of the full Laplacian over all n! orderings.
     "uniform" marks the group holding the constant amplitude vector
     (the reference determinant itself, slope zero); "alternating" the
     sign-of-ordering vector (bosonic branch, maximal slope); all other
     groups are "mixed".  retained counts the dimensions of each group
-    surviving the graph's component projection.
+    surviving the projection onto the graph's component words.
     """
-    m = graph.n_nodes
+    full = build_graph(graph.n)
+    m = full.n_nodes
     if spectrum.vectors.shape[0] != m:
         raise ValueError("spectrum was not computed on this graph's full Laplacian")
     ones = np.full(m, 1.0 / math.sqrt(m))
-    alt = graph.signs / math.sqrt(m)
-    proj = graph.projection_matrix()
+    alt = full.signs / math.sqrt(m)
+    # Each word is the image of the same number of orderings; grouping the
+    # orderings by word makes the projection a reshape and a sum.
+    sizes = graph.components.sizes
+    letters = np.repeat(np.arange(len(sizes)), sizes)
+    by_word = np.argsort(graph.index(letters[full.words]), kind="stable")
+    orbit = m // graph.n_nodes
     labels = []
     retained = []
-    for gi, idx in enumerate(spectrum.groups):
+    for idx in spectrum.groups:
         v = spectrum.vectors[:, list(idx)]
         w_ones = float(np.linalg.norm(v.T @ ones))
         w_alt = float(np.linalg.norm(v.T @ alt))
@@ -109,7 +135,8 @@ def classify(spectrum: KSpectrum, graph: SectorGraph) -> KSpectrum:
             labels.append("alternating")
         else:
             labels.append("mixed")
-        sv = np.linalg.svd(proj.T @ v, compute_uv=False) if proj.size else np.array([])
+        proj = v[by_word].reshape(graph.n_nodes, orbit, -1).sum(axis=1) / math.sqrt(orbit)
+        sv = np.linalg.svd(proj, compute_uv=False)
         retained.append(int(np.sum(sv > 1e-8)))
     return replace(spectrum, labels=tuple(labels), retained=tuple(retained))
 
@@ -140,16 +167,6 @@ def expansion(state: SlaterState, spectrum: KSpectrum) -> list[EnergyExpansion]:
     return [EnergyExpansion(e_free=state.energy, slope_k=float(k)) for k in spectrum.values]
 
 
-def _lehmer_rank(perm_rows: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each permutation row of 0..n-1."""
-    _, n = perm_rows.shape
-    ranks = np.zeros(perm_rows.shape[0], dtype=np.int64)
-    for i in range(n - 1):
-        c = np.sum(perm_rows[:, i + 1 :] < perm_rows[:, [i]], axis=1)
-        ranks += c * math.factorial(n - 1 - i)
-    return ranks
-
-
 class SectorWavefunction:
     """Adiabatic wavefunction assembled from sector amplitudes.
 
@@ -172,13 +189,14 @@ class SectorWavefunction:
         if normalize:
             a = a / math.sqrt(total)
         self.amplitudes = a
+        self._orderings = build_graph(n)
 
     def sector_index(self, x) -> np.ndarray:
         """Canonical node index of the ordering sector containing each configuration."""
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, self.state.n)
         perm = np.argsort(flat, axis=1, kind="stable")
-        return _lehmer_rank(perm).reshape(x.shape[:-1])
+        return self._orderings.index(perm).reshape(x.shape[:-1])
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -206,7 +224,6 @@ class SectorWavefunction:
         slots = np.diff(slot_cdf(self.state, grid), axis=1) / np.diff(grid)
         # mix[i, s]: weight of the sectors that put particle i in slot s.
         mix = np.zeros((n, n))
-        perms = np.array(list(itertools.permutations(range(n))))
-        np.add.at(mix, (perms, np.arange(n)), self.amplitudes[:, None] ** 2)
+        np.add.at(mix, (self._orderings.words, np.arange(n)), self.amplitudes[:, None] ** 2)
         per = mix @ slots / np.sum(self.amplitudes**2)
         return per, per.sum(axis=0)

@@ -172,7 +172,7 @@ def test_criterion_5_structural_invariants(basis, state3):
         full = np.sort(vals)
         for sizes in _compositions(n):
             sub = np.sort(np.linalg.eigvalsh(
-                projected_laplacian(build_graph(n, ComponentSpec(sizes)), w)))
+                projected_laplacian(build_graph(n, ComponentSpec(sizes)), w).toarray()))
             pool = list(full)
             worst = 0.0
             for v in sub:

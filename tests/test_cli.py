@@ -24,7 +24,7 @@ def test_version():
 def test_spectrum_json_schema():
     proc = run_cli("spectrum", "--n", "3", "--no-timestamp")
     doc = json.loads(proc.stdout)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["command"] == "spectrum"
     assert doc["slater"]["occupation"] == [0, 1, 2]
     assert doc["slater"]["free_energy"] == pytest.approx(4.5)
@@ -53,6 +53,23 @@ def test_spectrum_projected_components():
     assert proj["dimension"] == 3
     gam = doc["gammas"][0]["value"]
     np.testing.assert_allclose(np.array(proj["k_values"]) / gam, [0, 1, 3], atol=1e-9)
+
+
+def test_spectrum_above_node_cap_writes_projected_block():
+    proc = run_cli("spectrum", "--n", "7", "--components", "4,3", "--no-timestamp")
+    doc = json.loads(proc.stdout)
+    assert "graph" not in doc and "amplitudes" not in doc
+    assert list(doc["spectrum"]) == ["projected", "energy_law"]
+    proj = doc["spectrum"]["projected"]
+    assert proj["dimension"] == len(proj["k_values"]) == 35
+    assert abs(proj["k_values"][0]) < 1e-12
+    csv_rows = run_cli("spectrum", "--n", "7", "--components", "4,3", "--format", "csv",
+                       "--no-timestamp").stdout.strip().splitlines()
+    assert csv_rows[0] == "index,k_value,group,label" and len(csv_rows) == 36
+    assert csv_rows[1].endswith(",0,")
+    proc = run_cli("spectrum", "--n", "12", "--components", "4,4,4", expect=2)
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "34650 words" in lines[0]
 
 
 def test_spectrum_deterministic():
@@ -151,5 +168,5 @@ def test_seed_only_reaches_provenance():
     b = json.loads(run_cli("gamma", "--n", "3", "--seed", "2", "--no-timestamp").stdout)
     assert a["provenance"]["seed"] == 1 and b["provenance"]["seed"] == 2
     assert a["gammas"] == b["gammas"]
-    assert a["schema_version"] == 2
+    assert a["schema_version"] == 3
     assert set(a["input"]) == {"trap", "n_particles", "level", "tol"}

@@ -1,12 +1,17 @@
 """Ordering-sector graph: structure, Laplacians, symmetry projection."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from tonks.sectors import (
+    NODE_CAP,
     ComponentSpec,
     build_graph,
     cycle_ordering,
@@ -29,16 +34,10 @@ def test_component_spec_factories():
         ComponentSpec.parse("2;1")
 
 
-def test_generators():
-    assert ComponentSpec((2, 1)).generators() == [(0, 1)]
-    assert ComponentSpec((3, 2)).generators() == [(0, 1), (1, 2), (3, 4)]
-    assert ComponentSpec.distinguishable(4).generators() == []
-
-
 def test_hexagon_structure():
     g = build_graph(3)
     assert g.n_nodes == 6
-    assert g.perms == tuple(sorted(itertools.permutations(range(3))))
+    assert g.words.tolist() == [list(p) for p in itertools.permutations(range(3))]
     assert g.edges.shape == (6, 2)[0:1] + (3,)
     # every node meets exactly two swaps: the graph is a single hexagon
     degree = np.bincount(g.edges[:, :2].ravel(), minlength=6)
@@ -56,11 +55,27 @@ def test_edge_count_four_particles():
 def test_particle_cap():
     with pytest.raises(ValueError):
         build_graph(9)
+    # the cap counts words, not particles
+    assert build_graph(8, ComponentSpec((2, 2, 2, 2))).n_nodes == NODE_CAP
+    with pytest.raises(ValueError, match="34650 words"):
+        build_graph(12, ComponentSpec((4, 4, 4)))
+    # few words, but 2^70 word codes do not fit in 64 bits
+    with pytest.raises(ValueError, match="overflow"):
+        build_graph(70, ComponentSpec((68, 2)))
+
+
+def test_two_component_twelve_particles():
+    g = build_graph(12, ComponentSpec((6, 6)))
+    assert g.n_nodes == math.comb(12, 6) == 924
+    # each slot joins the words with 0 then 1 there to their swaps
+    assert g.edges.shape == (11 * math.comb(10, 5), 3)
+    assert np.all(np.diff(g.codes) > 0)
+    np.testing.assert_array_equal(g.index(g.words), np.arange(924))
 
 
 def test_index_lookup():
     g = build_graph(4)
-    for i, p in enumerate(g.perms):
+    for i, p in enumerate(g.words):
         assert g.index(p) == i
     with pytest.raises(KeyError):
         g.index((0, 1, 2, 2))
@@ -119,44 +134,20 @@ def test_cycle_ordering():
         cycle_ordering(build_graph(4))
 
 
-def test_orbits_two_plus_one():
-    g = build_graph(3, ComponentSpec((2, 1)))
-    assert g.n_orbits == 3
-    assert np.all(g.orbit_sizes == 2)
-    p = g.projection_matrix()
-    np.testing.assert_allclose(p.T @ p, np.eye(3), atol=1e-14)
-    # orbit indicators are invariant under relabeling particles 0 and 1
-    for node, perm in enumerate(g.perms):
-        swapped = tuple({0: 1, 1: 0}.get(q, q) for q in perm)
-        assert g.orbit[g.index(swapped)] == g.orbit[node]
-
-
 def test_projected_dimension_counts():
     for sizes in ((1, 1, 1), (2, 1), (3,), (2, 2), (3, 1), (2, 1, 1), (4,)):
         spec = ComponentSpec(sizes)
         g = build_graph(spec.n, spec)
         expected = math.factorial(spec.n) // math.prod(math.factorial(s) for s in sizes)
-        assert g.n_orbits == expected
+        assert g.n_nodes == expected
 
 
 def test_projected_spectrum_two_plus_one():
     g = build_graph(3, ComponentSpec((2, 1)))
     lap = projected_laplacian(g, [GAMMA_3, GAMMA_3])
     assert lap.shape == (3, 3)
-    vals = np.sort(np.linalg.eigvalsh(lap))
+    vals = np.sort(np.linalg.eigvalsh(lap.toarray()))
     np.testing.assert_allclose(vals / GAMMA_3, [0, 1, 3], atol=1e-12)
-
-
-def test_projected_equals_conjugated_full():
-    rng = np.random.default_rng(12)
-    for sizes in ((2, 1, 1), (2, 2), (3, 1)):
-        spec = ComponentSpec(sizes)
-        g = build_graph(4, spec)
-        w = rng.uniform(0.5, 2.0, size=3)
-        p = g.projection_matrix()
-        direct = projected_laplacian(g, w)
-        conj = p.T @ laplacian(g, w) @ p
-        np.testing.assert_allclose(direct, conj, atol=1e-12)
 
 
 def test_projected_subset_of_full():
@@ -166,7 +157,7 @@ def test_projected_subset_of_full():
     full = np.sort(np.linalg.eigvalsh(laplacian(g_full, w)))
     for sizes in ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)):
         g = build_graph(4, ComponentSpec(sizes))
-        sub = np.sort(np.linalg.eigvalsh(projected_laplacian(g, w)))
+        sub = np.sort(np.linalg.eigvalsh(projected_laplacian(g, w).toarray()))
         matched = []
         pool = list(full)
         for v in sub:
@@ -190,3 +181,73 @@ def test_dump_edges_round_trip():
         assert sorted(int(t) for t in pu.split(",")) == [1, 2, 3]
         assert sorted(int(t) for t in pv.split(",")) == [1, 2, 3]
         assert float(w) == (1.5, 2.5)[int(k) - 1]
+
+
+def _compositions(n):
+    if n == 0:
+        return [()]
+    return [(s,) + rest for s in range(1, n + 1) for rest in _compositions(n - s)]
+
+
+@functools.cache
+def _word_map(sizes):
+    """Sparse P with P[sigma, word of sigma] = 1/sqrt(orbit size), by dictionary lookup."""
+    graph = build_graph(sum(sizes), ComponentSpec(sizes))
+    node = {tuple(w): i for i, w in enumerate(graph.words.tolist())}
+    label = [c for c, s in enumerate(sizes) for _ in range(s)]
+    perms = list(itertools.permutations(range(sum(sizes))))
+    cols = [node[tuple(label[q] for q in perm)] for perm in perms]
+    orbit = len(perms) // graph.n_nodes
+    return csr_array((np.full(len(perms), orbit**-0.5), (np.arange(len(perms)), cols)))
+
+
+_WEIGHTS = st.lists(st.floats(0.5, 2.0), min_size=5, max_size=5)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_WEIGHTS)
+def test_word_laplacian_is_projected_full(weights):
+    for n in range(2, 7):
+        w = np.array(weights[: n - 1])
+        lap = laplacian(build_graph(n), w)
+        for sizes in _compositions(n):
+            g = build_graph(n, ComponentSpec(sizes))
+            p = _word_map(sizes)
+            np.testing.assert_allclose((p.T @ p).toarray(), np.eye(g.n_nodes), atol=1e-14)
+            np.testing.assert_allclose(projected_laplacian(g, w).toarray(), p.T @ (lap @ p),
+                                       rtol=0, atol=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_WEIGHTS)
+def test_word_laplacian_invariants_and_spectra(weights):
+    for n in range(2, 7):
+        w = np.array(weights[: n - 1])
+        full = np.linalg.eigvalsh(laplacian(build_graph(n), w))
+        scale = 2.0 * float(np.sum(w))
+        for sizes in _compositions(n):
+            lap = projected_laplacian(build_graph(n, ComponentSpec(sizes)), w).toarray()
+            np.testing.assert_array_equal(lap, lap.T)
+            np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12 * scale)
+            vals = np.linalg.eigvalsh(lap)
+            assert vals[0] > -1e-12 * scale
+            # every word eigenvalue is a full eigenvalue
+            assert np.max(np.min(np.abs(vals[:, None] - full[None, :]), axis=1)) < 1e-10 * scale
+
+
+@settings(max_examples=10, deadline=None)
+@given(_WEIGHTS, _WEIGHTS, st.floats(0.0, 2.0))
+def test_laplacian_linear_in_weights(w1, w2, a):
+    for n in range(2, 7):
+        x, y = np.array(w1[: n - 1]), np.array(w2[: n - 1])
+        mix = a * x + y
+        full = build_graph(n)
+        np.testing.assert_allclose(laplacian(full, mix),
+                                   a * laplacian(full, x) + laplacian(full, y),
+                                   rtol=0, atol=1e-12)
+        for sizes in _compositions(n):
+            g = build_graph(n, ComponentSpec(sizes))
+            np.testing.assert_allclose(
+                projected_laplacian(g, mix).toarray(),
+                (a * projected_laplacian(g, x) + projected_laplacian(g, y)).toarray(),
+                rtol=0, atol=1e-12)

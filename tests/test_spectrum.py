@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from tonks.sectors import ComponentSpec, build_graph, laplacian, projected_laplacian
 from tonks.slater import make_level
@@ -41,6 +42,27 @@ def test_solve_input_checks():
     bad = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         solve(bad)
+    with pytest.raises(ValueError, match="symmetric"):
+        solve(csr_array(bad))
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1, 1, 1), (3, 3), (2, 2, 2)])
+def test_solve_dense_and_sparse_agree(sizes):
+    n = sum(sizes)
+    w = np.random.default_rng(16).uniform(0.5, 2.0, n - 1)
+    sparse = projected_laplacian(build_graph(n, ComponentSpec(sizes)), w)
+    dense = sparse.toarray(order="F")
+    kept = (dense.copy(), sparse.data.copy(), sparse.indices.copy(), sparse.indptr.copy())
+    a, b = solve(dense), solve(sparse)
+    scale = 2.0 * float(np.sum(w))
+    assert np.max(np.abs(a.values - b.values)) < 1e-12 * scale
+    assert a.groups == b.groups
+    # the solver works on its own buffer: the caller's matrices are untouched
+    np.testing.assert_array_equal(dense, kept[0])
+    for got, before in zip((sparse.data, sparse.indices, sparse.indptr), kept[1:]):
+        np.testing.assert_array_equal(got, before)
+    resid = sparse @ b.vectors - b.vectors * b.values
+    assert np.max(np.abs(resid)) < 1e-12 * scale
 
 
 def test_solve_custom_grouping(hexagon):
