@@ -3,11 +3,15 @@
 Subcommands: spectrum (boundary weights, Laplacian eigenvalues,
 amplitude vectors), gamma (boundary weights only), validate (slope
 fits from the finite-coupling oracle against the Laplacian K values),
-density (one-body density of one adiabatic state).  Settings come from
-an INI config file overridden by command-line flags; results are
-written atomically as JSON or CSV.  Exit codes: 0 success, 2 bad
-input (including a trap table too coarse to solve), 3 tolerance or
-validation failure.
+density (one-body density of one adiabatic state).  Every setting is
+declared once, in _SETTINGS: its INI section, type, default, the
+subcommands that take it as a flag, and its help text.  Settings come
+from an INI config file overridden by command-line flags; an unknown
+section or key, or a value of the wrong type, is bad input.  Results are
+written atomically as JSON or as a CSV table (validate: one row per
+slope, columns index,k_predicted,k_fitted,rel_deviation,uncertainty).
+Exit codes: 0 success, 2 bad input (including a trap table too coarse
+to solve), 3 tolerance or validation failure.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,60 +39,54 @@ from .spectrum import SectorWavefunction, classify, solve
 from .traps import ConvergenceError, HarmonicBasis, Trap, solve_tabulated
 from .weights import ToleranceError, all_gammas
 
-_INT_KEYS = {"n", "level", "seed", "orbitals", "n_modes", "states", "state", "bins"}
-_FLOAT_KEYS = {"omega", "tol", "margin", "rtol", "grid_lo", "grid_hi"}
-_BOOL_KEYS = {"timestamp"}
 SCHEMA_VERSION = 3
 
-_DEFAULTS = {
-    "trap": "harmonic",
-    "omega": 1.0,
-    "margin": 1.0,
-    "orbitals": 0,  # 0 means: derived from n and level
-    "n": 2,
-    "level": 0,
-    "components": "",
-    "tol": 1e-10,
-    "seed": 0,  # recorded in provenance; every result is deterministic
-    "format": "",
-    "timestamp": True,
-    "n_modes": 30,
-    "g": "20,50,100",
-    "states": 0,
-    "rtol": 0.10,
-    "state": 0,
-    "grid_lo": -5.0,
-    "grid_hi": 5.0,
-    "bins": 80,
-}
 
-_CONFIG_SECTIONS = {
-    "trap": ("trap", "omega", "margin", "orbitals"),
-    "particles": ("n", "level", "components"),
-    "integration": ("tol", "seed"),
-    "output": ("format", "timestamp"),
-    "validate": ("n_modes", "g", "states", "rtol"),
-    "density": ("state", "grid_lo", "grid_hi", "bins", "seed"),
+class _Setting(NamedTuple):
+    section: str
+    type: type  # a bool setting is on by default and its flag --no-<name> turns it off
+    default: object
+    commands: tuple[str, ...]  # the subcommands that take it as a flag
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+_ALL = ("spectrum", "gamma", "validate", "density")
+# Rows are in the order of the flags in each subcommand's usage line.
+_SETTINGS = {
+    "trap": _Setting("trap", str, "harmonic", _ALL,
+                     "'harmonic' or path to a two-column potential table"),
+    "omega": _Setting("trap", float, 1.0, _ALL, "harmonic trap frequency"),
+    "margin": _Setting("trap", float, 1.0, _ALL, "confinement margin for tabulated traps"),
+    # 0 means: derived from n and level
+    "orbitals": _Setting("trap", int, 0, _ALL, "orbital count solved for tabulated traps"),
+    "n": _Setting("particles", int, 2, _ALL, "particle number"),
+    "level": _Setting("particles", int, 0, _ALL, "free-fermion excitation level"),
+    "tol": _Setting("integration", float, 1e-10, _ALL,
+                    "absolute error bound on the boundary weights"),
+    # Recorded in provenance; every result is deterministic.
+    "seed": _Setting("integration", int, 0, _ALL, "seed recorded in the provenance block"),
+    # Empty: CSV for an output path ending in .csv, JSON otherwise.
+    "format": _Setting("output", str, "", _ALL, "output format", ("json", "csv")),
+    "timestamp": _Setting("output", bool, True, _ALL,
+                          "omit the timestamp for byte-reproducible output"),
+    "components": _Setting("particles", str, "", ("spectrum",),
+                           "component sizes, e.g. '2,1' (default distinguishable)"),
+    "n_modes": _Setting("validate", int, 30, ("validate",), "oracle single-particle modes"),
+    "g": _Setting("validate", str, "20,50,100", ("validate",),
+                  "comma-separated couplings for the slope fit"),
+    # 0 means: four more than the number of slopes
+    "states": _Setting("validate", int, 0, ("validate",), "oracle eigenstates retained"),
+    "rtol": _Setting("validate", float, 0.10, ("validate",), "allowed relative slope deviation"),
+    "state": _Setting("density", int, 0, ("density",), "state index in ascending K order"),
+    "grid_lo": _Setting("density", float, -5.0, ("density",), "density grid start"),
+    "grid_hi": _Setting("density", float, 5.0, ("density",), "density grid end"),
+    "bins": _Setting("density", int, 80, ("density",), "density bins"),
 }
 
 
 class InputError(ValueError):
     """Bad configuration or arguments; maps to exit code 2."""
-
-
-def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise InputError(f"cannot read boolean value {raw!r} for {key}")
-    return raw
 
 
 def _load_config(path: str) -> dict:
@@ -99,30 +98,33 @@ def _load_config(path: str) -> dict:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise InputError(f"malformed config file {path}: {exc}") from exc
+    getters = {int: parser.getint, float: parser.getfloat, bool: parser.getboolean,
+               str: parser.get}
+    sections = {row.section for row in _SETTINGS.values()}
     out = {}
-    for section, keys in _CONFIG_SECTIONS.items():
-        if not parser.has_section(section):
-            continue
-        for key, raw in parser.items(section):
-            if key not in keys:
+    for section in parser.sections():
+        if section not in sections:
+            raise InputError(f"unknown config section [{section}] in {path}")
+        for key in parser[section]:
+            row = _SETTINGS.get(key)
+            if row is None or row.section != section:
                 raise InputError(f"unknown key {key!r} in config section [{section}]")
+            raw = parser.get(section, key, raw=True)
             try:
-                out[key] = _coerce(key, raw)
-            except ValueError as exc:
+                value = getters[row.type](section, key)
+            except (ValueError, configparser.Error) as exc:
                 raise InputError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
+            if row.choices and value not in row.choices:
+                raise InputError(f"bad value for {key!r} in [{section}]: {raw!r}")
+            out[key] = value
     return out
 
 
 def _settings(args: argparse.Namespace) -> dict:
-    s = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    s = {key: row.default for key, row in _SETTINGS.items()}
+    if args.config:
         s.update(_load_config(args.config))
-    for key in s:
-        val = getattr(args, key, None)
-        if val is not None:
-            s[key] = val
-    if getattr(args, "no_timestamp", False):
-        s["timestamp"] = False
+    s.update((key, val) for key, val in vars(args).items() if key in s and val is not None)
     return s
 
 
@@ -171,11 +173,34 @@ def _units(s: dict) -> dict:
     }
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if not path:
+def _reference(state, gammas) -> dict:
+    """The free reference state and its boundary weights, as gamma and spectrum report them."""
+    return {
+        "slater": {"occupation": list(state.occupation), "free_energy": state.energy},
+        "gammas": [{"k": bw.k, "value": bw.value, "error": bw.error, "method": bw.method}
+                   for bw in gammas],
+    }
+
+
+def _write(args, s: dict, body: dict, header: list[str], rows: list[list]) -> None:
+    """Write one command's result atomically: the JSON document around body, or the table.
+
+    The format is the format setting, else CSV for an output path ending
+    in .csv, else JSON; without an output path the text goes to stdout.
+    """
+    fmt = s["format"] or ("csv" if args.output and args.output.endswith(".csv") else "json")
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        text = buf.getvalue()
+    else:
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **body,
+               "provenance": _provenance(s)}
+        text = json.dumps(doc, indent=2) + "\n"
+    if not args.output:
         sys.stdout.write(text)
         return
-    target = os.path.abspath(path)
+    target = os.path.abspath(args.output)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tonks-")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -187,68 +212,20 @@ def _write_text(path: str | None, text: str) -> None:
         raise
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _pick_format(s: dict, output: str | None) -> str:
-    if s["format"]:
-        return s["format"]
-    if output and output.endswith(".csv"):
-        return "csv"
-    return "json"
-
-
-def _gamma_rows(gammas) -> list[dict]:
-    return [
-        {"k": bw.k, "value": bw.value, "error": bw.error, "method": bw.method}
-        for bw in gammas
-    ]
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _cmd_gamma(args) -> int:
-    s = _settings(args)
+def _cmd_gamma(args, s: dict) -> int:
     state, trap_desc = _build_problem(s)
     gammas = all_gammas(state, tol=s["tol"])
-    fmt = _pick_format(s, args.output)
-    if fmt == "csv":
-        text = _csv_text(
-            ["k", "value", "error", "method"],
-            [[bw.k, repr(bw.value), repr(bw.error), bw.method] for bw in gammas],
-        )
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "gamma",
-            "units": _units(s),
-            "input": {
-                "trap": trap_desc,
-                "n_particles": s["n"],
-                "level": s["level"],
-                "tol": s["tol"],
-            },
-            "slater": {
-                "occupation": list(state.occupation),
-                "free_energy": state.energy,
-            },
-            "gammas": _gamma_rows(gammas),
-            "provenance": _provenance(s),
-        }
-        text = _json_text(payload)
-    _write_text(args.output, text)
+    body = {
+        "units": _units(s),
+        "input": {"trap": trap_desc, "n_particles": s["n"], "level": s["level"], "tol": s["tol"]},
+        **_reference(state, gammas),
+    }
+    rows = [[bw.k, repr(bw.value), repr(bw.error), bw.method] for bw in gammas]
+    _write(args, s, body, ["k", "value", "error", "method"], rows)
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    s = _settings(args)
+def _cmd_spectrum(args, s: dict) -> int:
     state, trap_desc = _build_problem(s)
     n = s["n"]
     comp = _components(s, n)
@@ -260,62 +237,48 @@ def _cmd_spectrum(args) -> int:
     if math.factorial(n) <= NODE_CAP:
         orderings = build_graph(n)
         full = classify(solve(laplacian(orderings, gammas)), graph)
-    fmt = _pick_format(s, args.output)
-    if fmt == "csv":
-        # Without the full spectrum the projected rows carry no label.
-        spec = proj if full is None else full
-        rows = [[j, repr(float(spec.values[j])), gi, spec.labels[gi] if spec.labels else ""]
-                for gi, idx in enumerate(spec.groups) for j in idx]
-        text = _csv_text(["index", "k_value", "group", "label"], rows)
-    else:
-        spectrum = {}
-        if full is not None:
-            spectrum["full"] = {
-                "k_values": [float(v) for v in full.values],
-                "groups": [list(gr) for gr in full.groups],
-                "labels": list(full.labels),
-                "retained_dims": list(full.retained),
-            }
-        spectrum["projected"] = {
-            "dimension": graph.n_nodes,
-            "k_values": [float(v) for v in proj.values],
+    body = {
+        "units": _units(s),
+        "input": {
+            "trap": trap_desc,
+            "n_particles": n,
+            "level": s["level"],
+            "components": list(comp.sizes),
+            "tol": s["tol"],
+        },
+        **_reference(state, gammas),
+    }
+    spectrum = {}
+    if full is not None:
+        body["graph"] = {"nodes": orderings.n_nodes, "edges": len(orderings.edges)}
+        spectrum["full"] = {
+            "k_values": full.values.tolist(),
+            "groups": [list(gr) for gr in full.groups],
+            "labels": list(full.labels),
+            "retained_dims": list(full.retained),
         }
-        spectrum["energy_law"] = "E_j(g) = free_energy - k_values[j] / g"
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "spectrum",
-            "units": _units(s),
-            "input": {
-                "trap": trap_desc,
-                "n_particles": n,
-                "level": s["level"],
-                "components": list(comp.sizes),
-                "tol": s["tol"],
-            },
-            "slater": {
-                "occupation": list(state.occupation),
-                "free_energy": state.energy,
-            },
-            "gammas": _gamma_rows(gammas),
+    spectrum["projected"] = {
+        "dimension": graph.n_nodes,
+        "k_values": proj.values.tolist(),
+    }
+    spectrum["energy_law"] = "E_j(g) = free_energy - k_values[j] / g"
+    body["spectrum"] = spectrum
+    if full is not None:
+        body["amplitudes"] = {
+            "node_order": [",".join(str(e + 1) for e in p) for p in orderings.words],
+            "vectors": full.vectors.T.tolist(),
         }
-        if full is not None:
-            payload["graph"] = {"nodes": orderings.n_nodes, "edges": len(orderings.edges)}
-        payload["spectrum"] = spectrum
-        if full is not None:
-            payload["amplitudes"] = {
-                "node_order": [",".join(str(e + 1) for e in p) for p in orderings.words],
-                "vectors": [[float(v) for v in full.vectors[:, j]] for j in range(full.n_states)],
-            }
-            if n == 3:
-                payload["amplitudes"]["cycle_order"] = [int(i) for i in cycle_ordering(orderings)]
-        payload["provenance"] = _provenance(s)
-        text = _json_text(payload)
-    _write_text(args.output, text)
+        if n == 3:
+            body["amplitudes"]["cycle_order"] = [int(i) for i in cycle_ordering(orderings)]
+    # Without the full spectrum the projected rows carry no label.
+    spec = proj if full is None else full
+    rows = [[j, repr(float(spec.values[j])), gi, spec.labels[gi] if spec.labels else ""]
+            for gi, idx in enumerate(spec.groups) for j in idx]
+    _write(args, s, body, ["index", "k_value", "group", "label"], rows)
     return 0
 
 
-def _cmd_validate(args) -> int:
-    s = _settings(args)
+def _cmd_validate(args, s: dict) -> int:
     if s["trap"] != "harmonic" or s["omega"] != 1.0:
         raise InputError("validation against the oracle runs in the unit harmonic trap")
     n = s["n"]
@@ -342,23 +305,24 @@ def _cmd_validate(args) -> int:
     denom = np.maximum(k_pred, 0.1 * k_max)
     rel = np.abs(k_fit - k_pred) / denom
     ok = bool(np.all(rel <= s["rtol"]))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "validate",
+    unc = [f.uncertainty for f in sorted(fits, key=lambda f: f.k_value)]
+    body = {
         "input": {
             "n_particles": n,
             "n_modes": s["n_modes"],
             "g_values": list(g_values),
             "rtol": s["rtol"],
         },
-        "k_predicted": [float(v) for v in k_pred],
-        "k_fitted": [float(v) for v in k_fit],
-        "rel_deviation": [float(v) for v in rel],
-        "fit_uncertainties": [f.uncertainty for f in sorted(fits, key=lambda f: f.k_value)],
+        "k_predicted": k_pred.tolist(),
+        "k_fitted": k_fit.tolist(),
+        "rel_deviation": rel.tolist(),
+        "fit_uncertainties": unc,
         "passed": ok,
-        "provenance": _provenance(s),
     }
-    _write_text(args.output, _json_text(payload))
+    rows = [[j, *(repr(float(v)) for v in cols)]
+            for j, cols in enumerate(zip(k_pred, k_fit, rel, unc))]
+    _write(args, s, body, ["index", "k_predicted", "k_fitted", "rel_deviation", "uncertainty"],
+           rows)
     if args.output:
         for kp, kf, r in zip(k_pred, k_fit, rel):
             print(f"K_pred={kp:.6f}  K_fit={kf:.6f}  rel={r:.4f}")
@@ -366,8 +330,7 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 3
 
 
-def _cmd_density(args) -> int:
-    s = _settings(args)
+def _cmd_density(args, s: dict) -> int:
     state, trap_desc = _build_problem(s)
     n = s["n"]
     gammas = all_gammas(state, tol=s["tol"])
@@ -382,51 +345,32 @@ def _cmd_density(args) -> int:
     edges = np.linspace(s["grid_lo"], s["grid_hi"], s["bins"] + 1)
     per, total = wave.one_body_density(edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
-    fmt = _pick_format(s, args.output)
-    if fmt == "csv":
-        header = ["x", "total"] + [f"particle_{i + 1}" for i in range(n)]
-        rows = [
-            [repr(float(centers[b])), repr(float(total[b]))]
-            + [repr(float(per[i, b])) for i in range(n)]
-            for b in range(len(centers))
-        ]
-        text = _csv_text(header, rows)
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "density",
-            "units": _units(s),
-            "input": {
-                "trap": trap_desc,
-                "n_particles": n,
-                "level": s["level"],
-                "state": j,
-                "k_value": float(full.values[j]),
-            },
-            "grid_centers": [float(c) for c in centers],
-            "total": [float(v) for v in total],
-            "per_particle": [[float(v) for v in per[i]] for i in range(n)],
-            "provenance": _provenance(s),
-        }
-        text = _json_text(payload)
-    _write_text(args.output, text)
+    body = {
+        "units": _units(s),
+        "input": {
+            "trap": trap_desc,
+            "n_particles": n,
+            "level": s["level"],
+            "state": j,
+            "k_value": float(full.values[j]),
+        },
+        "grid_centers": centers.tolist(),
+        "total": total.tolist(),
+        "per_particle": per.tolist(),
+    }
+    header = ["x", "total"] + [f"particle_{i + 1}" for i in range(n)]
+    rows = [[repr(float(v)) for v in (centers[b], total[b], *per[:, b])]
+            for b in range(len(centers))]
+    _write(args, s, body, header, rows)
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI settings file; flags override it")
-    p.add_argument("--trap", help="'harmonic' or path to a two-column potential table")
-    p.add_argument("--omega", type=float, help="harmonic trap frequency")
-    p.add_argument("--margin", type=float, help="confinement margin for tabulated traps")
-    p.add_argument("--orbitals", type=int, help="orbital count solved for tabulated traps")
-    p.add_argument("--n", type=int, help="particle number")
-    p.add_argument("--level", type=int, help="free-fermion excitation level")
-    p.add_argument("--tol", type=float, help="absolute error bound on the boundary weights")
-    p.add_argument("--seed", type=int, help="seed recorded in the provenance block")
-    p.add_argument("--format", choices=["json", "csv"], help="output format")
-    p.add_argument("--output", "-o", help="output path (stdout when omitted)")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the timestamp for byte-reproducible output")
+_COMMANDS = (
+    ("spectrum", _cmd_spectrum, "boundary weights, K spectrum, and amplitudes"),
+    ("gamma", _cmd_gamma, "boundary weights only"),
+    ("validate", _cmd_validate, "finite-coupling oracle versus Laplacian slopes"),
+    ("density", _cmd_density, "one-body density of one adiabatic state"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,32 +380,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tonks {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="boundary weights, K spectrum, and amplitudes")
-    _add_common(p)
-    p.add_argument("--components", help="component sizes, e.g. '2,1' (default distinguishable)")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("gamma", help="boundary weights only")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("validate", help="finite-coupling oracle versus Laplacian slopes")
-    _add_common(p)
-    p.add_argument("--n-modes", type=int, dest="n_modes",
-                   help="oracle single-particle modes")
-    p.add_argument("--g", help="comma-separated couplings for the slope fit")
-    p.add_argument("--states", type=int, help="oracle eigenstates retained")
-    p.add_argument("--rtol", type=float, help="allowed relative slope deviation")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("density", help="one-body density of one adiabatic state")
-    _add_common(p)
-    p.add_argument("--state", type=int, help="state index in ascending K order")
-    p.add_argument("--grid-lo", type=float, dest="grid_lo", help="density grid start")
-    p.add_argument("--grid-hi", type=float, dest="grid_hi", help="density grid end")
-    p.add_argument("--bins", type=int, help="density bins")
-    p.set_defaults(func=_cmd_density)
+    for name, func, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="INI settings file; flags override it")
+        for key, row in _SETTINGS.items():
+            if name not in row.commands:
+                continue
+            if row.type is bool:
+                p.add_argument(f"--no-{key}", dest=key, action="store_false", default=None,
+                               help=row.help)
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=row.help,
+                               type=None if row.type is str else row.type, choices=row.choices)
+            if key == "format":  # the output path sits beside the format
+                p.add_argument("--output", "-o", help="output path (stdout when omitted)")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -469,7 +402,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _settings(args))
     except ToleranceError as exc:
         print(f"tolerance not met: {exc}", file=sys.stderr)
         return 3

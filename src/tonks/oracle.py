@@ -35,6 +35,19 @@ MC_STRATA = 64
 MC_SHARDS = 16
 
 
+def _contact_rule(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbitals 0..n_modes-1 at the nodes of the contact rule, and its weights.
+
+    The Gauss-Hermite rule with 2 * n_modes + 3 nodes integrates a
+    product of four orbitals over the line exactly.
+    """
+    y, w = np.polynomial.hermite.hermgauss(2 * n_modes + 3)
+    # The four orbital Gaussians supply exp(-y^2); fold it against the
+    # rule weights in log space so large node values cannot overflow.
+    wt = np.exp(np.log(w) + y * y) / math.sqrt(2.0)
+    return _hermite_ladder(y / math.sqrt(2.0), n_modes - 1), wt
+
+
 def delta_tensor(n_modes: int) -> np.ndarray:
     """Four-orbital contact integrals of the harmonic basis.
 
@@ -45,14 +58,8 @@ def delta_tensor(n_modes: int) -> np.ndarray:
     """
     if not 1 <= n_modes <= DELTA_MODE_CAP:
         raise ValueError(f"n_modes must be in 1..{DELTA_MODE_CAP}, got {n_modes}")
-    m_nodes = 2 * n_modes + 3
-    y, w = np.polynomial.hermite.hermgauss(m_nodes)
-    x = y / math.sqrt(2.0)
-    # The four orbital Gaussians supply exp(-y^2); fold it against the
-    # rule weights in log space so large node values cannot overflow.
-    wt = np.exp(np.log(w) + y * y) / math.sqrt(2.0)
-    t = _hermite_ladder(x, n_modes - 1)
-    pair = (t[:, None, :] * t[None, :, :]).reshape(n_modes * n_modes, m_nodes)
+    t, wt = _contact_rule(n_modes)
+    pair = (t[:, None, :] * t[None, :, :]).reshape(n_modes * n_modes, len(wt))
     i4 = (pair * wt) @ pair.T
     i4 = i4.reshape(n_modes, n_modes, n_modes, n_modes)
     par = np.arange(n_modes) % 2
@@ -162,11 +169,7 @@ class _ContactOperator:
     """
 
     def __init__(self, n_modes: int):
-        m_nodes = 2 * n_modes + 3
-        y, w = np.polynomial.hermite.hermgauss(m_nodes)
-        x = y / math.sqrt(2.0)
-        self.wt = np.exp(np.log(w) + y * y) / math.sqrt(2.0)
-        self.t = _hermite_ladder(x, n_modes - 1)
+        self.t, self.wt = _contact_rule(n_modes)
         self.n = n_modes
 
     def _pair12(self, psi: np.ndarray) -> np.ndarray:

@@ -23,23 +23,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trap:
-    """A one-dimensional confining potential.
+    """A tabulated one-dimensional confining potential on a uniform grid.
 
-    Either analytic harmonic (kind == "harmonic", set by omega) or a
-    tabulated potential on a uniform grid (kind == "tabulated").
+    The harmonic trap needs no table: HarmonicBasis evaluates its
+    orbitals analytically.
     """
 
-    kind: str
-    omega: float = 1.0
-    x: np.ndarray | None = None
-    v: np.ndarray | None = None
+    x: np.ndarray
+    v: np.ndarray
     margin: float = 1.0
-
-    @staticmethod
-    def harmonic(omega: float = 1.0) -> "Trap":
-        if omega <= 0:
-            raise ValueError(f"omega must be positive, got {omega}")
-        return Trap(kind="harmonic", omega=float(omega))
 
     @staticmethod
     def from_table(x: Sequence[float], v: Sequence[float], margin: float = 1.0) -> "Trap":
@@ -63,7 +55,7 @@ class Trap:
                 f"({va[0]:.6g}, {va[-1]:.6g}) must exceed the minimum {vmin:.6g} "
                 f"by at least margin={margin:.6g}"
             )
-        return Trap(kind="tabulated", x=xa, v=va, margin=float(margin))
+        return Trap(x=xa, v=va, margin=float(margin))
 
     @staticmethod
     def from_file(path: str, margin: float = 1.0) -> "Trap":
@@ -97,7 +89,6 @@ class HarmonicBasis:
             raise ValueError(f"omega must be positive, got {omega}")
         self.omega = float(omega)
         self.cap = HARMONIC_INDEX_CAP
-        self.symmetric = True
 
     def energy(self, n: int) -> float:
         self._check_index(n)
@@ -167,12 +158,6 @@ class TabulatedBasis:
             psi = vectors[:, j]
             spl = CubicSpline(grid, psi)
             self._splines.append((spl, spl.derivative()))
-        c = 0.5 * (self._lo + self._hi)
-        xs = trap.x - c
-        self.symmetric = bool(
-            np.allclose(xs, -xs[::-1], atol=1e-9 * max(1.0, self._hi - self._lo))
-            and np.allclose(trap.v, trap.v[::-1], atol=1e-9 * max(1.0, np.max(np.abs(trap.v))))
-        )
 
     def energy(self, n: int) -> float:
         self._check_index(n)
@@ -227,8 +212,6 @@ def solve_tabulated(trap: Trap, count: int, tol: float = 1e-8) -> TabulatedBasis
     extrapolants must agree within tol, otherwise the state is not
     resolved on this grid and a ConvergenceError is raised.
     """
-    if trap.kind != "tabulated":
-        raise ValueError("solve_tabulated needs a tabulated trap")
     if count < 1:
         raise ValueError("count must be at least 1")
     g1, v1 = np.asarray(trap.x), np.asarray(trap.v)
@@ -271,9 +254,3 @@ def solve_tabulated(trap: Trap, count: int, tol: float = 1e-8) -> TabulatedBasis
             vec4[:, j] = -col
     return TabulatedBasis(trap, r24, g4, vec4)
 
-
-def basis_for(trap: Trap, count: int, tol: float = 1e-8):
-    """Orbital basis for a trap: analytic if harmonic, finite differences otherwise."""
-    if trap.kind == "harmonic":
-        return HarmonicBasis(trap.omega)
-    return solve_tabulated(trap, count, tol=tol)

@@ -1,12 +1,18 @@
 """Command-line interface: schemas, determinism, config files, exit codes."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tonks.cli import _SETTINGS, _load_config, build_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 BASE = [sys.executable, "-m", "tonks.cli"]
 
 
@@ -121,6 +127,21 @@ def test_validate_two_body():
     assert doc["k_predicted"][1] == pytest.approx(2.0 * np.sqrt(2.0 / np.pi), abs=1e-9)
 
 
+def test_validate_csv(tmp_path):
+    args = ("validate", "--n", "2", "--n-modes", "10", "--no-timestamp")
+    doc = json.loads(run_cli(*args).stdout)
+    out = tmp_path / "validate.csv"
+    run_cli(*args, "-o", str(out))
+    for text in (run_cli(*args, "--format", "csv").stdout, out.read_text()):
+        header, *rows = text.strip().splitlines()
+        assert header == "index,k_predicted,k_fitted,rel_deviation,uncertainty"
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        np.testing.assert_array_equal(table[:, 0], [0, 1])
+        for col, key in enumerate(("k_predicted", "k_fitted", "rel_deviation",
+                                   "fit_uncertainties"), start=1):
+            np.testing.assert_array_equal(table[:, col], doc[key])
+
+
 def test_validate_failure_exits_three():
     run_cli("validate", "--n", "2", "--n-modes", "24", "--g", "20,50,100",
             "--rtol", "1e-6", expect=3)
@@ -161,6 +182,37 @@ def test_removed_options_exit_two(tmp_path):
     ini.write_text("[integration]\nmethod = auto\n")
     proc = run_cli("gamma", "--config", str(ini), expect=2)
     assert "unknown key 'method'" in proc.stderr
+    # seed lives in [integration]; the [density] copy went with the Monte Carlo density
+    ini.write_text("[density]\nseed = 3\n")
+    proc = run_cli("density", "--config", str(ini), expect=2)
+    assert "unknown key 'seed' in config section [density]" in proc.stderr
+
+
+def test_unknown_config_section_exits_two(tmp_path):
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[partciles]\nn = 3\n")
+    proc = run_cli("gamma", "--config", str(ini), expect=2)
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "[partciles]" in lines[0]
+    assert proc.stdout == ""
+
+
+def test_readme_usage_and_settings_match_the_cli(tmp_path):
+    text = README.read_text()
+    usage = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in usage.splitlines()
+                if line.startswith("tonks ")]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
+    listed = {(section, key.strip())
+              for section, keys in re.findall(r"`\[(\w+)\]` \(([^)]*)\)", text)
+              for key in keys.split(",")}
+    assert listed == {(row.section, key) for key, row in _SETTINGS.items()}
+    ini = tmp_path / "readme.ini"
+    ini.write_text(text.split("```ini", 1)[1].split("```", 1)[0])
+    assert _load_config(str(ini))
 
 
 def test_seed_only_reaches_provenance():

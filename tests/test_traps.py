@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite, gammaln
 
-from tonks.traps import (
-    ConvergenceError,
-    HarmonicBasis,
-    Trap,
-    basis_for,
-    solve_tabulated,
-)
+from tonks.traps import ConvergenceError, HarmonicBasis, Trap, solve_tabulated
 
 # High-precision references for the n=25 harmonic orbital at x=3.7,
 # frozen from a 50-digit arbitrary-precision evaluation.
@@ -133,7 +127,6 @@ def test_tabulated_orthonormality_and_parity():
     h = grid[1] - grid[0]
     gram = vals @ vals.T * h
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
-    assert basis.symmetric
     flip, _ = basis.eval_many([0, 1, 2, 3], -grid)
     for n in range(4):
         np.testing.assert_allclose(flip[n], (-1.0) ** n * vals[n], atol=1e-7)
@@ -177,7 +170,6 @@ def test_trap_file_parser(tmp_path):
     lines += [f"{xi:.12g} {0.5 * xi * xi:.12g}  # sample" for xi in x]
     path.write_text("\n".join(lines) + "\n")
     trap = Trap.from_file(str(path))
-    assert trap.kind == "tabulated"
     np.testing.assert_allclose(trap.x, x, atol=1e-9)
     basis = solve_tabulated(trap, count=2)
     np.testing.assert_allclose(basis.energies, [0.5, 1.5], atol=1e-5)
@@ -194,8 +186,3 @@ def test_non_uniform_grid_rejected():
     with pytest.raises(ValueError, match="uniform"):
         Trap.from_table(x, 0.5 * x * x)
 
-
-def test_basis_for_dispatch():
-    assert isinstance(basis_for(Trap.harmonic(), 5), HarmonicBasis)
-    tab = basis_for(_harmonic_table(), 3)
-    assert tab.energy(0) == pytest.approx(0.5, abs=1e-6)

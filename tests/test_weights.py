@@ -1,11 +1,14 @@
 """Boundary weights and slot distributions: closed-form anchors, honest errors, parity."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tonks.slater import make_level
+from tonks.slater import SlaterState, make_level
 from tonks.traps import HarmonicBasis, Trap, solve_tabulated
 from tonks.weights import BoundaryWeight, ToleranceError, all_gammas, gamma, slot_cdf
 
@@ -14,6 +17,9 @@ GAMMA_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
 # Relative agreement of a tabulated harmonic trap (finite differences on a
 # 0.01 grid) with the analytic orbitals.
 TABLE_RTOL = 1e-4
+# The slot distributions of smooth harmonic orbitals carry rounding only
+# (about 1e-14 for N <= 8), far below the engine's tolerance.
+ROUNDING = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +140,51 @@ def test_slot_cdf_limits(state3):
     np.testing.assert_allclose(cdf[:, 2], 1.0, atol=1e-14)
     # mirror symmetry: slot s below 0 as often as slot N-1-s above it
     np.testing.assert_allclose(cdf[:, 1], 1.0 - cdf[::-1, 1], atol=1e-14)
+
+
+def _occupations(n, excitation):
+    """Harmonic occupations of n fermions lying excitation quanta above the ground level."""
+    return [occ for occ in itertools.combinations(range(n + excitation), n)
+            if sum(occ) - n * (n - 1) // 2 == excitation]
+
+
+@st.composite
+def _harmonic_states(draw):
+    # Levels 0-2 by excitation: make_level rejects level 2 itself, where
+    # (0..N-2, N+1) and (0..N-3, N-1, N) tie, so every occupation is drawn.
+    n = draw(st.integers(2, 8))
+    occ = draw(st.sampled_from(_occupations(n, draw(st.integers(0, 2)))))
+    basis = HarmonicBasis()
+    return SlaterState(basis=basis, occupation=occ, energy=sum(basis.energy(m) for m in occ))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_harmonic_states())
+def test_parity_within_reported_errors(state):
+    ws = all_gammas(state)
+    for a, b in zip(ws, reversed(ws)):
+        assert abs(a.value - b.value) <= a.error + b.error
+
+
+@settings(max_examples=15, deadline=None)
+@given(_harmonic_states(), st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=12))
+def test_slot_cdf_monotone_and_ordered(state, xs):
+    cdf = slot_cdf(state, np.sort(xs))
+    assert np.all(np.diff(cdf, axis=1) >= -ROUNDING)
+    # the (s+1)-th particle from the left is below x at least as often as the (s+2)-th
+    assert np.all(cdf[:-1] >= cdf[1:] - ROUNDING)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_harmonic_states(), st.floats(-6.0, 0.0),
+       st.lists(st.floats(0.05, 1.5), min_size=1, max_size=10))
+def test_slot_densities_sum_to_free_density(state, start, widths):
+    edges = start + np.concatenate([[0.0], np.cumsum(widths)])
+    slots = np.diff(slot_cdf(state, edges), axis=1) / np.diff(edges)
+    # Independent bin averages of sum phi^2 by a 64-point Gauss-Legendre rule per bin.
+    t, w = np.polynomial.legendre.leggauss(64)
+    lo, hi = edges[:-1], edges[1:]
+    nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t
+    vals, _ = state.basis.eval_many(list(state.occupation), nodes)
+    free = 0.5 * np.einsum("ibq,q->b", vals**2, w)
+    np.testing.assert_allclose(slots.sum(axis=0), free, rtol=0, atol=ROUNDING)
