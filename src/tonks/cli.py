@@ -284,6 +284,10 @@ def _cmd_validate(args, s: dict) -> int:
     n = s["n"]
     if n not in (2, 3):
         raise InputError("the oracle supports n in {2, 3}")
+    # The truncation estimate reruns with four fewer modes, which the oracle
+    # needs to be at least n + 2.
+    if s["n_modes"] < n + 6:
+        raise InputError(f"--n-modes must be at least {n + 6} for n={n}, got {s['n_modes']}")
     state, _ = _build_problem(s)
     gammas = all_gammas(state, tol=s["tol"])
     graph = build_graph(n)

@@ -1,7 +1,15 @@
 """Finite-coupling exact diagonalization for validating the strong-coupling law.
 
 Few fermions with a contact interaction g * sum of delta(x_i - x_j) are
-diagonalized in a truncated harmonic product basis.  Energies tracked
+diagonalized in a truncated harmonic product basis.  The Hamiltonian
+commutes with total parity and with particle exchange, so the basis is
+split into exact blocks: the halves symmetric and antisymmetric under
+exchanging particles 1 and 2 (or, for identical fermions, the
+per-component antisymmetrized states), each split again by parity.  Each
+block is assembled sparsely from the nonzero contact integrals and solved
+densely while the largest block stays within DENSE_DIM_CAP; a larger
+distinguishable three-particle basis falls back to a matrix-free Lanczos
+solve of the whole product basis.  Energies tracked
 across couplings by eigenvector overlap are fitted against 1/g, and the
 negated slopes are compared with the Laplacian eigenvalues K; the
 interaction expectation of each tracked state doubles as the exact
@@ -18,6 +26,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import digamma, ndtri, stdtrit
@@ -29,7 +38,14 @@ from .traps import _hermite_ladder
 from .weights import BoundaryWeight
 
 DELTA_MODE_CAP = 60
-DENSE_DIM_CAP = 5000
+# Largest block solved densely.  For three distinguishable particles the
+# dense block solves and the matrix-free Lanczos solve cost about the same
+# near 21 modes (largest block 2,426); beyond, Lanczos is faster and far
+# smaller: at 26 modes (blocks of 4,563) three couplings take 137 s and
+# 0.9 GB dense against 34 s and 0.1 GB by Lanczos (2-vCPU Xeon, one BLAS
+# thread).  A component basis splits only by parity, so for it this cap
+# keeps the dense range of a 5,000-state cap on the whole basis.
+DENSE_DIM_CAP = 2500
 BASIS_DIM_CAP = 200_000
 MC_STRATA = 64
 MC_SHARDS = 16
@@ -129,36 +145,79 @@ class EDResult:
     interaction: np.ndarray = field(repr=False)
 
 
-def _antisymmetrizer(n_modes: int, size: int) -> np.ndarray:
-    """Isometry from ordered occupations to the antisymmetric block subspace."""
+def _symmetrizer(n_modes: int, size: int, sign: int) -> tuple[sparse.csc_array, np.ndarray]:
+    """Sparse isometry onto states of `size` particles that are symmetric
+    (sign=+1) or antisymmetric (sign=-1) under their exchange, with the
+    oscillator quanta of each column.
+
+    Column j is the normalized sum over the distinct orderings of the j-th
+    sorted occupation, each weighted by sign to the number of inversions.
+    """
     if size == 1:
-        return np.eye(n_modes)
-    cols = list(itertools.combinations(range(n_modes), size))
-    t = np.zeros((n_modes**size, len(cols)))
-    scale = 1.0 / math.sqrt(math.factorial(size))
-    for j, occ in enumerate(cols):
+        return sparse.eye_array(n_modes, format="csc"), np.arange(n_modes)
+    pick = itertools.combinations if sign < 0 else itertools.combinations_with_replacement
+    rows, cols, vals, quanta = [], [], [], []
+    for j, occ in enumerate(pick(range(n_modes), size)):
+        terms = {}
         for perm in itertools.permutations(range(size)):
-            sign = 1
-            for i in range(size):
-                for k in range(i + 1, size):
-                    if perm[i] > perm[k]:
-                        sign = -sign
-            idx = 0
-            for slot in range(size):
-                idx = idx * n_modes + occ[perm[slot]]
-            t[idx, j] = sign * scale
-    return t
+            flips = sum(a > b for a, b in itertools.combinations(perm, 2))
+            terms[np.ravel_multi_index([occ[p] for p in perm], (n_modes,) * size)] = sign**flips
+        for r, s in terms.items():
+            rows.append(r)
+            cols.append(j)
+            vals.append(s / math.sqrt(len(terms)))
+        quanta.append(sum(occ))
+    t = sparse.csc_array((vals, (rows, cols)), shape=(n_modes**size, len(quanta)))
+    return t, np.array(quanta)
 
 
-def _component_map(cfg: EDConfig) -> np.ndarray | None:
+def _symmetry_blocks(cfg: EDConfig) -> list[tuple[sparse.csc_array, np.ndarray]]:
+    """Isometries onto the exact symmetry blocks of the basis, in a fixed order.
+
+    A distinguishable basis splits into the halves symmetric and
+    antisymmetric under exchanging particles 1 and 2; a component basis is
+    the Kronecker product of per-component antisymmetrizers.  Each half
+    then splits by total parity.  Every column is an oscillator eigenstate,
+    so each block comes with its diagonal trap energies.
+    """
+    n = cfg.n_modes
     comp = cfg.components
     if comp is None or all(s == 1 for s in comp.sizes):
-        return None
-    t = None
-    for s in comp.sizes:
-        block = _antisymmetrizer(cfg.n_modes, s)
-        t = block if t is None else np.kron(t, block)
-    return t
+        rest = [_symmetrizer(n, 1, 1)] * (cfg.n_particles - 2)
+        halves = [[_symmetrizer(n, 2, sign), *rest] for sign in (1, -1)]
+    else:
+        halves = [[_symmetrizer(n, s, -1) for s in comp.sizes]]
+    blocks = []
+    for factors in halves:
+        t, quanta = factors[0]
+        for t2, q2 in factors[1:]:
+            t = sparse.kron(t, t2, format="csc")
+            quanta = np.add.outer(quanta, q2).ravel()
+        for parity in (0, 1):
+            keep = quanta % 2 == parity
+            blocks.append((t[:, keep], quanta[keep] + 0.5 * cfg.n_particles))
+    return blocks
+
+
+def _contact_matrix(n_modes: int, n_particles: int) -> sparse.csr_array:
+    """The bare contact operator sum over pairs of delta(x_i - x_j) on the
+    product basis, assembled from the nonzeros of delta_tensor."""
+    n = n_modes
+    i4 = delta_tensor(n)
+    a, b, c, d = np.nonzero(i4)
+    v = i4[a, b, c, d]
+    stride = n ** np.arange(n_particles - 1, -1, -1)
+    dim = n**n_particles
+    w = sparse.csr_array((dim, dim))
+    for p, q in itertools.combinations(range(n_particles), 2):
+        # Spectators keep their mode: one offset per spectator occupation.
+        spect = np.zeros(1, dtype=np.int64)
+        for r in set(range(n_particles)) - {p, q}:
+            spect = (spect[:, None] + np.arange(n) * stride[r]).ravel()
+        rows = ((a * stride[p] + b * stride[q])[:, None] + spect).ravel()
+        cols = ((c * stride[p] + d * stride[q])[:, None] + spect).ravel()
+        w = w + sparse.csr_array((np.repeat(v, len(spect)), (rows, cols)), shape=(dim, dim))
+    return w
 
 
 class _ContactOperator:
@@ -187,103 +246,102 @@ class _ContactOperator:
         return out.reshape(-1)
 
 
-def _dense_interaction(cfg: EDConfig, i4: np.ndarray) -> np.ndarray:
+def _solve_blocks(cfg: EDConfig, blocks: list[tuple[sparse.csc_array, np.ndarray]]
+                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Lowest n_states of every coupling from dense solves of the blocks.
+
+    Each block is T^T W T for its isometry T; eigenvectors come back in the
+    product basis with their contact expectations.  Block spectra merge by
+    a stable sort in the fixed block order.
+    """
+    w = _contact_matrix(cfg.n_modes, cfg.n_particles)
+    parts = [[] for _ in cfg.g_values]
+    for t, h0 in blocks:
+        w_b = (t.T @ w @ t).toarray()
+        k = min(cfg.n_states, t.shape[1])
+        for gi, g in enumerate(cfg.g_values):
+            h = g * w_b
+            h[np.diag_indices_from(h)] += h0
+            e, x = eigh(h, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
+            parts[gi].append((e, t @ x, np.einsum("ij,ij->j", x, w_b @ x)))
+    spectra = []
+    for found in parts:
+        vals, vecs, contact = (np.concatenate(z, axis=-1) for z in zip(*found))
+        order = np.argsort(vals, kind="stable")[: cfg.n_states]
+        spectra.append((vals[order], vecs[:, order], contact[order]))
+    return spectra
+
+
+def _solve_lanczos(cfg: EDConfig) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Lowest n_states of every coupling by matrix-free Lanczos on the full
+    distinguishable three-particle product basis."""
     n = cfg.n_modes
-    d = i4.reshape(n * n, n * n)
-    if cfg.n_particles == 2:
-        return d
-    eye = np.eye(n)
-    w = np.kron(d, eye)
-    w += np.kron(eye, d)
-    w += np.einsum("acdf,be->abcdef", i4, eye).reshape(n**3, n**3)
-    return w
+    dim = n**3
+    op = _ContactOperator(n)
+    h0 = np.indices((n, n, n)).sum(axis=0).ravel() + 1.5
+    # Fixed seeded start keeps the Lanczos solve deterministic.
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    # Buffer states and a wide Krylov basis so degenerate pairs are
+    # resolved with full multiplicity.
+    k_solve = min(cfg.n_states + 4, dim - 1)
+    spectra = []
+    for g in cfg.g_values:
+        def matvec(x, _g=g):
+            return h0 * x + _g * op.apply(x)
+        lin = LinearOperator((dim, dim), matvec=matvec, dtype=float)
+        vals, vecs = eigsh(lin, k=k_solve, which="SA", v0=v0,
+                           ncv=min(max(4 * k_solve, 80), dim), tol=0)
+        order = np.argsort(vals)[: cfg.n_states]
+        vals, vecs = vals[order], vecs[:, order]
+        contact = np.array([vecs[:, j] @ op.apply(vecs[:, j]) for j in range(cfg.n_states)])
+        spectra.append((vals, vecs, contact))
+    return spectra
 
 
 def diagonalize(cfg: EDConfig) -> EDResult:
     """Solve the truncated contact-interaction problem at every coupling.
 
-    Dense symmetric diagonalization up to DENSE_DIM_CAP, a matrix-free
-    Lanczos solve beyond (product basis only).  Eigenvectors are matched
-    across couplings by maximal-overlap assignment starting from the
-    smallest coupling.
+    The Hamiltonian commutes with total parity and with the exchange
+    symmetry of the basis, so it is solved densely in the blocks of
+    _symmetry_blocks.  DENSE_DIM_CAP limits the largest block; a
+    distinguishable N = 3 basis beyond it takes a matrix-free Lanczos
+    solve of the full product basis.  Eigenvectors, in the product basis,
+    are matched across couplings by maximal-overlap assignment starting
+    from the smallest coupling.
     """
     from scipy import optimize  # slow to load; imported where the solvers need it
 
-    n = cfg.n_modes
-    npart = cfg.n_particles
-    tmap = _component_map(cfg)
-    e1 = np.arange(n) + 0.5
-    h0 = e1
-    for _ in range(npart - 1):
-        h0 = np.add.outer(h0, e1).reshape(-1)
-    dim_full = n**npart
-    dim = dim_full if tmap is None else tmap.shape[1]
+    blocks = _symmetry_blocks(cfg)
+    dim = sum(t.shape[1] for t, _ in blocks)
     if cfg.n_states > dim:
         raise ValueError(f"n_states={cfg.n_states} exceeds basis dimension {dim}")
-    dense = dim <= DENSE_DIM_CAP
-    i4 = delta_tensor(n)
-    w_dense = None
-    op = None
-    if tmap is not None:
-        w_full = _dense_interaction(cfg, i4)
-        w_dense = tmap.T @ w_full @ tmap
-        h0_red = tmap.T @ (h0[:, None] * tmap)
-        offdiag = np.max(np.abs(h0_red - np.diag(np.diag(h0_red))))
-        if offdiag > 1e-10:
-            raise RuntimeError("component projection failed to commute with the trap term")
-        h0 = np.diag(h0_red)
-        if not dense:
-            raise ValueError("component-projected bases above the dense cap are not supported")
-    elif dense:
-        w_dense = _dense_interaction(cfg, i4)
+    if max(t.shape[1] for t, _ in blocks) <= DENSE_DIM_CAP:
+        spectra = _solve_blocks(cfg, blocks)
+    elif cfg.components is not None and any(s > 1 for s in cfg.components.sizes):
+        raise ValueError("component-projected bases above the dense cap are not supported")
+    elif cfg.n_particles != 3:
+        raise ValueError("matrix-free path covers 3 particles only")
     else:
-        if npart != 3:
-            raise ValueError("matrix-free path covers 3 particles only")
-        op = _ContactOperator(n)
+        spectra = _solve_lanczos(cfg)
     n_g = len(cfg.g_values)
     energies = np.empty((n_g, cfg.n_states))
     tracked = np.empty_like(energies)
     quality = np.ones_like(energies)
     inter = np.empty_like(energies)
     prev = None
-    v0 = None
-    for gi, g in enumerate(cfg.g_values):
-        if dense:
-            h = g * w_dense
-            h[np.diag_indices_from(h)] += h0
-            vals, vecs = eigh(h, subset_by_index=[0, cfg.n_states - 1])
-        else:
-            def matvec(x, _g=g):
-                return h0 * x + _g * op.apply(x)
-            lin = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-            if v0 is None:
-                # Fixed seeded start keeps the Lanczos solve deterministic.
-                v0 = np.random.default_rng(0).standard_normal(dim)
-            # Buffer states and a wide Krylov basis so degenerate pairs
-            # are resolved with full multiplicity.
-            k_solve = min(cfg.n_states + 4, dim - 1)
-            vals, vecs = eigsh(lin, k=k_solve, which="SA", v0=v0,
-                               ncv=min(max(4 * k_solve, 80), dim), tol=0)
-            order = np.argsort(vals)[: cfg.n_states]
-            vals, vecs = vals[order], vecs[:, order]
+    for gi, (vals, vecs, contact) in enumerate(spectra):
         energies[gi] = vals
         if prev is None:
-            tracked[gi] = vals
             perm = np.arange(cfg.n_states)
         else:
             overlap = np.abs(prev.T @ vecs)
             rows, cols = optimize.linear_sum_assignment(-overlap)
             perm = np.empty(cfg.n_states, dtype=int)
             perm[rows] = cols
-            tracked[gi] = vals[perm]
             quality[gi] = overlap[np.arange(cfg.n_states), perm]
-        vecs = vecs[:, perm]
-        if w_dense is not None:
-            wv = w_dense @ vecs
-        else:
-            wv = np.column_stack([op.apply(vecs[:, j]) for j in range(cfg.n_states)])
-        inter[gi] = np.einsum("ij,ij->j", vecs, wv)
-        prev = vecs
+        tracked[gi] = vals[perm]
+        inter[gi] = contact[perm]
+        prev = vecs[:, perm]
     return EDResult(
         config=cfg,
         basis_dim=dim,

@@ -147,6 +147,15 @@ def test_validate_failure_exits_three():
             "--rtol", "1e-6", expect=3)
 
 
+def test_validate_too_few_modes_exits_two():
+    for n in (2, 3):
+        proc = run_cli("validate", "--n", str(n), "--n-modes", str(n + 5), expect=2)
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert f"--n-modes must be at least {n + 6}" in lines[0]
+        assert proc.stdout == ""
+
+
 def test_density_output():
     proc = run_cli("density", "--n", "2", "--state", "1", "--bins", "40",
                    "--grid-lo", "-5", "--grid-hi", "5", "--no-timestamp")

@@ -1,10 +1,12 @@
 """Finite-coupling oracle: contact integrals, diagonalization, slope fits, Monte Carlo weights."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh
 from scipy.special import gammaln
 
 import tonks.oracle as oracle
@@ -171,6 +173,93 @@ def test_interaction_is_energy_derivative():
     fd = (res.tracked[2, 0] - res.tracked[0, 0]) / 0.05
     hf = res.interaction[1, 0]
     assert abs(fd - hf) / abs(hf) < 1e-4
+
+
+def _dense_reference(cfg):
+    """Hamiltonian pieces in the product basis from Kronecker products of
+    delta_tensor, restricted to the component subspace when one is set."""
+    n, npart = cfg.n_modes, cfg.n_particles
+    i4 = delta_tensor(n)
+    d = i4.reshape(n * n, n * n)
+    e1 = np.arange(n) + 0.5
+    if npart == 2:
+        w = d
+        h0 = np.add.outer(e1, e1).ravel()
+    else:
+        eye = np.eye(n)
+        w = np.kron(d, eye) + np.kron(eye, d)
+        w += np.einsum("acdf,be->abcdef", i4, eye).reshape(n**3, n**3)
+        h0 = np.add.outer(np.add.outer(e1, e1), e1).ravel()
+    h0 = np.diag(h0)
+    if cfg.components is None:
+        return h0, w
+    # Antisymmetrize within each component: average the signed particle
+    # permutations that stay inside the components, keep the range.
+    idx = np.arange(n**npart).reshape((n,) * npart)
+    labels = np.repeat(np.arange(len(cfg.components.sizes)), cfg.components.sizes)
+    proj = np.zeros((n**npart, n**npart))
+    count = 0
+    for perm in itertools.permutations(range(npart)):
+        if np.any(labels[list(perm)] != labels):
+            continue
+        flips = sum(a > b for a, b in itertools.combinations(perm, 2))
+        proj[idx.transpose(perm).ravel(), idx.ravel()] += (-1) ** flips
+        count += 1
+    vals, vecs = np.linalg.eigh(proj / count)
+    q = vecs[:, vals > 0.5]
+    return q.T @ h0 @ q, q.T @ w @ q
+
+
+@pytest.mark.parametrize("npart, n_modes, sizes", [
+    (2, 10, None), (2, 10, (2,)),
+    (3, 6, None), (3, 6, (2, 1)), (3, 6, (1, 2)), (3, 6, (3,)),
+    (3, 8, None), (3, 8, (2, 1)), (3, 8, (1, 2)), (3, 8, (3,)),
+])
+def test_blocks_match_dense_reference(npart, n_modes, sizes):
+    comp = None if sizes is None else ComponentSpec(sizes)
+    cfg = EDConfig(npart, n_modes, (5.0, 20.0), n_states=6, components=comp)
+    res = diagonalize(cfg)
+    h0, w = _dense_reference(cfg)
+    assert res.basis_dim == len(h0)
+    blocks = oracle._symmetry_blocks(cfg)
+    assert sum(t.shape[1] for t, _ in blocks) == res.basis_dim
+    for gi, g in enumerate(cfg.g_values):
+        vals, vecs = np.linalg.eigh(h0 + g * w)
+        np.testing.assert_allclose(res.energies[gi], vals[:6], atol=1e-10)
+        # Compare the contact expectations state by state in energy order;
+        # degenerate states share theirs by symmetry.
+        contact = np.einsum("ij,ij->j", vecs[:, :6], w @ vecs[:, :6])
+        order = np.argsort(res.tracked[gi], kind="stable")
+        np.testing.assert_allclose(res.interaction[gi][order], contact, atol=1e-8)
+
+
+def test_block_sizes():
+    blocks = oracle._symmetry_blocks(EDConfig(3, 14, (1.0,)))
+    assert [t.shape[1] for t, _ in blocks] == [735, 735, 637, 637]
+    pair = oracle._symmetry_blocks(EDConfig(3, 14, (1.0,), components=ComponentSpec((2, 1))))
+    assert [t.shape[1] for t, _ in pair] == [637, 637]
+
+
+def test_dense_blocks_below_cap(monkeypatch):
+    # 512 product states exceed the cap, but no block (at most 144) does.
+    cfg = EDConfig(n_particles=3, n_modes=8, g_values=(10.0,), n_states=6)
+    uncapped = diagonalize(cfg)
+    monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 200)
+    sizes = []
+
+    def recording_eigh(a, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, **kwargs)
+
+    def refused_eigsh(*args, **kwargs):
+        raise AssertionError("Lanczos path taken")
+
+    monkeypatch.setattr(oracle, "eigh", recording_eigh)
+    monkeypatch.setattr(oracle, "eigsh", refused_eigsh)
+    capped = diagonalize(cfg)
+    assert sum(sizes) == 512 and max(sizes) <= 200
+    np.testing.assert_array_equal(capped.energies, uncapped.energies)
+    np.testing.assert_array_equal(capped.interaction, uncapped.interaction)
 
 
 def test_sparse_matches_dense(monkeypatch):
