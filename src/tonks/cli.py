@@ -288,11 +288,14 @@ def _cmd_validate(args, s: dict) -> int:
     # needs to be at least n + 2.
     if s["n_modes"] < n + 6:
         raise InputError(f"--n-modes must be at least {n + 6} for n={n}, got {s['n_modes']}")
+    m = math.factorial(n)  # one K value per ordering
+    if s["states"] and s["states"] < m:
+        raise InputError(f"--states must be at least {m}, the number of K values for n={n}, "
+                         f"got {s['states']}")
     state, _ = _build_problem(s)
     gammas = all_gammas(state, tol=s["tol"])
     graph = build_graph(n)
     k_pred = np.sort(solve(laplacian(graph, gammas)).values)
-    m = len(k_pred)
     try:
         g_values = tuple(float(p) for p in s["g"].split(","))
     except ValueError as exc:

@@ -5,18 +5,20 @@ diagonalized in a truncated harmonic product basis.  The Hamiltonian
 commutes with total parity and with particle exchange, so the basis is
 split into exact blocks: the halves symmetric and antisymmetric under
 exchanging particles 1 and 2 (or, for identical fermions, the
-per-component antisymmetrized states), each split again by parity.  Each
-block is assembled sparsely from the nonzero contact integrals and solved
-densely while the largest block stays within DENSE_DIM_CAP; a larger
+per-component antisymmetrized states), each split again by parity and by
+the eigenvalue of the class sum of all pair swaps, which separates the
+irreducible representations of the permutation group.  Each block is
+assembled sparsely from the nonzero contact integrals and solved densely
+while the largest block stays within DENSE_DIM_CAP; a larger
 distinguishable three-particle basis falls back to a matrix-free Lanczos
-solve of the whole product basis.  Energies tracked
-across couplings by eigenvector overlap are fitted against 1/g, and the
-negated slopes are compared with the Laplacian eigenvalues K; the
-interaction expectation of each tracked state doubles as the exact
-dE/dg of the truncated model.  A transcendental two-body relation
-provides an independent closed-form reference for N = 2, and a seeded,
-stratified Monte Carlo estimator of the boundary weights cross-checks
-the ordered-overlap engine from the coordinates up.
+solve of the whole product basis.  Energies tracked across couplings by
+eigenvector overlap are fitted against 1/g, and the negated slopes are
+compared with the Laplacian eigenvalues K; the interaction expectation of
+each tracked state doubles as the exact dE/dg of the truncated model.  A
+transcendental two-body relation provides an independent closed-form
+reference for N = 2, and a seeded, stratified Monte Carlo estimator of
+the boundary weights cross-checks the ordered-overlap engine from the
+coordinates up.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ from .traps import _hermite_ladder
 from .weights import BoundaryWeight
 
 DELTA_MODE_CAP = 60
-# Largest block solved densely.  For three distinguishable particles the
-# dense block solves and the matrix-free Lanczos solve cost about the same
-# near 21 modes (largest block 2,426); beyond, Lanczos is faster and far
-# smaller: at 26 modes (blocks of 4,563) three couplings take 137 s and
-# 0.9 GB dense against 34 s and 0.1 GB by Lanczos (2-vCPU Xeon, one BLAS
-# thread).  A component basis splits only by parity, so for it this cap
-# keeps the dense range of a 5,000-state cap on the whole basis.
+# Largest block solved densely.  For three distinguishable particles and
+# three couplings the dense block solves and the matrix-free Lanczos solve
+# cost about the same at 24 modes (largest block 2,300: 25 s each); beyond,
+# Lanczos is faster and far smaller: at 26 modes (largest block 2,925) it
+# takes 35 s and 0.1 GB against 49 s and 0.7 GB dense (2-vCPU Xeon, one
+# BLAS thread).  A (2,1) component basis has the same largest block, the
+# mixed one, and no Lanczos path.
 DENSE_DIM_CAP = 2500
 BASIS_DIM_CAP = 200_000
 MC_STRATA = 64
@@ -90,7 +92,7 @@ class EDConfig:
     """Setup of an exact-diagonalization run.
 
     n_modes single-particle orbitals per particle, couplings g_values
-    (positive, strictly increasing), n_states retained eigenpairs.
+    (finite, positive, strictly increasing), n_states retained eigenpairs.
     components=None keeps the distinguishable product basis; a
     ComponentSpec antisymmetrizes each block of identical fermions.
     """
@@ -114,8 +116,8 @@ class EDConfig:
         if dim > BASIS_DIM_CAP:
             raise ValueError(f"basis dimension {dim} exceeds cap {BASIS_DIM_CAP}")
         gs = tuple(float(g) for g in self.g_values)
-        if len(gs) < 1 or any(g <= 0 for g in gs):
-            raise ValueError("g_values must be positive")
+        if len(gs) < 1 or not all(0 < g < math.inf for g in gs):
+            raise ValueError(f"g_values must be finite and positive, got {gs}")
         if any(b <= a for a, b in zip(gs, gs[1:])):
             raise ValueError("g_values must be strictly increasing")
         object.__setattr__(self, "g_values", gs)
@@ -129,12 +131,13 @@ class EDConfig:
 class EDResult:
     """Spectra of one EDConfig across its couplings.
 
-    energies are sorted ascending per coupling; tracked reorders each row
-    so that column j follows a single adiabatic state from the smallest
-    coupling upward (matched by eigenvector overlap), with the matched
-    overlaps in track_quality.  interaction holds the expectation of
-    the bare contact operator in each tracked state, which equals dE/dg
-    of the truncated model exactly.
+    energies are sorted ascending per coupling; column j of tracked
+    follows a single adiabatic state from the smallest coupling upward
+    (matched by eigenvector overlap), with the matched overlaps in
+    track_quality.  Tracking runs through two buffer states, so a tracked
+    state may rise above the lowest n_states.  interaction holds the
+    expectation of the bare contact operator in each tracked state, which
+    equals dE/dg of the truncated model exactly.
     """
 
     config: EDConfig
@@ -171,14 +174,52 @@ def _symmetrizer(n_modes: int, size: int, sign: int) -> tuple[sparse.csc_array, 
     return t, np.array(quanta)
 
 
+def _class_sum_split(t: sparse.csc_array, quanta: np.ndarray, shape: tuple[int, ...]
+                     ) -> list[tuple[sparse.csc_array, np.ndarray]]:
+    """Split isometry t into the eigenspaces of the class sum C of all pair
+    swaps, in ascending order of its eigenvalue, with the quanta of each column.
+
+    C = sum over i < j of P_ij, where P_ij swaps the modes of particles i
+    and j in the product basis.  T^T C T couples only columns over one
+    occupation multiset; these small blocks are diagonalized in one batch,
+    padded to the largest with a diagonal value that C cannot take.
+    """
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    pairs = itertools.combinations(range(len(shape)), 2)
+    m = (t.T @ sum(t[idx.swapaxes(i, j).ravel()] for i, j in pairs)).tocoo()
+    # Label each column by the sorted modes of its first product state.
+    modes = np.sort(np.unravel_index(t.indices[t.indptr[:-1]], shape), axis=0)
+    _, grp, size = np.unique(np.ravel_multi_index(modes, shape), return_inverse=True,
+                             return_counts=True)
+    # Position of each column within its group: its rank minus the group's start.
+    pos = np.argsort(np.argsort(grp, kind="stable")) - (np.cumsum(size) - size)[grp]
+    pad, top = len(shape) ** 2, size.max()
+    a = pad * (np.arange(top) >= size[:, None, None]) * np.eye(top)
+    a[grp[m.row], pos[m.row], pos[m.col]] = m.data
+    w, x = np.linalg.eigh(a)
+    c_val = np.rint(w).astype(int)
+    col = np.full(a.shape[:2], -1)
+    col[grp, pos] = np.arange(len(grp))
+    blocks = []
+    for c in np.unique(c_val[c_val != pad]):
+        g, e = np.nonzero(c_val == c)
+        rows, ok = col[g], col[g] >= 0
+        v = sparse.csc_array((x[g, :, e][ok], (rows[ok], np.nonzero(ok)[0])),
+                             shape=(t.shape[1], len(g)))
+        blocks.append((t @ v, quanta[col[g, 0]]))
+    return blocks
+
+
 def _symmetry_blocks(cfg: EDConfig) -> list[tuple[sparse.csc_array, np.ndarray]]:
     """Isometries onto the exact symmetry blocks of the basis, in a fixed order.
 
     A distinguishable basis splits into the halves symmetric and
     antisymmetric under exchanging particles 1 and 2; a component basis is
     the Kronecker product of per-component antisymmetrizers.  Each half
-    then splits by total parity.  Every column is an oscillator eigenstate,
-    so each block comes with its diagonal trap energies.
+    then splits by total parity, and each parity block by the class sum of
+    all pair swaps, whose eigenvalue labels the irreducible representation
+    (N = 3: 3 symmetric, 0 mixed, -3 antisymmetric).  Every column is an
+    oscillator eigenstate, so each block comes with its trap energies.
     """
     n = cfg.n_modes
     comp = cfg.components
@@ -195,7 +236,8 @@ def _symmetry_blocks(cfg: EDConfig) -> list[tuple[sparse.csc_array, np.ndarray]]
             quanta = np.add.outer(quanta, q2).ravel()
         for parity in (0, 1):
             keep = quanta % 2 == parity
-            blocks.append((t[:, keep], quanta[keep] + 0.5 * cfg.n_particles))
+            for t_c, q_c in _class_sum_split(t[:, keep], quanta[keep], (n,) * cfg.n_particles):
+                blocks.append((t_c, q_c + 0.5 * cfg.n_particles))
     return blocks
 
 
@@ -246,9 +288,9 @@ class _ContactOperator:
         return out.reshape(-1)
 
 
-def _solve_blocks(cfg: EDConfig, blocks: list[tuple[sparse.csc_array, np.ndarray]]
-                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Lowest n_states of every coupling from dense solves of the blocks.
+def _solve_blocks(cfg: EDConfig, blocks: list[tuple[sparse.csc_array, np.ndarray]],
+                  n_keep: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Lowest n_keep states of every coupling from dense solves of the blocks.
 
     Each block is T^T W T for its isometry T; eigenvectors come back in the
     product basis with their contact expectations.  Block spectra merge by
@@ -258,7 +300,7 @@ def _solve_blocks(cfg: EDConfig, blocks: list[tuple[sparse.csc_array, np.ndarray
     parts = [[] for _ in cfg.g_values]
     for t, h0 in blocks:
         w_b = (t.T @ w @ t).toarray()
-        k = min(cfg.n_states, t.shape[1])
+        k = min(n_keep, t.shape[1])
         for gi, g in enumerate(cfg.g_values):
             h = g * w_b
             h[np.diag_indices_from(h)] += h0
@@ -267,13 +309,13 @@ def _solve_blocks(cfg: EDConfig, blocks: list[tuple[sparse.csc_array, np.ndarray
     spectra = []
     for found in parts:
         vals, vecs, contact = (np.concatenate(z, axis=-1) for z in zip(*found))
-        order = np.argsort(vals, kind="stable")[: cfg.n_states]
+        order = np.argsort(vals, kind="stable")[:n_keep]
         spectra.append((vals[order], vecs[:, order], contact[order]))
     return spectra
 
 
-def _solve_lanczos(cfg: EDConfig) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Lowest n_states of every coupling by matrix-free Lanczos on the full
+def _solve_lanczos(cfg: EDConfig, n_keep: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Lowest n_keep states of every coupling by matrix-free Lanczos on the full
     distinguishable three-particle product basis."""
     n = cfg.n_modes
     dim = n**3
@@ -291,9 +333,9 @@ def _solve_lanczos(cfg: EDConfig) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
         lin = LinearOperator((dim, dim), matvec=matvec, dtype=float)
         vals, vecs = eigsh(lin, k=k_solve, which="SA", v0=v0,
                            ncv=min(max(4 * k_solve, 80), dim), tol=0)
-        order = np.argsort(vals)[: cfg.n_states]
+        order = np.argsort(vals)[:n_keep]
         vals, vecs = vals[order], vecs[:, order]
-        contact = np.array([vecs[:, j] @ op.apply(vecs[:, j]) for j in range(cfg.n_states)])
+        contact = np.array([vecs[:, j] @ op.apply(vecs[:, j]) for j in range(n_keep)])
         spectra.append((vals, vecs, contact))
     return spectra
 
@@ -301,13 +343,14 @@ def _solve_lanczos(cfg: EDConfig) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
 def diagonalize(cfg: EDConfig) -> EDResult:
     """Solve the truncated contact-interaction problem at every coupling.
 
-    The Hamiltonian commutes with total parity and with the exchange
-    symmetry of the basis, so it is solved densely in the blocks of
-    _symmetry_blocks.  DENSE_DIM_CAP limits the largest block; a
-    distinguishable N = 3 basis beyond it takes a matrix-free Lanczos
-    solve of the full product basis.  Eigenvectors, in the product basis,
-    are matched across couplings by maximal-overlap assignment starting
-    from the smallest coupling.
+    The Hamiltonian commutes with total parity and with every particle
+    permutation of the basis, so it is solved densely in the parity,
+    exchange and class-sum blocks of _symmetry_blocks.  DENSE_DIM_CAP
+    limits the largest block; a distinguishable N = 3 basis beyond it takes
+    a matrix-free Lanczos solve of the full product basis.  n_states + 2
+    eigenvectors, in the product basis, are matched across couplings by
+    maximal-overlap assignment starting from the smallest coupling, and
+    the first n_states tracked columns are returned.
     """
     from scipy import optimize  # slow to load; imported where the solvers need it
 
@@ -315,16 +358,19 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     dim = sum(t.shape[1] for t, _ in blocks)
     if cfg.n_states > dim:
         raise ValueError(f"n_states={cfg.n_states} exceeds basis dimension {dim}")
+    # Two buffer states keep a crossing at the cutoff from derailing the
+    # tracking of the last retained column.
+    n_keep = min(cfg.n_states + 2, dim)
     if max(t.shape[1] for t, _ in blocks) <= DENSE_DIM_CAP:
-        spectra = _solve_blocks(cfg, blocks)
+        spectra = _solve_blocks(cfg, blocks, n_keep)
     elif cfg.components is not None and any(s > 1 for s in cfg.components.sizes):
         raise ValueError("component-projected bases above the dense cap are not supported")
     elif cfg.n_particles != 3:
         raise ValueError("matrix-free path covers 3 particles only")
     else:
-        spectra = _solve_lanczos(cfg)
+        spectra = _solve_lanczos(cfg, n_keep)
     n_g = len(cfg.g_values)
-    energies = np.empty((n_g, cfg.n_states))
+    energies = np.empty((n_g, n_keep))
     tracked = np.empty_like(energies)
     quality = np.ones_like(energies)
     inter = np.empty_like(energies)
@@ -332,23 +378,23 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     for gi, (vals, vecs, contact) in enumerate(spectra):
         energies[gi] = vals
         if prev is None:
-            perm = np.arange(cfg.n_states)
+            perm = np.arange(n_keep)
         else:
             overlap = np.abs(prev.T @ vecs)
             rows, cols = optimize.linear_sum_assignment(-overlap)
-            perm = np.empty(cfg.n_states, dtype=int)
+            perm = np.empty(n_keep, dtype=int)
             perm[rows] = cols
-            quality[gi] = overlap[np.arange(cfg.n_states), perm]
+            quality[gi] = overlap[np.arange(n_keep), perm]
         tracked[gi] = vals[perm]
         inter[gi] = contact[perm]
         prev = vecs[:, perm]
     return EDResult(
         config=cfg,
         basis_dim=dim,
-        energies=energies,
-        tracked=tracked,
-        track_quality=quality,
-        interaction=inter,
+        energies=energies[:, :cfg.n_states],
+        tracked=tracked[:, :cfg.n_states],
+        track_quality=quality[:, :cfg.n_states],
+        interaction=inter[:, :cfg.n_states],
     )
 
 

@@ -156,6 +156,24 @@ def test_validate_too_few_modes_exits_two():
         assert proc.stdout == ""
 
 
+def test_validate_three_body():
+    proc = run_cli("validate", "--n", "3", "--n-modes", "14", "--g", "20,50,100",
+                   "--no-timestamp")
+    doc = json.loads(proc.stdout)
+    assert len(doc["k_predicted"]) == len(doc["k_fitted"]) == 6
+    assert doc["passed"] is True
+
+
+def test_validate_bad_couplings_and_states_exit_two():
+    for g in ("20,50,inf", "20,nan,100"):
+        proc = run_cli("validate", "--n", "2", "--n-modes", "10", "--g", g, expect=2)
+        assert proc.stderr.startswith("error: g_values must be finite and positive")
+        assert "Warning" not in proc.stderr
+    proc = run_cli("validate", "--n", "3", "--n-modes", "10", "--states", "3", expect=2)
+    assert proc.stderr.strip() == (
+        "error: --states must be at least 6, the number of K values for n=3, got 3")
+
+
 def test_density_output():
     proc = run_cli("density", "--n", "2", "--state", "1", "--bins", "40",
                    "--grid-lo", "-5", "--grid-hi", "5", "--no-timestamp")
