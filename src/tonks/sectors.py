@@ -254,13 +254,3 @@ def cycle_ordering(graph: SectorGraph) -> np.ndarray:
         slot = 1 - slot
     return build_graph(3).index(tour)
 
-
-def dump_edges(graph: SectorGraph, gammas) -> str:
-    """Edge list as text: one line per edge, 'u v k gamma_k' with 1-based letters."""
-    w = _weight_array(graph, gammas)
-    lines = []
-    for u, v, s in graph.edges:
-        pu = ",".join(str(e + 1) for e in graph.words[u])
-        pv = ",".join(str(e + 1) for e in graph.words[v])
-        lines.append(f"{pu} {pv} {s + 1} {w[s]:.12g}")
-    return "\n".join(lines) + "\n"

@@ -203,11 +203,6 @@ class SectorWavefunction:
         idx = self.sector_index(x)
         return self.amplitudes[idx] * self.state.psi(x)
 
-    def sector_probabilities(self) -> np.ndarray:
-        """Probability of finding the system in each ordering sector."""
-        p = self.amplitudes**2 / math.factorial(self.state.n)
-        return p / p.sum()
-
     def one_body_density(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact one-body densities, averaged over the bins of an edge grid.
 

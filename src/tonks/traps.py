@@ -2,19 +2,24 @@
 
 Units: hbar = m = 1.  For the harmonic trap with frequency omega the
 natural length is 1/sqrt(omega) and energies are (n + 1/2) * omega.
-Tabulated traps are solved on their own grid by finite differences with
-Richardson extrapolation in the grid spacing.
+Tabulated traps are solved by one sinc-DVR (Colbert-Miller) eigensolve on
+the coarsest power-of-two subsample of the table that resolves both the
+potential and the requested states; the orbitals are the sinc series of
+the eigenvectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, toeplitz
 
 HARMONIC_INDEX_CAP = 200
+# Sinc matrix entries per block of evaluation points.
+SINC_BLOCK = 1 << 20
 
 
 class ConvergenceError(RuntimeError):
@@ -81,6 +86,14 @@ def _hermite_ladder(u: np.ndarray, n_top: int) -> np.ndarray:
     return out
 
 
+def _checked(ns: Sequence[int], cap: int) -> list[int]:
+    ns = list(ns)
+    for n in ns:
+        if not 0 <= n <= cap:
+            raise ValueError(f"orbital index {n} outside range 0..{cap}")
+    return ns
+
+
 class HarmonicBasis:
     """Orbitals of the harmonic trap, evaluated by recurrence."""
 
@@ -91,37 +104,24 @@ class HarmonicBasis:
         self.cap = HARMONIC_INDEX_CAP
 
     def energy(self, n: int) -> float:
-        self._check_index(n)
+        _checked([n], self.cap)
         return (n + 0.5) * self.omega
-
-    def _check_index(self, n: int) -> None:
-        if not 0 <= n <= self.cap:
-            raise ValueError(f"orbital index {n} outside supported range 0..{self.cap}")
 
     def eval_many(self, ns: Sequence[int], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and derivatives of the requested orbitals at all points.
 
         Returns arrays of shape (len(ns), *x.shape).
         """
-        ns = list(ns)
-        for n in ns:
-            self._check_index(n)
+        ns = _checked(ns, self.cap)
         x = np.asarray(x, dtype=float)
         s = np.sqrt(self.omega)
         u = s * x
-        n_top = max(ns)
-        h = _hermite_ladder(u, n_top)
+        h = _hermite_ladder(u, max(ns))
+        n = np.reshape(ns, (-1,) + (1,) * x.ndim)
         # h'_n(u) = sqrt(2n) h_{n-1}(u) - u h_n(u); chain rule brings one power of s.
-        vals = np.empty((len(ns),) + x.shape, dtype=float)
-        ders = np.empty_like(vals)
         amp = s ** 0.5
-        for row, n in enumerate(ns):
-            vals[row] = amp * h[n]
-            hp = -u * h[n]
-            if n >= 1:
-                hp = hp + np.sqrt(2.0 * n) * h[n - 1]
-            ders[row] = amp * s * hp
-        return vals, ders
+        below = h[np.maximum(np.array(ns) - 1, 0)]
+        return amp * h[ns], amp * s * (-u * h[ns] + np.sqrt(2.0 * n) * below)
 
     def decay_radius(self, ns: Sequence[int], eps: float = 1e-12) -> float:
         """Radius beyond which every listed orbital is below eps in magnitude."""
@@ -138,119 +138,113 @@ class HarmonicBasis:
 
 
 class TabulatedBasis:
-    """Orbitals of a tabulated trap, interpolated from a finite-difference solve.
+    """Orbitals of a tabulated trap: sinc series of a sinc-DVR solve.
 
-    Orbitals evaluate to zero outside the sampled window.
+    Orbital n is sum_i vectors[i, n] sinc((x - grid[i]) / h), a smooth
+    band-limited function with exact derivatives, set to zero outside the
+    sampled window.  `companion` is the same solve on every other grid
+    point (None on a companion itself); the change between the two bounds
+    the discretization error of whatever the orbitals feed.
     """
 
     def __init__(self, trap: Trap, energies: np.ndarray, grid: np.ndarray, vectors: np.ndarray):
         self.trap = trap
         self.energies = energies
         self.cap = len(energies) - 1
-        self._grid = grid
-        self._lo = float(grid[0])
-        self._hi = float(grid[-1])
-        # scipy.interpolate is slow to load and only tabulated traps need it.
-        from scipy.interpolate import CubicSpline
-
-        self._splines = []
-        for j in range(vectors.shape[1]):
-            psi = vectors[:, j]
-            spl = CubicSpline(grid, psi)
-            self._splines.append((spl, spl.derivative()))
+        self.grid = grid
+        self.companion: TabulatedBasis | None = None
+        self._vectors = vectors
 
     def energy(self, n: int) -> float:
-        self._check_index(n)
-        return float(self.energies[n])
-
-    def _check_index(self, n: int) -> None:
-        if not 0 <= n <= self.cap:
-            raise ValueError(f"orbital index {n} outside solved range 0..{self.cap}")
+        return float(self.energies[_checked([n], self.cap)[0]])
 
     def eval_many(self, ns: Sequence[int], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ns = list(ns)
-        for n in ns:
-            self._check_index(n)
+        coef = self._vectors[:, _checked(ns, self.cap)]
         x = np.asarray(x, dtype=float)
-        inside = (x >= self._lo) & (x <= self._hi)
-        xc = np.where(inside, x, self._lo)
-        vals = np.zeros((len(ns),) + x.shape, dtype=float)
-        ders = np.zeros_like(vals)
-        for row, n in enumerate(ns):
-            spl, dspl = self._splines[n]
-            vals[row] = np.where(inside, spl(xc), 0.0)
-            ders[row] = np.where(inside, dspl(xc), 0.0)
-        return vals, ders
+        flat = x.reshape(-1)
+        out = np.zeros((2, flat.size, coef.shape[1]))
+        inside = np.nonzero((flat >= self.trap.x[0]) & (flat <= self.trap.x[-1]))[0]
+        h = self.grid[1] - self.grid[0]
+        for at in np.array_split(inside, 1 + inside.size * len(self.grid) // SINC_BLOCK):
+            d = (flat[at, None] - self.grid) / h
+            sinc = np.sinc(d)
+            # sinc'(d) = (cos(pi d) - sinc(d)) / d cancels near a node: use its series there.
+            u2 = (np.pi * d) ** 2
+            slope = np.where(np.abs(d) < 1e-2, -np.pi**2 * d / 3 * (1 - u2 / 10 + u2 * u2 / 280),
+                             (np.cos(np.pi * d) - sinc) / np.where(d == 0, 1.0, d))
+            out[:, at] = sinc @ coef, slope @ coef / h
+        out = np.moveaxis(out, 2, 1).reshape((2, coef.shape[1]) + x.shape)
+        return out[0], out[1]
 
     def decay_radius(self, ns: Sequence[int], eps: float = 1e-12) -> float:
         # Orbitals are identically zero outside the sampled window.
-        return max(abs(self._lo), abs(self._hi))
+        return max(abs(self.trap.x[0]), abs(self.trap.x[-1]))
 
 
-def _fd_energies(grid: np.ndarray, pot: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest finite-difference eigenpairs on a uniform grid with Dirichlet ends."""
-    h = grid[1] - grid[0]
-    diag = 1.0 / h**2 + pot
-    off = np.full(len(grid) - 1, -0.5 / h**2)
-    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-    return w, v
+def _dvr(trap: Trap, stride: int, count: int) -> TabulatedBasis:
+    """Lowest `count` Colbert-Miller sinc-DVR states on every stride-th table point.
+
+    Kinetic matrix (hbar = m = 1): pi^2 / (6 h^2) on the diagonal and
+    (-1)^(i-j) / (h^2 (i-j)^2) off it.
+    """
+    pot = trap.v[::stride]
+    h = stride * (trap.x[-1] - trap.x[0]) / (len(trap.x) - 1)
+    k = np.arange(1, len(pot))
+    ham = toeplitz(np.concatenate([[np.pi**2 / 6], (-1.0) ** k / k**2]) / h**2)
+    ham[np.diag_indices_from(ham)] += pot
+    w, v = eigh(ham, subset_by_index=[0, count - 1])
+    # Sign convention as for the analytic harmonic orbitals: positive on
+    # the last significant sample, i.e. in the right-hand tail.
+    last = len(v) - 1 - np.argmax(np.abs(v[::-1]) > 1e-3 * np.abs(v).max(axis=0), axis=0)
+    v *= np.sign(v[last, np.arange(count)]) / np.sqrt(h)
+    return TabulatedBasis(trap, w, trap.x[0] + h * np.arange(len(pot)), v)
 
 
-def _refine(grid: np.ndarray, pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Halve the grid spacing, interpolating the potential with a cubic spline."""
-    from scipy.interpolate import CubicSpline
-
-    fine = np.linspace(grid[0], grid[-1], 2 * len(grid) - 1)
-    return fine, CubicSpline(grid, pot)(fine)
+def _resolves(v: np.ndarray, stride: int, tol: float) -> bool:
+    """Whether cubic interpolation through every stride-th sample gives the rest within tol."""
+    i = np.nonzero(np.arange(len(v)) % stride)[0]
+    base = np.clip(i // stride - 1, 0, (len(v) - 1) // stride - 3)
+    t = i / stride - base
+    lagrange = [np.prod([(t - m) / (j - m) for m in range(4) if m != j], axis=0) for j in range(4)]
+    fit = sum(v[(base + j) * stride] * lagrange[j] for j in range(4))
+    return bool(np.all(np.abs(fit - v[i]) <= tol * np.maximum(1.0, v[i] - np.min(v))))
 
 
 def solve_tabulated(trap: Trap, count: int, tol: float = 1e-8) -> TabulatedBasis:
     """Solve a tabulated trap for its lowest `count` orbitals.
 
-    Three-point finite differences on the sampled grid and two dyadic
-    refinements; each pair is Richardson-extrapolated and the two
-    extrapolants must agree within tol, otherwise the state is not
-    resolved on this grid and a ConvergenceError is raised.
+    One sinc-DVR eigensolve on the coarsest power-of-two subsample of the
+    table that (a) reproduces every skipped sample by local cubic
+    interpolation and (b) gives the same energies as its every-other-point
+    companion, both within tol (relative above an energy of 1).  The
+    table's own grid is the last candidate; when it fails (b) too, the
+    table does not resolve the states and a ConvergenceError is raised.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    g1, v1 = np.asarray(trap.x), np.asarray(trap.v)
-    vmin = float(np.min(v1))
-    wall = min(float(v1[0]), float(v1[-1]))
-    g2, v2 = _refine(g1, v1)
-    g4, v4 = _refine(g2, v2)
-    if count >= len(g1) - 1:
-        raise ValueError(f"count={count} is too large for a {len(g1)}-point grid")
-    w1, _ = _fd_energies(g1, v1, count)
-    w2, _ = _fd_energies(g2, v2, count)
-    w4, vec4 = _fd_energies(g4, v4, count)
+    if not 1 <= count < len(trap.x[::2]) - 1:
+        raise ValueError(f"count={count} outside 1..{len(trap.x[::2]) - 2} for a "
+                         f"{len(trap.x)}-point grid")
+    solve = cache(lambda s: _dvr(trap, s, count))
+    stride = 1
+    while len(trap.v[:: 4 * stride]) > count + 1:
+        stride *= 2
+    while stride >= 1:
+        if _resolves(trap.v, stride, tol):
+            fine, coarse = solve(stride), solve(2 * stride)
+            shift = np.abs(fine.energies - coarse.energies)
+            scale = np.maximum(1.0, fine.energies - np.min(trap.v))
+            if np.all(shift <= tol * scale):
+                break
+        stride //= 2
+    wall = min(trap.v[0], trap.v[-1])
     # States near or above the boundary walls are box states, not trap states.
-    margin = trap.margin
-    if w4[-1] > wall - 0.5 * margin:
-        raise ValueError(
-            f"state {count - 1} (energy {w4[-1]:.6g}) lies within half a margin of the "
-            f"confining walls (min endpoint potential {wall:.6g}); "
-            "enlarge the sampled window or request fewer states"
-        )
-    r12 = (4.0 * w2 - w1) / 3.0
-    r24 = (4.0 * w4 - w2) / 3.0
-    shift = np.abs(r24 - r12)
-    scale = np.maximum(1.0, np.abs(r24 - vmin))
-    if np.any(shift > tol * scale):
+    if fine.energies[-1] > wall - 0.5 * trap.margin:
+        raise ValueError(f"state {count - 1} (energy {fine.energies[-1]:.6g}) lies within half a "
+                         f"margin of the confining walls (min endpoint potential {wall:.6g}); "
+                         "enlarge the sampled window or request fewer states")
+    if stride < 1:
         bad = int(np.argmax(shift / scale))
-        raise ConvergenceError(
-            f"state {bad} not converged: extrapolated eigenvalue moved by "
-            f"{shift[bad]:.3e} between grid refinements (tolerance {tol:.1e}); "
-            "the sampled grid is too coarse for this state"
-        )
-    h4 = g4[1] - g4[0]
-    vec4 = vec4 / np.sqrt(h4)
-    # Sign convention as for the analytic harmonic orbitals: positive on
-    # the last significant sample, i.e. in the right-hand tail.
-    for j in range(vec4.shape[1]):
-        col = vec4[:, j]
-        sig = np.nonzero(np.abs(col) > 1e-3 * np.max(np.abs(col)))[0]
-        if col[sig[-1]] < 0:
-            vec4[:, j] = -col
-    return TabulatedBasis(trap, r24, g4, vec4)
-
+        raise ConvergenceError(f"state {bad} not converged: its energy moved by {shift[bad]:.3e} "
+                               f"between the table grid and every other point (tolerance "
+                               f"{tol:.1e}); the sampled grid is too coarse for this state")
+    fine.companion = coarse
+    return fine

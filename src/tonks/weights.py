@@ -22,11 +22,13 @@ same overlaps give the probability of exactly m particles below x as
 [lambda^m] det G(lambda) / det A(inf), hence the exact distribution of
 each ordered slot.  The z integral uses composite Gauss-Legendre panels
 doubled until the change, plus a rounding floor, is below the tolerance.
+Orbitals solved on a grid add the change of gamma on their companion
+grid and one machine epsilon per grid point to the error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -128,10 +130,6 @@ def _refine(compute, tol: float, select=slice(None)):
     return cur, err, panels, False
 
 
-def _support(state: SlaterState) -> float:
-    return state.basis.decay_radius(state.occupation, eps=DECAY_EPS)
-
-
 def _gamma_pass(state: SlaterState, radius: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """All N-1 boundary weights on one composite rule, with their rounding floor.
 
@@ -161,9 +159,17 @@ def _weights(state: SlaterState, tol: float, ks: list[int]) -> list[BoundaryWeig
         raise ValueError("boundary weights need at least 2 particles")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    radius = _support(state)
-    values, errors, panels, ok = _refine(lambda p: _gamma_pass(state, radius, p), tol,
-                                         np.asarray(ks) - 1)
+    radius = state.basis.decay_radius(state.occupation, eps=DECAY_EPS)
+    select = np.asarray(ks) - 1
+    values, errors, panels, ok = _refine(lambda p: _gamma_pass(state, radius, p), tol, select)
+    twin = getattr(state.basis, "companion", None)
+    if ok and twin is not None:
+        # Grid-solved orbitals: add the change on the companion grid and a
+        # rounding floor that grows with the number of grid points.
+        coarse, _, _, ok = _refine(lambda p: _gamma_pass(replace(state, basis=twin), radius, p),
+                                   tol, select)
+        errors = errors + np.abs(values - coarse) + EPS * len(state.basis.grid) * np.abs(values)
+        ok = ok and np.max(errors[select]) <= tol
     out = [BoundaryWeight(k=k, value=float(v), error=float(e), method=METHOD)
            for k, (v, e) in enumerate(zip(values, errors), start=1)]
     if not ok:
@@ -178,9 +184,8 @@ def _weights(state: SlaterState, tol: float, ks: list[int]) -> list[BoundaryWeig
 
 def gamma(state: SlaterState, k: int, tol: float = DEFAULT_TOL) -> BoundaryWeight:
     """The boundary weight gamma_k of a reference state, with error estimate."""
-    n = state.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"boundary index {k} outside 1..{n - 1}")
+    if not 1 <= k <= state.n - 1:
+        raise ValueError(f"boundary index {k} outside 1..{state.n - 1}")
     return _weights(state, tol, [k])[k - 1]
 
 
@@ -203,7 +208,7 @@ def slot_cdf(state: SlaterState, x) -> np.ndarray:
     """
     n = state.n
     x = np.asarray(x, dtype=float)
-    radius = _support(state)
+    radius = state.basis.decay_radius(state.occupation, eps=DECAY_EPS)
     inside = np.clip(x, -radius, radius)
 
     def compute(panels):

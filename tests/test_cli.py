@@ -190,15 +190,28 @@ def test_density_output():
     assert set(doc["input"]) == {"trap", "n_particles", "level", "state", "k_value"}
 
 
+def _harmonic_table(path, points):
+    x = np.linspace(-8.0, 8.0, points)
+    np.savetxt(path, np.column_stack([x, 0.5 * x * x]))
+    return str(path)
+
+
 def test_coarse_table_exits_two(tmp_path):
-    # 801 points on [-8, 8] cannot resolve the orbitals the CLI solves.
-    table = tmp_path / "coarse.dat"
-    x = np.linspace(-8.0, 8.0, 801)
-    np.savetxt(table, np.column_stack([x, 0.5 * x * x]))
-    proc = run_cli("gamma", "--n", "2", "--trap", str(table), expect=2)
+    # 41 points on [-8, 8] (spacing 0.4) cannot resolve the 10 orbitals the CLI solves.
+    table = _harmonic_table(tmp_path / "coarse.dat", 41)
+    proc = run_cli("gamma", "--n", "2", "--trap", table, expect=2)
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert "not converged" in lines[0]
+
+
+def test_gamma_on_table(tmp_path):
+    table = _harmonic_table(tmp_path / "harmonic.dat", 161)
+    doc = json.loads(run_cli("gamma", "--n", "3", "--trap", table, "--no-timestamp").stdout)
+    assert doc["input"]["trap"] == table
+    assert [row["k"] for row in doc["gammas"]] == [1, 2]
+    for row in doc["gammas"]:
+        assert abs(row["value"] - 27.0 / (8.0 * np.sqrt(2.0 * np.pi))) <= row["error"]
 
 
 def test_removed_options_exit_two(tmp_path):

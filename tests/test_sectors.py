@@ -15,7 +15,6 @@ from tonks.sectors import (
     ComponentSpec,
     build_graph,
     cycle_ordering,
-    dump_edges,
     laplacian,
     projected_laplacian,
     trace_identity_gap,
@@ -169,18 +168,6 @@ def test_projected_subset_of_full():
 def test_component_size_mismatch():
     with pytest.raises(ValueError):
         build_graph(3, ComponentSpec((2, 2)))
-
-
-def test_dump_edges_round_trip():
-    g = build_graph(3)
-    text = dump_edges(g, [1.5, 2.5])
-    lines = text.strip().splitlines()
-    assert len(lines) == 6
-    for line in lines:
-        pu, pv, k, w = line.split()
-        assert sorted(int(t) for t in pu.split(",")) == [1, 2, 3]
-        assert sorted(int(t) for t in pv.split(",")) == [1, 2, 3]
-        assert float(w) == (1.5, 2.5)[int(k) - 1]
 
 
 def _compositions(n):

@@ -164,18 +164,6 @@ def test_amplitude_validation(basis):
     np.testing.assert_allclose(raw.amplitudes, 2.0, atol=1e-14)
 
 
-def test_sector_probabilities(basis):
-    state = make_level(basis, 3)
-    uniform = SectorWavefunction(state, np.ones(6))
-    np.testing.assert_allclose(uniform.sector_probabilities(), 1.0 / 6.0, atol=1e-14)
-    single = np.zeros(6)
-    single[2] = 1.0
-    spiked = SectorWavefunction(state, single)
-    p = spiked.sector_probabilities()
-    assert p[2] == pytest.approx(1.0)
-    assert p.sum() == pytest.approx(1.0)
-
-
 def _free_density_bins(basis, n, grid):
     """Bin averages of sum_{m<n} phi_m^2 by a 16-point rule per bin."""
     t, w = np.polynomial.legendre.leggauss(16)

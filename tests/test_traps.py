@@ -1,9 +1,10 @@
-"""Trap orbitals: harmonic recurrence and the tabulated finite-difference solver."""
+"""Trap orbitals: harmonic recurrence and the tabulated sinc-DVR solver."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh, toeplitz
 from scipy.special import eval_hermite, gammaln
 
 from tonks.traps import ConvergenceError, HarmonicBasis, Trap, solve_tabulated
@@ -107,7 +108,13 @@ def _harmonic_table(span=8.0, points=1024):
 
 def test_tabulated_harmonic_energies():
     basis = solve_tabulated(_harmonic_table(), count=3)
-    np.testing.assert_allclose(basis.energies, [0.5, 1.5, 2.5], atol=1e-6)
+    np.testing.assert_allclose(basis.energies, [0.5, 1.5, 2.5], atol=1e-12)
+    # Spacings 0.2 to 0.01, the CLI's orbital count for two particles.
+    for points in (81, 161, 801, 1601):
+        basis = solve_tabulated(_harmonic_table(points=points), count=10)
+        np.testing.assert_allclose(basis.energies, np.arange(10) + 0.5, atol=1e-12)
+        # the solve runs on a subsample of at most 101 points
+        assert len(basis.grid) <= 101
 
 
 def test_tabulated_orbitals_match_harmonic():
@@ -116,8 +123,8 @@ def test_tabulated_orbitals_match_harmonic():
     x = np.linspace(-3.0, 3.0, 41)
     vals, ders = basis.eval_many([0, 1, 2], x)
     ref_v, ref_d = exact.eval_many([0, 1, 2], x)
-    np.testing.assert_allclose(vals, ref_v, atol=5e-6)
-    np.testing.assert_allclose(ders, ref_d, atol=5e-5)
+    np.testing.assert_allclose(vals, ref_v, atol=1e-12)
+    np.testing.assert_allclose(ders, ref_d, atol=1e-11)
 
 
 def test_tabulated_orthonormality_and_parity():
@@ -126,10 +133,10 @@ def test_tabulated_orthonormality_and_parity():
     vals, _ = basis.eval_many([0, 1, 2, 3], grid)
     h = grid[1] - grid[0]
     gram = vals @ vals.T * h
-    np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
+    np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
     flip, _ = basis.eval_many([0, 1, 2, 3], -grid)
     for n in range(4):
-        np.testing.assert_allclose(flip[n], (-1.0) ** n * vals[n], atol=1e-7)
+        np.testing.assert_allclose(flip[n], (-1.0) ** n * vals[n], atol=1e-10)
 
 
 def test_tabulated_outside_grid_is_zero():
@@ -149,7 +156,36 @@ def test_quartic_trap_against_spectral_oracle():
     ref = np.linalg.eigvalsh(h)[0]
     x = np.linspace(-5.0, 5.0, 1024)
     basis = solve_tabulated(Trap.from_table(x, x**4), count=2)
-    assert abs(basis.energy(0) - ref) < 1e-6
+    assert abs(basis.energy(0) - ref) < 1e-10
+
+
+def _own_grid_energies(x, v, count):
+    """Colbert-Miller sinc-DVR energies on every sample of a table, built here by hand."""
+    h = x[1] - x[0]
+    k = np.arange(1, len(x))
+    ham = toeplitz(np.concatenate([[math.pi**2 / 6.0], (-1.0) ** k / k**2]) / h**2) + np.diag(v)
+    return eigvalsh(ham, subset_by_index=[0, count - 1])
+
+
+def test_narrow_spike_is_resolved_or_refused():
+    # A spike of height 5 between the samples of the coarse subsamples.
+    # Every 16th point misses it; at width 0.01 every 32nd point misses it
+    # too, so the two agree on the bare harmonic ground state and only the
+    # skipped samples reveal it.  The solver must agree with the table's
+    # own grid or refuse.
+    x = np.linspace(-8.0, 8.0, 1601)
+    for width in (0.01, 0.03):
+        v = 0.5 * x * x + 5.0 * np.exp(-0.5 * ((x - 0.245) / width) ** 2)
+        own = _own_grid_energies(x, v, 3)
+        coarse = _own_grid_energies(x[::16], v[::16], 3)
+        assert abs(coarse[0] - own[0]) > 0.01
+        if width == 0.01:
+            np.testing.assert_allclose(coarse, _own_grid_energies(x[::32], v[::32], 3), atol=1e-8)
+        try:
+            basis = solve_tabulated(Trap.from_table(x, v), count=3)
+        except ConvergenceError:
+            continue
+        np.testing.assert_allclose(basis.energies, own, atol=1e-8)
 
 
 def test_coarse_grid_raises_convergence_error():
@@ -172,7 +208,7 @@ def test_trap_file_parser(tmp_path):
     trap = Trap.from_file(str(path))
     np.testing.assert_allclose(trap.x, x, atol=1e-9)
     basis = solve_tabulated(trap, count=2)
-    np.testing.assert_allclose(basis.energies, [0.5, 1.5], atol=1e-5)
+    np.testing.assert_allclose(basis.energies, [0.5, 1.5], atol=1e-12)
 
 
 def test_non_confining_table_rejected():

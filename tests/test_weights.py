@@ -14,9 +14,9 @@ from tonks.weights import BoundaryWeight, ToleranceError, all_gammas, gamma, slo
 
 GAMMA_2 = math.sqrt(2.0 / math.pi)
 GAMMA_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
-# Relative agreement of a tabulated harmonic trap (finite differences on a
-# 0.01 grid) with the analytic orbitals.
-TABLE_RTOL = 1e-4
+# Agreement of a tabulated harmonic trap (sinc-DVR orbitals, table spacings
+# 0.2 to 0.01) with the analytic orbitals: rounding only, about 1e-13.
+TABLE_ATOL = 1e-12
 # The slot distributions of smooth harmonic orbitals carry rounding only
 # (about 1e-14 for N <= 8), far below the engine's tolerance.
 ROUNDING = 1e-12
@@ -109,13 +109,30 @@ def test_reported_error_covers_parity_and_closed_forms(basis):
 
 
 def test_tabulated_trap_matches_analytic(basis):
-    x = np.linspace(-8.0, 8.0, 1601)
-    table = solve_tabulated(Trap.from_table(x, 0.5 * x * x), count=3)
-    for n in (2, 3):
-        exact = all_gammas(make_level(basis, n))
-        tab = all_gammas(make_level(table, n))
-        for e, t in zip(exact, tab):
-            assert t.value == pytest.approx(e.value, rel=TABLE_RTOL)
+    # The CLI's n + 8 orbitals on unit harmonic tables: each gamma agrees
+    # with the analytic one, and the two error bars together cover the gap.
+    for points in (81, 161, 801, 1601):
+        x = np.linspace(-8.0, 8.0, points)
+        trap = Trap.from_table(x, 0.5 * x * x)
+        for n in range(2, 7):
+            exact = all_gammas(make_level(basis, n))
+            tab = all_gammas(make_level(solve_tabulated(trap, count=n + 8), n))
+            for e, t in zip(exact, tab):
+                assert abs(t.value - e.value) <= min(TABLE_ATOL, t.error + e.error)
+
+
+def test_tabulated_error_carries_companion_change_and_rounding():
+    # The error bar of grid-solved orbitals holds at least the change of
+    # gamma on the companion grid (every other point) plus a rounding
+    # floor of one machine epsilon per grid point.
+    x = np.linspace(-8.0, 8.0, 81)
+    for n in range(2, 7):
+        table = solve_tabulated(Trap.from_table(x, 0.5 * x * x), count=n + 8)
+        state = make_level(table, n)
+        twin = SlaterState(basis=table.companion, occupation=state.occupation, energy=state.energy)
+        for t, c in zip(all_gammas(state), all_gammas(twin)):
+            floor = np.finfo(float).eps * len(table.grid) * t.value
+            assert t.error >= abs(t.value - c.value) + floor
 
 
 def test_slot_cdf_against_direct_quadrature(state2):
