@@ -8,8 +8,9 @@ declared once, in _SETTINGS: its INI section, type, default, the
 subcommands that take it as a flag, and its help text.  Settings come
 from an INI config file overridden by command-line flags; an unknown
 section or key, or a value of the wrong type, is bad input.  Results are
-written atomically as JSON or as a CSV table (validate: one row per
-slope, columns index,k_predicted,k_fitted,rel_deviation,uncertainty).
+written atomically as a CSV table (validate: one row per slope, columns
+index,k_predicted,k_fitted,rel_deviation,uncertainty) or as JSON, indented
+by two spaces with each number array on one line and exact float reprs.
 Exit codes: 0 success, 2 bad input (including a trap table too coarse
 to solve), 3 tolerance or validation failure.
 """
@@ -21,6 +22,7 @@ import configparser
 import csv
 import datetime
 import io
+import itertools
 import json
 import math
 import os
@@ -182,29 +184,51 @@ def _reference(state, gammas) -> dict:
     }
 
 
+def _json_chunks(obj, pad: str = "\n"):
+    """JSON text of obj in pieces: dicts and lists of containers indented by two spaces, a
+    list of scalars or a 1-D array on one line (its first element decides a list's layout)."""
+    if isinstance(obj, np.ndarray):
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()
+    if isinstance(obj, dict) and obj:
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield ("," if i else "") + pad + "  " + json.dumps(key) + ": "
+            yield from _json_chunks(value, pad + "  ")
+        yield pad + "}"
+    elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list, np.ndarray)):
+        yield "["
+        for i, value in enumerate(obj):
+            yield ("," if i else "") + pad + "  "
+            yield from _json_chunks(value, pad + "  ")
+        yield pad + "]"
+    else:
+        yield json.dumps(obj)
+
+
 def _write(args, s: dict, body: dict, header: list[str], rows: list[list]) -> None:
     """Write one command's result atomically: the JSON document around body, or the table.
 
-    The format is the format setting, else CSV for an output path ending
-    in .csv, else JSON; without an output path the text goes to stdout.
+    The format is the format setting, else CSV for an output path ending in
+    .csv, else JSON.  The text is streamed to stdout or to a temporary file
+    that then replaces the output path.
     """
     fmt = s["format"] or ("csv" if args.output and args.output.endswith(".csv") else "json")
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-        text = buf.getvalue()
+        chunks = [buf.getvalue()]
     else:
         doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **body,
                "provenance": _provenance(s)}
-        text = json.dumps(doc, indent=2) + "\n"
+        chunks = itertools.chain(_json_chunks(doc), ["\n"])
     if not args.output:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     target = os.path.abspath(args.output)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tonks-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -252,21 +276,21 @@ def _cmd_spectrum(args, s: dict) -> int:
     if full is not None:
         body["graph"] = {"nodes": orderings.n_nodes, "edges": len(orderings.edges)}
         spectrum["full"] = {
-            "k_values": full.values.tolist(),
+            "k_values": full.values,
             "groups": [list(gr) for gr in full.groups],
             "labels": list(full.labels),
             "retained_dims": list(full.retained),
         }
     spectrum["projected"] = {
         "dimension": graph.n_nodes,
-        "k_values": proj.values.tolist(),
+        "k_values": proj.values,
     }
     spectrum["energy_law"] = "E_j(g) = free_energy - k_values[j] / g"
     body["spectrum"] = spectrum
     if full is not None:
         body["amplitudes"] = {
             "node_order": [",".join(str(e + 1) for e in p) for p in orderings.words],
-            "vectors": full.vectors.T.tolist(),
+            "vectors": full.vectors.T,
         }
         if n == 3:
             body["amplitudes"]["cycle_order"] = [int(i) for i in cycle_ordering(orderings)]
@@ -320,9 +344,9 @@ def _cmd_validate(args, s: dict) -> int:
             "g_values": list(g_values),
             "rtol": s["rtol"],
         },
-        "k_predicted": k_pred.tolist(),
-        "k_fitted": k_fit.tolist(),
-        "rel_deviation": rel.tolist(),
+        "k_predicted": k_pred,
+        "k_fitted": k_fit,
+        "rel_deviation": rel,
         "fit_uncertainties": unc,
         "passed": ok,
     }
@@ -361,9 +385,9 @@ def _cmd_density(args, s: dict) -> int:
             "state": j,
             "k_value": float(full.values[j]),
         },
-        "grid_centers": centers.tolist(),
-        "total": total.tolist(),
-        "per_particle": per.tolist(),
+        "grid_centers": centers,
+        "total": total,
+        "per_particle": per,
     }
     header = ["x", "total"] + [f"particle_{i + 1}" for i in range(n)]
     rows = [[repr(float(v)) for v in (centers[b], total[b], *per[:, b])]

@@ -201,12 +201,13 @@ def _dvr(trap: Trap, stride: int, count: int) -> TabulatedBasis:
 
 
 def _resolves(v: np.ndarray, stride: int, tol: float) -> bool:
-    """Whether cubic interpolation through every stride-th sample gives the rest within tol."""
+    """Whether 8-point interpolation through every stride-th sample gives the rest within tol."""
     i = np.nonzero(np.arange(len(v)) % stride)[0]
-    base = np.clip(i // stride - 1, 0, (len(v) - 1) // stride - 3)
+    p = min(8, (len(v) - 1) // stride + 1)  # Lagrange stencil, shifted inward at the table ends
+    base = np.clip(i // stride - p // 2 + 1, 0, (len(v) - 1) // stride + 1 - p)
     t = i / stride - base
-    lagrange = [np.prod([(t - m) / (j - m) for m in range(4) if m != j], axis=0) for j in range(4)]
-    fit = sum(v[(base + j) * stride] * lagrange[j] for j in range(4))
+    lagrange = [np.prod([(t - m) / (j - m) for m in range(p) if m != j], axis=0) for j in range(p)]
+    fit = sum(v[(base + j) * stride] * lagrange[j] for j in range(p))
     return bool(np.all(np.abs(fit - v[i]) <= tol * np.maximum(1.0, v[i] - np.min(v))))
 
 
@@ -214,7 +215,7 @@ def solve_tabulated(trap: Trap, count: int, tol: float = 1e-8) -> TabulatedBasis
     """Solve a tabulated trap for its lowest `count` orbitals.
 
     One sinc-DVR eigensolve on the coarsest power-of-two subsample of the
-    table that (a) reproduces every skipped sample by local cubic
+    table that (a) reproduces every skipped sample by local 8-point
     interpolation and (b) gives the same energies as its every-other-point
     companion, both within tol (relative above an energy of 1).  The
     table's own grid is the last candidate; when it fails (b) too, the

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tonks import cli
 from tonks.cli import _SETTINGS, _load_config, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -82,6 +83,83 @@ def test_spectrum_deterministic():
     a = run_cli("spectrum", "--n", "3", "--no-timestamp").stdout
     b = run_cli("spectrum", "--n", "3", "--no-timestamp").stdout
     assert a == b
+
+
+def _assert_same_json(a, b, path="$"):
+    """Equal parsed JSON: same types, keys in the same order, floats bit for bit."""
+    assert type(a) is type(b), path
+    if isinstance(a, dict):
+        assert list(a) == list(b), path
+        for key in a:
+            _assert_same_json(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (u, v) in enumerate(zip(a, b)):
+            _assert_same_json(u, v, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert a.hex() == b.hex(), (path, a, b)
+    else:
+        assert a == b, path
+
+
+def test_json_chunks_round_trip_awkward_content():
+    nan = float("nan")
+    doc = {
+        "empty_dict": {},
+        "empty_list": [],
+        "records": [{"a": 1, "b": [1.5, None]}, {}, {"c": {"d": []}}],
+        "nested": [[1, [2, 3]], [], [[]], [{"e": True}]],
+        "row": np.array([0.1, -0.0, 5e-324, 1e308, nan]),
+        "matrix": np.array([[1e308, -0.0], [nan, 1 / 3]]),
+        "no_rows": np.zeros((0, 3)),
+        "text": 'say "hi" \\ \t naïve ✓ \u2028',
+        "scalars": [5e-324, 1e308, -0.0, nan, -1e-308, True, False, None, "x"],
+        "number": -0.0,
+    }
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    text = "".join(cli._json_chunks(doc))
+    _assert_same_json(json.loads(text), json.loads(json.dumps(plain)))
+    lines = text.splitlines()
+    # Two-space indentation for containers, each number array on one line.
+    assert lines[0] == "{" and lines[1] == '  "empty_dict": {},'
+    assert '  "row": [0.1, -0.0, 5e-324, 1e+308, NaN],' in lines
+    assert '    [1e+308, -0.0],' in lines
+    assert '  "scalars": [5e-324, 1e+308, -0.0, NaN, -1e-308, true, false, null, "x"],' in lines
+
+
+def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "gam.json"
+    out.write_text("old\n")
+    real = cli._json_chunks
+
+    def interrupted(*args):
+        for i, chunk in enumerate(real(*args)):
+            if i == 10:
+                raise RuntimeError("interrupted")
+            yield chunk
+
+    monkeypatch.setattr(cli, "_json_chunks", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli.main(["gamma", "--n", "2", "-o", str(out), "--no-timestamp"])
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["gam.json"]
+    monkeypatch.undo()
+    cli.main(["gamma", "--n", "2", "-o", str(out), "--no-timestamp"])
+    assert json.loads(out.read_text())["command"] == "gamma"
+    assert [p.name for p in tmp_path.iterdir()] == ["gam.json"]
+
+
+def test_spectrum_n6_layout_one_vector_per_line():
+    text = run_cli("spectrum", "--n", "6", "--components", "3,3", "--no-timestamp").stdout
+    lines = text.splitlines()
+    assert len(lines) < 1000
+    vectors = np.array(json.loads(text)["amplitudes"]["vectors"])
+    assert vectors.shape == (720, 720)
+    np.testing.assert_allclose(vectors @ vectors.T, np.eye(720), rtol=0, atol=1e-12)
+    rows = [json.loads(line.strip().rstrip(",")) for line in lines
+            if line.strip().startswith("[") and line.count(",") >= 719]
+    assert len(rows) == 720
+    np.testing.assert_array_equal(np.array(rows), vectors)
 
 
 def test_gamma_csv(tmp_path):
