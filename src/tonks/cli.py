@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from typing import NamedTuple
@@ -205,12 +206,23 @@ def _json_chunks(obj, pad: str = "\n"):
         yield json.dumps(obj)
 
 
+def _output_mode(target: str) -> int:
+    """Permission bits of the output file: those of the file it replaces, else
+    0o666 less the umask, as open() would give (mkstemp creates 0o600)."""
+    try:
+        return stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        mask = os.umask(0)
+        os.umask(mask)
+        return 0o666 & ~mask
+
+
 def _write(args, s: dict, body: dict, header: list[str], rows: list[list]) -> None:
     """Write one command's result atomically: the JSON document around body, or the table.
 
     The format is the format setting, else CSV for an output path ending in
     .csv, else JSON.  The text is streamed to stdout or to a temporary file
-    that then replaces the output path.
+    that then replaces the output path, with the mode of _output_mode.
     """
     fmt = s["format"] or ("csv" if args.output and args.output.endswith(".csv") else "json")
     if fmt == "csv":
@@ -229,6 +241,7 @@ def _write(args, s: dict, body: dict, header: list[str], rows: list[list]) -> No
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
+        os.chmod(tmp, _output_mode(target))
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):

@@ -5,10 +5,13 @@ coefficients K_j of the large-coupling expansion
 
     E_j(g) = E_free - K_j / g + O(1/g^2),
 
-one per admissible amplitude vector.  The Laplacian, dense over the n!
-orderings or sparse over component words, is diagonalized in a buffer
-of the solver's own by LAPACK's divide-and-conquer eigensolver, which copes
-well with the large degenerate groups of these graphs.
+one per admissible amplitude vector.  A word Laplacian from
+`projected_laplacian` is solved block by block in the relabelling blocks
+of its graph (components of equal size exchanged); any other Laplacian,
+dense over the n! orderings or sparse, is one block.  Each block is
+diagonalized in a buffer of the solver's own by LAPACK's divide-and-conquer
+eigensolver, which copes well with the large degenerate groups of these
+graphs.
 
 An amplitude vector a assembles a full wavefunction by scaling the
 reference determinant sector by sector: Psi(x) = a_sigma(x) Psi_ref(x),
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse import issparse
 
-from .sectors import SectorGraph, build_graph
+from .sectors import GraphLaplacian, SectorGraph, build_graph
 from .slater import SlaterState
 from .weights import slot_cdf
 
@@ -65,27 +68,51 @@ class KSpectrum:
 def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
     """Full spectrum of a (projected or full) ordering Laplacian, dense or sparse.
 
-    The matrix is copied into a Fortran-ordered buffer that LAPACK's
-    divide-and-conquer eigensolver overwrites; the caller's matrix is
-    untouched.
+    Each relabelling block T of the Laplacian's graph (see
+    `SectorGraph.blocks`) gives the dense matrix T^T L T, whose eigenvectors
+    y become the vectors T y; the blocks are merged by a stable sort of the
+    values.  A matrix without a graph, or whose graph is one block, is the
+    one block T = I.  Every block is diagonalized in a Fortran-ordered
+    buffer that LAPACK's divide-and-conquer eigensolver overwrites; the
+    caller's matrix is untouched.  Each vector's first largest-magnitude
+    component is positive.
     """
     sparse = issparse(lap)
+    blocks = lap.blocks() if isinstance(lap, GraphLaplacian) else ()
     lap = lap.astype(float, copy=False) if sparse else np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError("laplacian must be square")
-    # Sparse inputs are checked in sparse form, so the only dense copy is the buffer.
+    # Sparse inputs are checked in sparse form, so the only dense copies are the buffers.
     if sparse:
         asym = float(abs(lap - lap.T).max()) if lap.nnz else 0.0
         peak = float(abs(lap).max()) if lap.nnz else 0.0
-        buf = lap.toarray(order="F")
     else:
         asym = float(np.max(np.abs(lap - lap.T))) if lap.size else 0.0
         peak = float(np.max(np.abs(lap))) if lap.size else 0.0
-        buf = np.array(lap, order="F")
     scale = max(1.0, peak)
     if asym > 1e-12 * scale:
         raise ValueError(f"laplacian is not symmetric (asymmetry {asym:.3e})")
-    vals, vecs = eigh(buf, driver="evd", overwrite_a=True, check_finite=False)
+    solved = []
+    for t in blocks or (None,):
+        if t is not None:
+            buf = (t.T @ (lap @ t)).toarray(order="F")
+        else:
+            buf = lap.toarray(order="F") if sparse else np.array(lap, order="F")
+        solved.append((t, *eigh(buf, driver="evd", overwrite_a=True, check_finite=False)))
+    vals = np.concatenate([v for _, v, _ in solved])
+    order = np.argsort(vals, kind="stable")
+    if blocks:
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        vecs = np.empty(lap.shape, order="F")
+        start = 0
+        for t, v, y in solved:
+            vecs[:, rank[start:start + len(v)]] = t @ y
+            start += len(v)
+    else:
+        vecs = solved[0][2]
+    _lead_positive(vecs)
+    vals = vals[order]
     tol = degeneracy_tol if degeneracy_tol is not None else 1e-8 * scale
     groups = []
     start = 0
@@ -93,12 +120,21 @@ def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
         if i == len(vals) or vals[i] - vals[i - 1] > tol:
             groups.append(tuple(range(start, i)))
             start = i
-    # Deterministic signs: largest-magnitude component of each vector positive.
-    for j in range(vecs.shape[1]):
-        lead = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
     return KSpectrum(values=vals, vectors=vecs, groups=tuple(groups), tol=tol)
+
+
+def _lead_positive(vecs: np.ndarray) -> None:
+    """Negate in place each column whose first largest-magnitude entry is negative.
+
+    That entry is the first maximum or the first minimum, whichever is
+    larger in magnitude or, at a tie, comes first; no |vecs| is formed.
+    """
+    if not vecs.size:
+        return
+    cols = np.arange(vecs.shape[1])
+    hi, lo = vecs.argmax(axis=0), vecs.argmin(axis=0)
+    top, bottom = vecs[hi, cols], -vecs[lo, cols]
+    np.negative(vecs, out=vecs, where=(bottom > top) | ((bottom == top) & (lo < hi)))
 
 
 def classify(spectrum: KSpectrum, graph: SectorGraph) -> KSpectrum:

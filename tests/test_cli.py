@@ -1,8 +1,10 @@
 """Command-line interface: schemas, determinism, config files, exit codes."""
 
 import json
+import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +149,25 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
     cli.main(["gamma", "--n", "2", "-o", str(out), "--no-timestamp"])
     assert json.loads(out.read_text())["command"] == "gamma"
     assert [p.name for p in tmp_path.iterdir()] == ["gam.json"]
+
+
+def test_output_mode_follows_umask_or_replaced_file(tmp_path):
+    out = tmp_path / "p.json"
+    args = ["gamma", "--n", "2", "-o", str(out), "--no-timestamp"]
+    old = os.umask(0o022)
+    try:
+        assert cli.main(args) == 0
+        assert stat.filemode(out.stat().st_mode) == "-rw-r--r--"
+        # a replaced file keeps its own mode whatever the umask
+        out.chmod(0o640)
+        os.umask(0o077)
+        assert cli.main(args) == 0
+        assert stat.filemode(out.stat().st_mode) == "-rw-r-----"
+        out.unlink()
+        assert cli.main(args) == 0
+        assert stat.filemode(out.stat().st_mode) == "-rw-------"
+    finally:
+        os.umask(old)
 
 
 def test_spectrum_n6_layout_one_vector_per_line():

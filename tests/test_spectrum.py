@@ -1,14 +1,20 @@
 """Spectra of ordering Laplacians and the assembled adiabatic states."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
 from scipy.sparse import csr_array
 
 from tonks.sectors import ComponentSpec, build_graph, laplacian, projected_laplacian
 from tonks.slater import make_level
-from tonks.spectrum import EnergyExpansion, SectorWavefunction, classify, expansion, solve
+from tonks.spectrum import (EnergyExpansion, SectorWavefunction, _lead_positive, classify,
+                            expansion, solve)
 from tonks.traps import HarmonicBasis
 from tonks.weights import slot_cdf
 
@@ -44,6 +50,7 @@ def test_solve_input_checks():
         solve(bad)
     with pytest.raises(ValueError, match="symmetric"):
         solve(csr_array(bad))
+    assert solve(np.zeros((0, 0))).n_states == 0
 
 
 @pytest.mark.parametrize("sizes", [(1, 1, 1, 1, 1), (3, 3), (2, 2, 2)])
@@ -63,6 +70,102 @@ def test_solve_dense_and_sparse_agree(sizes):
         np.testing.assert_array_equal(got, before)
     resid = sparse @ b.vectors - b.vectors * b.values
     assert np.max(np.abs(resid)) < 1e-12 * scale
+
+
+def _partitions(n, top=None):
+    """Partitions of n with parts at most top, largest part first."""
+    top = n if top is None else top
+    if n == 0:
+        return [()]
+    return [(p,) + rest for p in range(min(n, top), 0, -1) for rest in _partitions(n - p, p)]
+
+
+def _irrep_dims(m):
+    """Dimensions of the irreducible representations of S_m, by the hook length formula."""
+    dims = []
+    for shape in _partitions(m):
+        cols = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+        hooks = math.prod(shape[i] - j + cols[j] - i - 1
+                          for i in range(len(shape)) for j in range(shape[i]))
+        dims.append(math.factorial(m) // hooks)
+    return dims
+
+
+def _check_blocked_solve(sizes, w):
+    """The relabelling-block solve against one dense eigensolve of the same matrix."""
+    n = sum(sizes)
+    graph = build_graph(n, ComponentSpec(sizes))
+    lap = projected_laplacian(graph, w)
+    spec = solve(lap)
+    scale = 2.0 * float(np.sum(w))
+    ref = eigh(lap.toarray(), eigvals_only=True, driver="evd")
+    assert np.max(np.abs(spec.values - ref)) < 1e-12 * scale
+    # the same degenerate groups as a split of the dense values at gaps above tol
+    ends = [idx[-1] + 1 for idx in spec.groups]
+    assert ends == [*(np.flatnonzero(np.diff(ref) > spec.tol) + 1), len(ref)]
+    v = spec.vectors
+    assert np.max(np.abs(lap @ v - v * spec.values)) < 1e-12 * scale
+    assert np.max(np.abs(v.T @ v - np.eye(len(v)))) < 1e-12 * scale
+    # one block of width M * d per standard tableau of prod_s S_(m_s), d its dimension
+    classes = [m for m in Counter(sizes).values() if m > 1]
+    order = math.prod(math.factorial(m) for m in classes)
+    orbits = graph.n_nodes // order
+    widths = sorted(t.shape[1] for t in graph.blocks)
+    if orbits == 1:
+        assert widths == []
+        return
+    dims = [math.prod(d) for d in itertools.product(*(_irrep_dims(m) for m in classes))]
+    assert sum(widths) == graph.n_nodes
+    assert widths == sorted(orbits * d for d in dims for _ in range(d))
+
+
+_REPEATED = [p for n in range(2, 7) for p in _partitions(n) if len(set(p)) < len(p)]
+
+
+@pytest.mark.parametrize("sizes", _REPEATED)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_blocked_solve_matches_dense(sizes, data):
+    n = sum(sizes)
+    w = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n - 1, max_size=n - 1))
+    _check_blocked_solve(tuple(data.draw(st.permutations(sizes))), np.array(w))
+
+
+def test_blocked_solve_five_singletons_and_a_pair():
+    # 120 relabellings, the largest group under the node cap: 2,520 words in 21 orbits
+    rng = np.random.default_rng(17)
+    _check_blocked_solve(tuple(rng.permutation((1, 1, 1, 1, 1, 2))), rng.uniform(0.5, 2.0, 6))
+
+
+def test_edited_word_laplacian_is_one_block():
+    w = np.array([0.7, 1.3, 0.9, 1.1, 1.6])
+    lap = projected_laplacian(build_graph(6, ComponentSpec((2, 2, 2))), w)
+    assert len(lap.blocks()) == 4
+    # derived arrays do not carry the graph
+    assert (2.0 * lap).blocks() == ()
+    # an in-place edit that breaks the relabelling symmetry drops the blocks
+    lap[0, 0] = lap[0, 0] + 1.0
+    assert lap.blocks() == ()
+    spec = solve(lap)
+    ref = eigh(lap.toarray(), eigvals_only=True)
+    assert np.max(np.abs(spec.values - ref)) < 1e-12 * 2.0 * float(np.sum(w))
+
+
+def test_lead_positive_matches_column_loop():
+    rng = np.random.default_rng(18)
+    vecs = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(5, 400))
+    vecs[:, 0] = 0.0
+    vecs[:, 1] = [0.5, -0.5, 0.0, 0.5, -0.5]
+    vecs[:, 2] = [-0.5, 0.5, 0.0, 0.5, -0.5]
+    expected = vecs.copy()
+    for j in range(expected.shape[1]):
+        lead = int(np.argmax(np.abs(expected[:, j])))
+        if expected[lead, j] < 0:
+            expected[:, j] = -expected[:, j]
+    _lead_positive(vecs)
+    # bit for bit, signed zeros included
+    np.testing.assert_array_equal(np.signbit(vecs), np.signbit(expected))
+    np.testing.assert_array_equal(vecs, expected)
 
 
 def test_solve_custom_grouping(hexagon):
