@@ -35,8 +35,7 @@ import numpy as np
 
 from . import __version__
 from .oracle import EDConfig, diagonalize, slope_fit
-from .sectors import (NODE_CAP, ComponentSpec, build_graph, cycle_ordering, laplacian,
-                      projected_laplacian)
+from .sectors import NODE_CAP, ComponentSpec, build_graph, cycle_ordering, projected_laplacian
 from .slater import make_level
 from .spectrum import SectorWavefunction, classify, solve
 from .traps import ConvergenceError, HarmonicBasis, Trap, solve_tabulated
@@ -273,7 +272,7 @@ def _cmd_spectrum(args, s: dict) -> int:
     full = None
     if math.factorial(n) <= NODE_CAP:
         orderings = build_graph(n)
-        full = classify(solve(laplacian(orderings, gammas)), graph)
+        full = classify(solve(projected_laplacian(orderings, gammas)), graph)
     body = {
         "units": _units(s),
         "input": {
@@ -332,7 +331,7 @@ def _cmd_validate(args, s: dict) -> int:
     state, _ = _build_problem(s)
     gammas = all_gammas(state, tol=s["tol"])
     graph = build_graph(n)
-    k_pred = np.sort(solve(laplacian(graph, gammas)).values)
+    k_pred = solve(projected_laplacian(graph, gammas)).values
     try:
         g_values = tuple(float(p) for p in s["g"].split(","))
     except ValueError as exc:
@@ -379,7 +378,7 @@ def _cmd_density(args, s: dict) -> int:
     n = s["n"]
     gammas = all_gammas(state, tol=s["tol"])
     graph = build_graph(n)
-    full = solve(laplacian(graph, gammas))
+    full = solve(projected_laplacian(graph, gammas))
     j = s["state"]
     if not 0 <= j < full.n_states:
         raise InputError(f"state index {j} outside 0..{full.n_states - 1}")

@@ -365,8 +365,6 @@ def diagonalize(cfg: EDConfig) -> EDResult:
         spectra = _solve_blocks(cfg, blocks, n_keep)
     elif cfg.components is not None and any(s > 1 for s in cfg.components.sizes):
         raise ValueError("component-projected bases above the dense cap are not supported")
-    elif cfg.n_particles != 3:
-        raise ValueError("matrix-free path covers 3 particles only")
     else:
         spectra = _solve_lanczos(cfg, n_keep)
     n_g = len(cfg.g_values)

@@ -5,13 +5,13 @@ coefficients K_j of the large-coupling expansion
 
     E_j(g) = E_free - K_j / g + O(1/g^2),
 
-one per admissible amplitude vector.  A word Laplacian from
-`projected_laplacian` is solved block by block in the relabelling blocks
-of its graph (components of equal size exchanged); any other Laplacian,
-dense over the n! orderings or sparse, is one block.  Each block is
-diagonalized in a buffer of the solver's own by LAPACK's divide-and-conquer
-eigensolver, which copes well with the large degenerate groups of these
-graphs.
+one per admissible amplitude vector.  Every Laplacian, dense over the n!
+orderings or sparse, takes one path: as a CSR array, block by block.  A
+word Laplacian from `projected_laplacian` splits into the relabelling
+blocks of its graph (components of equal size exchanged); any other
+Laplacian is the one identity block.  Each block is diagonalized in a
+buffer of the solver's own by LAPACK's divide-and-conquer eigensolver,
+which copes well with the large degenerate groups of these graphs.
 
 An amplitude vector a assembles a full wavefunction by scaling the
 reference determinant sector by sector: Psi(x) = a_sigma(x) Psi_ref(x),
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse import issparse
+from scipy.sparse import csr_array, eye_array
 
 from .sectors import GraphLaplacian, SectorGraph, build_graph
 from .slater import SlaterState
@@ -68,49 +68,36 @@ class KSpectrum:
 def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
     """Full spectrum of a (projected or full) ordering Laplacian, dense or sparse.
 
-    Each relabelling block T of the Laplacian's graph (see
-    `SectorGraph.blocks`) gives the dense matrix T^T L T, whose eigenvectors
-    y become the vectors T y; the blocks are merged by a stable sort of the
-    values.  A matrix without a graph, or whose graph is one block, is the
-    one block T = I.  Every block is diagonalized in a Fortran-ordered
-    buffer that LAPACK's divide-and-conquer eigensolver overwrites; the
-    caller's matrix is untouched.  Each vector's first largest-magnitude
-    component is positive.
+    The input is taken once as a CSR array, checked for squareness and
+    symmetry in that form, and solved block by block: each relabelling block
+    T of a word Laplacian (see `GraphLaplacian.blocks`) gives the dense
+    matrix T^T L T, whose eigenvectors y become the vectors T y.  Any other
+    matrix is the one block T = I.  Each block is diagonalized in a
+    Fortran-ordered buffer that LAPACK's divide-and-conquer eigensolver
+    overwrites; the caller's matrix is untouched.  The values are merged by a
+    stable sort, and each block's T y is scattered into the vectors by its
+    inverse.  Each vector's first largest-magnitude component is positive.
     """
-    sparse = issparse(lap)
     blocks = lap.blocks() if isinstance(lap, GraphLaplacian) else ()
-    lap = lap.astype(float, copy=False) if sparse else np.asarray(lap, dtype=float)
+    lap = csr_array(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError("laplacian must be square")
-    # Sparse inputs are checked in sparse form, so the only dense copies are the buffers.
-    if sparse:
-        asym = float(abs(lap - lap.T).max()) if lap.nnz else 0.0
-        peak = float(abs(lap).max()) if lap.nnz else 0.0
-    else:
-        asym = float(np.max(np.abs(lap - lap.T))) if lap.size else 0.0
-        peak = float(np.max(np.abs(lap))) if lap.size else 0.0
-    scale = max(1.0, peak)
+    asym = float(abs(lap - lap.T).max()) if lap.nnz else 0.0
+    scale = max(1.0, float(abs(lap).max()) if lap.nnz else 0.0)
     if asym > 1e-12 * scale:
         raise ValueError(f"laplacian is not symmetric (asymmetry {asym:.3e})")
-    solved = []
-    for t in blocks or (None,):
-        if t is not None:
-            buf = (t.T @ (lap @ t)).toarray(order="F")
-        else:
-            buf = lap.toarray(order="F") if sparse else np.array(lap, order="F")
-        solved.append((t, *eigh(buf, driver="evd", overwrite_a=True, check_finite=False)))
+    solved = [(t, *eigh((t.T @ (lap @ t)).toarray(order="F"), driver="evd",
+                        overwrite_a=True, check_finite=False))
+              for t in blocks or (eye_array(lap.shape[0], format="csr"),)]
     vals = np.concatenate([v for _, v, _ in solved])
     order = np.argsort(vals, kind="stable")
-    if blocks:
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        vecs = np.empty(lap.shape, order="F")
-        start = 0
-        for t, v, y in solved:
-            vecs[:, rank[start:start + len(v)]] = t @ y
-            start += len(v)
-    else:
-        vecs = solved[0][2]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    vecs = np.empty(lap.shape, order="F")
+    start = 0
+    for t, v, y in solved:
+        vecs[:, rank[start:start + len(v)]] = t @ y
+        start += len(v)
     _lead_positive(vecs)
     vals = vals[order]
     tol = degeneracy_tol if degeneracy_tol is not None else 1e-8 * scale

@@ -247,6 +247,15 @@ def test_block_sizes():
     assert [t.shape[1] for t, _ in pair] == [182, 455, 182, 455]
 
 
+@pytest.mark.parametrize("sizes", [None, (1, 1), (2,)])
+def test_two_particle_blocks_within_dense_cap(sizes):
+    # diagonalize has no two-particle path above the dense cap, so at the mode cap
+    # every two-particle block must fit (60 modes: 930 for (1, 1), 900 for (2,))
+    comp = None if sizes is None else ComponentSpec(sizes)
+    cfg = EDConfig(2, oracle.DELTA_MODE_CAP, (1.0,), components=comp)
+    assert max(t.shape[1] for t, _ in oracle._symmetry_blocks(cfg)) <= oracle.DENSE_DIM_CAP
+
+
 def test_dense_blocks_below_cap(monkeypatch):
     # 512 product states exceed the cap, but no block (at most 84) does.
     cfg = EDConfig(n_particles=3, n_modes=8, g_values=(10.0,), n_states=6)

@@ -70,6 +70,10 @@ def test_solve_dense_and_sparse_agree(sizes):
         np.testing.assert_array_equal(got, before)
     resid = sparse @ b.vectors - b.vectors * b.values
     assert np.max(np.abs(resid)) < 1e-12 * scale
+    if sizes == (1, 1, 1, 1, 1):
+        # one block either way: the same solve of the same buffer
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.vectors, b.vectors)
 
 
 def _partitions(n, top=None):
@@ -131,6 +135,26 @@ def test_blocked_solve_matches_dense(sizes, data):
     _check_blocked_solve(tuple(data.draw(st.permutations(sizes))), np.array(w))
 
 
+@pytest.mark.parametrize("sizes", _REPEATED)
+def test_word_diagonal_is_relabelling_invariant(sizes):
+    n = sum(sizes)
+    graph = build_graph(n, ComponentSpec(sizes))
+    diag = projected_laplacian(graph, np.random.default_rng(5).uniform(0.5, 2.0, n - 1)).diagonal()
+    # the parts descend, so equal sizes are adjacent letters
+    for a in np.flatnonzero(np.diff(sizes) == 0):
+        swap = np.arange(len(sizes))
+        swap[[a, a + 1]] = a + 1, a
+        np.testing.assert_array_equal(diag[graph.index(swap[graph.words])], diag)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_ordering_diagonal_is_slot_order_sum(n):
+    w = np.random.default_rng(n).uniform(0.5, 2.0, n - 1)
+    diag = laplacian(build_graph(n), w).diagonal()
+    # every ordering borders all n - 1 slots; sum() adds the weights in slot order
+    np.testing.assert_array_equal(diag, np.full(len(diag), sum(w.tolist())))
+
+
 def test_blocked_solve_five_singletons_and_a_pair():
     # 120 relabellings, the largest group under the node cap: 2,520 words in 21 orbits
     rng = np.random.default_rng(17)
@@ -146,6 +170,10 @@ def test_edited_word_laplacian_is_one_block():
     # an in-place edit that breaks the relabelling symmetry drops the blocks
     lap[0, 0] = lap[0, 0] + 1.0
     assert lap.blocks() == ()
+    # commutation is exact: a one-ulp edit drops the blocks too
+    nudged = projected_laplacian(build_graph(6, ComponentSpec((2, 2, 2))), w)
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
+    assert nudged.blocks() == ()
     spec = solve(lap)
     ref = eigh(lap.toarray(), eigvals_only=True)
     assert np.max(np.abs(spec.values - ref)) < 1e-12 * 2.0 * float(np.sum(w))
