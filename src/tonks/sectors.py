@@ -25,17 +25,19 @@ Relabelling components of equal size permutes the words and commutes with
 every slot swap, so it commutes with the Laplacian for any weights.  The
 relabellings form the group G = prod_s S_(m_s), m_s the number of
 components of size s, which acts freely on the words: the word space is
-M = words / |G| orbits times the regular representation of G.  A joint
-eigenspace of the Jucys-Murphy elements of G (one per standard tableau,
-of dimension d) spans M * d vectors of the word space that the Laplacian
-maps into themselves, and the graph keeps these blocks as sparse
-isometries.
+C^M (M = words / |G| orbits) times the regular representation of G.  In
+Young's orthogonal form rho (Okounkov & Vershik, Selecta Math. 2, 581 (1996))
+each row of rho(g) for an irrep of dimension d spans M * d vectors that the
+Laplacian maps into themselves, all d rows with the same block.  The N!
+orderings are one orbit of G = S_N, and split into the S_N irreps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -47,7 +49,7 @@ from .weights import BoundaryWeight
 # most 120 relabellings under the cap (five singletons and a pair, 2,520
 # words).  The relabelling blocks of a 2,520-word graph solve in about
 # 0.2 s on one BLAS thread of a 2-vCPU Xeon, against 2.5 s for one dense
-# eigensolve; the 720 orderings of six particles are one block.
+# eigensolve; the 720 orderings of six particles are 11 irreps of S_6.
 NODE_CAP = 2520
 
 
@@ -100,10 +102,10 @@ class SectorGraph:
     permutations); edges rows are (node u, node v, 0-based slot), u < v,
     for each swap of unequal letters in neighbouring slots; signs is
     (-1)^(inversions) of each word, which flips across every edge.
-    codes are the base-kappa values of the words, ascending.  blocks holds
-    one sparse isometry (words x block width) per relabelling block, the
-    widths summing to the node count; it is empty when the graph is one
-    block (no two components of equal size, or a single orbit).
+    codes are the base-kappa values of the words, ascending.  blocks, built
+    on first use, holds one group per irrep of the relabelling group: d sparse
+    isometries (words x M * d), one per row of the irrep's Young orthogonal
+    form, whose widths sum to the node count over all groups.
     """
 
     n: int
@@ -112,11 +114,14 @@ class SectorGraph:
     edges: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
     codes: np.ndarray = field(repr=False)
-    blocks: tuple[csr_array, ...] = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
         return len(self.words)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[csr_array, ...], ...]:
+        return _relabelling_blocks(self)
 
     def index(self, words) -> np.ndarray:
         """Node index of each word along the last axis, by lexicographic rank."""
@@ -190,7 +195,6 @@ def build_graph(n: int, components: ComponentSpec | None = None) -> SectorGraph:
         edges=np.concatenate(edges),
         signs=1 - 2 * (inversions % 2),
         codes=codes,
-        blocks=_relabelling_blocks(comp.sizes, words),
     )
 
 
@@ -207,55 +211,87 @@ def _swap(kappa: int, a: int, b: int) -> np.ndarray:
     return t
 
 
-def _relabelling_blocks(sizes: tuple[int, ...], words: np.ndarray) -> tuple[csr_array, ...]:
-    """Sparse isometries onto the joint Jucys-Murphy eigenspaces of the relabellings.
+def _partitions(m: int, top: int | None = None) -> list[tuple[int, ...]]:
+    """Partitions of m with parts at most top, largest part first."""
+    top = m if top is None else top
+    if m == 0:
+        return [()]
+    return [(p, *rest) for p in range(min(m, top), 0, -1) for rest in _partitions(m - p, p)]
 
-    Word g.r of orbit i (r the orbit's word whose equal-size letters first
-    appear in ascending order) is basis vector (i, g) of C^M x C[G].  The
-    Jucys-Murphy elements of G act by left multiplication on C[G], as the
-    relabellings do, so their joint eigenspaces U_T (one per standard
-    tableau T, |G| x d) give the blocks I_M x U_T.  A combination with
-    weights in powers of 2 max(m_s) separates every tableau, whose content
-    at each element lies strictly within half that base.
+
+def _young_generators(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Young's orthogonal form of the adjacent transpositions s_1..s_(m-1) on a shape of m boxes.
+
+    A standard tableau lists the row of each entry 1..m.  rho(s_k) has 1/a on
+    the diagonal, a = c(k+1) - c(k) the axial distance (content c = column -
+    row), and sqrt(1 - 1/a^2) between the two tableaux that swap k and k+1.
     """
+    tableaux = [()]
+    for _ in range(sum(shape)):
+        tableaux = [t + (r,) for t in tableaux for r in range(len(shape))
+                    if t.count(r) < shape[r] and (r == 0 or t.count(r - 1) > t.count(r))]
+    index = {t: i for i, t in enumerate(tableaux)}
+    content = np.array([[t[:j].count(r) - r for j, r in enumerate(t)] for t in tableaux])
+    gens = []
+    for k in range(sum(shape) - 1):
+        a = content[:, k + 1] - content[:, k]
+        rho = np.diag(1.0 / a)
+        for i in np.flatnonzero(abs(a) > 1):
+            t = tableaux[i]
+            rho[i, index[t[:k] + (t[k + 1], t[k]) + t[k + 2:]]] = math.sqrt(1.0 - 1.0 / a[i] ** 2)
+        gens.append(rho)
+    return gens
+
+
+def _relabelling_blocks(graph: SectorGraph) -> tuple[tuple[csr_array, ...], ...]:
+    """Sparse isometries onto the relabelling blocks, grouped per irrep of G.
+
+    Word w = g.r_i of orbit i (r_i the orbit's word whose equal-size letters
+    first appear in ascending order) is basis vector (i, g) of C^M x C[G], and
+    a relabelling h acts as g -> h g.  rho(g) for each word is the product of
+    the generators' Young matrices along a breadth-first walk from its root,
+    one Kronecker factor per class of equal-size components.  For an irrep
+    of dimension d and each row a of rho, the columns (i, b) with entries
+    sqrt(d / |G|) rho(g)[a, b] are orthonormal (Schur orthogonality) and span
+    a space that the Laplacian, which commutes with h, maps into itself; the
+    d isometries give the same T_a^T L T_a.
+    """
+    words, sizes = graph.words, graph.components.sizes
+    kappa, n_words = len(sizes), graph.n_nodes
     classes = _classes(sizes)
-    order = math.prod(math.factorial(len(letters)) for letters in classes)
-    n_words, n = words.shape
-    if order == 1 or order == n_words:
-        return ()
-    kappa = len(sizes)
-    # The relabelling g that carries each word's orbit representative to it
-    # sends the j-th letter of a class to the class letter seen j-th.  Each
-    # orbit holds every relabelling once, so the distinct g are all of G.
     first = np.stack([np.argmax(words == c, axis=1) for c in range(kappa)], axis=1)
-    g = np.tile(np.arange(kappa), (n_words, 1))
+    root = np.ones(n_words, dtype=bool)
     for letters in classes:
-        g[:, letters] = np.array(letters)[np.argsort(first[:, letters], axis=1)]
-    map_radix = _radix(kappa, kappa)
-    map_codes, seen, element = np.unique(g @ map_radix, return_index=True, return_inverse=True)
-    maps = g[seen]
-    rep = np.take_along_axis(np.argsort(g, axis=1), words.astype(np.intp), axis=1)
-    orbit = np.unique(rep @ _radix(kappa, n), return_inverse=True)[1]
-    # Generic combination of the Jucys-Murphy elements X_k = sum_{j<k} (l_j l_k).
-    base = 2 * max(len(letters) for letters in classes)
-    jm = np.zeros((order, order))
-    weight = 1.0
-    for letters in classes:
-        for k in range(1, len(letters)):
-            for j in range(k):
-                t = _swap(kappa, letters[j], letters[k])
-                jm[np.searchsorted(map_codes, t[maps] @ map_radix), np.arange(order)] += weight
-            weight *= base
-    contents, u = np.linalg.eigh(jm)
-    tableau = np.rint(contents)
-    m = n_words // order
+        root &= np.all(np.diff(first[:, letters], axis=1) > 0, axis=1)
+    orbit = np.where(root, np.cumsum(root) - 1, -1)
+    swaps = [_swap(kappa, a, b) for letters in classes for a, b in zip(letters, letters[1:])]
+    walk = []  # (generator, words reached, their parents) in breadth-first order
+    frontier = np.flatnonzero(root)
+    while frontier.size:
+        unseen = orbit < 0
+        for j, t in enumerate(swaps):
+            nb = graph.index(t[words[frontier]])
+            new = orbit[nb] < 0
+            orbit[nb[new]] = orbit[frontier[new]]
+            walk.append((j, nb[new], frontier[new]))
+        frontier = np.flatnonzero(unseen & (orbit >= 0))
+    m = int(root.sum())
     blocks = []
-    for key in np.unique(tableau):
-        ut = u[:, tableau == key]
-        d = ut.shape[1]
+    for shapes in itertools.product(*(_partitions(len(letters)) for letters in classes)):
+        young = [_young_generators(shape) for shape in shapes]
+        dims = [len(gens[0]) for gens in young]
+        mats = [np.kron(np.kron(np.eye(math.prod(dims[:c])), gen), np.eye(math.prod(dims[c + 1:])))
+                for c, gens in enumerate(young) for gen in gens]
+        d = math.prod(dims)
+        rho = np.empty((n_words, d, d))
+        rho[root] = np.eye(d)
+        for j, reached, parent in walk:
+            rho[reached] = mats[j] @ rho[parent]
+        rho *= math.sqrt(d * m / n_words)
         cols = (orbit[:, None] * d + np.arange(d)).ravel()
-        blocks.append(csr_array((ut[element].ravel(), cols, np.arange(0, n_words * d + 1, d)),
-                                shape=(n_words, m * d)))
+        indptr = np.arange(0, n_words * d + 1, d)
+        blocks.append(tuple(csr_array((rho[:, a].ravel(), cols, indptr), shape=(n_words, m * d))
+                            for a in range(d)))
     return tuple(blocks)
 
 
@@ -300,11 +336,11 @@ class GraphLaplacian(csr_array):
 
     graph: SectorGraph | None = None
 
-    def blocks(self) -> tuple[csr_array, ...]:
-        """The graph's relabelling blocks, or () (one block) when the matrix does
-        not commute exactly with the relabellings, as after an in-place edit."""
+    def blocks(self) -> tuple[tuple[csr_array, ...], ...]:
+        """The graph's relabelling blocks per irrep, or () (one block) when the matrix
+        does not commute exactly with the relabellings, as after an in-place edit."""
         graph = self.graph
-        if graph is None or not graph.blocks:
+        if graph is None:
             return ()
         kappa = len(graph.components.sizes)
         coo = self.tocoo()

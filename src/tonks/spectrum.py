@@ -8,9 +8,9 @@ coefficients K_j of the large-coupling expansion
 one per admissible amplitude vector.  Every Laplacian, dense over the n!
 orderings or sparse, takes one path: as a CSR array, block by block.  A
 word Laplacian from `projected_laplacian` splits into the relabelling
-blocks of its graph (components of equal size exchanged); any other
-Laplacian is the one identity block.  Each block is diagonalized in a
-buffer of the solver's own by LAPACK's divide-and-conquer eigensolver,
+blocks of its graph, one eigensolve per irrep of the relabelling group;
+any other Laplacian is the one identity block.  Each block is diagonalized
+in a buffer of the solver's own by LAPACK's divide-and-conquer eigensolver,
 which copes well with the large degenerate groups of these graphs.
 
 An amplitude vector a assembles a full wavefunction by scaling the
@@ -69,10 +69,10 @@ def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
     """Full spectrum of a (projected or full) ordering Laplacian, dense or sparse.
 
     The input is taken once as a CSR array, checked for squareness and
-    symmetry in that form, and solved block by block: each relabelling block
-    T of a word Laplacian (see `GraphLaplacian.blocks`) gives the dense
-    matrix T^T L T, whose eigenvectors y become the vectors T y.  Any other
-    matrix is the one block T = I.  Each block is diagonalized in a
+    symmetry in that form, and solved per irrep of a word Laplacian's
+    relabelling blocks (see `GraphLaplacian.blocks`): the irrep's first T
+    gives the dense T^T L T, whose eigenvectors y become T y for each T.
+    Any other matrix is the one block T = I.  Each block is diagonalized in a
     Fortran-ordered buffer that LAPACK's divide-and-conquer eigensolver
     overwrites; the caller's matrix is untouched.  The values are merged by a
     stable sort, and each block's T y is scattered into the vectors by its
@@ -86,9 +86,10 @@ def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
     scale = max(1.0, float(abs(lap).max()) if lap.nnz else 0.0)
     if asym > 1e-12 * scale:
         raise ValueError(f"laplacian is not symmetric (asymmetry {asym:.3e})")
-    solved = [(t, *eigh((t.T @ (lap @ t)).toarray(order="F"), driver="evd",
-                        overwrite_a=True, check_finite=False))
-              for t in blocks or (eye_array(lap.shape[0], format="csr"),)]
+    spectra = [(group, *eigh((group[0].T @ (lap @ group[0])).toarray(order="F"), driver="evd",
+                             overwrite_a=True, check_finite=False))
+               for group in blocks or ((eye_array(lap.shape[0], format="csr"),),)]
+    solved = [(t, v, y) for group, v, y in spectra for t in group]
     vals = np.concatenate([v for _, v, _ in solved])
     order = np.argsort(vals, kind="stable")
     rank = np.empty_like(order)
@@ -131,8 +132,8 @@ def classify(spectrum: KSpectrum, graph: SectorGraph) -> KSpectrum:
     "uniform" marks the group holding the constant amplitude vector
     (the reference determinant itself, slope zero); "alternating" the
     sign-of-ordering vector (bosonic branch, maximal slope); all other
-    groups are "mixed".  retained counts the dimensions of each group
-    surviving the projection onto the graph's component words.
+    groups are "mixed".  retained is |P V|^2 rounded, the exact rank of the
+    projector P onto the graph's words on each group V (whole eigenspaces).
     """
     full = build_graph(graph.n)
     m = full.n_nodes
@@ -159,8 +160,7 @@ def classify(spectrum: KSpectrum, graph: SectorGraph) -> KSpectrum:
         else:
             labels.append("mixed")
         proj = v[by_word].reshape(graph.n_nodes, orbit, -1).sum(axis=1) / math.sqrt(orbit)
-        sv = np.linalg.svd(proj, compute_uv=False)
-        retained.append(int(np.sum(sv > 1e-8)))
+        retained.append(int(np.rint(np.sum(proj * proj))))
     return replace(spectrum, labels=tuple(labels), retained=tuple(retained))
 
 

@@ -12,6 +12,7 @@ from scipy.linalg import eigh
 from scipy.sparse import csr_array
 
 from tonks.sectors import ComponentSpec, build_graph, laplacian, projected_laplacian
+from tonks import spectrum as spectrum_module
 from tonks.slater import make_level
 from tonks.spectrum import (EnergyExpansion, SectorWavefunction, _lead_positive, classify,
                             expansion, solve)
@@ -70,10 +71,6 @@ def test_solve_dense_and_sparse_agree(sizes):
         np.testing.assert_array_equal(got, before)
     resid = sparse @ b.vectors - b.vectors * b.values
     assert np.max(np.abs(resid)) < 1e-12 * scale
-    if sizes == (1, 1, 1, 1, 1):
-        # one block either way: the same solve of the same buffer
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.vectors, b.vectors)
 
 
 def _partitions(n, top=None):
@@ -82,6 +79,14 @@ def _partitions(n, top=None):
     if n == 0:
         return [()]
     return [(p,) + rest for p in range(min(n, top), 0, -1) for rest in _partitions(n - p, p)]
+
+
+def _compositions(n):
+    """Ordered tuples of positive parts summing to n."""
+    return [(p, *rest) for p in range(1, n + 1) for rest in _compositions(n - p)] if n else [()]
+
+
+_COMPOSITIONS = [c for n in range(2, 7) for c in _compositions(n)]
 
 
 def _irrep_dims(m):
@@ -110,17 +115,14 @@ def _check_blocked_solve(sizes, w):
     v = spec.vectors
     assert np.max(np.abs(lap @ v - v * spec.values)) < 1e-12 * scale
     assert np.max(np.abs(v.T @ v - np.eye(len(v)))) < 1e-12 * scale
-    # one block of width M * d per standard tableau of prod_s S_(m_s), d its dimension
+    # one group per irrep of prod_s S_(m_s) (S_N on the N! orderings), each of
+    # d isometries of width M * d, d the irrep's dimension and M the orbit count
     classes = [m for m in Counter(sizes).values() if m > 1]
-    order = math.prod(math.factorial(m) for m in classes)
-    orbits = graph.n_nodes // order
-    widths = sorted(t.shape[1] for t in graph.blocks)
-    if orbits == 1:
-        assert widths == []
-        return
+    orbits = graph.n_nodes // math.prod(math.factorial(m) for m in classes)
     dims = [math.prod(d) for d in itertools.product(*(_irrep_dims(m) for m in classes))]
-    assert sum(widths) == graph.n_nodes
-    assert widths == sorted(orbits * d for d in dims for _ in range(d))
+    assert sorted(len(group) for group in graph.blocks) == sorted(dims)
+    for group in graph.blocks:
+        assert [t.shape for t in group] == [(graph.n_nodes, orbits * len(group))] * len(group)
 
 
 _REPEATED = [p for n in range(2, 7) for p in _partitions(n) if len(set(p)) < len(p)]
@@ -164,7 +166,8 @@ def test_blocked_solve_five_singletons_and_a_pair():
 def test_edited_word_laplacian_is_one_block():
     w = np.array([0.7, 1.3, 0.9, 1.1, 1.6])
     lap = projected_laplacian(build_graph(6, ComponentSpec((2, 2, 2))), w)
-    assert len(lap.blocks()) == 4
+    # three Young shapes of S_3 relabel the three pairs
+    assert len(lap.blocks()) == 3
     # derived arrays do not carry the graph
     assert (2.0 * lap).blocks() == ()
     # an in-place edit that breaks the relabelling symmetry drops the blocks
@@ -177,6 +180,59 @@ def test_edited_word_laplacian_is_one_block():
     spec = solve(lap)
     ref = eigh(lap.toarray(), eigvals_only=True)
     assert np.max(np.abs(spec.values - ref)) < 1e-12 * 2.0 * float(np.sum(w))
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Widths of the eigensolves that solve runs, in call order."""
+    sizes = []
+
+    def counting(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module, "eigh", counting)
+    return sizes
+
+
+def test_one_eigensolve_per_young_shape(eigh_sizes):
+    w = np.random.default_rng(19).uniform(0.5, 2.0, 7)
+    spec = solve(projected_laplacian(build_graph(8, ComponentSpec((2, 2, 2, 2))), w))
+    # 105 orbits times the dimensions 1, 3, 2, 3, 1 of the shapes of S_4
+    assert eigh_sizes == [105, 315, 210, 315, 105]
+    assert spec.n_states == 2520
+    eigh_sizes.clear()
+    solve(projected_laplacian(build_graph(6), w[:5]))
+    # the 720 orderings split into the 11 irreps of S_6
+    assert len(eigh_sizes) == 11
+    assert max(eigh_sizes) == 16
+
+
+def test_hexagon_splits_into_three_shapes(eigh_sizes):
+    spec = solve(projected_laplacian(build_graph(3), [1.0, 1.0]))
+    assert eigh_sizes == [1, 2, 1]
+    np.testing.assert_allclose(spec.values, [0, 1, 1, 3, 3, 4], rtol=0, atol=1e-12)
+    # both rows of the two-dimensional shape carry the one solve's values
+    assert spec.values[1] == spec.values[2]
+    assert spec.values[3] == spec.values[4]
+
+
+@pytest.mark.parametrize("sizes", _COMPOSITIONS)
+@settings(max_examples=2, deadline=None)
+@given(w=st.lists(st.floats(0.5, 2.0), min_size=5, max_size=5))
+def test_young_rows_are_isometries_with_one_block(sizes, w):
+    n = sum(sizes)
+    w = np.array(w[: n - 1])
+    graph = build_graph(n, ComponentSpec(sizes))
+    lap = projected_laplacian(graph, w)
+    scale = 2.0 * float(np.sum(w))
+    assert sum(t.shape[1] for group in graph.blocks for t in group) == graph.n_nodes
+    for group in graph.blocks:
+        block = (group[0].T @ (lap @ group[0])).toarray()
+        for t in group:
+            gram = (t.T @ t).toarray()
+            assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-12
+            assert np.max(np.abs((t.T @ (lap @ t)).toarray() - block)) < 1e-12 * scale
 
 
 def test_lead_positive_matches_column_loop():
@@ -225,6 +281,15 @@ def test_classify_retained_under_projection(hexagon):
         spec = classify(solve(lap), gp)
         assert spec.retained == kept
         assert spec.labels == ("uniform", "mixed", "mixed", "alternating")
+
+
+@pytest.mark.parametrize("sizes", [c for c in _COMPOSITIONS if sum(c) <= 5])
+def test_classify_retains_every_word(sizes):
+    n = sum(sizes)
+    w = np.random.default_rng(n).uniform(0.5, 2.0, n - 1)
+    graph = build_graph(n, ComponentSpec(sizes))
+    spec = classify(solve(projected_laplacian(build_graph(n), w)), graph)
+    assert sum(spec.retained) == graph.n_nodes
 
 
 def test_classify_shape_mismatch(hexagon):
