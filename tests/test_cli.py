@@ -289,6 +289,18 @@ def test_density_output():
     assert set(doc["input"]) == {"trap", "n_particles", "level", "state", "k_value"}
 
 
+def test_density_of_degenerate_pair_is_deterministic():
+    # States 1 and 2 of n = 3 share one K value; each is a row of the 2-dim
+    # S_3 irrep, so its own density is the same in every fresh process.
+    args = ("density", "--n", "3", "--bins", "40", "--no-timestamp")
+    docs = [[run_cli(*args, "--state", str(j)).stdout for _ in range(2)] for j in (1, 2)]
+    for first, second in docs:
+        assert first == second
+    a, b = (json.loads(first) for first, _ in docs)
+    assert a["input"]["k_value"] == b["input"]["k_value"]
+    assert not np.array_equal(a["per_particle"], b["per_particle"])
+
+
 def _harmonic_table(path, points):
     x = np.linspace(-8.0, 8.0, points)
     np.savetxt(path, np.column_stack([x, 0.5 * x * x]))
