@@ -9,9 +9,11 @@ per-component antisymmetrized states), each split again by parity and by
 the eigenvalue of the class sum of all pair swaps, which separates the
 irreducible representations of the permutation group.  Each block is
 assembled sparsely from the nonzero contact integrals and solved densely
-while the largest block stays within DENSE_DIM_CAP; a larger
-distinguishable three-particle basis falls back to a matrix-free Lanczos
-solve of the whole product basis.  Energies tracked across couplings by
+while the largest block stays within DENSE_DIM_CAP (the mixed irrep of
+three distinguishable particles once per parity, its second row mapped
+through Young's orthogonal form); a larger distinguishable
+three-particle basis falls back to a matrix-free Lanczos solve of the
+whole product basis.  Energies tracked across couplings by
 eigenvector overlap are fitted against 1/g, and the negated slopes are
 compared with the Laplacian eigenvalues K; the interaction expectation of
 each tracked state doubles as the exact dE/dg of the truncated model.  A
@@ -34,7 +36,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import digamma, ndtri, stdtrit
 from scipy.special import gamma as gamma_fn
 
-from .sectors import ComponentSpec
+from .sectors import ComponentSpec, _young_generators
 from .slater import SlaterState
 from .traps import _hermite_ladder
 from .weights import BoundaryWeight
@@ -174,10 +176,11 @@ def _symmetrizer(n_modes: int, size: int, sign: int) -> tuple[sparse.csc_array, 
     return t, np.array(quanta)
 
 
-def _class_sum_split(t: sparse.csc_array, quanta: np.ndarray, shape: tuple[int, ...]
-                     ) -> list[tuple[sparse.csc_array, np.ndarray]]:
+def _class_sum_split(t: sparse.csc_array, quanta: np.ndarray, shape: tuple[int, ...],
+                     skip: int | None = None) -> list[tuple[int, sparse.csc_array, np.ndarray]]:
     """Split isometry t into the eigenspaces of the class sum C of all pair
-    swaps, in ascending order of its eigenvalue, with the quanta of each column.
+    swaps, in ascending order of its eigenvalue c, as (c, isometry, quanta of
+    each column); no isometry is built for c = skip.
 
     C = sum over i < j of P_ij, where P_ij swaps the modes of particles i
     and j in the product basis.  T^T C T couples only columns over one
@@ -201,17 +204,19 @@ def _class_sum_split(t: sparse.csc_array, quanta: np.ndarray, shape: tuple[int, 
     col = np.full(a.shape[:2], -1)
     col[grp, pos] = np.arange(len(grp))
     blocks = []
-    for c in np.unique(c_val[c_val != pad]):
+    for c in np.unique(c_val[(c_val != pad) & (c_val != skip)]):
         g, e = np.nonzero(c_val == c)
         rows, ok = col[g], col[g] >= 0
         v = sparse.csc_array((x[g, :, e][ok], (rows[ok], np.nonzero(ok)[0])),
                              shape=(t.shape[1], len(g)))
-        blocks.append((t @ v, quanta[col[g, 0]]))
+        blocks.append((int(c), t @ v, quanta[col[g, 0]]))
     return blocks
 
 
-def _symmetry_blocks(cfg: EDConfig) -> list[tuple[sparse.csc_array, np.ndarray]]:
-    """Isometries onto the exact symmetry blocks of the basis, in a fixed order.
+def _symmetry_blocks(cfg: EDConfig
+                     ) -> list[tuple[sparse.csc_array, np.ndarray, sparse.csc_array | None]]:
+    """Isometries onto the exact symmetry blocks of the basis, in a fixed order,
+    each with its trap energies and the isometry of its mapped partner (or None).
 
     A distinguishable basis splits into the halves symmetric and
     antisymmetric under exchanging particles 1 and 2; a component basis is
@@ -219,25 +224,36 @@ def _symmetry_blocks(cfg: EDConfig) -> list[tuple[sparse.csc_array, np.ndarray]]
     then splits by total parity, and each parity block by the class sum of
     all pair swaps, whose eigenvalue labels the irreducible representation
     (N = 3: 3 symmetric, 0 mixed, -3 antisymmetric).  Every column is an
-    oscillator eigenstate, so each block comes with its trap energies.
+    oscillator eigenstate.  Distinguishable N = 3 builds the mixed irrep in
+    the symmetric half only, row a of shape (2,1); its partner, row b of
+    Young's orthogonal form, is T_b = (P_23 - rho_aa) T_a / rho_ba, rho = rho(s_2).
     """
-    n = cfg.n_modes
-    comp = cfg.components
-    if comp is None or all(s == 1 for s in comp.sizes):
+    n, comp = cfg.n_modes, cfg.components
+    shape = (n,) * cfg.n_particles
+    distinguishable = comp is None or all(s == 1 for s in comp.sizes)
+    if distinguishable:
         rest = [_symmetrizer(n, 1, 1)] * (cfg.n_particles - 2)
         halves = [[_symmetrizer(n, 2, sign), *rest] for sign in (1, -1)]
     else:
         halves = [[_symmetrizer(n, s, -1) for s in comp.sizes]]
+    s1, s2 = _young_generators((2, 1))
+    a = int(np.argmax(np.diag(s1)))  # row a is the one that s_1 = P_12 fixes
     blocks = []
-    for factors in halves:
+    for half, factors in enumerate(halves):
         t, quanta = factors[0]
         for t2, q2 in factors[1:]:
             t = sparse.kron(t, t2, format="csc")
             quanta = np.add.outer(quanta, q2).ravel()
+        # A distinguishable basis has c = 0 (mixed) only for N = 3.
+        skip = 0 if distinguishable and half else None
         for parity in (0, 1):
             keep = quanta % 2 == parity
-            for t_c, q_c in _class_sum_split(t[:, keep], quanta[keep], (n,) * cfg.n_particles):
-                blocks.append((t_c, q_c + 0.5 * cfg.n_particles))
+            for c, t_c, q_c in _class_sum_split(t[:, keep], quanta[keep], shape, skip):
+                partner = None
+                if distinguishable and c == 0:
+                    p23 = np.arange(n**3).reshape(shape).transpose(0, 2, 1).ravel()
+                    partner = (t_c[p23] - s2[a, a] * t_c) / s2[1 - a, a]
+                blocks.append((t_c, q_c + 0.5 * cfg.n_particles, partner))
     return blocks
 
 
@@ -288,24 +304,28 @@ class _ContactOperator:
         return out.reshape(-1)
 
 
-def _solve_blocks(cfg: EDConfig, blocks: list[tuple[sparse.csc_array, np.ndarray]],
+def _solve_blocks(cfg: EDConfig,
+                  blocks: list[tuple[sparse.csc_array, np.ndarray, sparse.csc_array | None]],
                   n_keep: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Lowest n_keep states of every coupling from dense solves of the blocks.
 
     Each block is T^T W T for its isometry T; eigenvectors come back in the
-    product basis with their contact expectations.  Block spectra merge by
-    a stable sort in the fixed block order.
+    product basis with their contact expectations.  A block with a mapped
+    partner adds, right after its own states, the same energies and contact
+    expectations with the partner's vectors.  Block spectra merge by a
+    stable sort in the fixed block order.
     """
     w = _contact_matrix(cfg.n_modes, cfg.n_particles)
     parts = [[] for _ in cfg.g_values]
-    for t, h0 in blocks:
+    for t, h0, partner in blocks:
         w_b = (t.T @ w @ t).toarray()
         k = min(n_keep, t.shape[1])
         for gi, g in enumerate(cfg.g_values):
             h = g * w_b
             h[np.diag_indices_from(h)] += h0
             e, x = eigh(h, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
-            parts[gi].append((e, t @ x, np.einsum("ij,ij->j", x, w_b @ x)))
+            contact = np.einsum("ij,ij->j", x, w_b @ x)
+            parts[gi] += [(e, u @ x, contact) for u in (t, partner) if u is not None]
     spectra = []
     for found in parts:
         vals, vecs, contact = (np.concatenate(z, axis=-1) for z in zip(*found))
@@ -345,9 +365,10 @@ def diagonalize(cfg: EDConfig) -> EDResult:
 
     The Hamiltonian commutes with total parity and with every particle
     permutation of the basis, so it is solved densely in the parity,
-    exchange and class-sum blocks of _symmetry_blocks.  DENSE_DIM_CAP
-    limits the largest block; a distinguishable N = 3 basis beyond it takes
-    a matrix-free Lanczos solve of the full product basis.  n_states + 2
+    exchange and class-sum blocks of _symmetry_blocks; a mapped partner
+    block counts in basis_dim but is not solved.  DENSE_DIM_CAP limits the
+    largest block; a distinguishable N = 3 basis beyond it takes a
+    matrix-free Lanczos solve of the full product basis.  n_states + 2
     eigenvectors, in the product basis, are matched across couplings by
     maximal-overlap assignment starting from the smallest coupling, and
     the first n_states tracked columns are returned.
@@ -355,13 +376,13 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     from scipy import optimize  # slow to load; imported where the solvers need it
 
     blocks = _symmetry_blocks(cfg)
-    dim = sum(t.shape[1] for t, _ in blocks)
+    dim = sum(t.shape[1] * (1 + (partner is not None)) for t, _, partner in blocks)
     if cfg.n_states > dim:
         raise ValueError(f"n_states={cfg.n_states} exceeds basis dimension {dim}")
     # Two buffer states keep a crossing at the cutoff from derailing the
     # tracking of the last retained column.
     n_keep = min(cfg.n_states + 2, dim)
-    if max(t.shape[1] for t, _ in blocks) <= DENSE_DIM_CAP:
+    if max(t.shape[1] for t, *_ in blocks) <= DENSE_DIM_CAP:
         spectra = _solve_blocks(cfg, blocks, n_keep)
     elif cfg.components is not None and any(s > 1 for s in cfg.components.sizes):
         raise ValueError("component-projected bases above the dense cap are not supported")

@@ -372,7 +372,8 @@ def projected_laplacian(graph: SectorGraph, gammas) -> GraphLaplacian:
 
 
 def laplacian(graph: SectorGraph, gammas) -> np.ndarray:
-    """Dense weighted Laplacian over all n! orderings of the graph's particles."""
+    """Dense weighted Laplacian over all n! orderings of the graph's particles: the
+    unsplit reference, one n! x n! solve; projected_laplacian splits by S_n irrep."""
     return projected_laplacian(build_graph(graph.n), gammas).toarray()
 
 

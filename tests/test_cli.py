@@ -263,6 +263,16 @@ def test_validate_three_body():
     assert doc["passed"] is True
 
 
+def test_validate_mixed_pairs_fit_identically():
+    # Both rows of each mixed-irrep pair share one solve, so their fits agree exactly.
+    proc = run_cli("validate", "--n", "3", "--n-modes", "10", "--g", "20,50,100",
+                   "--no-timestamp")
+    doc = json.loads(proc.stdout)
+    k = doc["k_fitted"]
+    assert k[1] == k[2] and k[3] == k[4]
+    assert doc["passed"] is True
+
+
 def test_validate_bad_couplings_and_states_exit_two():
     for g in ("20,50,inf", "20,nan,100"):
         proc = run_cli("validate", "--n", "2", "--n-modes", "10", "--g", g, expect=2)

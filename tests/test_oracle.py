@@ -226,7 +226,8 @@ def test_blocks_match_dense_reference(npart, n_modes, sizes):
     h0, w = _dense_reference(cfg)
     assert res.basis_dim == len(h0)
     blocks = oracle._symmetry_blocks(cfg)
-    assert sum(t.shape[1] for t, _ in blocks) == res.basis_dim
+    # solved widths plus the widths of their mapped partners
+    assert sum(t.shape[1] * (1 + (p is not None)) for t, _, p in blocks) == res.basis_dim
     for gi, g in enumerate(cfg.g_values):
         vals, vecs = np.linalg.eigh(h0 + g * w)
         np.testing.assert_allclose(res.energies[gi], vals[:6], atol=1e-10)
@@ -241,10 +242,14 @@ def test_blocks_match_dense_reference(npart, n_modes, sizes):
 
 def test_block_sizes():
     blocks = oracle._symmetry_blocks(EDConfig(3, 14, (1.0,)))
-    # sym-even, sym-odd, anti-even, anti-odd, each split by ascending class-sum value
-    assert [t.shape[1] for t, _ in blocks] == [455, 280, 455, 280, 182, 455, 182, 455]
+    # sym-even, sym-odd, anti-even, anti-odd, each split by ascending class-sum value;
+    # the anti half's mixed blocks are the mapped partners of the sym half's
+    assert [t.shape[1] for t, _, _ in blocks] == [455, 280, 455, 280, 182, 182]
+    assert [p.shape[1] for _, _, p in blocks if p is not None] == [455, 455]
+    assert [p is None for _, _, p in blocks] == [False, True, False, True, True, True]
     pair = oracle._symmetry_blocks(EDConfig(3, 14, (1.0,), components=ComponentSpec((2, 1))))
-    assert [t.shape[1] for t, _ in pair] == [182, 455, 182, 455]
+    assert [t.shape[1] for t, _, _ in pair] == [182, 455, 182, 455]
+    assert all(p is None for _, _, p in pair)
 
 
 @pytest.mark.parametrize("sizes", [None, (1, 1), (2,)])
@@ -253,7 +258,7 @@ def test_two_particle_blocks_within_dense_cap(sizes):
     # every two-particle block must fit (60 modes: 930 for (1, 1), 900 for (2,))
     comp = None if sizes is None else ComponentSpec(sizes)
     cfg = EDConfig(2, oracle.DELTA_MODE_CAP, (1.0,), components=comp)
-    assert max(t.shape[1] for t, _ in oracle._symmetry_blocks(cfg)) <= oracle.DENSE_DIM_CAP
+    assert max(t.shape[1] for t, *_ in oracle._symmetry_blocks(cfg)) <= oracle.DENSE_DIM_CAP
 
 
 def test_dense_blocks_below_cap(monkeypatch):
@@ -273,7 +278,8 @@ def test_dense_blocks_below_cap(monkeypatch):
     monkeypatch.setattr(oracle, "eigh", recording_eigh)
     monkeypatch.setattr(oracle, "eigsh", refused_eigsh)
     capped = diagonalize(cfg)
-    assert sum(sizes) == 512 and max(sizes) <= 200
+    mapped = sum(p.shape[1] for _, _, p in oracle._symmetry_blocks(cfg) if p is not None)
+    assert capped.basis_dim == 512 and sum(sizes) + mapped == 512 and max(sizes) <= 200
     np.testing.assert_array_equal(capped.energies, uncapped.energies)
     np.testing.assert_array_equal(capped.interaction, uncapped.interaction)
 
@@ -299,7 +305,9 @@ def test_block_invariants(npart, sizes):
     cfg = EDConfig(npart, n, (1.0,), components=comp)
     swaps, parity = _swap_and_parity(n, npart)
     labels = np.repeat(np.arange(len(sizes)), sizes) if sizes else np.arange(npart)
-    dense = [t.toarray() for t, _ in oracle._symmetry_blocks(cfg)]
+    # every solved isometry and every mapped partner
+    dense = [u.toarray() for blk in oracle._symmetry_blocks(cfg) for u in (blk[0], blk[2])
+             if u is not None]
     for t in dense:
         ct = sum(t[p] for p in swaps.values())
         c = t[:, 0] @ ct[:, 0]
@@ -318,19 +326,66 @@ def test_block_invariants(npart, sizes):
 
 
 def test_mixed_blocks_isospectral():
-    # The mixed irrep appears once in each exchange half, with equal spectra.
+    # The mixed irrep is solved in the symmetric half (row a of shape (2,1));
+    # its mapped partner T_b spans the antisymmetric half's mixed space with
+    # the same block Hamiltonian.
     cfg = EDConfig(3, 8, (5.0,))
     h0, w = _dense_reference(cfg)
     h = h0 + 5.0 * w
-    swaps, parity = _swap_and_parity(8, 3)
-    mixed = {0: [], 1: []}
-    for t, quanta in oracle._symmetry_blocks(cfg):
-        t = t.toarray()
-        if abs(t[:, 0] @ sum(t[p, 0] for p in swaps.values())) < 1e-9:
-            mixed[int(quanta[0] - 1.5) % 2].append(np.linalg.eigvalsh(t.T @ h @ t))
-    for pair in mixed.values():
-        assert len(pair) == 2
-        np.testing.assert_allclose(pair[0], pair[1], atol=1e-10)
+    swaps, _ = _swap_and_parity(8, 3)
+    pairs = [(t.toarray(), p.toarray()) for t, _, p in oracle._symmetry_blocks(cfg)
+             if p is not None]
+    assert len(pairs) == 2
+    for ta, tb in pairs:
+        np.testing.assert_allclose(ta[swaps[0, 1]], ta, atol=1e-12)
+        np.testing.assert_allclose(tb[swaps[0, 1]], -tb, atol=1e-12)
+        np.testing.assert_allclose(ta.T @ tb, 0.0, atol=1e-12)
+        np.testing.assert_allclose(tb.T @ h @ tb, ta.T @ h @ ta, atol=1e-12)
+
+
+def test_eigh_widths_one_solve_per_mixed_pair(monkeypatch):
+    widths = []
+
+    def recording_eigh(a, **kwargs):
+        widths.append(len(a))
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh", recording_eigh)
+
+    def solved(npart, sizes):
+        widths.clear()
+        comp = None if sizes is None else ComponentSpec(sizes)
+        return diagonalize(EDConfig(npart, 14, (20.0, 50.0), n_states=6, components=comp))
+
+    dist = solved(3, None)
+    # per coupling: the mixed irrep once per parity, never in the antisymmetric half
+    assert widths == [455, 455, 280, 280, 455, 455, 280, 280, 182, 182, 182, 182]
+    assert sum(widths) == 2 * 1834 and dist.basis_dim == 14**3
+    ones = solved(3, (1, 1, 1))
+    assert widths == [455, 455, 280, 280, 455, 455, 280, 280, 182, 182, 182, 182]
+    for name in ("energies", "tracked", "track_quality", "interaction"):
+        np.testing.assert_array_equal(getattr(ones, name), getattr(dist, name))
+    solved(2, None)
+    assert widths == [56, 56, 49, 49, 42, 42, 49, 49]
+    solved(3, (2, 1))
+    assert widths == [182, 182, 455, 455, 182, 182, 455, 455]
+
+
+def test_mapped_vectors_are_eigenvectors():
+    # All 216 states of six modes, so every mapped vector is among them.
+    cfg = EDConfig(3, 6, (5.0, 20.0))
+    blocks = oracle._symmetry_blocks(cfg)
+    h0, w = _dense_reference(cfg)
+    swaps, _ = _swap_and_parity(6, 3)
+    for g, (vals, vecs, contact) in zip(cfg.g_values, oracle._solve_blocks(cfg, blocks, 216)):
+        resid = (h0 + g * w) @ vecs - vecs * vals
+        assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(216), atol=1e-12)
+        np.testing.assert_allclose(contact, np.einsum("ij,ij->j", vecs, w @ vecs), atol=1e-12)
+        # the mapped vectors: antisymmetric under P_12 with class-sum value 0
+        anti = np.abs(vecs[swaps[0, 1]] + vecs).max(axis=0) < 1e-12
+        mixed = np.abs(sum(vecs[p] for p in swaps.values())).max(axis=0) < 1e-12
+        assert np.sum(anti & mixed) == sum(p.shape[1] for _, _, p in blocks if p is not None)
 
 
 def test_buffer_states_keep_tracking():
