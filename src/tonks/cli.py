@@ -269,10 +269,15 @@ def _cmd_spectrum(args, s: dict) -> int:
     graph = build_graph(n, comp)
     proj = solve(projected_laplacian(graph, gammas))
     # Above the node cap only the projected block is computed and written.
+    # Distinguishable words are the orderings themselves, solved once.
     full = None
     if math.factorial(n) <= NODE_CAP:
-        orderings = build_graph(n)
-        full = classify(solve(projected_laplacian(orderings, gammas)), graph)
+        if graph.n_nodes == math.factorial(n):
+            orderings, ordered = graph, proj
+        else:
+            orderings = build_graph(n)
+            ordered = solve(projected_laplacian(orderings, gammas))
+        full = classify(ordered, graph)
     body = {
         "units": _units(s),
         "input": {
@@ -328,14 +333,16 @@ def _cmd_validate(args, s: dict) -> int:
     if s["states"] and s["states"] < m:
         raise InputError(f"--states must be at least {m}, the number of K values for n={n}, "
                          f"got {s['states']}")
-    state, _ = _build_problem(s)
-    gammas = all_gammas(state, tol=s["tol"])
-    graph = build_graph(n)
-    k_pred = solve(projected_laplacian(graph, gammas)).values
     try:
         g_values = tuple(float(p) for p in s["g"].split(","))
     except ValueError as exc:
         raise InputError(f"cannot parse couplings {s['g']!r}") from exc
+    if len(g_values) < 3:
+        raise InputError("slope fits need at least three couplings")
+    state, _ = _build_problem(s)
+    gammas = all_gammas(state, tol=s["tol"])
+    graph = build_graph(n)
+    k_pred = solve(projected_laplacian(graph, gammas)).values
     n_states = s["states"] or m + 4
     cfg = EDConfig(n_particles=n, n_modes=s["n_modes"], g_values=g_values,
                    n_states=n_states)

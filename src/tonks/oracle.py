@@ -2,25 +2,22 @@
 
 Few fermions with a contact interaction g * sum of delta(x_i - x_j) are
 diagonalized in a truncated harmonic product basis.  The Hamiltonian
-commutes with total parity and with particle exchange, so the basis is
-split into exact blocks: the halves symmetric and antisymmetric under
-exchanging particles 1 and 2 (or, for identical fermions, the
-per-component antisymmetrized states), each split again by parity and by
-the eigenvalue of the class sum of all pair swaps, which separates the
-irreducible representations of the permutation group.  Each block is
-assembled sparsely from the nonzero contact integrals and solved densely
-while the largest block stays within DENSE_DIM_CAP (the mixed irrep of
-three distinguishable particles once per parity, its second row mapped
-through Young's orthogonal form); a larger distinguishable
-three-particle basis falls back to a matrix-free Lanczos solve of the
-whole product basis.  Energies tracked across couplings by
-eigenvector overlap are fitted against 1/g, and the negated slopes are
-compared with the Laplacian eigenvalues K; the interaction expectation of
-each tracked state doubles as the exact dE/dg of the truncated model.  A
-transcendental two-body relation provides an independent closed-form
-reference for N = 2, and a seeded, stratified Monte Carlo estimator of
-the boundary weights cross-checks the ordered-overlap engine from the
-coordinates up.
+commutes with total parity and with every particle permutation, so the
+basis is split into exact blocks, one per irreducible representation of
+the permutation group and parity, each built from Young's orthogonal form
+with one isometry per row of the irrep (for identical fermions, per row
+that is antisymmetric inside every component).  Each block is assembled
+sparsely from the nonzero contact integrals and solved densely, once for
+all its rows, while the largest block stays within DENSE_DIM_CAP; a
+larger distinguishable three-particle basis falls back to a matrix-free
+Lanczos solve of the whole product basis.  Energies tracked across
+couplings by eigenvector overlap are fitted against 1/g, and the negated
+slopes are compared with the Laplacian eigenvalues K; the interaction
+expectation of each tracked state doubles as the exact dE/dg of the
+truncated model.  A transcendental two-body relation provides an
+independent closed-form reference for N = 2, and a seeded, stratified
+Monte Carlo estimator of the boundary weights cross-checks the
+ordered-overlap engine from the coordinates up.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import digamma, ndtri, stdtrit
 from scipy.special import gamma as gamma_fn
 
-from .sectors import ComponentSpec, _young_generators
+from .sectors import ComponentSpec, _partitions, _young_generators
 from .slater import SlaterState
 from .traps import _hermite_ladder
 from .weights import BoundaryWeight
@@ -150,110 +147,72 @@ class EDResult:
     interaction: np.ndarray = field(repr=False)
 
 
-def _symmetrizer(n_modes: int, size: int, sign: int) -> tuple[sparse.csc_array, np.ndarray]:
-    """Sparse isometry onto states of `size` particles that are symmetric
-    (sign=+1) or antisymmetric (sign=-1) under their exchange, with the
-    oscillator quanta of each column.
+def _kernel(d: int, gens: list[np.ndarray], sign: int) -> np.ndarray:
+    """Orthonormal columns spanning the vectors v with rho v = sign * v for every
+    rho in gens, as the null space of the sum of (1 - sign * rho).
 
-    Column j is the normalized sum over the distinct orderings of the j-th
-    sorted occupation, each weighted by sign to the number of inversions.
+    Generators of m adjacent slots leave that sum a gap of at least
+    2 (1 - cos(pi / m)) above zero (0.38 at m = 5), far above the 1e-6 cut.
     """
-    if size == 1:
-        return sparse.eye_array(n_modes, format="csc"), np.arange(n_modes)
-    pick = itertools.combinations if sign < 0 else itertools.combinations_with_replacement
-    rows, cols, vals, quanta = [], [], [], []
-    for j, occ in enumerate(pick(range(n_modes), size)):
-        terms = {}
-        for perm in itertools.permutations(range(size)):
-            flips = sum(a > b for a, b in itertools.combinations(perm, 2))
-            terms[np.ravel_multi_index([occ[p] for p in perm], (n_modes,) * size)] = sign**flips
-        for r, s in terms.items():
-            rows.append(r)
-            cols.append(j)
-            vals.append(s / math.sqrt(len(terms)))
-        quanta.append(sum(occ))
-    t = sparse.csc_array((vals, (rows, cols)), shape=(n_modes**size, len(quanta)))
-    return t, np.array(quanta)
+    vals, vecs = np.linalg.eigh(sum((np.eye(d) - sign * rho for rho in gens), np.zeros((d, d))))
+    return vecs[:, vals < 1e-6]
 
 
-def _class_sum_split(t: sparse.csc_array, quanta: np.ndarray, shape: tuple[int, ...],
-                     skip: int | None = None) -> list[tuple[int, sparse.csc_array, np.ndarray]]:
-    """Split isometry t into the eigenspaces of the class sum C of all pair
-    swaps, in ascending order of its eigenvalue c, as (c, isometry, quanta of
-    each column); no isometry is built for c = skip.
+def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec | None
+                     ) -> list[tuple[tuple[sparse.csc_array, ...], np.ndarray]]:
+    """Isometries onto the exact symmetry blocks of the product basis, one block
+    per irrep of S_N and parity in a fixed order, each as (one isometry per
+    retained row of the irrep, trap energy of each column).
 
-    C = sum over i < j of P_ij, where P_ij swaps the modes of particles i
-    and j in the product basis.  T^T C T couples only columns over one
-    occupation multiset; these small blocks are diagonalized in one batch,
-    padded to the largest with a diagonal value that C cannot take.
+    Product state w is sigma_w r, with r its sorted occupation and sigma_w the
+    adjacent swaps s_k that sort it.  For a shape with Young's orthogonal form
+    rho of dimension d, the columns e_j span the vectors that rho(s_k) fixes at
+    every tied slot pair of r, and the rows f the vectors with rho(s_k) = -1
+    for every slot pair inside one component (all rows for distinguishable
+    particles).  Column (orbit of r, j) of T_f holds
+    sqrt(d / |orbit|) f^T rho(sigma_w) e_j at w.  By Schur orthogonality these
+    columns are orthonormal, a swap maps T_f to T_(rho(s_k) f), and so every
+    T_f gives the same T_f^T H T_f.  Every column is an oscillator eigenstate.
     """
-    idx = np.arange(math.prod(shape)).reshape(shape)
-    pairs = itertools.combinations(range(len(shape)), 2)
-    m = (t.T @ sum(t[idx.swapaxes(i, j).ravel()] for i, j in pairs)).tocoo()
-    # Label each column by the sorted modes of its first product state.
-    modes = np.sort(np.unravel_index(t.indices[t.indptr[:-1]], shape), axis=0)
-    _, grp, size = np.unique(np.ravel_multi_index(modes, shape), return_inverse=True,
-                             return_counts=True)
-    # Position of each column within its group: its rank minus the group's start.
-    pos = np.argsort(np.argsort(grp, kind="stable")) - (np.cumsum(size) - size)[grp]
-    pad, top = len(shape) ** 2, size.max()
-    a = pad * (np.arange(top) >= size[:, None, None]) * np.eye(top)
-    a[grp[m.row], pos[m.row], pos[m.col]] = m.data
-    w, x = np.linalg.eigh(a)
-    c_val = np.rint(w).astype(int)
-    col = np.full(a.shape[:2], -1)
-    col[grp, pos] = np.arange(len(grp))
+    shape = (n_modes,) * n_particles
+    occ = np.indices(shape).reshape(n_particles, -1).T
+    steps = []  # (slot k, states whose slots k and k+1 swap), in sorting order
+    for _ in range(n_particles - 1):
+        for k in range(n_particles - 1):
+            move = np.flatnonzero(occ[:, k] > occ[:, k + 1])
+            occ[move, k], occ[move, k + 1] = occ[move, k + 1], occ[move, k]
+            steps.append((k, move))
+    _, first, orbit, size = np.unique(np.ravel_multi_index(occ.T, shape), return_index=True,
+                                      return_inverse=True, return_counts=True)
+    r = occ[first]
+    ties = (r[:, 1:] == r[:, :-1]) @ (1 << np.arange(n_particles - 1))  # tied slot pairs as bits
+    quanta = r.sum(axis=1)
+    sizes = (1,) * n_particles if components is None else components.sizes
+    label = np.repeat(np.arange(len(sizes)), sizes)
     blocks = []
-    for c in np.unique(c_val[(c_val != pad) & (c_val != skip)]):
-        g, e = np.nonzero(c_val == c)
-        rows, ok = col[g], col[g] >= 0
-        v = sparse.csc_array((x[g, :, e][ok], (rows[ok], np.nonzero(ok)[0])),
-                             shape=(t.shape[1], len(g)))
-        blocks.append((int(c), t @ v, quanta[col[g, 0]]))
-    return blocks
-
-
-def _symmetry_blocks(cfg: EDConfig
-                     ) -> list[tuple[sparse.csc_array, np.ndarray, sparse.csc_array | None]]:
-    """Isometries onto the exact symmetry blocks of the basis, in a fixed order,
-    each with its trap energies and the isometry of its mapped partner (or None).
-
-    A distinguishable basis splits into the halves symmetric and
-    antisymmetric under exchanging particles 1 and 2; a component basis is
-    the Kronecker product of per-component antisymmetrizers.  Each half
-    then splits by total parity, and each parity block by the class sum of
-    all pair swaps, whose eigenvalue labels the irreducible representation
-    (N = 3: 3 symmetric, 0 mixed, -3 antisymmetric).  Every column is an
-    oscillator eigenstate.  Distinguishable N = 3 builds the mixed irrep in
-    the symmetric half only, row a of shape (2,1); its partner, row b of
-    Young's orthogonal form, is T_b = (P_23 - rho_aa) T_a / rho_ba, rho = rho(s_2).
-    """
-    n, comp = cfg.n_modes, cfg.components
-    shape = (n,) * cfg.n_particles
-    distinguishable = comp is None or all(s == 1 for s in comp.sizes)
-    if distinguishable:
-        rest = [_symmetrizer(n, 1, 1)] * (cfg.n_particles - 2)
-        halves = [[_symmetrizer(n, 2, sign), *rest] for sign in (1, -1)]
-    else:
-        halves = [[_symmetrizer(n, s, -1) for s in comp.sizes]]
-    s1, s2 = _young_generators((2, 1))
-    a = int(np.argmax(np.diag(s1)))  # row a is the one that s_1 = P_12 fixes
-    blocks = []
-    for half, factors in enumerate(halves):
-        t, quanta = factors[0]
-        for t2, q2 in factors[1:]:
-            t = sparse.kron(t, t2, format="csc")
-            quanta = np.add.outer(quanta, q2).ravel()
-        # A distinguishable basis has c = 0 (mixed) only for N = 3.
-        skip = 0 if distinguishable and half else None
+    for lam in _partitions(n_particles):
+        gens = _young_generators(lam)
+        d = len(gens[0])
+        f = _kernel(d, [rho for rho, a, b in zip(gens, label, label[1:]) if a == b], -1)
+        if not f.shape[1]:
+            continue
+        e = np.zeros((2 ** (n_particles - 1), d, d))  # fixed vectors of each tie pattern, padded
+        width = np.zeros(len(e), dtype=int)
+        for p in np.unique(ties):
+            basis = _kernel(d, [rho for k, rho in enumerate(gens) if p >> k & 1], 1)
+            e[p, :, :basis.shape[1]] = basis
+            width[p] = basis.shape[1]
+        rho_w = np.broadcast_to(np.eye(d), (len(occ), d, d)).copy()
+        for k, move in steps:
+            rho_w[move] = rho_w[move] @ gens[k]
+        coef = rho_w @ e[ties[orbit]] * np.sqrt(d / size[orbit])[:, None, None]
         for parity in (0, 1):
-            keep = quanta % 2 == parity
-            for c, t_c, q_c in _class_sum_split(t[:, keep], quanta[keep], shape, skip):
-                partner = None
-                if distinguishable and c == 0:
-                    p23 = np.arange(n**3).reshape(shape).transpose(0, 2, 1).ravel()
-                    partner = (t_c[p23] - s2[a, a] * t_c) / s2[1 - a, a]
-                blocks.append((t_c, q_c + 0.5 * cfg.n_particles, partner))
+            cols = np.where(quanta % 2 == parity, width[ties], 0)
+            w, j = np.nonzero(np.arange(d) < cols[orbit][:, None])
+            at = (w, (np.cumsum(cols) - cols)[orbit[w]] + j)
+            ts = tuple(sparse.csc_array((coef[w, :, j] @ row, at), shape=(len(occ), cols.sum()))
+                       for row in f.T)
+            blocks.append((ts, np.repeat(quanta, cols) + 0.5 * n_particles))
     return blocks
 
 
@@ -305,27 +264,27 @@ class _ContactOperator:
 
 
 def _solve_blocks(cfg: EDConfig,
-                  blocks: list[tuple[sparse.csc_array, np.ndarray, sparse.csc_array | None]],
+                  blocks: list[tuple[tuple[sparse.csc_array, ...], np.ndarray]],
                   n_keep: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Lowest n_keep states of every coupling from dense solves of the blocks.
 
-    Each block is T^T W T for its isometry T; eigenvectors come back in the
-    product basis with their contact expectations.  A block with a mapped
-    partner adds, right after its own states, the same energies and contact
-    expectations with the partner's vectors.  Block spectra merge by a
-    stable sort in the fixed block order.
+    Each block is solved once, as T^T W T for the isometry T of its first
+    row; the eigenvectors x come back in the product basis as T x for the
+    isometry T of every row, each with the same energies and contact
+    expectations.  Block spectra merge by a stable sort in the fixed block
+    and row order.
     """
     w = _contact_matrix(cfg.n_modes, cfg.n_particles)
     parts = [[] for _ in cfg.g_values]
-    for t, h0, partner in blocks:
-        w_b = (t.T @ w @ t).toarray()
-        k = min(n_keep, t.shape[1])
+    for ts, h0 in blocks:
+        w_b = (ts[0].T @ w @ ts[0]).toarray()
+        k = min(n_keep, len(h0))
         for gi, g in enumerate(cfg.g_values):
             h = g * w_b
             h[np.diag_indices_from(h)] += h0
             e, x = eigh(h, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
             contact = np.einsum("ij,ij->j", x, w_b @ x)
-            parts[gi] += [(e, u @ x, contact) for u in (t, partner) if u is not None]
+            parts[gi] += [(e, t @ x, contact) for t in ts]
     spectra = []
     for found in parts:
         vals, vecs, contact = (np.concatenate(z, axis=-1) for z in zip(*found))
@@ -364,9 +323,9 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     """Solve the truncated contact-interaction problem at every coupling.
 
     The Hamiltonian commutes with total parity and with every particle
-    permutation of the basis, so it is solved densely in the parity,
-    exchange and class-sum blocks of _symmetry_blocks; a mapped partner
-    block counts in basis_dim but is not solved.  DENSE_DIM_CAP limits the
+    permutation of the basis, so it is solved densely in the irrep and
+    parity blocks of _symmetry_blocks, once per block; every row of a block
+    counts in basis_dim.  DENSE_DIM_CAP limits the
     largest block; a distinguishable N = 3 basis beyond it takes a
     matrix-free Lanczos solve of the full product basis.  n_states + 2
     eigenvectors, in the product basis, are matched across couplings by
@@ -375,14 +334,14 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     """
     from scipy import optimize  # slow to load; imported where the solvers need it
 
-    blocks = _symmetry_blocks(cfg)
-    dim = sum(t.shape[1] * (1 + (partner is not None)) for t, _, partner in blocks)
+    blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
+    dim = sum(len(ts) * len(h0) for ts, h0 in blocks)
     if cfg.n_states > dim:
         raise ValueError(f"n_states={cfg.n_states} exceeds basis dimension {dim}")
     # Two buffer states keep a crossing at the cutoff from derailing the
     # tracking of the last retained column.
     n_keep = min(cfg.n_states + 2, dim)
-    if max(t.shape[1] for t, *_ in blocks) <= DENSE_DIM_CAP:
+    if max(len(h0) for _, h0 in blocks) <= DENSE_DIM_CAP:
         spectra = _solve_blocks(cfg, blocks, n_keep)
     elif cfg.components is not None and any(s > 1 for s in cfg.components.sizes):
         raise ValueError("component-projected bases above the dense cap are not supported")

@@ -273,7 +273,7 @@ def test_validate_mixed_pairs_fit_identically():
     assert doc["passed"] is True
 
 
-def test_validate_bad_couplings_and_states_exit_two():
+def test_validate_bad_couplings_and_states_exit_two(monkeypatch, capsys):
     for g in ("20,50,inf", "20,nan,100"):
         proc = run_cli("validate", "--n", "2", "--n-modes", "10", "--g", g, expect=2)
         assert proc.stderr.startswith("error: g_values must be finite and positive")
@@ -281,6 +281,30 @@ def test_validate_bad_couplings_and_states_exit_two():
     proc = run_cli("validate", "--n", "3", "--n-modes", "10", "--states", "3", expect=2)
     assert proc.stderr.strip() == (
         "error: --states must be at least 6, the number of K values for n=3, got 3")
+
+    def refused(cfg):
+        raise AssertionError("oracle ran before the coupling count was checked")
+
+    # two couplings cannot give a slope fit: refused before either diagonalization
+    monkeypatch.setattr(cli, "diagonalize", refused)
+    assert cli.main(["validate", "--n", "3", "--n-modes", "18", "--g", "20,50"]) == 2
+    assert capsys.readouterr().err == "error: slope fits need at least three couplings\n"
+
+
+def test_spectrum_solves_distinguishable_input_once(monkeypatch, tmp_path):
+    calls, real = [], cli.solve
+
+    def counting_solve(lap):
+        calls.append(lap.shape[0])
+        return real(lap)
+
+    monkeypatch.setattr(cli, "solve", counting_solve)
+    out = str(tmp_path / "spectrum.json")
+    for components, solves in ((None, [24]), ("2,2", [6, 24])):
+        calls.clear()
+        extra = ["--components", components] if components else []
+        assert cli.main(["spectrum", "--n", "4", *extra, "-o", out, "--no-timestamp"]) == 0
+        assert calls == solves
 
 
 def test_density_output():

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,9 +224,9 @@ def test_blocks_match_dense_reference(npart, n_modes, sizes):
     res = diagonalize(cfg)
     h0, w = _dense_reference(cfg)
     assert res.basis_dim == len(h0)
-    blocks = oracle._symmetry_blocks(cfg)
-    # solved widths plus the widths of their mapped partners
-    assert sum(t.shape[1] * (1 + (p is not None)) for t, _, p in blocks) == res.basis_dim
+    blocks = oracle._symmetry_blocks(n_modes, npart, comp)
+    # every row of every block
+    assert sum(len(ts) * len(h0) for ts, h0 in blocks) == res.basis_dim
     for gi, g in enumerate(cfg.g_values):
         vals, vecs = np.linalg.eigh(h0 + g * w)
         np.testing.assert_allclose(res.energies[gi], vals[:6], atol=1e-10)
@@ -240,16 +239,19 @@ def test_blocks_match_dense_reference(npart, n_modes, sizes):
         np.testing.assert_allclose(res.interaction[gi], contact, atol=1e-8)
 
 
+def _widths(blocks):
+    """The width of every row's isometry, block by block."""
+    return [tuple(t.shape[1] for t in ts) for ts, _ in blocks]
+
+
 def test_block_sizes():
-    blocks = oracle._symmetry_blocks(EDConfig(3, 14, (1.0,)))
-    # sym-even, sym-odd, anti-even, anti-odd, each split by ascending class-sum value;
-    # the anti half's mixed blocks are the mapped partners of the sym half's
-    assert [t.shape[1] for t, _, _ in blocks] == [455, 280, 455, 280, 182, 182]
-    assert [p.shape[1] for _, _, p in blocks if p is not None] == [455, 455]
-    assert [p is None for _, _, p in blocks] == [False, True, False, True, True, True]
-    pair = oracle._symmetry_blocks(EDConfig(3, 14, (1.0,), components=ComponentSpec((2, 1))))
-    assert [t.shape[1] for t, _, _ in pair] == [182, 455, 182, 455]
-    assert all(p is None for _, _, p in pair)
+    # shapes (3), (2,1), (1,1,1), each even then odd; (2,1) has two rows
+    blocks = oracle._symmetry_blocks(14, 3, None)
+    assert _widths(blocks) == [(280,), (280,), (455, 455), (455, 455), (182,), (182,)]
+    assert [len(h0) for _, h0 in blocks] == [280, 280, 455, 455, 182, 182]
+    # (2,1) components: no symmetric shape, one row of (2,1) antisymmetric under P_12
+    pair = oracle._symmetry_blocks(14, 3, ComponentSpec((2, 1)))
+    assert _widths(pair) == [(455,), (455,), (182,), (182,)]
 
 
 @pytest.mark.parametrize("sizes", [None, (1, 1), (2,)])
@@ -257,8 +259,8 @@ def test_two_particle_blocks_within_dense_cap(sizes):
     # diagonalize has no two-particle path above the dense cap, so at the mode cap
     # every two-particle block must fit (60 modes: 930 for (1, 1), 900 for (2,))
     comp = None if sizes is None else ComponentSpec(sizes)
-    cfg = EDConfig(2, oracle.DELTA_MODE_CAP, (1.0,), components=comp)
-    assert max(t.shape[1] for t, *_ in oracle._symmetry_blocks(cfg)) <= oracle.DENSE_DIM_CAP
+    blocks = oracle._symmetry_blocks(oracle.DELTA_MODE_CAP, 2, comp)
+    assert max(len(h0) for _, h0 in blocks) <= oracle.DENSE_DIM_CAP
 
 
 def test_dense_blocks_below_cap(monkeypatch):
@@ -278,7 +280,7 @@ def test_dense_blocks_below_cap(monkeypatch):
     monkeypatch.setattr(oracle, "eigh", recording_eigh)
     monkeypatch.setattr(oracle, "eigsh", refused_eigsh)
     capped = diagonalize(cfg)
-    mapped = sum(p.shape[1] for _, _, p in oracle._symmetry_blocks(cfg) if p is not None)
+    mapped = sum((len(ts) - 1) * len(h0) for ts, h0 in oracle._symmetry_blocks(8, 3, None))
     assert capped.basis_dim == 512 and sum(sizes) + mapped == 512 and max(sizes) <= 200
     np.testing.assert_array_equal(capped.energies, uncapped.energies)
     np.testing.assert_array_equal(capped.interaction, uncapped.interaction)
@@ -298,47 +300,61 @@ def _swap_and_parity(n_modes, n_particles):
 
 @pytest.mark.parametrize("npart, sizes", [
     (2, None), (2, (2,)), (3, None), (3, (2, 1)), (3, (1, 2)), (3, (3,)),
+    (4, None), (4, (2, 2)), (4, (3, 1)), (4, (1, 2, 1)),
 ])
 def test_block_invariants(npart, sizes):
-    n = 7
+    n = 5 if npart == 4 else 7
     comp = None if sizes is None else ComponentSpec(sizes)
-    cfg = EDConfig(npart, n, (1.0,), components=comp)
     swaps, parity = _swap_and_parity(n, npart)
     labels = np.repeat(np.arange(len(sizes)), sizes) if sizes else np.arange(npart)
-    # every solved isometry and every mapped partner
-    dense = [u.toarray() for blk in oracle._symmetry_blocks(cfg) for u in (blk[0], blk[2])
-             if u is not None]
-    for t in dense:
-        ct = sum(t[p] for p in swaps.values())
-        c = t[:, 0] @ ct[:, 0]
+    trap = np.indices((n,) * npart).sum(axis=0).ravel() + 0.5 * npart
+    w = oracle._contact_matrix(n, npart)
+    blocks = oracle._symmetry_blocks(n, npart, comp)
+    for ts, h0 in blocks:
+        rows = [t.toarray() for t in ts]
+        # one class-sum value, the irrep's, on every row
+        c = rows[0][:, 0] @ sum(rows[0][p, 0] for p in swaps.values())
         assert c == pytest.approx(round(c), abs=1e-12)
-        np.testing.assert_allclose(ct, c * t, atol=1e-12)
-        np.testing.assert_allclose(parity[:, None] * t, parity[np.argmax(np.abs(t[:, 0]))] * t,
-                                   atol=1e-12)
-        # identical fermions: every swap inside a component flips the sign
-        for (i, j), p in swaps.items():
-            if labels[i] == labels[j]:
-                np.testing.assert_allclose(t[p], -t, atol=1e-12)
-    q = np.hstack(dense)
+        w_0 = rows[0].T @ w @ rows[0]
+        for t in rows:
+            np.testing.assert_allclose(sum(t[p] for p in swaps.values()), c * t, atol=1e-12)
+            np.testing.assert_allclose(parity[:, None] * t, parity[np.argmax(np.abs(t[:, 0]))] * t,
+                                       atol=1e-12)
+            # every column an oscillator eigenstate with the block's trap energy
+            np.testing.assert_allclose(trap[:, None] * t, t * h0, atol=1e-12)
+            # identical fermions: every swap inside a component flips the sign
+            for (i, j), p in swaps.items():
+                if labels[i] == labels[j]:
+                    np.testing.assert_allclose(t[p], -t, atol=1e-12)
+            # every row carries the same block Hamiltonian
+            np.testing.assert_allclose(t.T @ w @ t, w_0, atol=1e-12)
+    q = np.hstack([t.toarray() for ts, _ in blocks for t in ts])
     np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
     want = math.prod(math.comb(n, s) for s in sizes) if sizes else n**npart
-    assert q.shape[1] == want == diagonalize(replace(cfg, n_states=1)).basis_dim
+    assert q.shape[1] == want
+    if npart < 4:
+        cfg = EDConfig(npart, n, (1.0,), n_states=1, components=comp)
+        assert diagonalize(cfg).basis_dim == want
+    if npart == 4 and sizes is None:
+        # shapes (4), (3,1), (2,2), (2,1,1), (1,1,1,1), each even then odd
+        assert [len(ts) for ts, _ in blocks] == [1, 1, 3, 3, 2, 2, 3, 3, 1, 1]
 
 
 def test_mixed_blocks_isospectral():
-    # The mixed irrep is solved in the symmetric half (row a of shape (2,1));
-    # its mapped partner T_b spans the antisymmetric half's mixed space with
-    # the same block Hamiltonian.
+    # The mixed irrep (2,1) is one block per parity with two rows: their
+    # isometries are orthogonal, each swap maps their span into itself, and
+    # both carry the same block Hamiltonian.
     cfg = EDConfig(3, 8, (5.0,))
     h0, w = _dense_reference(cfg)
     h = h0 + 5.0 * w
     swaps, _ = _swap_and_parity(8, 3)
-    pairs = [(t.toarray(), p.toarray()) for t, _, p in oracle._symmetry_blocks(cfg)
-             if p is not None]
-    assert len(pairs) == 2
-    for ta, tb in pairs:
-        np.testing.assert_allclose(ta[swaps[0, 1]], ta, atol=1e-12)
-        np.testing.assert_allclose(tb[swaps[0, 1]], -tb, atol=1e-12)
+    mixed = [[t.toarray() for t in ts] for ts, _ in oracle._symmetry_blocks(8, 3, None)
+             if len(ts) > 1]
+    assert len(mixed) == 2
+    for ta, tb in mixed:
+        span = np.hstack([ta, tb])
+        for p in swaps.values():
+            np.testing.assert_allclose(span @ (span.T @ span[p]), span[p], atol=1e-12)
         np.testing.assert_allclose(ta.T @ tb, 0.0, atol=1e-12)
         np.testing.assert_allclose(tb.T @ h @ tb, ta.T @ h @ ta, atol=1e-12)
 
@@ -358,23 +374,23 @@ def test_eigh_widths_one_solve_per_mixed_pair(monkeypatch):
         return diagonalize(EDConfig(npart, 14, (20.0, 50.0), n_states=6, components=comp))
 
     dist = solved(3, None)
-    # per coupling: the mixed irrep once per parity, never in the antisymmetric half
-    assert widths == [455, 455, 280, 280, 455, 455, 280, 280, 182, 182, 182, 182]
+    # per coupling: one solve per shape and parity, the mixed irrep's second row mapped
+    assert widths == [280, 280, 280, 280, 455, 455, 455, 455, 182, 182, 182, 182]
     assert sum(widths) == 2 * 1834 and dist.basis_dim == 14**3
     ones = solved(3, (1, 1, 1))
-    assert widths == [455, 455, 280, 280, 455, 455, 280, 280, 182, 182, 182, 182]
+    assert widths == [280, 280, 280, 280, 455, 455, 455, 455, 182, 182, 182, 182]
     for name in ("energies", "tracked", "track_quality", "interaction"):
         np.testing.assert_array_equal(getattr(ones, name), getattr(dist, name))
     solved(2, None)
     assert widths == [56, 56, 49, 49, 42, 42, 49, 49]
     solved(3, (2, 1))
-    assert widths == [182, 182, 455, 455, 182, 182, 455, 455]
+    assert widths == [455, 455, 455, 455, 182, 182, 182, 182]
 
 
 def test_mapped_vectors_are_eigenvectors():
     # All 216 states of six modes, so every mapped vector is among them.
     cfg = EDConfig(3, 6, (5.0, 20.0))
-    blocks = oracle._symmetry_blocks(cfg)
+    blocks = oracle._symmetry_blocks(6, 3, None)
     h0, w = _dense_reference(cfg)
     swaps, _ = _swap_and_parity(6, 3)
     for g, (vals, vecs, contact) in zip(cfg.g_values, oracle._solve_blocks(cfg, blocks, 216)):
@@ -382,10 +398,11 @@ def test_mapped_vectors_are_eigenvectors():
         assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(216), atol=1e-12)
         np.testing.assert_allclose(contact, np.einsum("ij,ij->j", vecs, w @ vecs), atol=1e-12)
-        # the mapped vectors: antisymmetric under P_12 with class-sum value 0
-        anti = np.abs(vecs[swaps[0, 1]] + vecs).max(axis=0) < 1e-12
+        # the vectors of every row of a multi-row block: class-sum value 0, the mixed irrep
         mixed = np.abs(sum(vecs[p] for p in swaps.values())).max(axis=0) < 1e-12
-        assert np.sum(anti & mixed) == sum(p.shape[1] for _, _, p in blocks if p is not None)
+        assert np.sum(mixed) == sum(len(ts) * len(h0) for ts, h0 in blocks if len(ts) > 1)
+        # each of their energies comes from one solve, so the two rows agree bit for bit
+        assert np.all(np.unique(vals[mixed], return_counts=True)[1] % 2 == 0)
 
 
 def test_buffer_states_keep_tracking():
