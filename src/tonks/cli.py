@@ -333,6 +333,9 @@ def _cmd_validate(args, s: dict) -> int:
     if s["states"] and s["states"] < m:
         raise InputError(f"--states must be at least {m}, the number of K values for n={n}, "
                          f"got {s['states']}")
+    if s["states"] > (s["n_modes"] - 4) ** n:
+        raise InputError(f"--states {s['states']} exceeds the basis dimension {(s['n_modes'] - 4) ** n}"
+                         f" of the {s['n_modes'] - 4}-mode truncation rerun")
     try:
         g_values = tuple(float(p) for p in s["g"].split(","))
     except ValueError as exc:

@@ -6,18 +6,19 @@ commutes with total parity and with every particle permutation, so the
 basis is split into exact blocks, one per irreducible representation of
 the permutation group and parity, each built from Young's orthogonal form
 with one isometry per row of the irrep (for identical fermions, per row
-that is antisymmetric inside every component).  Each block is assembled
-sparsely from the nonzero contact integrals and solved densely, once for
-all its rows, while the largest block stays within DENSE_DIM_CAP; a
-larger distinguishable three-particle basis falls back to a matrix-free
-Lanczos solve of the whole product basis.  Energies tracked across
-couplings by eigenvector overlap are fitted against 1/g, and the negated
-slopes are compared with the Laplacian eigenvalues K; the interaction
-expectation of each tracked state doubles as the exact dE/dg of the
-truncated model.  A transcendental two-body relation provides an
-independent closed-form reference for N = 2, and a seeded, stratified
-Monte Carlo estimator of the boundary weights cross-checks the
-ordered-overlap engine from the coordinates up.
+that is antisymmetric inside every component).  Each block's contact
+matrix is assembled from the contact rows of the sorted occupations alone,
+one per orbit, and solved densely, once for all its rows, while the largest
+block stays within DENSE_DIM_CAP; the antisymmetric irrep carries no
+contact and takes no solve.  A larger distinguishable three-particle basis
+falls back to a matrix-free Lanczos solve of the whole product basis.
+Energies tracked across couplings by eigenvector overlap are fitted
+against 1/g, and the negated slopes are compared with the Laplacian
+eigenvalues K; the interaction expectation of each tracked state doubles
+as the exact dE/dg of the truncated model.  A transcendental two-body
+relation provides an independent closed-form reference for N = 2, and a
+seeded, stratified Monte Carlo estimator of the boundary weights
+cross-checks the ordered-overlap engine from the coordinates up.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ from .traps import _hermite_ladder
 from .weights import BoundaryWeight
 
 DELTA_MODE_CAP = 60
-# Largest block solved densely.  For three distinguishable particles and
-# three couplings the dense block solves and the matrix-free Lanczos solve
-# cost about the same at 24 modes (largest block 2,300: 25 s each); beyond,
-# Lanczos is faster and far smaller: at 26 modes (largest block 2,925) it
-# takes 35 s and 0.1 GB against 49 s and 0.7 GB dense (2-vCPU Xeon, one
-# BLAS thread).  A (2,1) component basis has the same largest block, the
-# mixed one, and no Lanczos path.
+# Largest block solved densely.  Three distinguishable particles, three
+# couplings (2-vCPU Xeon, one BLAS thread, peak RSS): at 24 modes (largest
+# block 2,300) the dense solves take 9 s and 0.36 GB, the matrix-free Lanczos
+# solve 15 s and 0.1 GB; at 26 modes (2,925) 17 s and 0.52 GB against 20 s
+# and 0.1 GB.  Beyond the cap dense is a little faster but five times larger.
+# A (2,1) component basis has the same largest block, the mixed one, and no
+# Lanczos path.
 DENSE_DIM_CAP = 2500
 BASIS_DIM_CAP = 200_000
 MC_STRATA = 64
@@ -158,11 +159,15 @@ def _kernel(d: int, gens: list[np.ndarray], sign: int) -> np.ndarray:
     return vecs[:, vals < 1e-6]
 
 
+_Block = tuple[tuple[sparse.csc_array, ...], np.ndarray, tuple[sparse.csc_array, ...]]
+
+
 def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec | None
-                     ) -> list[tuple[tuple[sparse.csc_array, ...], np.ndarray]]:
+                     ) -> list[_Block]:
     """Isometries onto the exact symmetry blocks of the product basis, one block
     per irrep of S_N and parity in a fixed order, each as (one isometry per
-    retained row of the irrep, trap energy of each column).
+    retained row of the irrep, trap energy of each column, the isometries of
+    all rows of the irrep, left empty for the shape [1^N]).
 
     Product state w is sigma_w r, with r its sorted occupation and sigma_w the
     adjacent swaps s_k that sort it.  For a shape with Young's orthogonal form
@@ -173,6 +178,7 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     sqrt(d / |orbit|) f^T rho(sigma_w) e_j at w.  By Schur orthogonality these
     columns are orthonormal, a swap maps T_f to T_(rho(s_k) f), and so every
     T_f gives the same T_f^T H T_f.  Every column is an oscillator eigenstate.
+    [1^N] is antisymmetric under every swap, so the contact vanishes on it.
     """
     shape = (n_modes,) * n_particles
     occ = np.indices(shape).reshape(n_particles, -1).T
@@ -210,31 +216,12 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
             cols = np.where(quanta % 2 == parity, width[ties], 0)
             w, j = np.nonzero(np.arange(d) < cols[orbit][:, None])
             at = (w, (np.cumsum(cols) - cols)[orbit[w]] + j)
-            ts = tuple(sparse.csc_array((coef[w, :, j] @ row, at), shape=(len(occ), cols.sum()))
-                       for row in f.T)
-            blocks.append((ts, np.repeat(quanta, cols) + 0.5 * n_particles))
+            dims = (len(occ), cols.sum())
+            ks = tuple(sparse.csc_array((coef[w, k, j], at), shape=dims) for k in range(d))
+            ts = tuple(sparse.csc_array((coef[w, :, j] @ row, at), shape=dims) for row in f.T)
+            blocks.append((ts, np.repeat(quanta, cols) + 0.5 * n_particles,
+                           () if len(lam) == n_particles else ks))
     return blocks
-
-
-def _contact_matrix(n_modes: int, n_particles: int) -> sparse.csr_array:
-    """The bare contact operator sum over pairs of delta(x_i - x_j) on the
-    product basis, assembled from the nonzeros of delta_tensor."""
-    n = n_modes
-    i4 = delta_tensor(n)
-    a, b, c, d = np.nonzero(i4)
-    v = i4[a, b, c, d]
-    stride = n ** np.arange(n_particles - 1, -1, -1)
-    dim = n**n_particles
-    w = sparse.csr_array((dim, dim))
-    for p, q in itertools.combinations(range(n_particles), 2):
-        # Spectators keep their mode: one offset per spectator occupation.
-        spect = np.zeros(1, dtype=np.int64)
-        for r in set(range(n_particles)) - {p, q}:
-            spect = (spect[:, None] + np.arange(n) * stride[r]).ravel()
-        rows = ((a * stride[p] + b * stride[q])[:, None] + spect).ravel()
-        cols = ((c * stride[p] + d * stride[q])[:, None] + spect).ravel()
-        w = w + sparse.csr_array((np.repeat(v, len(spect)), (rows, cols)), shape=(dim, dim))
-    return w
 
 
 class _ContactOperator:
@@ -263,27 +250,57 @@ class _ContactOperator:
         return out.reshape(-1)
 
 
-def _solve_blocks(cfg: EDConfig,
-                  blocks: list[tuple[tuple[sparse.csc_array, ...], np.ndarray]],
-                  n_keep: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
+    """The contact matrix T^T W T of each block in turn, None for [1^N].
+
+    W commutes with every particle permutation, so only its rows W[R, :] at
+    the sorted occupations R, one per orbit, are assembled, over every pair:
+    T_f^T W T_f = sum over the d rows e_k of the irrep of
+    T_(e_k)[R]^T diag(|orbit| / d) W[R, :] T_(e_k).
+    """
+    shape = (n_modes,) * n_particles
+    occ = np.indices(shape).reshape(n_particles, -1).T
+    size = np.bincount(np.ravel_multi_index(np.sort(occ, axis=1).T, shape), minlength=len(occ))
+    rows = np.flatnonzero(size)  # the sorted occupations, ascending
+    r, i4, mode = occ[rows], delta_tensor(n_modes), np.arange(n_modes)
+    stride = n_modes ** np.arange(n_particles - 1, -1, -1)
+    w_r = sparse.csr_array((len(rows), len(occ)))
+    for p, q in itertools.combinations(range(n_particles), 2):
+        # Row o holds i4[r_p, r_q, c, d] at r with slots p, q set to c, d, in ascending columns.
+        pair = i4[r[:, p], r[:, q]].reshape(len(rows), -1) * size[rows, None]
+        o, cd = np.nonzero(pair)
+        at = (rows - r[:, p] * stride[p] - r[:, q] * stride[q])[o] \
+            + np.add.outer(mode * stride[p], mode * stride[q]).ravel()[cd]
+        w_r = w_r + sparse.csr_array((pair[o, cd], at, np.searchsorted(o, np.arange(len(rows) + 1))),
+                                     shape=w_r.shape)
+    for _, _, ks in blocks:
+        yield sum((t[rows].T @ (w_r @ t)).toarray() for t in ks) / len(ks) if ks else None
+
+
+def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
+                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Lowest n_keep states of every coupling from dense solves of the blocks.
 
-    Each block is solved once, as T^T W T for the isometry T of its first
-    row; the eigenvectors x come back in the product basis as T x for the
-    isometry T of every row, each with the same energies and contact
-    expectations.  Block spectra merge by a stable sort in the fixed block
+    Each block is solved once, as diag(trap energies) + g W_b with W_b from
+    _block_contacts; the eigenvectors x come back in the product basis as
+    T x for the isometry T of every retained row, each with the same
+    energies and contact expectations.  [1^N] blocks take no solve: their
+    states are their columns in stable order of trap energy, with contact
+    expectation 0.  Block spectra merge by a stable sort in the fixed block
     and row order.
     """
-    w = _contact_matrix(cfg.n_modes, cfg.n_particles)
     parts = [[] for _ in cfg.g_values]
-    for ts, h0 in blocks:
-        w_b = (ts[0].T @ w @ ts[0]).toarray()
+    for (ts, h0, _), w_b in zip(blocks, _block_contacts(cfg.n_modes, cfg.n_particles, blocks)):
         k = min(n_keep, len(h0))
         for gi, g in enumerate(cfg.g_values):
-            h = g * w_b
-            h[np.diag_indices_from(h)] += h0
-            e, x = eigh(h, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
-            contact = np.einsum("ij,ij->j", x, w_b @ x)
+            if w_b is None:
+                order = np.argsort(h0, kind="stable")[:k]
+                e, x, contact = h0[order], np.eye(len(h0))[:, order], np.zeros(k)
+            else:
+                h = g * w_b
+                h[np.diag_indices_from(h)] += h0
+                e, x = eigh(h, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
+                contact = np.einsum("ij,ij->j", x, w_b @ x)
             parts[gi] += [(e, t @ x, contact) for t in ts]
     spectra = []
     for found in parts:
@@ -324,24 +341,24 @@ def diagonalize(cfg: EDConfig) -> EDResult:
 
     The Hamiltonian commutes with total parity and with every particle
     permutation of the basis, so it is solved densely in the irrep and
-    parity blocks of _symmetry_blocks, once per block; every row of a block
-    counts in basis_dim.  DENSE_DIM_CAP limits the
-    largest block; a distinguishable N = 3 basis beyond it takes a
-    matrix-free Lanczos solve of the full product basis.  n_states + 2
-    eigenvectors, in the product basis, are matched across couplings by
-    maximal-overlap assignment starting from the smallest coupling, and
-    the first n_states tracked columns are returned.
+    parity blocks of _symmetry_blocks, once per block and none for the
+    contact-free [1^N]; every row of a block counts in basis_dim.
+    DENSE_DIM_CAP limits the largest block; a distinguishable N = 3 basis
+    beyond it takes a matrix-free Lanczos solve of the full product basis.
+    n_states + 2 eigenvectors, in the product basis, are matched across
+    couplings by maximal-overlap assignment starting from the smallest
+    coupling, and the first n_states tracked columns are returned.
     """
     from scipy import optimize  # slow to load; imported where the solvers need it
 
     blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
-    dim = sum(len(ts) * len(h0) for ts, h0 in blocks)
+    dim = sum(len(ts) * len(h0) for ts, h0, _ in blocks)
     if cfg.n_states > dim:
         raise ValueError(f"n_states={cfg.n_states} exceeds basis dimension {dim}")
     # Two buffer states keep a crossing at the cutoff from derailing the
     # tracking of the last retained column.
     n_keep = min(cfg.n_states + 2, dim)
-    if max(len(h0) for _, h0 in blocks) <= DENSE_DIM_CAP:
+    if max(len(h0) for _, h0, _ in blocks) <= DENSE_DIM_CAP:
         spectra = _solve_blocks(cfg, blocks, n_keep)
     elif cfg.components is not None and any(s > 1 for s in cfg.components.sizes):
         raise ValueError("component-projected bases above the dense cap are not supported")

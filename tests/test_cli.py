@@ -283,12 +283,16 @@ def test_validate_bad_couplings_and_states_exit_two(monkeypatch, capsys):
         "error: --states must be at least 6, the number of K values for n=3, got 3")
 
     def refused(cfg):
-        raise AssertionError("oracle ran before the coupling count was checked")
+        raise AssertionError("oracle ran before its input was checked")
 
     # two couplings cannot give a slope fit: refused before either diagonalization
     monkeypatch.setattr(cli, "diagonalize", refused)
     assert cli.main(["validate", "--n", "3", "--n-modes", "18", "--g", "20,50"]) == 2
     assert capsys.readouterr().err == "error: slope fits need at least three couplings\n"
+    # the 4-mode truncation rerun has 16 states: more cannot be kept, refused up front
+    assert cli.main(["validate", "--n", "2", "--n-modes", "8", "--states", "20"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --states 20 exceeds the basis dimension 16 of the 4-mode truncation rerun\n")
 
 
 def test_spectrum_solves_distinguishable_input_once(monkeypatch, tmp_path):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import gammaln
@@ -226,7 +227,7 @@ def test_blocks_match_dense_reference(npart, n_modes, sizes):
     assert res.basis_dim == len(h0)
     blocks = oracle._symmetry_blocks(n_modes, npart, comp)
     # every row of every block
-    assert sum(len(ts) * len(h0) for ts, h0 in blocks) == res.basis_dim
+    assert sum(len(ts) * len(h0) for ts, h0, _ in blocks) == res.basis_dim
     for gi, g in enumerate(cfg.g_values):
         vals, vecs = np.linalg.eigh(h0 + g * w)
         np.testing.assert_allclose(res.energies[gi], vals[:6], atol=1e-10)
@@ -241,17 +242,20 @@ def test_blocks_match_dense_reference(npart, n_modes, sizes):
 
 def _widths(blocks):
     """The width of every row's isometry, block by block."""
-    return [tuple(t.shape[1] for t in ts) for ts, _ in blocks]
+    return [tuple(t.shape[1] for t in ts) for ts, _, _ in blocks]
 
 
 def test_block_sizes():
     # shapes (3), (2,1), (1,1,1), each even then odd; (2,1) has two rows
     blocks = oracle._symmetry_blocks(14, 3, None)
     assert _widths(blocks) == [(280,), (280,), (455, 455), (455, 455), (182,), (182,)]
-    assert [len(h0) for _, h0 in blocks] == [280, 280, 455, 455, 182, 182]
+    assert [len(h0) for _, h0, _ in blocks] == [280, 280, 455, 455, 182, 182]
+    # every row of the irrep for the contact, none for the contact-free (1,1,1)
+    assert [len(ks) for _, _, ks in blocks] == [1, 1, 2, 2, 0, 0]
     # (2,1) components: no symmetric shape, one row of (2,1) antisymmetric under P_12
     pair = oracle._symmetry_blocks(14, 3, ComponentSpec((2, 1)))
     assert _widths(pair) == [(455,), (455,), (182,), (182,)]
+    assert [len(ks) for _, _, ks in pair] == [2, 2, 0, 0]
 
 
 @pytest.mark.parametrize("sizes", [None, (1, 1), (2,)])
@@ -260,7 +264,7 @@ def test_two_particle_blocks_within_dense_cap(sizes):
     # every two-particle block must fit (60 modes: 930 for (1, 1), 900 for (2,))
     comp = None if sizes is None else ComponentSpec(sizes)
     blocks = oracle._symmetry_blocks(oracle.DELTA_MODE_CAP, 2, comp)
-    assert max(len(h0) for _, h0 in blocks) <= oracle.DENSE_DIM_CAP
+    assert max(len(h0) for _, h0, _ in blocks) <= oracle.DENSE_DIM_CAP
 
 
 def test_dense_blocks_below_cap(monkeypatch):
@@ -280,8 +284,12 @@ def test_dense_blocks_below_cap(monkeypatch):
     monkeypatch.setattr(oracle, "eigh", recording_eigh)
     monkeypatch.setattr(oracle, "eigsh", refused_eigsh)
     capped = diagonalize(cfg)
-    mapped = sum((len(ts) - 1) * len(h0) for ts, h0 in oracle._symmetry_blocks(8, 3, None))
-    assert capped.basis_dim == 512 and sum(sizes) + mapped == 512 and max(sizes) <= 200
+    blocks = oracle._symmetry_blocks(8, 3, None)
+    mapped = sum((len(ts) - 1) * len(h0) for ts, h0, _ in blocks)
+    # the antisymmetric states, C(8, 3) of them, take no solve
+    free = sum(len(h0) for _, h0, ks in blocks if not ks)
+    assert capped.basis_dim == 512 and free == 56 and max(sizes) <= 200
+    assert sum(sizes) + mapped + free == 512
     np.testing.assert_array_equal(capped.energies, uncapped.energies)
     np.testing.assert_array_equal(capped.interaction, uncapped.interaction)
 
@@ -298,6 +306,27 @@ def _swap_and_parity(n_modes, n_particles):
     return swaps, parity
 
 
+def _contact_matrix(n_modes, n_particles):
+    """The bare contact operator, summed over pairs, on the full product basis,
+    assembled from the nonzeros of delta_tensor."""
+    n = n_modes
+    i4 = delta_tensor(n)
+    a, b, c, d = np.nonzero(i4)
+    v = i4[a, b, c, d]
+    stride = n ** np.arange(n_particles - 1, -1, -1)
+    dim = n**n_particles
+    w = sparse.csr_array((dim, dim))
+    for p, q in itertools.combinations(range(n_particles), 2):
+        # Spectators keep their mode: one offset per spectator occupation.
+        spect = np.zeros(1, dtype=np.int64)
+        for r in set(range(n_particles)) - {p, q}:
+            spect = (spect[:, None] + np.arange(n) * stride[r]).ravel()
+        rows = ((a * stride[p] + b * stride[q])[:, None] + spect).ravel()
+        cols = ((c * stride[p] + d * stride[q])[:, None] + spect).ravel()
+        w = w + sparse.csr_array((np.repeat(v, len(spect)), (rows, cols)), shape=(dim, dim))
+    return w
+
+
 @pytest.mark.parametrize("npart, sizes", [
     (2, None), (2, (2,)), (3, None), (3, (2, 1)), (3, (1, 2)), (3, (3,)),
     (4, None), (4, (2, 2)), (4, (3, 1)), (4, (1, 2, 1)),
@@ -308,9 +337,9 @@ def test_block_invariants(npart, sizes):
     swaps, parity = _swap_and_parity(n, npart)
     labels = np.repeat(np.arange(len(sizes)), sizes) if sizes else np.arange(npart)
     trap = np.indices((n,) * npart).sum(axis=0).ravel() + 0.5 * npart
-    w = oracle._contact_matrix(n, npart)
+    w = _contact_matrix(n, npart)
     blocks = oracle._symmetry_blocks(n, npart, comp)
-    for ts, h0 in blocks:
+    for (ts, h0, _), w_b in zip(blocks, oracle._block_contacts(n, npart, blocks)):
         rows = [t.toarray() for t in ts]
         # one class-sum value, the irrep's, on every row
         c = rows[0][:, 0] @ sum(rows[0][p, 0] for p in swaps.values())
@@ -326,9 +355,14 @@ def test_block_invariants(npart, sizes):
             for (i, j), p in swaps.items():
                 if labels[i] == labels[j]:
                     np.testing.assert_allclose(t[p], -t, atol=1e-12)
-            # every row carries the same block Hamiltonian
-            np.testing.assert_allclose(t.T @ w @ t, w_0, atol=1e-12)
-    q = np.hstack([t.toarray() for ts, _ in blocks for t in ts])
+            # every row carries the same block Hamiltonian, whose contact
+            # _block_contacts gives from the rows of W at the sorted occupations
+            w_t = t.T @ w @ t
+            np.testing.assert_allclose(w_t, w_0, atol=1e-12)
+            np.testing.assert_allclose(w_t, 0.0 if w_b is None else w_b, atol=1e-12)
+        # only the antisymmetric shape [1^N], class sum -N(N-1)/2, is contact-free
+        assert (w_b is None) == (round(c) == -math.comb(npart, 2))
+    q = np.hstack([t.toarray() for ts, _, _ in blocks for t in ts])
     np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
     want = math.prod(math.comb(n, s) for s in sizes) if sizes else n**npart
     assert q.shape[1] == want
@@ -337,7 +371,7 @@ def test_block_invariants(npart, sizes):
         assert diagonalize(cfg).basis_dim == want
     if npart == 4 and sizes is None:
         # shapes (4), (3,1), (2,2), (2,1,1), (1,1,1,1), each even then odd
-        assert [len(ts) for ts, _ in blocks] == [1, 1, 3, 3, 2, 2, 3, 3, 1, 1]
+        assert [len(ts) for ts, _, _ in blocks] == [1, 1, 3, 3, 2, 2, 3, 3, 1, 1]
 
 
 def test_mixed_blocks_isospectral():
@@ -348,7 +382,7 @@ def test_mixed_blocks_isospectral():
     h0, w = _dense_reference(cfg)
     h = h0 + 5.0 * w
     swaps, _ = _swap_and_parity(8, 3)
-    mixed = [[t.toarray() for t in ts] for ts, _ in oracle._symmetry_blocks(8, 3, None)
+    mixed = [[t.toarray() for t in ts] for ts, _, _ in oracle._symmetry_blocks(8, 3, None)
              if len(ts) > 1]
     assert len(mixed) == 2
     for ta, tb in mixed:
@@ -374,17 +408,21 @@ def test_eigh_widths_one_solve_per_mixed_pair(monkeypatch):
         return diagonalize(EDConfig(npart, 14, (20.0, 50.0), n_states=6, components=comp))
 
     dist = solved(3, None)
-    # per coupling: one solve per shape and parity, the mixed irrep's second row mapped
-    assert widths == [280, 280, 280, 280, 455, 455, 455, 455, 182, 182, 182, 182]
-    assert sum(widths) == 2 * 1834 and dist.basis_dim == 14**3
+    # per coupling: one solve per shape and parity, the mixed irrep's second row
+    # mapped, and no solve of the contact-free (1,1,1)
+    assert widths == [280, 280, 280, 280, 455, 455, 455, 455]
+    assert sum(widths) == 2 * 1470 and dist.basis_dim == 14**3
     ones = solved(3, (1, 1, 1))
-    assert widths == [280, 280, 280, 280, 455, 455, 455, 455, 182, 182, 182, 182]
+    assert widths == [280, 280, 280, 280, 455, 455, 455, 455]
     for name in ("energies", "tracked", "track_quality", "interaction"):
         np.testing.assert_array_equal(getattr(ones, name), getattr(dist, name))
     solved(2, None)
-    assert widths == [56, 56, 49, 49, 42, 42, 49, 49]
+    assert widths == [56, 56, 49, 49]
     solved(3, (2, 1))
-    assert widths == [455, 455, 455, 455, 182, 182, 182, 182]
+    assert widths == [455, 455, 455, 455]
+    # identical fermions span only the contact-free shape: no solve at all
+    for npart in (2, 3):
+        assert solved(npart, (npart,)).basis_dim == math.comb(14, npart) and widths == []
 
 
 def test_mapped_vectors_are_eigenvectors():
@@ -400,9 +438,32 @@ def test_mapped_vectors_are_eigenvectors():
         np.testing.assert_allclose(contact, np.einsum("ij,ij->j", vecs, w @ vecs), atol=1e-12)
         # the vectors of every row of a multi-row block: class-sum value 0, the mixed irrep
         mixed = np.abs(sum(vecs[p] for p in swaps.values())).max(axis=0) < 1e-12
-        assert np.sum(mixed) == sum(len(ts) * len(h0) for ts, h0 in blocks if len(ts) > 1)
+        assert np.sum(mixed) == sum(len(ts) * len(h0) for ts, h0, _ in blocks if len(ts) > 1)
         # each of their energies comes from one solve, so the two rows agree bit for bit
         assert np.all(np.unique(vals[mixed], return_counts=True)[1] % 2 == 0)
+
+
+def test_contact_free_states_are_trap_states():
+    # Every state of the antisymmetric shape is an oscillator state with no
+    # contact: exactly its trap energy and exactly zero interaction.
+    cfg = EDConfig(3, 6, (5.0, 20.0))
+    blocks = oracle._symmetry_blocks(6, 3, None)
+    swaps, _ = _swap_and_parity(6, 3)
+    trap = np.indices((6, 6, 6)).sum(axis=0).ravel() + 1.5
+    for vals, vecs, contact in oracle._solve_blocks(cfg, blocks, 216):
+        anti = np.all([np.abs(vecs[p] + vecs).max(axis=0) < 1e-12 for p in swaps.values()], axis=0)
+        assert np.sum(anti) == math.comb(6, 3)
+        assert np.all(contact[anti] == 0.0)
+        np.testing.assert_array_equal(vals[anti], trap[np.argmax(np.abs(vecs[:, anti]), axis=0)])
+    # Identical fermions: every state is one, tracked with overlap 1 at every coupling.
+    for npart, n in ((2, 12), (3, 9)):
+        res = diagonalize(EDConfig(npart, n, (5.0, 20.0, 80.0), n_states=8,
+                                   components=ComponentSpec((npart,))))
+        free = sorted(sum(c) + 0.5 * npart for c in itertools.combinations(range(n), npart))
+        np.testing.assert_array_equal(res.energies, np.tile(free[:8], (3, 1)))
+        np.testing.assert_array_equal(res.tracked, res.energies)
+        assert np.all(res.interaction == 0.0)
+        np.testing.assert_allclose(res.track_quality, 1.0, atol=1e-12)
 
 
 def test_buffer_states_keep_tracking():
