@@ -10,7 +10,8 @@ from an INI config file overridden by command-line flags; an unknown
 section or key, or a value of the wrong type, is bad input.  Results are
 written atomically as a CSV table (validate: one row per slope, columns
 index,k_predicted,k_fitted,rel_deviation,uncertainty) or as JSON, indented
-by two spaces with each number array on one line and exact float reprs.
+by two spaces with each number array on one line and exact float reprs,
+each distinct magnitude of an array formatted once, as json.dumps would.
 Exit codes: 0 success, 2 bad input (including a trap table too coarse
 to solve), 3 tolerance or validation failure.
 """
@@ -186,7 +187,17 @@ def _reference(state, gammas) -> dict:
 
 def _json_chunks(obj, pad: str = "\n"):
     """JSON text of obj in pieces: dicts and lists of containers indented by two spaces, a
-    list of scalars or a 1-D array on one line (its first element decides a list's layout)."""
+    list of scalars or a 1-D array on one line (its first element decides a list's layout).
+
+    A finite 1-D float array formats each distinct magnitude once, by float.__repr__ as
+    json.dumps does, and puts the signs back: the same bytes as json.dumps(row.tolist())."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" \
+            and np.isfinite(obj).all():
+        mags, inverse = np.unique(np.abs(obj), return_inverse=True)
+        text = list(map(float.__repr__, mags.tolist()))
+        table = np.array(text + ["-" + t for t in text], dtype=object)
+        yield "[" + ", ".join(table[inverse + len(text) * np.signbit(obj)].tolist()) + "]"
+        return
     if isinstance(obj, np.ndarray):
         obj = list(obj) if obj.ndim > 1 else obj.tolist()
     if isinstance(obj, dict) and obj:

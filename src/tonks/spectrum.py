@@ -9,7 +9,7 @@ one per admissible amplitude vector.  Every Laplacian, dense over the n!
 orderings or sparse, takes one path: as a CSR array, block by block.  A
 word Laplacian from `projected_laplacian` splits into the relabelling
 blocks of its graph, one eigensolve per irrep of the relabelling group;
-any other Laplacian is the one identity block.  Each block is diagonalized
+any other Laplacian is one block, solved whole.  Each block is diagonalized
 in a buffer of the solver's own by LAPACK's divide-and-conquer eigensolver,
 which copes well with the large degenerate groups of these graphs.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse import csr_array, eye_array
+from scipy.sparse import csr_array
 
 from .sectors import GraphLaplacian, SectorGraph, build_graph
 from .slater import SlaterState
@@ -72,10 +72,10 @@ def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
     symmetry in that form, and solved per irrep of a word Laplacian's
     relabelling blocks (see `GraphLaplacian.blocks`): the irrep's first T
     gives the dense T^T L T, whose eigenvectors y become T y for each T.
-    Any other matrix is the one block T = I.  Each block is diagonalized in a
-    Fortran-ordered buffer that LAPACK's divide-and-conquer eigensolver
+    Any other matrix is one block, solved whole.  Each block is diagonalized
+    in a Fortran-ordered buffer that LAPACK's divide-and-conquer eigensolver
     overwrites; the caller's matrix is untouched.  The values are merged by a
-    stable sort, and each block's T y is scattered into the vectors by its
+    stable sort, and each block's vectors are scattered into place by its
     inverse.  Each vector's first largest-magnitude component is positive.
     """
     blocks = lap.blocks() if isinstance(lap, GraphLaplacian) else ()
@@ -86,9 +86,10 @@ def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
     scale = max(1.0, float(abs(lap).max()) if lap.nnz else 0.0)
     if asym > 1e-12 * scale:
         raise ValueError(f"laplacian is not symmetric (asymmetry {asym:.3e})")
-    spectra = [(group, *eigh((group[0].T @ (lap @ group[0])).toarray(order="F"), driver="evd",
-                             overwrite_a=True, check_finite=False))
-               for group in blocks or ((eye_array(lap.shape[0], format="csr"),),)]
+    # A matrix without relabelling blocks is solved whole, with no identity T.
+    mats = ((g, g[0].T @ (lap @ g[0])) for g in blocks) if blocks else [((None,), lap)]
+    spectra = [(group, *eigh(a.toarray(order="F"), driver="evd", overwrite_a=True,
+                             check_finite=False)) for group, a in mats]
     solved = [(t, v, y) for group, v, y in spectra for t in group]
     vals = np.concatenate([v for _, v, _ in solved])
     order = np.argsort(vals, kind="stable")
@@ -97,8 +98,9 @@ def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
     vecs = np.empty(lap.shape, order="F")
     start = 0
     for t, v, y in solved:
-        vecs[:, rank[start:start + len(v)]] = t @ y
+        vecs[:, rank[start:start + len(v)]] = y if t is None else t @ y
         start += len(v)
+    vecs += 0.0  # every zero +0.0, as the products T y leave it, on both paths
     _lead_positive(vecs)
     vals = vals[order]
     tol = degeneracy_tol if degeneracy_tol is not None else 1e-8 * scale

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tonks import cli
 from tonks.cli import _SETTINGS, _load_config, build_parser
@@ -127,6 +129,81 @@ def test_json_chunks_round_trip_awkward_content():
     assert '  "row": [0.1, -0.0, 5e-324, 1e+308, NaN],' in lines
     assert '    [1e+308, -0.0],' in lines
     assert '  "scalars": [5e-324, 1e+308, -0.0, NaN, -1e-308, true, false, null, "x"],' in lines
+
+
+def _reference_chunks(obj, pad="\n"):
+    """The writer before magnitudes were formatted once: json.dumps(row.tolist()) per row."""
+    if isinstance(obj, np.ndarray):
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()
+    if isinstance(obj, dict) and obj:
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield ("," if i else "") + pad + "  " + json.dumps(key) + ": "
+            yield from _reference_chunks(value, pad + "  ")
+        yield pad + "}"
+    elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list, np.ndarray)):
+        yield "["
+        for i, value in enumerate(obj):
+            yield ("," if i else "") + pad + "  "
+            yield from _reference_chunks(value, pad + "  ")
+        yield pad + "]"
+    else:
+        yield json.dumps(obj)
+
+
+# Magnitudes where float repr is awkward: signed zero, the smallest subnormal, the
+# switches between positional and exponent notation (1e-4 / 1e-5 below, 1e16 above),
+# the normal range's ends and large exponents.
+_AWKWARD = [0.0, 5e-324, 2.2250738585072014e-308, 1e-4, 9.999999999999999e-05, 1e-5,
+            1.0000000000000001e-05, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+            1e22, 1e-300, 1.2345678901234567e+300, 1.7976931348623157e308, 0.1, 1 / 3]
+_MAGNITUDES = st.lists(st.sampled_from(_AWKWARD)
+                       | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=6)
+
+
+@st.composite
+def _float_rows(draw):
+    """A row of a few magnitudes, each repeated with both signs, in shuffled order."""
+    mags = draw(_MAGNITUDES)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(mags) - 1), st.booleans()),
+                          min_size=0, max_size=40))
+    return np.array([-mags[i] if neg else mags[i] for i, neg in picks], dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_rows(), st.sampled_from([None, float("nan"), float("inf"), -float("inf")]),
+       st.integers(0, 40))
+def test_row_writer_matches_json_dumps(row, special, at):
+    if special is not None:  # NaN and infinities take the json.dumps path
+        row = np.insert(row, min(at, len(row)), special)
+    with np.errstate(over="ignore"):
+        single = row.astype(np.float32)
+    for arr in (row, single, row[::-1], row[None, :], np.stack([row, -row])):
+        assert "".join(cli._json_chunks(arr)) == "".join(_reference_chunks(arr))
+
+
+def test_row_writer_on_empty_and_non_finite_arrays():
+    nan, inf = float("nan"), float("inf")
+    for arr in (np.zeros(0), np.zeros(0, np.float32), np.zeros((0, 3)), np.zeros((2, 0)),
+                np.array([nan, -nan, inf, -inf, -0.0, 0.0]), np.array([[1.5, -inf], [nan, -1.5]])):
+        assert "".join(cli._json_chunks(arr)) == "".join(_reference_chunks(arr))
+    assert "".join(cli._json_chunks(np.array([-0.0, 0.0, nan, -inf]))) == \
+        "[-0.0, 0.0, NaN, -Infinity]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "6", "--components", "3,3"],
+    ["density", "--n", "3", "--state", "5"],
+    ["gamma", "--n", "3"],
+    ["validate", "--n", "2", "--n-modes", "8"],
+])
+def test_documents_match_the_reference_writer(argv, tmp_path, monkeypatch):
+    new, ref = tmp_path / "new.json", tmp_path / "ref.json"
+    assert cli.main([*argv, "--no-timestamp", "-o", str(new)]) == 0
+    monkeypatch.setattr(cli, "_json_chunks", _reference_chunks)
+    assert cli.main([*argv, "--no-timestamp", "-o", str(ref)]) == 0
+    assert new.read_bytes() == ref.read_bytes()
 
 
 def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
