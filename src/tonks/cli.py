@@ -276,8 +276,8 @@ def _cmd_spectrum(args, s: dict) -> int:
     state, trap_desc = _build_problem(s)
     n = s["n"]
     comp = _components(s, n)
+    graph = build_graph(n, comp)  # refuses an over-cap input before the weights are computed
     gammas = all_gammas(state, tol=s["tol"])
-    graph = build_graph(n, comp)
     proj = solve(projected_laplacian(graph, gammas))
     # Above the node cap only the projected block is computed and written.
     # Distinguishable words are the orderings themselves, solved once.
@@ -397,8 +397,8 @@ def _cmd_validate(args, s: dict) -> int:
 def _cmd_density(args, s: dict) -> int:
     state, trap_desc = _build_problem(s)
     n = s["n"]
-    gammas = all_gammas(state, tol=s["tol"])
     graph = build_graph(n)
+    gammas = all_gammas(state, tol=s["tol"])
     full = solve(projected_laplacian(graph, gammas))
     j = s["state"]
     if not 0 <= j < full.n_states:

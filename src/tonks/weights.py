@@ -12,16 +12,17 @@ only through products of two Slater minors, so by Andreief /
 Cauchy-Binet their ordered integrals collapse onto the ordered overlap
 matrix A(z)_ij = integral_{-inf}^z phi_i phi_j of the occupied orbitals.
 With G(lambda) = lambda A(z) + (A(inf) - A(z)) and the two rows of U
-holding phi'(z) and phi(z),
-
-    gamma_k = integral dz [lambda^(k-1)] det [[G, U^T], [U, 0]],
-
-a polynomial of degree N-2 in lambda whose coefficients are read off by
-an FFT over N-1 roots of unity; one pass yields every boundary.  The
-same overlaps give the probability of exactly m particles below x as
-[lambda^m] det G(lambda) / det A(inf), hence the exact distribution of
-each ordered slot.  The z integral uses composite Gauss-Legendre panels
-doubled until the change, plus a rounding floor, is below the tolerance.
+holding phi'(z) and phi(z), gamma_k = integral dz [lambda^(k-1)] of the
+bordered determinant det [[G, U^T], [U, 0]].  Whitened by the Cholesky
+factor of A(inf), A(z) = Q diag(a) Q^T with each a_l in [0, 1], and the
+determinant is det A(inf) sum_{i<j} M_ij^2 prod_{l != i,j} c_l(lambda),
+with c_l = 1 - a_l + lambda a_l and M_ij the 2x2 minors of the whitened
+U Q; one real product recurrence yields every boundary.  Its plain
+product, det G / det A(inf), is the law of the number of particles below
+z, a sum of independent Bernoulli(a_l) (the counting law of a
+determinantal process), hence the exact distribution of each ordered
+slot.  The z integral uses composite Gauss-Legendre panels doubled until
+the change, plus a rounding floor, is below the tolerance.
 Orbitals solved on a grid add the change of gamma on their companion
 grid and one machine epsilon per grid point to the error.
 """
@@ -98,19 +99,6 @@ def _overlaps(state: SlaterState, breaks: np.ndarray):
     return half[:, None] * _W, vals, ders, at_nodes, at_breaks
 
 
-def _lambda_coefficients(det_at, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients in lambda of a polynomial of the given degree, and its size.
-
-    det_at(lambda) evaluates the polynomial (a stack of them); it is read at
-    degree + 1 roots of unity and transformed back by an FFT.  The second
-    result is the largest modulus on the unit circle, the scale of the
-    rounding in every coefficient.
-    """
-    m = degree + 1
-    vals = np.stack([det_at(np.exp(2j * np.pi * i / m)) for i in range(m)], axis=-1)
-    return np.fft.fft(vals, axis=-1).real / m, np.max(np.abs(vals), axis=-1)
-
-
 def _refine(compute, tol: float, select=slice(None)):
     """Double the panels until |Q(2P) - Q(P)| plus the rounding floor is within tol.
 
@@ -130,28 +118,40 @@ def _refine(compute, tol: float, select=slice(None)):
     return cur, err, panels, False
 
 
-def _gamma_pass(state: SlaterState, radius: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """All N-1 boundary weights on one composite rule, with their rounding floor.
+def _whitened(a, total):
+    """Eigenvalues in [0, 1] of A whitened by A(inf), the row map to its eigenbasis, det A(inf)."""
+    chol = np.linalg.cholesky(total)
+    inv = np.linalg.inv(chol)
+    ev, q = np.linalg.eigh(inv @ a @ inv.T)
+    return np.clip(ev, 0.0, 1.0), inv.T @ q, float(np.prod(np.diag(chol))) ** 2
 
-    The floor is N machine epsilons times the integral of the largest
-    |det| on the lambda circle, the scale every coefficient is read from.
+
+def _products(a, d, v):
+    """Coefficients in lambda of products over c_l(lambda) = 1 - a_l + lambda a_l.
+
+    Returns the counting law prod_l c_l, the pair sum sum_{i<j} M_ij^2
+    prod_{l != i,j} c_l with M_ij = d_i v_j - d_j v_i, and that sum without
+    the cross terms -2 d_i v_i d_j v_j, which bounds every term (AM-GM).
     """
-    n = state.n
+    # the law, its sums marked once by d^2, v^2 and d v, the pair sum and its bound
+    p = np.zeros((6,) + a.shape[:-1] + (a.shape[-1] + 1,))
+    p[0, ..., 0] = 1.0
+    for al, x, y, w in np.moveaxis(np.stack([a, d * d, v * v, d * v]), -1, 0)[..., None]:
+        cross = x * p[2] + y * p[1]
+        q = p * (1.0 - al)
+        q[..., 1:] += p[..., :-1] * al
+        q[1:] += np.stack([x * p[0], y * p[0], w * p[0], cross - 2.0 * w * p[3], cross])
+        p = q
+    return p[0], p[4], p[5]
+
+
+def _gamma_pass(state: SlaterState, radius: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """All N-1 boundary weights on one rule; each floor is N eps times its bound's integral."""
     w, vals, ders, a, at_breaks = _overlaps(state, np.linspace(-radius, radius, panels + 1))
-    border = np.zeros(a.shape[:2] + (n + 2, n + 2))
-    border[..., :n, :n] = at_breaks[-1] - a
-    u = np.stack([ders, vals]).transpose(2, 3, 0, 1)
-    border[..., n:, :n] = u
-    border[..., :n, n:] = np.swapaxes(u, -1, -2)
-
-    def det_at(lam):
-        mat = border.astype(complex)
-        mat[..., :n, :n] += lam * a
-        return np.linalg.det(mat)
-
-    coef, size = _lambda_coefficients(det_at, n - 2)
-    floor = EPS * n * float(np.sum(w * size))
-    return np.einsum("pq,pqk->k", w, coef), np.full(n - 1, floor)
+    ev, frame, scale = _whitened(a, at_breaks[-1])
+    _, pairs, bound = _products(ev, *np.einsum("sipq,pqil->spql", np.stack([ders, vals]), frame))
+    values, floor = scale * np.einsum("pq,spqk->sk", w, np.stack([pairs, bound])[..., :-2])
+    return values, EPS * state.n * floor
 
 
 def _weights(state: SlaterState, tol: float, ks: list[int]) -> list[BoundaryWeight]:
@@ -203,10 +203,9 @@ def slot_cdf(state: SlaterState, x) -> np.ndarray:
 
     F[s, j] is the probability that the (s+1)-th particle from the left
     lies at or below x[j]: the probability of at least s+1 particles
-    below x[j], summed from the coefficients of det G(lambda) / det A(inf).
+    below x[j] under the counting law prod_l c_l(lambda).
     The panels are doubled until every value settles within DEFAULT_TOL.
     """
-    n = state.n
     x = np.asarray(x, dtype=float)
     radius = state.basis.decay_radius(state.occupation, eps=DECAY_EPS)
     inside = np.clip(x, -radius, radius)
@@ -215,11 +214,9 @@ def slot_cdf(state: SlaterState, x) -> np.ndarray:
         breaks = np.union1d(np.linspace(-radius, radius, panels + 1), inside)
         *_, at_breaks = _overlaps(state, breaks)
         a = at_breaks[np.searchsorted(breaks, inside)]
-        rest = at_breaks[-1] - a
-        coef, size = _lambda_coefficients(lambda lam: np.linalg.det(lam * a + rest), n)
-        prob = coef / coef.sum(axis=-1, keepdims=True)
-        cdf = np.cumsum(prob[..., ::-1], axis=-1)[..., -2::-1]
-        return cdf.T, EPS * n * np.broadcast_to(size / coef.sum(axis=-1), cdf.T.shape)
+        ev, _, _ = _whitened(a, at_breaks[-1])
+        cdf = np.cumsum(_products(ev, 0 * ev, 0 * ev)[0][..., ::-1], axis=-1)[..., -2::-1]
+        return cdf.T, EPS * state.n
 
     cdf, err, panels, ok = _refine(compute, DEFAULT_TOL)
     if not ok:

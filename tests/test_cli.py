@@ -372,6 +372,16 @@ def test_validate_bad_couplings_and_states_exit_two(monkeypatch, capsys):
         "error: --states 20 exceeds the basis dimension 16 of the 4-mode truncation rerun\n")
 
 
+def test_over_cap_input_refused_before_weights(monkeypatch, capsys):
+    def refused(state, tol):
+        raise AssertionError("weights computed for an input the graph cap refuses")
+
+    monkeypatch.setattr(cli, "all_gammas", refused)
+    for command in ("spectrum", "density"):
+        assert cli.main([command, "--n", "8"]) == 2
+        assert "above the graph cap of 2520 nodes" in capsys.readouterr().err
+
+
 def test_spectrum_solves_distinguishable_input_once(monkeypatch, tmp_path):
     calls, real = [], cli.solve
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tonks.slater import SlaterState, make_level
 from tonks.traps import HarmonicBasis, Trap, solve_tabulated
-from tonks.weights import BoundaryWeight, ToleranceError, all_gammas, gamma, slot_cdf
+from tonks.weights import BoundaryWeight, ToleranceError, _products, all_gammas, gamma, slot_cdf
 
 GAMMA_2 = math.sqrt(2.0 / math.pi)
 GAMMA_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
@@ -97,7 +97,7 @@ def test_reported_error_covers_parity_and_closed_forms(basis):
     # The doubling delta alone can be exactly zero; the rounding floor must
     # still cover the parity gaps, which are pure rounding.
     anchors = {2: GAMMA_2, 3: GAMMA_3}
-    for n in range(2, 13):
+    for n in [*range(2, 13), 20, 30]:
         ws = all_gammas(make_level(basis, n))
         assert [w.k for w in ws] == list(range(1, n))
         for w in ws:
@@ -106,6 +106,65 @@ def test_reported_error_covers_parity_and_closed_forms(basis):
                 assert abs(w.value - anchors[n]) <= w.error
         for a, b in zip(ws, reversed(ws)):
             assert abs(a.value - b.value) <= min(a.error, b.error)
+
+
+class _MixedBasis:
+    """The lowest harmonic orbitals mixed by an invertible matrix: not orthonormal."""
+
+    def __init__(self, mix):
+        self.mix = np.asarray(mix, dtype=float)
+        self.harmonic = HarmonicBasis()
+
+    def eval_many(self, ns, x):
+        vals, ders = self.harmonic.eval_many(range(len(self.mix)), x)
+        return (np.tensordot(self.mix, vals, axes=1)[list(ns)],
+                np.tensordot(self.mix, ders, axes=1)[list(ns)])
+
+    def decay_radius(self, ns, eps=1e-12):
+        scale = np.max(np.sum(np.abs(self.mix), axis=1))
+        return self.harmonic.decay_radius(range(len(self.mix)), eps=eps / scale)
+
+
+def test_whitening_is_exact_for_mixed_orbitals(basis):
+    # Mixing the occupied orbitals by M maps A(z) to M A(z) M^T and the
+    # border rows to U M^T, so every bordered determinant, hence gamma_k,
+    # scales by det(M)^2, and the counting law of the slots is unchanged.
+    n = 4
+    mix = np.eye(n) + 0.4 * np.random.default_rng(7).standard_normal((n, n))
+    mixed = SlaterState(basis=_MixedBasis(mix), occupation=tuple(range(n)), energy=0.0)
+    plain = make_level(basis, n)
+    scale = np.linalg.det(mix) ** 2
+    assert abs(scale - 1.0) > 0.1
+    for m, p in zip(all_gammas(mixed), all_gammas(plain)):
+        assert m.value == pytest.approx(scale * p.value, rel=1e-12)
+    x = np.linspace(-4.0, 4.0, 17)
+    np.testing.assert_allclose(slot_cdf(mixed, x), slot_cdf(plain, x), rtol=0, atol=1e-13)
+
+
+def test_products_against_pair_expansion():
+    # The recurrence against sum_{i<j} M_ij^2 prod_{l != i,j} c_l(lambda)
+    # expanded term by term, M_ij = d_i v_j - d_j v_i, c_l = 1 - a_l + lambda a_l.
+    poly = np.polynomial.Polynomial
+    rng = np.random.default_rng(3)
+    for n in range(2, 8):
+        for _ in range(20):
+            a, d, v = rng.uniform(size=n), rng.standard_normal(n), rng.standard_normal(n)
+            c = [poly([1.0 - al, al]) for al in a]
+            law, pairs, bound = _products(a, d, v)
+            pair_sum = poly([0.0])
+            for i, j in itertools.combinations(range(n), 2):
+                rest = math.prod((c[l] for l in range(n) if l not in (i, j)), start=poly([1.0]))
+                pair_sum = pair_sum + (d[i] * v[j] - d[j] * v[i]) ** 2 * rest
+            expected = np.zeros(n + 1)
+            expected[: len(pair_sum.coef)] = pair_sum.coef
+            # Rounding scales with the terms summed, not with their sum: M_ij^2
+            # can nearly cancel, and by AM-GM each of its terms is at most
+            # d_i^2 v_j^2 + d_j^2 v_i^2, which the bound sums.
+            assert np.all(np.abs(pairs - expected) <= 1e-13 * bound)
+            assert np.all(np.abs(pairs) <= 2.0 * bound)
+            assert np.all(law >= 0.0)
+            assert abs(law.sum() - 1.0) <= n * np.finfo(float).eps
+            np.testing.assert_allclose(law, math.prod(c).coef, rtol=1e-13, atol=0)
 
 
 def test_tabulated_trap_matches_analytic(basis):
