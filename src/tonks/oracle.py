@@ -8,10 +8,9 @@ the permutation group and parity, each built from Young's orthogonal form
 with one isometry per row of the irrep (for identical fermions, per row
 that is antisymmetric inside every component).  Each block's contact
 matrix is assembled from the contact rows of the sorted occupations alone,
-one per orbit, and solved densely, once for all its rows, while the largest
-block stays within DENSE_DIM_CAP; the antisymmetric irrep carries no
-contact and takes no solve.  A larger distinguishable three-particle basis
-falls back to a matrix-free Lanczos solve of the whole product basis.
+one per orbit, and solved once for all its rows: densely up to
+DENSE_DIM_CAP, by sparse Lanczos above it, for every basis alike.  The
+antisymmetric irrep carries no contact and takes no solve.
 Energies tracked across couplings by eigenvector overlap are fitted
 against 1/g, and the negated slopes are compared with the Laplacian
 eigenvalues K; the interaction expectation of each tracked state doubles
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import eigsh
 from scipy.special import digamma, ndtri, stdtrit
 from scipy.special import gamma as gamma_fn
 
@@ -40,13 +39,14 @@ from .traps import _hermite_ladder
 from .weights import BoundaryWeight
 
 DELTA_MODE_CAP = 60
-# Largest block solved densely.  Three distinguishable particles, three
-# couplings (2-vCPU Xeon, one BLAS thread, peak RSS): at 24 modes (largest
-# block 2,300) the dense solves take 9 s and 0.36 GB, the matrix-free Lanczos
-# solve 15 s and 0.1 GB; at 26 modes (2,925) 17 s and 0.52 GB against 20 s
-# and 0.1 GB.  Beyond the cap dense is a little faster but five times larger.
-# A (2,1) component basis has the same largest block, the mixed one, and no
-# Lanczos path.
+# Widest block solved densely; a wider one takes sparse Lanczos.  Three
+# couplings, 2-vCPU Xeon, one BLAS thread, time and peak RSS: the mixed blocks
+# of a (2,1) basis at 22, 24 and 26 modes (1,771, 2,300 and 2,925 wide) take
+# 3.8, 7.3 and 14.0 s dense (0.22-0.41 GB) and 2.9, 4.3 and 6.2 s sparse
+# (0.17-0.29 GB), but Lanczos converges slowly in the symmetric irrep: three
+# distinguishable particles take 17.9 s dense, 23.4 s all sparse and 8.9 s
+# split at this cap (0.44, 0.31, 0.31 GB) at 26 modes, 60 s dense and 28 s
+# split (0.82, 0.51 GB) at 30 modes.
 DENSE_DIM_CAP = 2500
 BASIS_DIM_CAP = 200_000
 MC_STRATA = 64
@@ -224,39 +224,15 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     return blocks
 
 
-class _ContactOperator:
-    """Pairwise contact-interaction action on a 3-particle product state.
-
-    Uses the Gauss-Hermite factorization of the contact integrals, so a
-    matvec costs O(n_modes^3 * nodes) without any dense pair matrix.
-    """
-
-    def __init__(self, n_modes: int):
-        self.t, self.wt = _contact_rule(n_modes)
-        self.n = n_modes
-
-    def _pair12(self, psi: np.ndarray) -> np.ndarray:
-        t, wt = self.t, self.wt
-        p = np.einsum("im,ijc->mjc", t, psi)
-        b = np.einsum("jm,mjc->mc", t, p)
-        return np.einsum("im,jm,mc->ijc", t, t, wt[:, None] * b)
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        n = self.n
-        psi = psi.reshape(n, n, n)
-        out = self._pair12(psi)
-        out = out + self._pair12(psi.transpose(2, 0, 1)).transpose(1, 2, 0)
-        out = out + self._pair12(psi.transpose(1, 2, 0)).transpose(2, 0, 1)
-        return out.reshape(-1)
-
-
 def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
-    """The contact matrix T^T W T of each block in turn, None for [1^N].
+    """The sparse contact matrix T^T W T of each block in turn, None for [1^N].
 
     W commutes with every particle permutation, so only its rows W[R, :] at
     the sorted occupations R, one per orbit, are assembled, over every pair:
     T_f^T W T_f = sum over the d rows e_k of the irrep of
-    T_(e_k)[R]^T diag(|orbit| / d) W[R, :] T_(e_k).
+    T_(e_k)[R]^T diag(|orbit| / d) W[R, :] T_(e_k).  The rows keep int32
+    indices, and the blocks come from a generator that holds only them, so
+    the per-pair temporaries are freed before the first block.
     """
     shape = (n_modes,) * n_particles
     occ = np.indices(shape).reshape(n_particles, -1).T
@@ -271,18 +247,22 @@ def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
         o, cd = np.nonzero(pair)
         at = (rows - r[:, p] * stride[p] - r[:, q] * stride[q])[o] \
             + np.add.outer(mode * stride[p], mode * stride[q]).ravel()[cd]
-        w_r = w_r + sparse.csr_array((pair[o, cd], at, np.searchsorted(o, np.arange(len(rows) + 1))),
+        ptr = np.searchsorted(o, np.arange(len(rows) + 1))
+        w_r = w_r + sparse.csr_array((pair[o, cd], at.astype(np.int32), ptr.astype(np.int32)),
                                      shape=w_r.shape)
-    for _, _, ks in blocks:
-        yield sum((t[rows].T @ (w_r @ t)).toarray() for t in ks) / len(ks) if ks else None
+    return (sum(t[rows].T @ (w_r @ t) for t in ks) / len(ks) if ks else None
+            for _, _, ks in blocks)
 
 
 def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
                   ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Lowest n_keep states of every coupling from dense solves of the blocks.
+    """Lowest n_keep states of every coupling from solves of the blocks.
 
     Each block is solved once, as diag(trap energies) + g W_b with W_b from
-    _block_contacts; the eigenvectors x come back in the product basis as
+    _block_contacts: densely while it is no wider than DENSE_DIM_CAP (or wants
+    all but at most one of its states), otherwise by implicitly restarted Lanczos
+    (ARPACK) on the sparse matrix from a seeded start vector, so that reruns
+    agree bit for bit.  The eigenvectors x come back in the product basis as
     T x for the isometry T of every retained row, each with the same
     energies and contact expectations.  [1^N] blocks take no solve: their
     states are their columns in stable order of trap energy, with contact
@@ -297,9 +277,13 @@ def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
                 order = np.argsort(h0, kind="stable")[:k]
                 e, x, contact = h0[order], np.eye(len(h0))[:, order], np.zeros(k)
             else:
-                h = g * w_b
-                h[np.diag_indices_from(h)] += h0
-                e, x = eigh(h, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
+                h = g * w_b + sparse.diags_array(h0)
+                if len(h0) <= DENSE_DIM_CAP or k >= len(h0) - 1:
+                    e, x = eigh(h.toarray(), subset_by_index=[0, k - 1], overwrite_a=True,
+                                check_finite=False)
+                else:
+                    v0 = np.random.default_rng(0).standard_normal(len(h0))
+                    e, x = eigsh(h, k, which="SA", v0=v0, tol=0)
                 contact = np.einsum("ij,ij->j", x, w_b @ x)
             parts[gi] += [(e, t @ x, contact) for t in ts]
     spectra = []
@@ -310,41 +294,15 @@ def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
     return spectra
 
 
-def _solve_lanczos(cfg: EDConfig, n_keep: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Lowest n_keep states of every coupling by matrix-free Lanczos on the full
-    distinguishable three-particle product basis."""
-    n = cfg.n_modes
-    dim = n**3
-    op = _ContactOperator(n)
-    h0 = np.indices((n, n, n)).sum(axis=0).ravel() + 1.5
-    # Fixed seeded start keeps the Lanczos solve deterministic.
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    # Buffer states and a wide Krylov basis so degenerate pairs are
-    # resolved with full multiplicity.
-    k_solve = min(cfg.n_states + 4, dim - 1)
-    spectra = []
-    for g in cfg.g_values:
-        def matvec(x, _g=g):
-            return h0 * x + _g * op.apply(x)
-        lin = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-        vals, vecs = eigsh(lin, k=k_solve, which="SA", v0=v0,
-                           ncv=min(max(4 * k_solve, 80), dim), tol=0)
-        order = np.argsort(vals)[:n_keep]
-        vals, vecs = vals[order], vecs[:, order]
-        contact = np.array([vecs[:, j] @ op.apply(vecs[:, j]) for j in range(n_keep)])
-        spectra.append((vals, vecs, contact))
-    return spectra
-
-
 def diagonalize(cfg: EDConfig) -> EDResult:
     """Solve the truncated contact-interaction problem at every coupling.
 
     The Hamiltonian commutes with total parity and with every particle
     permutation of the basis, so it is solved densely in the irrep and
     parity blocks of _symmetry_blocks, once per block and none for the
-    contact-free [1^N]; every row of a block counts in basis_dim.
-    DENSE_DIM_CAP limits the largest block; a distinguishable N = 3 basis
-    beyond it takes a matrix-free Lanczos solve of the full product basis.
+    contact-free [1^N]; every row of a block counts in basis_dim.  Every
+    basis takes this path: DENSE_DIM_CAP only chooses, block by block,
+    between a dense and a sparse Lanczos eigensolver (_solve_blocks).
     n_states + 2 eigenvectors, in the product basis, are matched across
     couplings by maximal-overlap assignment starting from the smallest
     coupling, and the first n_states tracked columns are returned.
@@ -358,12 +316,7 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     # Two buffer states keep a crossing at the cutoff from derailing the
     # tracking of the last retained column.
     n_keep = min(cfg.n_states + 2, dim)
-    if max(len(h0) for _, h0, _ in blocks) <= DENSE_DIM_CAP:
-        spectra = _solve_blocks(cfg, blocks, n_keep)
-    elif cfg.components is not None and any(s > 1 for s in cfg.components.sizes):
-        raise ValueError("component-projected bases above the dense cap are not supported")
-    else:
-        spectra = _solve_lanczos(cfg, n_keep)
+    spectra = _solve_blocks(cfg, blocks, n_keep)
     n_g = len(cfg.g_values)
     energies = np.empty((n_g, n_keep))
     tracked = np.empty_like(energies)

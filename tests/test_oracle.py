@@ -260,11 +260,26 @@ def test_block_sizes():
 
 @pytest.mark.parametrize("sizes", [None, (1, 1), (2,)])
 def test_two_particle_blocks_within_dense_cap(sizes):
-    # diagonalize has no two-particle path above the dense cap, so at the mode cap
-    # every two-particle block must fit (60 modes: 930 for (1, 1), 900 for (2,))
+    # at the mode cap every two-particle block is solved densely
+    # (60 modes: 930 for (1, 1), 900 for (2,))
     comp = None if sizes is None else ComponentSpec(sizes)
     blocks = oracle._symmetry_blocks(oracle.DELTA_MODE_CAP, 2, comp)
     assert max(len(h0) for _, h0, _ in blocks) <= oracle.DENSE_DIM_CAP
+
+
+def _solver_widths(monkeypatch):
+    """Record the width of every dense and every sparse block solve."""
+    widths = {"eigh": [], "eigsh": []}
+
+    def recording(name, solver):
+        def solve(a, *args, **kwargs):
+            widths[name].append(a.shape[0])
+            return solver(a, *args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(oracle, "eigh", recording("eigh", eigh))
+    monkeypatch.setattr(oracle, "eigsh", recording("eigsh", oracle.eigsh))
+    return widths
 
 
 def test_dense_blocks_below_cap(monkeypatch):
@@ -272,18 +287,10 @@ def test_dense_blocks_below_cap(monkeypatch):
     cfg = EDConfig(n_particles=3, n_modes=8, g_values=(10.0,), n_states=6)
     uncapped = diagonalize(cfg)
     monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 200)
-    sizes = []
-
-    def recording_eigh(a, **kwargs):
-        sizes.append(len(a))
-        return eigh(a, **kwargs)
-
-    def refused_eigsh(*args, **kwargs):
-        raise AssertionError("Lanczos path taken")
-
-    monkeypatch.setattr(oracle, "eigh", recording_eigh)
-    monkeypatch.setattr(oracle, "eigsh", refused_eigsh)
+    widths = _solver_widths(monkeypatch)
     capped = diagonalize(cfg)
+    sizes = widths["eigh"]
+    assert widths["eigsh"] == []
     blocks = oracle._symmetry_blocks(8, 3, None)
     mapped = sum((len(ts) - 1) * len(h0) for ts, h0, _ in blocks)
     # the antisymmetric states, C(8, 3) of them, take no solve
@@ -359,7 +366,7 @@ def test_block_invariants(npart, sizes):
             # _block_contacts gives from the rows of W at the sorted occupations
             w_t = t.T @ w @ t
             np.testing.assert_allclose(w_t, w_0, atol=1e-12)
-            np.testing.assert_allclose(w_t, 0.0 if w_b is None else w_b, atol=1e-12)
+            np.testing.assert_allclose(w_t, 0.0 if w_b is None else w_b.toarray(), atol=1e-12)
         # only the antisymmetric shape [1^N], class sum -N(N-1)/2, is contact-free
         assert (w_b is None) == (round(c) == -math.comb(npart, 2))
     q = np.hstack([t.toarray() for ts, _, _ in blocks for t in ts])
@@ -478,11 +485,28 @@ def test_sparse_matches_dense(monkeypatch):
     cfg = EDConfig(n_particles=3, n_modes=10, g_values=(10.0,), n_states=6)
     dense = diagonalize(cfg)
     monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 10)
+    widths = _solver_widths(monkeypatch)
     sparse = diagonalize(cfg)
+    # every block with a contact is wider than the cap, so each takes the in-block Lanczos solve
+    assert widths["eigh"] == [] and min(widths["eigsh"]) > 10
     np.testing.assert_allclose(sparse.energies, dense.energies, atol=1e-8)
     np.testing.assert_allclose(sparse.interaction, dense.interaction, atol=1e-6)
     again = diagonalize(cfg)
     np.testing.assert_array_equal(again.energies, sparse.energies)
+
+
+def test_component_basis_above_cap(monkeypatch):
+    # Identical fermions in a basis whose blocks exceed the cap are solved like
+    # any other basis, block by block.
+    cfg = EDConfig(3, 10, (20.0, 50.0, 100.0), n_states=6, components=ComponentSpec((2, 1)))
+    dense = diagonalize(cfg)
+    monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 100)
+    widths = _solver_widths(monkeypatch)
+    sparse = diagonalize(cfg)
+    assert widths["eigh"] == [] and widths["eigsh"] == [165, 165, 165, 165, 165, 165]
+    np.testing.assert_allclose(sparse.energies, dense.energies, atol=1e-10)
+    np.testing.assert_allclose(sparse.tracked, dense.tracked, atol=1e-10)
+    np.testing.assert_allclose(sparse.interaction, dense.interaction, atol=1e-10)
 
 
 @pytest.fixture(scope="module")
