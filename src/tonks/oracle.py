@@ -40,13 +40,13 @@ from .weights import BoundaryWeight
 
 DELTA_MODE_CAP = 60
 # Widest block solved densely; a wider one takes sparse Lanczos.  Three
-# couplings, 2-vCPU Xeon, one BLAS thread, time and peak RSS: the mixed blocks
-# of a (2,1) basis at 22, 24 and 26 modes (1,771, 2,300 and 2,925 wide) take
-# 3.8, 7.3 and 14.0 s dense (0.22-0.41 GB) and 2.9, 4.3 and 6.2 s sparse
-# (0.17-0.29 GB), but Lanczos converges slowly in the symmetric irrep: three
-# distinguishable particles take 17.9 s dense, 23.4 s all sparse and 8.9 s
-# split at this cap (0.44, 0.31, 0.31 GB) at 26 modes, 60 s dense and 28 s
-# split (0.82, 0.51 GB) at 30 modes.
+# couplings, 2-vCPU Xeon, one BLAS thread, fresh processes, time and peak RSS:
+# the mixed blocks of a (2,1) basis at 22, 24 and 26 modes (1,771, 2,300 and
+# 2,925 wide) take 4.4, 8.9 and 16.8 s dense (0.17-0.29 GB) and 3.5, 5.5 and
+# 9.4 s sparse (0.15-0.23 GB), but Lanczos converges slowly in the symmetric
+# irrep: three distinguishable particles take 18.7 s dense, 25.7 s all sparse
+# and 10.9 s split at this cap (0.29, 0.23, 0.24 GB) at 26 modes, 75 s dense
+# and 37 s split (0.47, 0.37 GB) at 30 modes.
 DENSE_DIM_CAP = 2500
 BASIS_DIM_CAP = 200_000
 MC_STRATA = 64
@@ -232,7 +232,8 @@ def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
     T_f^T W T_f = sum over the d rows e_k of the irrep of
     T_(e_k)[R]^T diag(|orbit| / d) W[R, :] T_(e_k).  The rows keep int32
     indices, and the blocks come from a generator that holds only them, so
-    the per-pair temporaries are freed before the first block.
+    the per-pair temporaries are freed before the first block.  A block's d
+    terms are added one at a time and scaled by 1/d in place.
     """
     shape = (n_modes,) * n_particles
     occ = np.indices(shape).reshape(n_particles, -1).T
@@ -250,8 +251,47 @@ def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
         ptr = np.searchsorted(o, np.arange(len(rows) + 1))
         w_r = w_r + sparse.csr_array((pair[o, cd], at.astype(np.int32), ptr.astype(np.int32)),
                                      shape=w_r.shape)
-    return (sum(t[rows].T @ (w_r @ t) for t in ks) / len(ks) if ks else None
-            for _, _, ks in blocks)
+    return (_row_average(w_r, rows, ks) if ks else None for _, _, ks in blocks)
+
+
+def _row_average(w_r: sparse.csr_array, rows: np.ndarray, ks: tuple[sparse.csc_array, ...]
+                 ) -> sparse.csr_array:
+    """(1/d) sum over the d isometries T of ks of T[rows]^T w_r T."""
+    w_b = ks[0][rows].T @ (w_r @ ks[0])
+    for t in ks[1:]:
+        w_b = w_b + t[rows].T @ (w_r @ t)
+    # scipy divides a sparse array by multiplying with the reciprocal: the same bits
+    w_b *= 1.0 / len(ks)
+    return w_b
+
+
+def _solve_block(w_b: sparse.csr_array | None, h0: np.ndarray, g_values: tuple[float, ...],
+                 k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Lowest k states of diag(h0) + g w_b in the block, at every coupling g.
+
+    Returns (energies, eigenvectors in the block, contact expectations) per
+    coupling.  A dense solve refills one Fortran-ordered buffer per coupling
+    and lets eigh overwrite it.  For [1^N] (w_b None) the "eigenvectors" are
+    the indices of the k columns of lowest trap energy, in stable order.
+    """
+    if w_b is None:
+        order = np.argsort(h0, kind="stable")[:k]
+        return [(h0[order], order, np.zeros(k))] * len(g_values)
+    dense = len(h0) <= DENSE_DIM_CAP or k >= len(h0) - 1
+    buf = np.empty((len(h0), len(h0)), order="F") if dense else None
+    diag = np.arange(len(h0))
+    solved = []
+    for g in g_values:
+        if dense:
+            w_b.toarray(out=buf)  # zeroes buf first
+            buf *= g
+            buf[diag, diag] += h0
+            e, x = eigh(buf, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
+        else:
+            v0 = np.random.default_rng(0).standard_normal(len(h0))
+            e, x = eigsh(g * w_b + sparse.diags_array(h0), k, which="SA", v0=v0, tol=0)
+        solved.append((e, x, np.einsum("ij,ij->j", x, w_b @ x)))
+    return solved
 
 
 def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
@@ -259,38 +299,35 @@ def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
     """Lowest n_keep states of every coupling from solves of the blocks.
 
     Each block is solved once, as diag(trap energies) + g W_b with W_b from
-    _block_contacts: densely while it is no wider than DENSE_DIM_CAP (or wants
-    all but at most one of its states), otherwise by implicitly restarted Lanczos
-    (ARPACK) on the sparse matrix from a seeded start vector, so that reruns
-    agree bit for bit.  The eigenvectors x come back in the product basis as
-    T x for the isometry T of every retained row, each with the same
+    _block_contacts: densely, in one buffer per block, while it is no wider
+    than DENSE_DIM_CAP (or wants all but at most one of its states), otherwise
+    by implicitly restarted Lanczos (ARPACK) on the sparse matrix from a
+    seeded start vector, so that reruns agree bit for bit.  A block's
+    contact, buffer and sparse Hamiltonian are dropped before the next
+    block's contact is built.  Every retained row T of a block carries its
     energies and contact expectations.  [1^N] blocks take no solve: their
     states are their columns in stable order of trap energy, with contact
     expectation 0.  Block spectra merge by a stable sort in the fixed block
-    and row order.
+    and row order, and only the n_keep kept states are mapped to the
+    product basis, as T x (a column of T for [1^N]).
     """
-    parts = [[] for _ in cfg.g_values]
-    for (ts, h0, _), w_b in zip(blocks, _block_contacts(cfg.n_modes, cfg.n_particles, blocks)):
-        k = min(n_keep, len(h0))
-        for gi, g in enumerate(cfg.g_values):
-            if w_b is None:
-                order = np.argsort(h0, kind="stable")[:k]
-                e, x, contact = h0[order], np.eye(len(h0))[:, order], np.zeros(k)
-            else:
-                h = g * w_b + sparse.diags_array(h0)
-                if len(h0) <= DENSE_DIM_CAP or k >= len(h0) - 1:
-                    e, x = eigh(h.toarray(), subset_by_index=[0, k - 1], overwrite_a=True,
-                                check_finite=False)
-                else:
-                    v0 = np.random.default_rng(0).standard_normal(len(h0))
-                    e, x = eigsh(h, k, which="SA", v0=v0, tol=0)
-                contact = np.einsum("ij,ij->j", x, w_b @ x)
-            parts[gi] += [(e, t @ x, contact) for t in ts]
+    contacts = _block_contacts(cfg.n_modes, cfg.n_particles, blocks)
+    solved = [_solve_block(next(contacts), h0, cfg.g_values, min(n_keep, len(h0)))
+              for _, h0, _ in blocks]
     spectra = []
-    for found in parts:
-        vals, vecs, contact = (np.concatenate(z, axis=-1) for z in zip(*found))
+    for gi in range(len(cfg.g_values)):
+        isos, es, xs, cs = zip(*[(t, *states[gi]) for (ts, _, _), states in zip(blocks, solved)
+                                 for t in ts])
+        vals, contact = np.concatenate(es), np.concatenate(cs)
         order = np.argsort(vals, kind="stable")[:n_keep]
-        spectra.append((vals[order], vecs[:, order], contact[order]))
+        owner = np.repeat(np.arange(len(es)), [len(e) for e in es])[order]
+        col = np.concatenate([np.arange(len(e)) for e in es])[order]
+        vecs = np.empty((cfg.n_modes**cfg.n_particles, len(order)), order="F")
+        for i in np.unique(owner):
+            at = np.flatnonzero(owner == i)
+            t, x = isos[i], xs[i]
+            vecs[:, at] = t[:, x[col[at]]].toarray() if x.ndim == 1 else t @ x[:, col[at]]
+        spectra.append((vals[order], vecs, contact[order]))
     return spectra
 
 
@@ -298,14 +335,16 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     """Solve the truncated contact-interaction problem at every coupling.
 
     The Hamiltonian commutes with total parity and with every particle
-    permutation of the basis, so it is solved densely in the irrep and
-    parity blocks of _symmetry_blocks, once per block and none for the
+    permutation of the basis, so it is solved in the irrep and parity
+    blocks of _symmetry_blocks, once per block and none for the
     contact-free [1^N]; every row of a block counts in basis_dim.  Every
     basis takes this path: DENSE_DIM_CAP only chooses, block by block,
-    between a dense and a sparse Lanczos eigensolver (_solve_blocks).
-    n_states + 2 eigenvectors, in the product basis, are matched across
-    couplings by maximal-overlap assignment starting from the smallest
-    coupling, and the first n_states tracked columns are returned.
+    between a dense solve in one buffer per block and a sparse Lanczos
+    eigensolver (_solve_blocks).  Only the lowest n_states + 2 states of
+    each coupling are mapped to the product basis; their eigenvectors are
+    matched across couplings by maximal-overlap assignment starting from
+    the smallest coupling, and the first n_states tracked columns are
+    returned.
     """
     from scipy import optimize  # slow to load; imported where the solvers need it
 

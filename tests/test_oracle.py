@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,6 +472,39 @@ def test_contact_free_states_are_trap_states():
         np.testing.assert_array_equal(res.tracked, res.energies)
         assert np.all(res.interaction == 0.0)
         np.testing.assert_allclose(res.track_quality, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [None, (2, 1)])
+def test_kept_states_match_full_run(sizes):
+    # Only the kept states are mapped to the product basis.  With n_keep no
+    # narrower than any block, every block is solved whole either way, so
+    # the kept states are the first columns of the full run, bit for bit.
+    comp = None if sizes is None else ComponentSpec(sizes)
+    cfg = EDConfig(3, 6, (5.0, 20.0), components=comp)
+    blocks = oracle._symmetry_blocks(6, 3, comp)
+    dim = sum(len(ts) * len(h0) for ts, h0, _ in blocks)
+    full = oracle._solve_blocks(cfg, blocks, dim)
+    for n_keep in (max(len(h0) for _, h0, _ in blocks), dim - 1):
+        for kept, whole in zip(oracle._solve_blocks(cfg, blocks, n_keep), full):
+            for a, b in zip(kept, whole):
+                assert a.shape[-1] == n_keep
+                assert a.tobytes() == b[..., :n_keep].tobytes()
+            # the contact-free [1^3] states are among them
+            assert np.any(kept[2] == 0.0)
+
+
+def test_diagonalize_memory_bound():
+    # tracemalloc peak of one 14-mode run: 13.0 MB when every block state was
+    # mapped and each dense block was built twice per coupling, 7.2 MB since.
+    cfg = EDConfig(3, 14, (20.0, 50.0, 100.0), n_states=10)
+    diagonalize(cfg)  # pays the lazy scipy.optimize import outside the trace
+    tracemalloc.start()
+    try:
+        diagonalize(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_buffer_states_keep_tracking():
