@@ -11,44 +11,40 @@ by assembling a graph over the N! spatial orderings, weighting each
 adjacent-transposition edge with a boundary integral of the free-fermion
 wavefunction, and diagonalizing the resulting graph Laplacian.  A
 finite-coupling exact-diagonalization oracle is included for validation.
+
+The public names, and the submodules, resolve on first use (PEP 562):
+`import tonks` loads no submodule, and the boundary-weight modules (traps,
+slater, weights) import NumPy alone, while sectors, spectrum and oracle load
+SciPy.  Each access reads the name from its defining module, so a patched
+or wrapped `tonks.spectrum.solve` is what `tonks.solve` gives.
 """
 
-from .traps import Trap, HarmonicBasis, TabulatedBasis, solve_tabulated
-from .slater import SlaterState, make_level
-from .weights import BoundaryWeight, ToleranceError, gamma, all_gammas
-from .sectors import ComponentSpec, SectorGraph, build_graph, laplacian, projected_laplacian
-from .spectrum import KSpectrum, EnergyExpansion, SectorWavefunction, solve, classify, expansion
-from .oracle import EDConfig, EDResult, SlopeFit, delta_tensor, diagonalize, slope_fit, two_body_reference
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Trap",
-    "HarmonicBasis",
-    "TabulatedBasis",
-    "solve_tabulated",
-    "SlaterState",
-    "make_level",
-    "BoundaryWeight",
-    "ToleranceError",
-    "gamma",
-    "all_gammas",
-    "ComponentSpec",
-    "SectorGraph",
-    "build_graph",
-    "laplacian",
-    "projected_laplacian",
-    "KSpectrum",
-    "EnergyExpansion",
-    "SectorWavefunction",
-    "solve",
-    "classify",
-    "expansion",
-    "EDConfig",
-    "EDResult",
-    "SlopeFit",
-    "delta_tensor",
-    "diagonalize",
-    "slope_fit",
-    "two_body_reference",
-]
+_PUBLIC = {
+    "traps": ("Trap", "HarmonicBasis", "TabulatedBasis", "solve_tabulated"),
+    "slater": ("SlaterState", "make_level"),
+    "weights": ("BoundaryWeight", "ToleranceError", "gamma", "all_gammas"),
+    "sectors": ("ComponentSpec", "SectorGraph", "build_graph", "laplacian", "projected_laplacian"),
+    "spectrum": ("KSpectrum", "EnergyExpansion", "SectorWavefunction", "solve", "classify",
+                 "expansion"),
+    "oracle": ("EDConfig", "EDResult", "SlopeFit", "delta_tensor", "diagonalize", "slope_fit",
+               "two_body_reference"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_PUBLIC, *__all__})

@@ -35,10 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .oracle import EDConfig, diagonalize, slope_fit
-from .sectors import NODE_CAP, ComponentSpec, build_graph, cycle_ordering, projected_laplacian
 from .slater import make_level
-from .spectrum import SectorWavefunction, classify, solve
 from .traps import ConvergenceError, HarmonicBasis, Trap, solve_tabulated
 from .weights import ToleranceError, all_gammas
 
@@ -147,7 +144,9 @@ def _build_problem(s: dict):
     return state, trap_desc
 
 
-def _components(s: dict, n: int) -> ComponentSpec:
+def _components(s: dict, n: int):
+    from .sectors import ComponentSpec
+
     if not s["components"]:
         return ComponentSpec.distinguishable(n)
     spec = ComponentSpec.parse(s["components"])
@@ -273,6 +272,9 @@ def _cmd_gamma(args, s: dict) -> int:
 
 
 def _cmd_spectrum(args, s: dict) -> int:
+    from .sectors import NODE_CAP, build_graph, cycle_ordering, projected_laplacian
+    from .spectrum import classify, solve
+
     state, trap_desc = _build_problem(s)
     n = s["n"]
     comp = _components(s, n)
@@ -331,6 +333,10 @@ def _cmd_spectrum(args, s: dict) -> int:
 
 
 def _cmd_validate(args, s: dict) -> int:
+    from .oracle import EDConfig, diagonalize, slope_fit
+    from .sectors import build_graph, projected_laplacian
+    from .spectrum import solve
+
     if s["trap"] != "harmonic" or s["omega"] != 1.0:
         raise InputError("validation against the oracle runs in the unit harmonic trap")
     n = s["n"]
@@ -395,6 +401,9 @@ def _cmd_validate(args, s: dict) -> int:
 
 
 def _cmd_density(args, s: dict) -> int:
+    from .sectors import build_graph, projected_laplacian
+    from .spectrum import SectorWavefunction, solve
+
     state, trap_desc = _build_problem(s)
     n = s["n"]
     graph = build_graph(n)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import digamma, ndtri, stdtrit
 from scipy.special import gamma as gamma_fn
 
@@ -42,11 +42,11 @@ DELTA_MODE_CAP = 60
 # Widest block solved densely; a wider one takes sparse Lanczos.  Three
 # couplings, 2-vCPU Xeon, one BLAS thread, fresh processes, time and peak RSS:
 # the mixed blocks of a (2,1) basis at 22, 24 and 26 modes (1,771, 2,300 and
-# 2,925 wide) take 4.4, 8.9 and 16.8 s dense (0.17-0.29 GB) and 3.5, 5.5 and
-# 9.4 s sparse (0.15-0.23 GB), but Lanczos converges slowly in the symmetric
-# irrep: three distinguishable particles take 18.7 s dense, 25.7 s all sparse
-# and 10.9 s split at this cap (0.29, 0.23, 0.24 GB) at 26 modes, 75 s dense
-# and 37 s split (0.47, 0.37 GB) at 30 modes.
+# 2,925 wide) take 4.0, 7.7 and 14.4 s dense (0.16-0.28 GB) and 3.8, 4.9 and
+# 6.8 s sparse (0.14-0.22 GB), but Lanczos converges slowly in the symmetric
+# irrep: three distinguishable particles take 19.0 s dense, 23.9 s all sparse
+# and 10.4 s split at this cap (0.28, 0.22, 0.22 GB) at 26 modes, 64 s dense
+# and 26 s split (0.46, 0.34 GB) at 30 modes.
 DENSE_DIM_CAP = 2500
 BASIS_DIM_CAP = 200_000
 MC_STRATA = 64
@@ -288,8 +288,10 @@ def _solve_block(w_b: sparse.csr_array | None, h0: np.ndarray, g_values: tuple[f
             buf[diag, diag] += h0
             e, x = eigh(buf, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
         else:
+            # the Hamiltonian as a product, so no sparse copy of w_b is built
+            ham = LinearOperator(w_b.shape, lambda v: g * (w_b @ v) + h0 * v, dtype=float)
             v0 = np.random.default_rng(0).standard_normal(len(h0))
-            e, x = eigsh(g * w_b + sparse.diags_array(h0), k, which="SA", v0=v0, tol=0)
+            e, x = eigsh(ham, k, which="SA", v0=v0, tol=0)
         solved.append((e, x, np.einsum("ij,ij->j", x, w_b @ x)))
     return solved
 
@@ -301,9 +303,9 @@ def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
     Each block is solved once, as diag(trap energies) + g W_b with W_b from
     _block_contacts: densely, in one buffer per block, while it is no wider
     than DENSE_DIM_CAP (or wants all but at most one of its states), otherwise
-    by implicitly restarted Lanczos (ARPACK) on the sparse matrix from a
-    seeded start vector, so that reruns agree bit for bit.  A block's
-    contact, buffer and sparse Hamiltonian are dropped before the next
+    by implicitly restarted Lanczos (ARPACK) on the product
+    g (W_b v) + h0 v from a seeded start vector, so that reruns agree bit
+    for bit.  A block's contact and buffer are dropped before the next
     block's contact is built.  Every retained row T of a block carries its
     energies and contact expectations.  [1^N] blocks take no solve: their
     states are their columns in stable order of trap energy, with contact

@@ -15,7 +15,6 @@ from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh, toeplitz
 
 HARMONIC_INDEX_CAP = 200
 # Sinc matrix entries per block of evaluation points.
@@ -187,6 +186,8 @@ def _dvr(trap: Trap, stride: int, count: int) -> TabulatedBasis:
     Kinetic matrix (hbar = m = 1): pi^2 / (6 h^2) on the diagonal and
     (-1)^(i-j) / (h^2 (i-j)^2) off it.
     """
+    from scipy.linalg import eigh, toeplitz  # slow to load; only tabulated traps need it
+
     pot = trap.v[::stride]
     h = stride * (trap.x[-1] - trap.x[0]) / (len(trap.x) - 1)
     k = np.arange(1, len(pot))

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tonks.oracle
+import tonks.spectrum
 from tonks import cli
 from tonks.cli import _SETTINGS, _load_config, build_parser
 
@@ -363,7 +365,7 @@ def test_validate_bad_couplings_and_states_exit_two(monkeypatch, capsys):
         raise AssertionError("oracle ran before its input was checked")
 
     # two couplings cannot give a slope fit: refused before either diagonalization
-    monkeypatch.setattr(cli, "diagonalize", refused)
+    monkeypatch.setattr(tonks.oracle, "diagonalize", refused)
     assert cli.main(["validate", "--n", "3", "--n-modes", "18", "--g", "20,50"]) == 2
     assert capsys.readouterr().err == "error: slope fits need at least three couplings\n"
     # the 4-mode truncation rerun has 16 states: more cannot be kept, refused up front
@@ -383,13 +385,13 @@ def test_over_cap_input_refused_before_weights(monkeypatch, capsys):
 
 
 def test_spectrum_solves_distinguishable_input_once(monkeypatch, tmp_path):
-    calls, real = [], cli.solve
+    calls, real = [], tonks.spectrum.solve
 
     def counting_solve(lap):
         calls.append(lap.shape[0])
         return real(lap)
 
-    monkeypatch.setattr(cli, "solve", counting_solve)
+    monkeypatch.setattr(tonks.spectrum, "solve", counting_solve)
     out = str(tmp_path / "spectrum.json")
     for components, solves in ((None, [24]), ("2,2", [6, 24])):
         calls.clear()
