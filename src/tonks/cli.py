@@ -7,11 +7,13 @@ density (one-body density of one adiabatic state).  Every setting is
 declared once, in _SETTINGS: its INI section, type, default, the
 subcommands that take it as a flag, and its help text.  Settings come
 from an INI config file overridden by command-line flags; an unknown
-section or key, or a value of the wrong type, is bad input.  Results are
-written atomically as a CSV table (validate: one row per slope, columns
-index,k_predicted,k_fitted,rel_deviation,uncertainty) or as JSON, indented
-by two spaces with each number array on one line and exact float reprs,
-each distinct magnitude of an array formatted once, as json.dumps would.
+section or key, a value of the wrong type, or a float that is not finite
+is bad input.  Results are written atomically as a CSV table
+(validate: one row per slope, columns
+index,k_predicted,k_fitted,rel_deviation,uncertainty) or as JSON,
+indented by two spaces with each number array on one line and exact
+float reprs, each distinct magnitude of an array formatted once, as
+json.dumps would.
 Exit codes: 0 success, 2 bad input (including a trap table too coarse
 to solve), 3 tolerance or validation failure.
 """
@@ -125,6 +127,9 @@ def _settings(args: argparse.Namespace) -> dict:
     if args.config:
         s.update(_load_config(args.config))
     s.update((key, val) for key, val in vars(args).items() if key in s and val is not None)
+    for key, row in _SETTINGS.items():
+        if row.type is float and not math.isfinite(s[key]):
+            raise InputError(f"{key} must be finite, got {s[key]}")
     return s
 
 
@@ -280,7 +285,8 @@ def _cmd_spectrum(args, s: dict) -> int:
     comp = _components(s, n)
     graph = build_graph(n, comp)  # refuses an over-cap input before the weights are computed
     gammas = all_gammas(state, tol=s["tol"])
-    proj = solve(projected_laplacian(graph, gammas))
+    weights = [bw.value for bw in gammas]
+    proj = solve(projected_laplacian(graph, weights))
     # Above the node cap only the projected block is computed and written.
     # Distinguishable words are the orderings themselves, solved once.
     full = None
@@ -289,7 +295,7 @@ def _cmd_spectrum(args, s: dict) -> int:
             orderings, ordered = graph, proj
         else:
             orderings = build_graph(n)
-            ordered = solve(projected_laplacian(orderings, gammas))
+            ordered = solve(projected_laplacian(orderings, weights))
         full = classify(ordered, graph)
     body = {
         "units": _units(s),
@@ -339,6 +345,8 @@ def _cmd_validate(args, s: dict) -> int:
 
     if s["trap"] != "harmonic" or s["omega"] != 1.0:
         raise InputError("validation against the oracle runs in the unit harmonic trap")
+    if s["rtol"] < 0:
+        raise InputError(f"rtol must be non-negative, got {s['rtol']}")
     n = s["n"]
     if n not in (2, 3):
         raise InputError("the oracle supports n in {2, 3}")
@@ -360,9 +368,8 @@ def _cmd_validate(args, s: dict) -> int:
     if len(g_values) < 3:
         raise InputError("slope fits need at least three couplings")
     state, _ = _build_problem(s)
-    gammas = all_gammas(state, tol=s["tol"])
-    graph = build_graph(n)
-    k_pred = solve(projected_laplacian(graph, gammas)).values
+    weights = [bw.value for bw in all_gammas(state, tol=s["tol"])]
+    k_pred = solve(projected_laplacian(build_graph(n), weights)).values
     n_states = s["states"] or m + 4
     cfg = EDConfig(n_particles=n, n_modes=s["n_modes"], g_values=g_values,
                    n_states=n_states)
@@ -407,14 +414,14 @@ def _cmd_density(args, s: dict) -> int:
     state, trap_desc = _build_problem(s)
     n = s["n"]
     graph = build_graph(n)
-    gammas = all_gammas(state, tol=s["tol"])
-    full = solve(projected_laplacian(graph, gammas))
     j = s["state"]
-    if not 0 <= j < full.n_states:
-        raise InputError(f"state index {j} outside 0..{full.n_states - 1}")
-    wave = SectorWavefunction(state, full.vectors[:, j])
+    if not 0 <= j < graph.n_nodes:
+        raise InputError(f"state index {j} outside 0..{graph.n_nodes - 1}")
     if s["grid_hi"] <= s["grid_lo"] or s["bins"] < 1:
         raise InputError("density grid must satisfy grid_lo < grid_hi and bins >= 1")
+    weights = [bw.value for bw in all_gammas(state, tol=s["tol"])]
+    full = solve(projected_laplacian(graph, weights))
+    wave = SectorWavefunction(state, full.vectors[:, j])
     edges = np.linspace(s["grid_lo"], s["grid_hi"], s["bins"] + 1)
     per, total = wave.one_body_density(edges)
     centers = 0.5 * (edges[1:] + edges[:-1])

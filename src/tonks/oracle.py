@@ -10,11 +10,12 @@ that is antisymmetric inside every component).  Each block's contact
 matrix is assembled from the contact rows of the sorted occupations alone,
 one per orbit, and solved once for all its rows: densely up to
 DENSE_DIM_CAP, by sparse Lanczos above it, for every basis alike.  The
-antisymmetric irrep carries no contact and takes no solve.
-Energies tracked across couplings by eigenvector overlap are fitted
-against 1/g, and the negated slopes are compared with the Laplacian
-eigenvalues K; the interaction expectation of each tracked state doubles
-as the exact dE/dg of the truncated model.  A transcendental two-body
+antisymmetric irrep carries no contact and takes no solve.  Energies
+tracked across couplings by eigenvector overlap, taken in block coordinates
+as the row isometries are orthonormal, are fitted against 1/g, and the
+negated slopes are compared with the Laplacian eigenvalues K; the
+interaction expectation of each tracked state doubles as the exact dE/dg
+of the truncated model.  A transcendental two-body
 relation provides an independent closed-form reference for N = 2, and a
 seeded, stratified Monte Carlo estimator of the boundary weights
 cross-checks the ordered-overlap engine from the coordinates up.
@@ -159,15 +160,15 @@ def _kernel(d: int, gens: list[np.ndarray], sign: int) -> np.ndarray:
     return vecs[:, vals < 1e-6]
 
 
-_Block = tuple[tuple[sparse.csc_array, ...], np.ndarray, tuple[sparse.csc_array, ...]]
+_Block = tuple[np.ndarray, np.ndarray, tuple[sparse.csc_array, ...]]
 
 
 def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec | None
                      ) -> list[_Block]:
-    """Isometries onto the exact symmetry blocks of the product basis, one block
-    per irrep of S_N and parity in a fixed order, each as (one isometry per
-    retained row of the irrep, trap energy of each column, the isometries of
-    all rows of the irrep, left empty for the shape [1^N]).
+    """The exact symmetry blocks of the product basis, one per irrep of S_N and
+    parity in a fixed order, each as (the retained rows f of the irrep as
+    columns, trap energy of each block column, the isometries T_(e_k) of all
+    d rows e_k of the irrep, left empty for the shape [1^N]).
 
     Product state w is sigma_w r, with r its sorted occupation and sigma_w the
     adjacent swaps s_k that sort it.  For a shape with Young's orthogonal form
@@ -175,9 +176,10 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     every tied slot pair of r, and the rows f the vectors with rho(s_k) = -1
     for every slot pair inside one component (all rows for distinguishable
     particles).  Column (orbit of r, j) of T_f holds
-    sqrt(d / |orbit|) f^T rho(sigma_w) e_j at w.  By Schur orthogonality these
-    columns are orthonormal, a swap maps T_f to T_(rho(s_k) f), and so every
-    T_f gives the same T_f^T H T_f.  Every column is an oscillator eigenstate.
+    sqrt(d / |orbit|) f^T rho(sigma_w) e_j at w: T_f = sum_k f[k] T_(e_k).  By
+    Schur orthogonality the columns of the T_f of orthonormal rows f are
+    orthonormal, a swap maps T_f to T_(rho(s_k) f), and so every T_f gives
+    the same T_f^T H T_f.  Every column is an oscillator eigenstate.
     [1^N] is antisymmetric under every swap, so the contact vanishes on it.
     """
     shape = (n_modes,) * n_particles
@@ -217,10 +219,9 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
             w, j = np.nonzero(np.arange(d) < cols[orbit][:, None])
             at = (w, (np.cumsum(cols) - cols)[orbit[w]] + j)
             dims = (len(occ), cols.sum())
-            ks = tuple(sparse.csc_array((coef[w, k, j], at), shape=dims) for k in range(d))
-            ts = tuple(sparse.csc_array((coef[w, :, j] @ row, at), shape=dims) for row in f.T)
-            blocks.append((ts, np.repeat(quanta, cols) + 0.5 * n_particles,
-                           () if len(lam) == n_particles else ks))
+            ks = () if len(lam) == n_particles else tuple(
+                sparse.csc_array((coef[w, k, j], at), shape=dims) for k in range(d))
+            blocks.append((f, np.repeat(quanta, cols) + 0.5 * n_particles, ks))
     return blocks
 
 
@@ -271,12 +272,13 @@ def _solve_block(w_b: sparse.csr_array | None, h0: np.ndarray, g_values: tuple[f
 
     Returns (energies, eigenvectors in the block, contact expectations) per
     coupling.  A dense solve refills one Fortran-ordered buffer per coupling
-    and lets eigh overwrite it.  For [1^N] (w_b None) the "eigenvectors" are
-    the indices of the k columns of lowest trap energy, in stable order.
+    and lets eigh overwrite it.  For [1^N] (w_b None) they are the unit
+    vectors of the k columns of lowest trap energy, in stable order.
     """
     if w_b is None:
         order = np.argsort(h0, kind="stable")[:k]
-        return [(h0[order], order, np.zeros(k))] * len(g_values)
+        x = (np.arange(len(h0))[:, None] == order).astype(float)
+        return [(h0[order], x, np.zeros(k))] * len(g_values)
     dense = len(h0) <= DENSE_DIM_CAP or k >= len(h0) - 1
     buf = np.empty((len(h0), len(h0)), order="F") if dense else None
     diag = np.arange(len(h0))
@@ -297,7 +299,7 @@ def _solve_block(w_b: sparse.csr_array | None, h0: np.ndarray, g_values: tuple[f
 
 
 def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
-                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]]:
     """Lowest n_keep states of every coupling from solves of the blocks.
 
     Each block is solved once, as diag(trap energies) + g W_b with W_b from
@@ -306,30 +308,25 @@ def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
     by implicitly restarted Lanczos (ARPACK) on the product
     g (W_b v) + h0 v from a seeded start vector, so that reruns agree bit
     for bit.  A block's contact and buffer are dropped before the next
-    block's contact is built.  Every retained row T of a block carries its
-    energies and contact expectations.  [1^N] blocks take no solve: their
-    states are their columns in stable order of trap energy, with contact
-    expectation 0.  Block spectra merge by a stable sort in the fixed block
-    and row order, and only the n_keep kept states are mapped to the
-    product basis, as T x (a column of T for [1^N]).
+    block's contact is built.  Every retained row of a block carries its
+    states.  [1^N] blocks take no solve: their states are their columns in
+    stable order of trap energy, with contact expectation 0.  Per coupling,
+    the kept energies (a stable sort in the fixed block and row order), their
+    block rows and eigenvector columns, contact expectations, and the block
+    eigenvectors of every row; nothing is mapped to the product basis.
     """
     contacts = _block_contacts(cfg.n_modes, cfg.n_particles, blocks)
     solved = [_solve_block(next(contacts), h0, cfg.g_values, min(n_keep, len(h0)))
               for _, h0, _ in blocks]
     spectra = []
     for gi in range(len(cfg.g_values)):
-        isos, es, xs, cs = zip(*[(t, *states[gi]) for (ts, _, _), states in zip(blocks, solved)
-                                 for t in ts])
+        es, xs, cs = zip(*[states[gi] for (f, _, _), states in zip(blocks, solved)
+                           for _ in range(f.shape[1])])
         vals, contact = np.concatenate(es), np.concatenate(cs)
         order = np.argsort(vals, kind="stable")[:n_keep]
-        owner = np.repeat(np.arange(len(es)), [len(e) for e in es])[order]
+        row = np.repeat(np.arange(len(es)), [len(e) for e in es])[order]
         col = np.concatenate([np.arange(len(e)) for e in es])[order]
-        vecs = np.empty((cfg.n_modes**cfg.n_particles, len(order)), order="F")
-        for i in np.unique(owner):
-            at = np.flatnonzero(owner == i)
-            t, x = isos[i], xs[i]
-            vecs[:, at] = t[:, x[col[at]]].toarray() if x.ndim == 1 else t @ x[:, col[at]]
-        spectra.append((vals[order], vecs, contact[order]))
+        spectra.append((vals[order], row, col, contact[order], xs))
     return spectra
 
 
@@ -342,16 +339,16 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     contact-free [1^N]; every row of a block counts in basis_dim.  Every
     basis takes this path: DENSE_DIM_CAP only chooses, block by block,
     between a dense solve in one buffer per block and a sparse Lanczos
-    eigensolver (_solve_blocks).  Only the lowest n_states + 2 states of
-    each coupling are mapped to the product basis; their eigenvectors are
-    matched across couplings by maximal-overlap assignment starting from
-    the smallest coupling, and the first n_states tracked columns are
-    returned.
+    eigensolver (_solve_blocks).  The lowest n_states + 2 states of each
+    coupling are matched across couplings by maximal-overlap assignment
+    starting from the smallest coupling, and the first n_states tracked
+    columns are returned.  The row isometries are orthonormal, so only
+    states of one block row overlap, as their block eigenvectors x_prev^T x.
     """
     from scipy import optimize  # slow to load; imported where the solvers need it
 
     blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
-    dim = sum(len(ts) * len(h0) for ts, h0, _ in blocks)
+    dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
     if cfg.n_states > dim:
         raise ValueError(f"n_states={cfg.n_states} exceeds basis dimension {dim}")
     # Two buffer states keep a crossing at the cutoff from derailing the
@@ -364,19 +361,21 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     quality = np.ones_like(energies)
     inter = np.empty_like(energies)
     prev = None
-    for gi, (vals, vecs, contact) in enumerate(spectra):
+    for gi, (vals, row, col, contact, xs) in enumerate(spectra):
         energies[gi] = vals
         if prev is None:
             perm = np.arange(n_keep)
         else:
-            overlap = np.abs(prev.T @ vecs)
-            rows, cols = optimize.linear_sum_assignment(-overlap)
-            perm = np.empty(n_keep, dtype=int)
-            perm[rows] = cols
+            p_row, p_col, p_xs = prev
+            overlap = np.zeros((n_keep, n_keep))
+            for r in np.intersect1d(p_row, row):
+                a, b = np.flatnonzero(p_row == r), np.flatnonzero(row == r)
+                overlap[np.ix_(a, b)] = np.abs(p_xs[r][:, p_col[a]].T @ xs[r][:, col[b]])
+            _, perm = optimize.linear_sum_assignment(-overlap)  # rows come back as 0..n_keep-1
             quality[gi] = overlap[np.arange(n_keep), perm]
         tracked[gi] = vals[perm]
         inter[gi] = contact[perm]
-        prev = vecs[:, perm]
+        prev = row[perm], col[perm], xs
     return EDResult(
         config=cfg,
         basis_dim=dim,

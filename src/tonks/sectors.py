@@ -42,8 +42,6 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csr_array
 
-from .weights import BoundaryWeight
-
 # Largest node count of any graph: the words of a composition, or the n!
 # orderings of the full graph.  A graph of more than one orbit has at
 # most 120 relabellings under the cap (five singletons and a pair, 2,520
@@ -296,20 +294,11 @@ def _relabelling_blocks(graph: SectorGraph) -> tuple[tuple[csr_array, ...], ...]
 
 
 def _weight_array(graph: SectorGraph, gammas) -> np.ndarray:
-    """Normalize weights to an array indexed by 0-based slot."""
-    n = graph.n
-    if isinstance(gammas, dict):
-        vals = [gammas[k] for k in range(1, n)]
-    else:
-        items = list(gammas)
-        if items and isinstance(items[0], BoundaryWeight):
-            by_k = {bw.k: bw.value for bw in items}
-            vals = [by_k[k] for k in range(1, n)]
-        else:
-            vals = [float(v) for v in items]
-    arr = np.asarray(vals, dtype=float)
-    if arr.shape != (n - 1,):
-        raise ValueError(f"need {n - 1} boundary weights, got shape {arr.shape}")
+    """The N - 1 boundary weights gamma_1..gamma_(N-1), a sequence of floats,
+    as a new array indexed by 0-based slot."""
+    arr = np.array(gammas, dtype=float)
+    if arr.shape != (graph.n - 1,):
+        raise ValueError(f"need {graph.n - 1} boundary weights, got shape {arr.shape}")
     if np.any(arr < 0):
         raise ValueError("boundary weights must be non-negative")
     return arr

@@ -39,6 +39,8 @@ class Trap:
 
     @staticmethod
     def from_table(x: Sequence[float], v: Sequence[float], margin: float = 1.0) -> "Trap":
+        if not np.isfinite(margin):
+            raise ValueError(f"margin must be finite, got {margin}")
         xa = np.asarray(x, dtype=float)
         va = np.asarray(v, dtype=float)
         if xa.ndim != 1 or xa.shape != va.shape:
@@ -97,8 +99,8 @@ class HarmonicBasis:
     """Orbitals of the harmonic trap, evaluated by recurrence."""
 
     def __init__(self, omega: float = 1.0):
-        if omega <= 0:
-            raise ValueError(f"omega must be positive, got {omega}")
+        if not 0 < omega < np.inf:
+            raise ValueError(f"omega must be positive and finite, got {omega}")
         self.omega = float(omega)
         self.cap = HARMONIC_INDEX_CAP
 

@@ -374,14 +374,47 @@ def test_validate_bad_couplings_and_states_exit_two(monkeypatch, capsys):
         "error: --states 20 exceeds the basis dimension 16 of the 4-mode truncation rerun\n")
 
 
-def test_over_cap_input_refused_before_weights(monkeypatch, capsys):
-    def refused(state, tol):
-        raise AssertionError("weights computed for an input the graph cap refuses")
+def _refused(state, tol):
+    raise AssertionError("weights computed for a refused input")
 
-    monkeypatch.setattr(cli, "all_gammas", refused)
+
+def test_over_cap_input_refused_before_weights(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "all_gammas", _refused)
     for command in ("spectrum", "density"):
         assert cli.main([command, "--n", "8"]) == 2
         assert "above the graph cap of 2520 nodes" in capsys.readouterr().err
+
+
+def test_density_grid_and_state_refused_before_weights(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "all_gammas", _refused)
+    for extra, message in ((["--bins", "0"], "density grid must satisfy grid_lo < grid_hi"),
+                           (["--grid-lo", "1", "--grid-hi", "1"], "density grid must satisfy"),
+                           (["--state", "720"], "state index 720 outside 0..719"),
+                           (["--state", "-1"], "state index -1 outside 0..719")):
+        assert cli.main(["density", "--n", "6", *extra]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["gamma", "--n", "3", "--omega", "inf"], "omega"),
+    (["gamma", "--n", "3", "--omega", "nan"], "omega"),
+    (["gamma", "--n", "3", "--tol", "inf"], "tol"),
+    (["gamma", "--n", "3", "--trap", "TABLE", "--margin", "nan"], "margin"),
+    (["density", "--n", "3", "--grid-lo", "nan"], "grid_lo"),
+    (["density", "--n", "3", "--grid-hi", "inf"], "grid_hi"),
+    (["validate", "--n", "2", "--rtol", "nan"], "rtol"),
+    (["validate", "--n", "2", "--rtol", "-1"], "rtol"),
+    (["gamma", "--n", "3", "--config", "INI"], "omega"),
+])
+def test_bad_float_settings_refused_before_any_work(argv, setting, tmp_path, monkeypatch, capsys):
+    # A non-finite float setting, or a negative rtol, is bad input (exit 2) named
+    # in the message; none reaches the weights, where omega = inf never returns.
+    monkeypatch.setattr(cli, "all_gammas", _refused)
+    ini = tmp_path / "inf.ini"
+    ini.write_text("[trap]\nomega = inf\n")
+    files = {"TABLE": _harmonic_table(tmp_path / "harmonic.dat", 161), "INI": str(ini)}
+    assert cli.main([files.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {setting} must be ")
 
 
 def test_spectrum_solves_distinguishable_input_once(monkeypatch, tmp_path):

@@ -228,7 +228,7 @@ def test_blocks_match_dense_reference(npart, n_modes, sizes):
     assert res.basis_dim == len(h0)
     blocks = oracle._symmetry_blocks(n_modes, npart, comp)
     # every row of every block
-    assert sum(len(ts) * len(h0) for ts, h0, _ in blocks) == res.basis_dim
+    assert sum(f.shape[1] * len(h0) for f, h0, _ in blocks) == res.basis_dim
     for gi, g in enumerate(cfg.g_values):
         vals, vecs = np.linalg.eigh(h0 + g * w)
         np.testing.assert_allclose(res.energies[gi], vals[:6], atol=1e-10)
@@ -241,21 +241,32 @@ def test_blocks_match_dense_reference(npart, n_modes, sizes):
         np.testing.assert_allclose(res.interaction[gi], contact, atol=1e-8)
 
 
+def _row_isometries(blocks):
+    """T_f = sum_k f[k, r] ks[k] of every retained row r, block by block in the
+    row order of _solve_blocks, as dense arrays; None for the contact-free [1^N],
+    whose isometries are not built."""
+    return [sum(f[k, r] * t for k, t in enumerate(ks)).toarray() if ks else None
+            for f, _, ks in blocks for r in range(f.shape[1])]
+
+
 def _widths(blocks):
-    """The width of every row's isometry, block by block."""
-    return [tuple(t.shape[1] for t in ts) for ts, _, _ in blocks]
+    """The shape of every block's row basis f and the width of each of its isometries."""
+    return [(f.shape, *{t.shape[1] for t in ks}) for f, _, ks in blocks]
 
 
 def test_block_sizes():
     # shapes (3), (2,1), (1,1,1), each even then odd; (2,1) has two rows
     blocks = oracle._symmetry_blocks(14, 3, None)
-    assert _widths(blocks) == [(280,), (280,), (455, 455), (455, 455), (182,), (182,)]
+    assert _widths(blocks) == [((1, 1), 280), ((1, 1), 280), ((2, 2), 455), ((2, 2), 455),
+                               ((1, 1),), ((1, 1),)]
     assert [len(h0) for _, h0, _ in blocks] == [280, 280, 455, 455, 182, 182]
     # every row of the irrep for the contact, none for the contact-free (1,1,1)
     assert [len(ks) for _, _, ks in blocks] == [1, 1, 2, 2, 0, 0]
+    assert [t.shape[1] for t in _row_isometries(blocks)[:6]] == [280, 280, 455, 455, 455, 455]
     # (2,1) components: no symmetric shape, one row of (2,1) antisymmetric under P_12
     pair = oracle._symmetry_blocks(14, 3, ComponentSpec((2, 1)))
-    assert _widths(pair) == [(455,), (455,), (182,), (182,)]
+    assert _widths(pair) == [((2, 1), 455), ((2, 1), 455), ((1, 1),), ((1, 1),)]
+    assert [len(h0) for _, h0, _ in pair] == [455, 455, 182, 182]
     assert [len(ks) for _, _, ks in pair] == [2, 2, 0, 0]
 
 
@@ -293,11 +304,12 @@ def test_dense_blocks_below_cap(monkeypatch):
     sizes = widths["eigh"]
     assert widths["eigsh"] == []
     blocks = oracle._symmetry_blocks(8, 3, None)
-    mapped = sum((len(ts) - 1) * len(h0) for ts, h0, _ in blocks)
+    # the mixed irrep's second row shares the solve of its first
+    shared = sum((f.shape[1] - 1) * len(h0) for f, h0, _ in blocks)
     # the antisymmetric states, C(8, 3) of them, take no solve
     free = sum(len(h0) for _, h0, ks in blocks if not ks)
     assert capped.basis_dim == 512 and free == 56 and max(sizes) <= 200
-    assert sum(sizes) + mapped + free == 512
+    assert sum(sizes) + shared + free == 512
     np.testing.assert_array_equal(capped.energies, uncapped.energies)
     np.testing.assert_array_equal(capped.interaction, uncapped.interaction)
 
@@ -347,11 +359,21 @@ def test_block_invariants(npart, sizes):
     trap = np.indices((n,) * npart).sum(axis=0).ravel() + 0.5 * npart
     w = _contact_matrix(n, npart)
     blocks = oracle._symmetry_blocks(n, npart, comp)
-    for (ts, h0, _), w_b in zip(blocks, oracle._block_contacts(n, npart, blocks)):
-        rows = [t.toarray() for t in ts]
+    isometries = iter(_row_isometries(blocks))
+    q, free = [], []
+    for (f, h0, ks), w_b in zip(blocks, oracle._block_contacts(n, npart, blocks)):
+        rows = [next(isometries) for _ in range(f.shape[1])]
+        # only the antisymmetric shape [1^N] is contact-free, and its isometries are not built
+        assert (w_b is None) == (not ks) == (rows[0] is None)
+        if w_b is None:
+            free.append(h0)
+            continue
+        assert f.shape[0] == len(ks)
+        np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-12)
         # one class-sum value, the irrep's, on every row
         c = rows[0][:, 0] @ sum(rows[0][p, 0] for p in swaps.values())
         assert c == pytest.approx(round(c), abs=1e-12)
+        assert round(c) != -math.comb(npart, 2)
         w_0 = rows[0].T @ w @ rows[0]
         for t in rows:
             np.testing.assert_allclose(sum(t[p] for p in swaps.values()), c * t, atol=1e-12)
@@ -367,19 +389,23 @@ def test_block_invariants(npart, sizes):
             # _block_contacts gives from the rows of W at the sorted occupations
             w_t = t.T @ w @ t
             np.testing.assert_allclose(w_t, w_0, atol=1e-12)
-            np.testing.assert_allclose(w_t, 0.0 if w_b is None else w_b.toarray(), atol=1e-12)
-        # only the antisymmetric shape [1^N], class sum -N(N-1)/2, is contact-free
-        assert (w_b is None) == (round(c) == -math.comb(npart, 2))
-    q = np.hstack([t.toarray() for ts, _, _ in blocks for t in ts])
-    np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+            np.testing.assert_allclose(w_t, w_b.toarray(), atol=1e-12)
+        q += rows
+    # [1^N], even then odd: the trap energies of the occupations without a repeated mode
+    assert len(free) == 2
+    np.testing.assert_array_equal(np.sort(np.concatenate(free)), sorted(
+        sum(r) + 0.5 * npart for r in itertools.combinations(range(n), npart)))
+    if q:
+        q = np.hstack(q)
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
     want = math.prod(math.comb(n, s) for s in sizes) if sizes else n**npart
-    assert q.shape[1] == want
+    assert sum(f.shape[1] * len(h0) for f, h0, _ in blocks) == want
     if npart < 4:
         cfg = EDConfig(npart, n, (1.0,), n_states=1, components=comp)
         assert diagonalize(cfg).basis_dim == want
     if npart == 4 and sizes is None:
         # shapes (4), (3,1), (2,2), (2,1,1), (1,1,1,1), each even then odd
-        assert [len(ts) for ts, _, _ in blocks] == [1, 1, 3, 3, 2, 2, 3, 3, 1, 1]
+        assert [f.shape[1] for f, _, _ in blocks] == [1, 1, 3, 3, 2, 2, 3, 3, 1, 1]
 
 
 def test_mixed_blocks_isospectral():
@@ -390,8 +416,8 @@ def test_mixed_blocks_isospectral():
     h0, w = _dense_reference(cfg)
     h = h0 + 5.0 * w
     swaps, _ = _swap_and_parity(8, 3)
-    mixed = [[t.toarray() for t in ts] for ts, _, _ in oracle._symmetry_blocks(8, 3, None)
-             if len(ts) > 1]
+    blocks = oracle._symmetry_blocks(8, 3, None)
+    mixed = [_row_isometries([block]) for block in blocks if block[0].shape[1] > 1]
     assert len(mixed) == 2
     for ta, tb in mixed:
         span = np.hstack([ta, tb])
@@ -434,35 +460,47 @@ def test_eigh_widths_one_solve_per_mixed_pair(monkeypatch):
 
 
 def test_mapped_vectors_are_eigenvectors():
-    # All 216 states of six modes, so every mapped vector is among them.
+    # All 216 states of six modes.  Each state is a block eigenvector x in its
+    # block row; mapped by the row isometry T_f, built here, it is an
+    # eigenvector of the product-basis Hamiltonian.
     cfg = EDConfig(3, 6, (5.0, 20.0))
     blocks = oracle._symmetry_blocks(6, 3, None)
+    isometries = _row_isometries(blocks)
     h0, w = _dense_reference(cfg)
     swaps, _ = _swap_and_parity(6, 3)
-    for g, (vals, vecs, contact) in zip(cfg.g_values, oracle._solve_blocks(cfg, blocks, 216)):
-        resid = (h0 + g * w) @ vecs - vecs * vals
+    for g, (vals, row, col, contact, xs) in zip(cfg.g_values, oracle._solve_blocks(cfg, blocks, 216)):
+        assert len(vals) == 216 and len(xs) == len(isometries)
+        solved = np.array([isometries[r] is not None for r in row])
+        vecs = np.column_stack([isometries[r] @ xs[r][:, c] for r, c in zip(row[solved], col[solved])])
+        resid = (h0 + g * w) @ vecs - vecs * vals[solved]
         assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
-        np.testing.assert_allclose(vecs.T @ vecs, np.eye(216), atol=1e-12)
-        np.testing.assert_allclose(contact, np.einsum("ij,ij->j", vecs, w @ vecs), atol=1e-12)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(contact[solved], np.einsum("ij,ij->j", vecs, w @ vecs),
+                                   atol=1e-12)
         # the vectors of every row of a multi-row block: class-sum value 0, the mixed irrep
         mixed = np.abs(sum(vecs[p] for p in swaps.values())).max(axis=0) < 1e-12
-        assert np.sum(mixed) == sum(len(ts) * len(h0) for ts, h0, _ in blocks if len(ts) > 1)
+        assert np.sum(mixed) == sum(f.shape[1] * len(h0) for f, h0, _ in blocks if f.shape[1] > 1)
         # each of their energies comes from one solve, so the two rows agree bit for bit
-        assert np.all(np.unique(vals[mixed], return_counts=True)[1] % 2 == 0)
+        assert np.all(np.unique(vals[solved][mixed], return_counts=True)[1] % 2 == 0)
 
 
 def test_contact_free_states_are_trap_states():
-    # Every state of the antisymmetric shape is an oscillator state with no
-    # contact: exactly its trap energy and exactly zero interaction.
+    # Every state of the antisymmetric shape is a unit column of its block:
+    # exactly its trap energy and exactly zero interaction.
     cfg = EDConfig(3, 6, (5.0, 20.0))
     blocks = oracle._symmetry_blocks(6, 3, None)
-    swaps, _ = _swap_and_parity(6, 3)
-    trap = np.indices((6, 6, 6)).sum(axis=0).ravel() + 1.5
-    for vals, vecs, contact in oracle._solve_blocks(cfg, blocks, 216):
-        anti = np.all([np.abs(vecs[p] + vecs).max(axis=0) < 1e-12 for p in swaps.values()], axis=0)
+    energies = [h0 for f, h0, _ in blocks for _ in range(f.shape[1])]
+    free = [r for r, t in enumerate(_row_isometries(blocks)) if t is None]
+    for vals, row, col, contact, xs in oracle._solve_blocks(cfg, blocks, 216):
+        anti = np.isin(row, free)
         assert np.sum(anti) == math.comb(6, 3)
         assert np.all(contact[anti] == 0.0)
-        np.testing.assert_array_equal(vals[anti], trap[np.argmax(np.abs(vecs[:, anti]), axis=0)])
+        for v, r, c in zip(vals[anti], row[anti], col[anti]):
+            x = xs[r][:, c]
+            assert np.count_nonzero(x) == 1 and x.max() == 1.0
+            assert v == energies[r][np.argmax(x)]
+        np.testing.assert_array_equal(np.sort(vals[anti]), sorted(
+            sum(r) + 1.5 for r in itertools.combinations(range(6), 3)))
     # Identical fermions: every state is one, tracked with overlap 1 at every coupling.
     for npart, n in ((2, 12), (3, 9)):
         res = diagonalize(EDConfig(npart, n, (5.0, 20.0, 80.0), n_states=8,
@@ -476,26 +514,86 @@ def test_contact_free_states_are_trap_states():
 
 @pytest.mark.parametrize("sizes", [None, (2, 1)])
 def test_kept_states_match_full_run(sizes):
-    # Only the kept states are mapped to the product basis.  With n_keep no
-    # narrower than any block, every block is solved whole either way, so
-    # the kept states are the first columns of the full run, bit for bit.
+    # With n_keep no narrower than any block, every block is solved whole
+    # either way, so the kept states are the first states of the full run,
+    # with the same block eigenvectors, bit for bit.
     comp = None if sizes is None else ComponentSpec(sizes)
     cfg = EDConfig(3, 6, (5.0, 20.0), components=comp)
     blocks = oracle._symmetry_blocks(6, 3, comp)
-    dim = sum(len(ts) * len(h0) for ts, h0, _ in blocks)
+    dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
     full = oracle._solve_blocks(cfg, blocks, dim)
     for n_keep in (max(len(h0) for _, h0, _ in blocks), dim - 1):
         for kept, whole in zip(oracle._solve_blocks(cfg, blocks, n_keep), full):
-            for a, b in zip(kept, whole):
-                assert a.shape[-1] == n_keep
-                assert a.tobytes() == b[..., :n_keep].tobytes()
+            for a, b in zip(kept[:4], whole):
+                assert a.shape == (n_keep,)
+                assert a.tobytes() == b[:n_keep].tobytes()
+            for r, c in zip(kept[1], kept[2]):
+                assert kept[4][r][:, c].tobytes() == whole[4][r][:, c].tobytes()
             # the contact-free [1^3] states are among them
-            assert np.any(kept[2] == 0.0)
+            assert np.any(kept[3] == 0.0)
+
+
+def _tracked_reference(cfg):
+    """Tracked energies, overlaps and contact expectations of the lowest
+    n_states + 2 eigenvectors of the dense product-basis Hamiltonian, matched
+    across couplings by product-basis overlap as diagonalize matches them.
+
+    A degenerate level has no preferred eigenbasis, so at every coupling after
+    the first its eigenvectors are rotated onto the previous states that
+    project on it most, by the polar factor of their overlaps.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    h0, w = _dense_reference(cfg)
+    n_keep = cfg.n_states + 2
+    out, prev = [], None
+    for g in cfg.g_values:
+        vals, vecs = np.linalg.eigh(h0 + g * w)
+        assert vals[n_keep] - vals[n_keep - 1] > 1e-8, "a degenerate level straddles the cutoff"
+        perm, quality = np.arange(n_keep), np.ones(n_keep)
+        if prev is not None:
+            start = np.flatnonzero(np.diff(vals[:n_keep + 1], prepend=-np.inf) > 1e-8)
+            for a, b in zip(start, start[1:]):
+                m = vecs[:, a:b].T @ prev
+                near = np.argsort(-np.linalg.norm(m, axis=0), kind="stable")[:b - a]
+                u, _, vt = np.linalg.svd(m[:, near])
+                vecs[:, a:b] = vecs[:, a:b] @ (u @ vt)
+            overlap = np.abs(prev.T @ vecs[:, :n_keep])
+            rows, cols = linear_sum_assignment(-overlap)
+            perm = cols[np.argsort(rows)]
+            quality = overlap[np.arange(n_keep), perm]
+        prev = vecs[:, perm]
+        out.append((vals[perm], quality, np.einsum("ij,ij->j", prev, w @ prev)))
+    return [np.array(part)[:, :cfg.n_states] for part in zip(*out)]
+
+
+@pytest.mark.parametrize("npart, n_modes, sizes, g_values, n_states, crossed", [
+    (2, 8, None, (5.0, 20.0, 80.0), 4, False),
+    (2, 8, None, (5.0, 20.0, 80.0), 6, True),
+    (3, 6, None, (5.0, 20.0, 80.0), 4, True),
+    (3, 7, (2, 1), (5.0, 20.0, 80.0), 6, False),
+    (3, 7, (2, 1), (2.0, 5.0, 20.0), 10, True),
+])
+def test_tracking_matches_dense_reference(npart, n_modes, sizes, g_values, n_states, crossed):
+    # Overlaps in block coordinates track the states as product-basis overlaps do.
+    comp = None if sizes is None else ComponentSpec(sizes)
+    cfg = EDConfig(npart, n_modes, g_values, n_states=n_states, components=comp)
+    res = diagonalize(cfg)
+    tracked, quality, interaction = _tracked_reference(cfg)
+    np.testing.assert_allclose(res.tracked, tracked, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(res.interaction, interaction, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(res.track_quality, quality, rtol=0, atol=1e-12)
+    # every match is unambiguous
+    assert np.min(res.track_quality) > 0.6
+    # crossed: a state kept at one coupling leaves the lowest n_states at the
+    # next, where tracking follows it into the two buffer states
+    assert np.any(res.tracked > res.energies[:, -1:] + 1e-9) == crossed
 
 
 def test_diagonalize_memory_bound():
     # tracemalloc peak of one 14-mode run: 13.0 MB when every block state was
-    # mapped and each dense block was built twice per coupling, 7.2 MB since.
+    # mapped and each dense block was built twice per coupling, 7.2 MB when
+    # only the kept states were mapped, 7.0 MB with states in block coordinates.
     cfg = EDConfig(3, 14, (20.0, 50.0, 100.0), n_states=10)
     diagonalize(cfg)  # pays the lazy scipy.optimize import outside the trace
     tracemalloc.start()

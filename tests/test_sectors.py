@@ -102,10 +102,12 @@ def test_laplacian_invariants():
 
 
 def test_laplacian_weight_forms():
+    # the N - 1 weights as any sequence of floats, gamma_1 first
     g = build_graph(3)
     by_seq = laplacian(g, [1.0, 2.0])
-    by_dict = laplacian(g, {1: 1.0, 2: 2.0})
-    np.testing.assert_allclose(by_dict, by_seq, atol=0.0)
+    for same in ((1.0, 2.0), np.array([1.0, 2.0])):
+        np.testing.assert_array_equal(laplacian(g, same), by_seq)
+    assert by_seq[0, 0] == 3.0
     with pytest.raises(ValueError):
         laplacian(g, [1.0, -2.0])
     with pytest.raises(ValueError):

@@ -225,3 +225,15 @@ def test_non_uniform_grid_rejected():
     with pytest.raises(ValueError, match="uniform"):
         Trap.from_table(x, 0.5 * x * x)
 
+
+
+def test_non_finite_omega_and_margin_rejected():
+    # omega = inf once made decay_radius step by zero forever; margin = nan
+    # switched off both confinement checks
+    for omega in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            HarmonicBasis(omega)
+    x = np.linspace(-6.0, 6.0, 64)
+    for margin in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="margin must be finite"):
+            Trap.from_table(x, 0.5 * x * x, margin=margin)
