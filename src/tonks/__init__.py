@@ -26,12 +26,11 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "traps": ("Trap", "HarmonicBasis", "TabulatedBasis", "solve_tabulated"),
     "slater": ("SlaterState", "make_level"),
-    "weights": ("BoundaryWeight", "ToleranceError", "gamma", "all_gammas"),
+    "weights": ("BoundaryWeight", "ToleranceError", "all_gammas"),
     "sectors": ("ComponentSpec", "SectorGraph", "build_graph", "laplacian", "projected_laplacian"),
-    "spectrum": ("KSpectrum", "EnergyExpansion", "SectorWavefunction", "solve", "classify",
-                 "expansion"),
-    "oracle": ("EDConfig", "EDResult", "SlopeFit", "delta_tensor", "diagonalize", "slope_fit",
-               "two_body_reference"),
+    "spectrum": ("KSpectrum", "EnergyExpansion", "solve", "classify", "expansion",
+                 "one_body_density"),
+    "oracle": ("EDConfig", "EDResult", "SlopeFit", "delta_tensor", "diagonalize", "slope_fit"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -409,7 +409,7 @@ def _cmd_validate(args, s: dict) -> int:
 
 def _cmd_density(args, s: dict) -> int:
     from .sectors import build_graph, projected_laplacian
-    from .spectrum import SectorWavefunction, solve
+    from .spectrum import one_body_density, solve
 
     state, trap_desc = _build_problem(s)
     n = s["n"]
@@ -421,9 +421,8 @@ def _cmd_density(args, s: dict) -> int:
         raise InputError("density grid must satisfy grid_lo < grid_hi and bins >= 1")
     weights = [bw.value for bw in all_gammas(state, tol=s["tol"])]
     full = solve(projected_laplacian(graph, weights))
-    wave = SectorWavefunction(state, full.vectors[:, j])
     edges = np.linspace(s["grid_lo"], s["grid_hi"], s["bins"] + 1)
-    per, total = wave.one_body_density(edges)
+    per, total = one_body_density(state, graph, full.vectors[:, j], edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
     body = {
         "units": _units(s),

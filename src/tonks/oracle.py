@@ -15,10 +15,7 @@ tracked across couplings by eigenvector overlap, taken in block coordinates
 as the row isometries are orthonormal, are fitted against 1/g, and the
 negated slopes are compared with the Laplacian eigenvalues K; the
 interaction expectation of each tracked state doubles as the exact dE/dg
-of the truncated model.  A transcendental two-body
-relation provides an independent closed-form reference for N = 2, and a
-seeded, stratified Monte Carlo estimator of the boundary weights
-cross-checks the ordered-overlap engine from the coordinates up.
+of the truncated model.
 """
 
 from __future__ import annotations
@@ -31,13 +28,10 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
-from scipy.special import digamma, ndtri, stdtrit
-from scipy.special import gamma as gamma_fn
+from scipy.special import stdtrit
 
 from .sectors import ComponentSpec, _partitions, _young_generators
-from .slater import SlaterState
 from .traps import _hermite_ladder
-from .weights import BoundaryWeight
 
 DELTA_MODE_CAP = 60
 # Widest block solved densely; a wider one takes sparse Lanczos.  Three
@@ -50,8 +44,6 @@ DELTA_MODE_CAP = 60
 # and 26 s split (0.46, 0.34 GB) at 30 modes.
 DENSE_DIM_CAP = 2500
 BASIS_DIM_CAP = 200_000
-MC_STRATA = 64
-MC_SHARDS = 16
 
 
 def _contact_rule(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -453,95 +445,3 @@ def slope_fit(result: EDResult, state_index: int,
         residual_halfwidth=half,
         truncation_shift=abs(r_slope - slope),
     )
-
-
-def _two_body_g(e_rel: float) -> float:
-    """Coupling at which e_rel is a relative-motion eigenvalue."""
-    a = 0.75 - 0.5 * e_rel
-    b = 0.25 - 0.5 * e_rel
-    return -2.0 * math.sqrt(2.0) * gamma_fn(a) / gamma_fn(b)
-
-
-def two_body_reference(g: float, branch: int = 0) -> float:
-    """Exact two-body total energy at coupling g from the transcendental relation.
-
-    branch b counts the interacting even relative states upward; the
-    centre of mass stays in its ground mode.  Each branch interpolates
-    between its free value 2b + 1 at g = 0 and 2b + 2 at g = infinity.
-    """
-    from scipy import optimize
-
-    if g <= 0:
-        raise ValueError("the reference solves the repulsive branch g > 0")
-    if branch < 0:
-        raise ValueError("branch must be non-negative")
-    lo = 2 * branch + 0.5 + 1e-9
-    hi = 2 * branch + 1.5 - 1e-9
-    e_rel = optimize.brentq(lambda e: _two_body_g(e) - g, lo, hi, xtol=1e-13, rtol=1e-15)
-    return e_rel + 0.5
-
-
-def two_body_slope(g: float, branch: int = 0) -> float:
-    """g^2 dE/dg of the two-body reference: the running slope coefficient.
-
-    Tends to the Laplacian eigenvalue 2 gamma of the interacting branch
-    as g grows.
-    """
-    e_tot = two_body_reference(g, branch=branch)
-    e_rel = e_tot - 0.5
-    a = 0.75 - 0.5 * e_rel
-    b = 0.25 - 0.5 * e_rel
-    dg_de = _two_body_g(e_rel) * (-0.5) * (digamma(a) - digamma(b))
-    return g**2 / dg_de
-
-
-def mc_gammas(state: SlaterState, samples: int = 2_000_000, seed: int = 0) -> list[BoundaryWeight]:
-    """All boundary weights by seeded importance-sampled Monte Carlo.
-
-    The reference estimator for the ordered-overlap engine.  Each sample
-    places the touching pair at z and the spectators independently; its
-    ordered configuration selects exactly one boundary, so one stream
-    estimates every gamma_k.  z is stratified through the normal inverse
-    CDF, and MC_SHARDS seed streams are accumulated in a fixed order, so a
-    seed gives bit-identical results.
-    """
-    n = state.n
-    if n < 2:
-        raise ValueError("Monte Carlo boundary weights need at least 2 particles")
-    if samples < MC_STRATA * MC_SHARDS:
-        raise ValueError("need at least one sample per stratum and shard")
-    radius = state.basis.decay_radius(state.occupation, eps=1e-10)
-    sigma = max(radius / 3.5, 0.5)
-    per_stratum = samples // MC_STRATA
-    counts = [per_stratum // MC_SHARDS + (1 if r < per_stratum % MC_SHARDS else 0)
-              for r in range(MC_SHARDS)]
-    fact = 1.0 / math.factorial(n - 2)
-    sums = np.zeros((MC_STRATA, n - 1))
-    sumsq = np.zeros((MC_STRATA, n - 1))
-    for count, seq in zip(counts, np.random.SeedSequence(seed).spawn(MC_SHARDS)):
-        rng = np.random.default_rng(seq)
-        for s in range(MC_STRATA):
-            u = rng.random(count)
-            z = sigma * ndtri((s + u) / MC_STRATA)
-            w = rng.normal(0.0, sigma, size=(count, n - 2))
-            jcount = np.sum(w < z[:, None], axis=1)
-            conf = np.concatenate([w, z[:, None], z[:, None]], axis=1)
-            conf.sort(axis=1)
-            # N! times the squared gradient of the touching particle at slot jcount.
-            _, g = state.psi_grad(conf)
-            gk = g[np.arange(count), jcount]
-            f = math.factorial(n) * gk * gk
-            logq = -0.5 * (z / sigma) ** 2 - math.log(sigma * math.sqrt(2 * math.pi))
-            logq = logq - 0.5 * np.sum((w / sigma) ** 2, axis=1) \
-                - (n - 2) * math.log(sigma * math.sqrt(2 * math.pi))
-            v = fact * f * np.exp(-logq)
-            for k0 in range(n - 1):
-                vk = np.where(jcount == k0, v, 0.0)
-                sums[s, k0] += vk.sum()
-                sumsq[s, k0] += np.dot(vk, vk)
-    mean = sums.sum(axis=0) / (MC_STRATA * per_stratum)
-    var_s = (sumsq - sums**2 / per_stratum) / (per_stratum - 1)
-    sem = np.sqrt(np.sum(var_s, axis=0) / (MC_STRATA**2 * per_stratum))
-    return [BoundaryWeight(k=k0 + 1, value=float(mean[k0]), error=float(sem[k0]),
-                           method="monte-carlo")
-            for k0 in range(n - 1)]

@@ -5,9 +5,10 @@ normalized Slater determinant
 
     Psi(x_1..x_N) = det[ phi_{n_j}(x_i) ] / sqrt(N!)
 
-with total energy the sum of the occupied orbital energies.  Values and
-gradients are evaluated in batches through pivoted LU determinants, so
-configurations with nearly coincident coordinates stay well conditioned.
+with total energy the sum of the occupied orbital energies.  The package
+never evaluates the determinant itself: the boundary weights and slot
+distributions in `weights` integrate it exactly through the ordered
+overlaps of the occupied orbitals.
 """
 
 from __future__ import annotations
@@ -15,16 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
-
-DET_CHUNK = 8192
 
 
 @dataclass(frozen=True)
 class SlaterState:
-    """A filled set of trap orbitals and its determinant wavefunction."""
+    """A filled set of trap orbitals: the occupation of one determinant and its energy."""
 
     basis: object = field(repr=False)
     occupation: tuple[int, ...]
@@ -33,56 +29,6 @@ class SlaterState:
     @property
     def n(self) -> int:
         return len(self.occupation)
-
-    def _matrices(self, x: np.ndarray, with_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        vals, ders = self.basis.eval_many(list(self.occupation), x.reshape(-1))
-        n = self.n
-        b = x.shape[0]
-        # [batch, particle, orbital]
-        m = vals.reshape(n, b, n).transpose(1, 2, 0)
-        d = ders.reshape(n, b, n).transpose(1, 2, 0) if with_grad else None
-        return m, d
-
-    def psi(self, x) -> np.ndarray:
-        """Wavefunction at configurations of shape (..., N)."""
-        x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
-        flat = x.reshape(-1, self.n)
-        out = np.empty(flat.shape[0])
-        norm = 1.0 / math.sqrt(math.factorial(self.n))
-        for lo in range(0, flat.shape[0], DET_CHUNK):
-            chunk = flat[lo : lo + DET_CHUNK]
-            m, _ = self._matrices(chunk, with_grad=False)
-            out[lo : lo + DET_CHUNK] = np.linalg.det(m)
-        return (norm * out).reshape(lead)
-
-    def grad(self, x) -> np.ndarray:
-        """Gradient with respect to every coordinate, shape (..., N)."""
-        return self.psi_grad(np.asarray(x, dtype=float))[1]
-
-    def psi_grad(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Wavefunction and gradient together, sharing orbital evaluations.
-
-        The derivative against coordinate i is the determinant with row i
-        replaced by orbital derivatives, which stays finite and accurate on
-        the coincidence planes where the determinant itself vanishes.
-        """
-        x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
-        n = self.n
-        flat = x.reshape(-1, n)
-        val = np.empty(flat.shape[0])
-        grd = np.empty((flat.shape[0], n))
-        norm = 1.0 / math.sqrt(math.factorial(n))
-        for lo in range(0, flat.shape[0], DET_CHUNK):
-            chunk = flat[lo : lo + DET_CHUNK]
-            m, d = self._matrices(chunk, with_grad=True)
-            val[lo : lo + DET_CHUNK] = np.linalg.det(m)
-            for i in range(n):
-                mi = m.copy()
-                mi[:, i, :] = d[:, i, :]
-                grd[lo : lo + DET_CHUNK, i] = np.linalg.det(mi)
-        return (norm * val).reshape(lead), (norm * grd).reshape(lead + (n,))
 
 
 def make_level(basis, n: int, level: int = 0, tie_tol: float = 1e-9) -> SlaterState:

@@ -1,4 +1,4 @@
-"""Strong-coupling spectra and adiabatic sector wavefunctions.
+"""Strong-coupling spectra and the one-body densities of their adiabatic states.
 
 Diagonalizing the weighted ordering Laplacian gives the slope
 coefficients K_j of the large-coupling expansion
@@ -13,7 +13,7 @@ any other Laplacian is one block, solved whole.  Each block is diagonalized
 in a buffer of the solver's own by LAPACK's divide-and-conquer eigensolver,
 which copes well with the large degenerate groups of these graphs.
 
-An amplitude vector a assembles a full wavefunction by scaling the
+An amplitude vector a describes the adiabatic state that scales the
 reference determinant sector by sector: Psi(x) = a_sigma(x) Psi_ref(x),
 where sigma(x) is the ordering of the coordinates, numbered by the
 lexicographic rank of the ordering graph.  The uniform vector leaves
@@ -192,58 +192,35 @@ def expansion(state: SlaterState, spectrum: KSpectrum) -> list[EnergyExpansion]:
     return [EnergyExpansion(e_free=state.energy, slope_k=float(k)) for k in spectrum.values]
 
 
-class SectorWavefunction:
-    """Adiabatic wavefunction assembled from sector amplitudes.
+def one_body_density(state: SlaterState, graph: SectorGraph, amplitudes,
+                     grid) -> tuple[np.ndarray, np.ndarray]:
+    """Exact one-body densities of an adiabatic state, averaged over the bins of an edge grid.
 
-    amplitudes are indexed by the lexicographic node order of the
-    ordering graph; normalize rescales them so the assembled state has
-    unit norm (each sector carries 1/N! of the reference norm).
+    amplitudes are indexed by the nodes of graph, the ordering graph of the
+    state's particles, and rescaled so that the assembled state has unit
+    norm (each sector carries 1/N! of the reference norm).  Returns
+    (per-particle densities, total density), the total normalized to the
+    particle number.  In the sector with ordering sigma particle i occupies
+    slot sigma^-1(i), and every sector holds the same ordered distribution,
+    so rho_i is the a_sigma^2-weighted mix of the exact slot densities from
+    the ordered overlaps.
     """
-
-    def __init__(self, state: SlaterState, amplitudes, normalize: bool = True):
-        self.state = state
-        n = state.n
-        a = np.asarray(amplitudes, dtype=float).copy()
-        if a.shape != (math.factorial(n),):
-            raise ValueError(
-                f"need {math.factorial(n)} amplitudes for {n} particles, got shape {a.shape}"
-            )
-        total = float(np.sum(a * a)) / math.factorial(n)
-        if total <= 0:
-            raise ValueError("amplitudes must not vanish identically")
-        if normalize:
-            a = a / math.sqrt(total)
-        self.amplitudes = a
-        self._orderings = build_graph(n)
-
-    def sector_index(self, x) -> np.ndarray:
-        """Canonical node index of the ordering sector containing each configuration."""
-        x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, self.state.n)
-        perm = np.argsort(flat, axis=1, kind="stable")
-        return self._orderings.index(perm).reshape(x.shape[:-1])
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        idx = self.sector_index(x)
-        return self.amplitudes[idx] * self.state.psi(x)
-
-    def one_body_density(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact one-body densities, averaged over the bins of an edge grid.
-
-        Returns (per-particle densities, total density), the total
-        normalized to the particle number.  In the sector with ordering
-        sigma particle i occupies slot sigma^-1(i), and every sector holds
-        the same ordered distribution, so rho_i is the a_sigma^2-weighted
-        mix of the exact slot densities from the ordered overlaps.
-        """
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be an increasing array of bin edges")
-        n = self.state.n
-        slots = np.diff(slot_cdf(self.state, grid), axis=1) / np.diff(grid)
-        # mix[i, s]: weight of the sectors that put particle i in slot s.
-        mix = np.zeros((n, n))
-        np.add.at(mix, (self._orderings.words, np.arange(n)), self.amplitudes[:, None] ** 2)
-        per = mix @ slots / np.sum(self.amplitudes**2)
-        return per, per.sum(axis=0)
+    n = state.n
+    if graph.n != n or graph.n_nodes != math.factorial(n):
+        raise ValueError(f"need the ordering graph of {n} particles")
+    a = np.asarray(amplitudes, dtype=float)
+    if a.shape != (graph.n_nodes,):
+        raise ValueError(f"need {graph.n_nodes} amplitudes for {n} particles, got shape {a.shape}")
+    total = float(np.sum(a * a)) / graph.n_nodes
+    if total <= 0:
+        raise ValueError("amplitudes must not vanish identically")
+    a = a / math.sqrt(total)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be an increasing array of bin edges")
+    slots = np.diff(slot_cdf(state, grid), axis=1) / np.diff(grid)
+    # mix[i, s]: weight of the sectors that put particle i in slot s.
+    mix = np.zeros((n, n))
+    np.add.at(mix, (graph.words, np.arange(n)), a[:, None] ** 2)
+    per = mix @ slots / np.sum(a**2)
+    return per, per.sum(axis=0)

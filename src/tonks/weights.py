@@ -22,7 +22,8 @@ product, det G / det A(inf), is the law of the number of particles below
 z, a sum of independent Bernoulli(a_l) (the counting law of a
 determinantal process), hence the exact distribution of each ordered
 slot.  The z integral uses composite Gauss-Legendre panels doubled until
-the change, plus a rounding floor, is below the tolerance.
+the change, plus a rounding floor, is below the tolerance; the first pass
+takes the fewest doublings on which A(inf) has a Cholesky factor.
 Orbitals solved on a grid add the change of gamma on their companion
 grid and one machine epsilon per grid point to the error.
 """
@@ -99,20 +100,31 @@ def _overlaps(state: SlaterState, breaks: np.ndarray):
     return half[:, None] * _W, vals, ders, at_nodes, at_breaks
 
 
-def _refine(compute, tol: float, select=slice(None)):
+def _refine(compute, tol: float):
     """Double the panels until |Q(2P) - Q(P)| plus the rounding floor is within tol.
 
-    compute(panels) returns (estimate, floor) arrays; only the entries
-    picked by select must converge.  Returns (estimate, error, panels,
+    compute(panels) returns (estimate, floor) arrays.  A first pass on too
+    few panels to integrate A(inf) to a positive definite matrix, which its
+    Cholesky factor needs, is retried on twice the panels; those doublings
+    count against the same budget.  Returns (estimate, error, panels,
     converged).
     """
     panels = START_PANELS
-    prev, _ = compute(panels)
-    for _ in range(MAX_DOUBLINGS):
+    top = START_PANELS << MAX_DOUBLINGS
+    while True:
+        try:
+            prev, _ = compute(panels)
+            break
+        except np.linalg.LinAlgError:
+            panels *= 2
+            if panels == top:
+                raise ToleranceError(
+                    f"A(inf) is not positive definite on {panels // 2} panels", None) from None
+    while panels < top:
         panels *= 2
         cur, floor = compute(panels)
         err = np.abs(cur - prev) + floor
-        if np.max(err[select]) <= tol:
+        if np.max(err) <= tol:
             return cur, err, panels, True
         prev = cur
     return cur, err, panels, False
@@ -154,48 +166,36 @@ def _gamma_pass(state: SlaterState, radius: float, panels: int) -> tuple[np.ndar
     return values, EPS * state.n * floor
 
 
-def _weights(state: SlaterState, tol: float, ks: list[int]) -> list[BoundaryWeight]:
+def all_gammas(state: SlaterState, tol: float = DEFAULT_TOL) -> list[BoundaryWeight]:
+    """All boundary weights gamma_1..gamma_{N-1} from one pass, each within tol.
+
+    No parity shortcut is taken, so gamma_k = gamma_{N-k} in a symmetric
+    trap stays an independent check of the reported errors.
+    """
     if state.n < 2:
         raise ValueError("boundary weights need at least 2 particles")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     radius = state.basis.decay_radius(state.occupation, eps=DECAY_EPS)
-    select = np.asarray(ks) - 1
-    values, errors, panels, ok = _refine(lambda p: _gamma_pass(state, radius, p), tol, select)
+    values, errors, panels, ok = _refine(lambda p: _gamma_pass(state, radius, p), tol)
     twin = getattr(state.basis, "companion", None)
     if ok and twin is not None:
         # Grid-solved orbitals: add the change on the companion grid and a
         # rounding floor that grows with the number of grid points.
         coarse, _, _, ok = _refine(lambda p: _gamma_pass(replace(state, basis=twin), radius, p),
-                                   tol, select)
+                                   tol)
         errors = errors + np.abs(values - coarse) + EPS * len(state.basis.grid) * np.abs(values)
-        ok = ok and np.max(errors[select]) <= tol
+        ok = ok and np.max(errors) <= tol
     out = [BoundaryWeight(k=k, value=float(v), error=float(e), method=METHOD)
            for k, (v, e) in enumerate(zip(values, errors), start=1)]
     if not ok:
-        worst = max((out[k - 1] for k in ks), key=lambda b: b.error)
+        worst = max(out, key=lambda b: b.error)
         raise ToleranceError(
             f"boundary {worst.k} reached error {worst.error:.3e} after {panels} panels, "
             f"above tol {tol:.1e}",
             worst,
         )
     return out
-
-
-def gamma(state: SlaterState, k: int, tol: float = DEFAULT_TOL) -> BoundaryWeight:
-    """The boundary weight gamma_k of a reference state, with error estimate."""
-    if not 1 <= k <= state.n - 1:
-        raise ValueError(f"boundary index {k} outside 1..{state.n - 1}")
-    return _weights(state, tol, [k])[k - 1]
-
-
-def all_gammas(state: SlaterState, tol: float = DEFAULT_TOL) -> list[BoundaryWeight]:
-    """All boundary weights gamma_1..gamma_{N-1} from one pass.
-
-    No parity shortcut is taken, so gamma_k = gamma_{N-k} in a symmetric
-    trap stays an independent check of the reported errors.
-    """
-    return _weights(state, tol, list(range(1, state.n)))
 
 
 def slot_cdf(state: SlaterState, x) -> np.ndarray:

@@ -11,12 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from tonks.oracle import EDConfig, diagonalize, mc_gammas, slope_fit, two_body_slope
+from reference import assembled, grad, mc_gammas, psi, two_body_slope
+from tonks.oracle import EDConfig, diagonalize, slope_fit
 from tonks.sectors import ComponentSpec, build_graph, cycle_ordering, laplacian, projected_laplacian
 from tonks.slater import make_level
-from tonks.spectrum import SectorWavefunction, expansion, solve
+from tonks.spectrum import expansion, solve
 from tonks.traps import HarmonicBasis
-from tonks.weights import all_gammas, gamma
+from tonks.weights import all_gammas
 
 GAMMA_2 = math.sqrt(2.0 / math.pi)
 GAMMA_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
@@ -54,7 +55,7 @@ def _compositions(n):
 
 
 def test_criterion_1_three_body_spectrum_and_projectors(state3):
-    gam = gamma(state3, 1).value
+    gam = all_gammas(state3)[0].value
 
     start = time.perf_counter()
     graph = build_graph(3)
@@ -88,21 +89,19 @@ def test_criterion_2_sixfold_degeneracy_at_infinite_coupling(state3):
 
     rng = np.random.default_rng(21)
     amps = rng.normal(size=6)
-    wave = SectorWavefunction(state3, amps, normalize=False)
     x = rng.normal(size=(100, 3))
-    got = wave(x)
-    psi = state3.psi(x)
+    got, _ = assembled(state3, amps, x)
+    ref = psi(state3, x)
     for i in range(100):
         node = graph.index(tuple(np.argsort(x[i])))
-        expected = amps[node] * psi[i]
+        expected = amps[node] * ref[i]
         assert got[i] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 def test_criterion_3_gamma_cross_validation(state2, state3):
     start = time.perf_counter()
-    w2 = gamma(state2, 1)
-    q1 = gamma(state3, 1)
-    q2 = gamma(state3, 2)
+    w2 = all_gammas(state2)[0]
+    q1, q2 = all_gammas(state3)
     quad_elapsed = time.perf_counter() - start
     assert quad_elapsed < 10.0
 
@@ -151,7 +150,7 @@ def test_criterion_4_oracle_slope_agreement():
 def test_criterion_5_structural_invariants(basis, state3):
     start = time.perf_counter()
 
-    weights = {3: [gamma(state3, 1).value] * 2}
+    weights = {3: [all_gammas(state3)[0].value] * 2}
     state4 = make_level(basis, 4)
     weights[4] = [w.value for w in all_gammas(state4)]
 
@@ -185,14 +184,14 @@ def test_criterion_5_structural_invariants(basis, state3):
     for n in (3, 4):
         state = make_level(basis, n)
         x = rng.normal(size=(40, n))
-        ref = np.max(np.abs(state.psi(x)))
+        ref = np.max(np.abs(psi(state, x)))
         swap = list(range(n))
         swap[0], swap[1] = swap[1], swap[0]
-        assert np.max(np.abs(state.psi(x[:, swap]) + state.psi(x))) < 1e-10 * ref
+        assert np.max(np.abs(psi(state, x[:, swap]) + psi(state, x))) < 1e-10 * ref
         xc = x.copy()
         xc[:, 1] = xc[:, 0]
-        assert np.max(np.abs(state.psi(xc))) < 1e-10 * ref
-        g = state.grad(xc)
+        assert np.max(np.abs(psi(state, xc))) < 1e-10 * ref
+        g = grad(state, xc)
         assert np.max(np.abs(g[:, 0] + g[:, 1])) < 1e-10 * ref
 
     assert time.perf_counter() - start < 30.0

@@ -294,6 +294,16 @@ def test_unreached_tolerance_exits_three():
     assert proc.stderr.startswith("tolerance not met:")
 
 
+def test_gamma_past_48_particles():
+    # A(inf) of 49 orbitals has no Cholesky factor on the 4-panel first pass,
+    # which doubles to 8 panels; parity still holds within the reported errors.
+    doc = json.loads(run_cli("gamma", "--n", "49", "--no-timestamp").stdout)
+    ws = doc["gammas"]
+    assert len(ws) == 48
+    for a, b in zip(ws, reversed(ws)):
+        assert abs(a["value"] - b["value"]) <= a["error"] + b["error"]
+
+
 def test_validate_two_body():
     proc = run_cli("validate", "--n", "2", "--n-modes", "24", "--g", "20,50,100",
                    "--rtol", "0.2", "--no-timestamp")

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.sparse import csr_array
 
+from reference import assembled, psi
 from tonks.sectors import ComponentSpec, build_graph, laplacian, projected_laplacian
 from tonks import spectrum as spectrum_module
 from tonks.slater import make_level
-from tonks.spectrum import (EnergyExpansion, SectorWavefunction, _lead_positive, classify,
-                            expansion, solve)
+from tonks.spectrum import (EnergyExpansion, _lead_positive, classify, expansion,
+                            one_body_density, solve)
 from tonks.traps import HarmonicBasis
 from tonks.weights import slot_cdf
 
@@ -318,31 +319,32 @@ def test_expansion_law(basis, hexagon):
 
 def test_sector_index(basis):
     state = make_level(basis, 3)
-    wave = SectorWavefunction(state, np.ones(6))
-    assert wave.sector_index(np.array([-1.0, 0.0, 1.0])) == 0
-    assert wave.sector_index(np.array([1.0, 0.0, -1.0])) == 5
-    batch = wave.sector_index(np.array([[[-1.0, 0.0, 1.0], [1.0, 0.0, -1.0]]]))
+
+    def sector_index(x):
+        return assembled(state, np.ones(6), x)[1]
+
+    assert sector_index(np.array([-1.0, 0.0, 1.0])) == 0
+    assert sector_index(np.array([1.0, 0.0, -1.0])) == 5
+    batch = sector_index(np.array([[[-1.0, 0.0, 1.0], [1.0, 0.0, -1.0]]]))
     assert batch.shape == (1, 2)
     assert batch.tolist() == [[0, 5]]
 
 
 def test_uniform_amplitudes_reproduce_determinant(basis):
     state = make_level(basis, 3)
-    wave = SectorWavefunction(state, np.ones(6))
-    np.testing.assert_allclose(wave.amplitudes, 1.0, atol=1e-14)
     rng = np.random.default_rng(14)
     x = rng.normal(size=(100, 3))
-    np.testing.assert_allclose(wave(x), state.psi(x), rtol=1e-13, atol=1e-16)
+    np.testing.assert_allclose(assembled(state, np.ones(6), x)[0], psi(state, x),
+                               rtol=1e-13, atol=1e-16)
 
 
 def test_sign_amplitudes_give_modulus(basis):
     state = make_level(basis, 3)
     g = build_graph(3)
-    wave = SectorWavefunction(state, g.signs.astype(float))
     rng = np.random.default_rng(15)
     x = rng.normal(size=(200, 3))
-    vals = wave(x)
-    np.testing.assert_allclose(np.abs(vals), np.abs(state.psi(x)), rtol=1e-13, atol=1e-16)
+    vals, _ = assembled(state, g.signs.astype(float), x)
+    np.testing.assert_allclose(np.abs(vals), np.abs(psi(state, x)), rtol=1e-13, atol=1e-16)
     # one global sign: the assembled state never changes sign
     nz = vals[np.abs(vals) > 1e-12]
     assert np.all(nz > 0) or np.all(nz < 0)
@@ -350,14 +352,19 @@ def test_sign_amplitudes_give_modulus(basis):
 
 def test_amplitude_validation(basis):
     state = make_level(basis, 3)
-    with pytest.raises(ValueError):
-        SectorWavefunction(state, np.ones(5))
-    with pytest.raises(ValueError):
-        SectorWavefunction(state, np.zeros(6))
-    scaled = SectorWavefunction(state, 2.0 * np.ones(6))
-    np.testing.assert_allclose(scaled.amplitudes, 1.0, atol=1e-14)
-    raw = SectorWavefunction(state, 2.0 * np.ones(6), normalize=False)
-    np.testing.assert_allclose(raw.amplitudes, 2.0, atol=1e-14)
+    graph = build_graph(3)
+    grid = np.linspace(-5.0, 5.0, 11)
+    with pytest.raises(ValueError, match="6 amplitudes"):
+        one_body_density(state, graph, np.ones(5), grid)
+    with pytest.raises(ValueError, match="vanish"):
+        one_body_density(state, graph, np.zeros(6), grid)
+    with pytest.raises(ValueError, match="ordering graph"):
+        one_body_density(state, build_graph(3, ComponentSpec((2, 1))), np.ones(3), grid)
+    # amplitudes are normalized first: a scaled vector gives the same densities
+    unit = one_body_density(state, graph, np.ones(6), grid)
+    scaled = one_body_density(state, graph, 2.0 * np.ones(6), grid)
+    for a, b in zip(unit, scaled):
+        np.testing.assert_array_equal(a, b)
 
 
 def _free_density_bins(basis, n, grid):
@@ -371,9 +378,9 @@ def _free_density_bins(basis, n, grid):
 
 def test_one_body_density(basis):
     state = make_level(basis, 2)
-    wave = SectorWavefunction(state, np.ones(2))
+    graph = build_graph(2)
     grid = np.linspace(-6.0, 6.0, 61)
-    per, total = wave.one_body_density(grid)
+    per, total = one_body_density(state, graph, np.ones(2), grid)
     assert per.shape == (2, 60)
     widths = np.diff(grid)
     assert float(np.sum(total * widths)) == pytest.approx(2.0, abs=1e-8)
@@ -381,19 +388,19 @@ def test_one_body_density(basis):
     np.testing.assert_allclose(total, _free_density_bins(basis, 2, grid), rtol=0, atol=1e-12)
     # equal amplitudes: both particles share the same density
     np.testing.assert_allclose(per[0], per[1], rtol=0, atol=1e-15)
-    per2, total2 = wave.one_body_density(grid)
+    per2, total2 = one_body_density(state, graph, np.ones(2), grid)
     np.testing.assert_array_equal(total2, total)
     with pytest.raises(ValueError):
-        wave.one_body_density(np.array([1.0, 0.0]))
+        one_body_density(state, graph, np.ones(2), np.array([1.0, 0.0]))
 
 
 def test_total_density_is_free_for_every_state(basis, hexagon):
-    _, _, spec = hexagon
+    g, _, spec = hexagon
     state = make_level(basis, 3)
     grid = np.linspace(-5.0, 5.0, 81)
     free = _free_density_bins(basis, 3, grid)
     for j in range(spec.n_states):
-        per, total = SectorWavefunction(state, spec.vectors[:, j]).one_body_density(grid)
+        per, total = one_body_density(state, g, spec.vectors[:, j], grid)
         np.testing.assert_allclose(per.sum(axis=0), total, rtol=0, atol=1e-15)
         np.testing.assert_allclose(total, free, rtol=0, atol=1e-12)
 
@@ -405,7 +412,7 @@ def test_single_sector_density_follows_its_ordering(basis):
     single = np.zeros(6)
     single[3] = 1.0
     grid = np.linspace(-6.0, 6.0, 121)
-    per, _ = SectorWavefunction(state, single).one_body_density(grid)
+    per, _ = one_body_density(state, build_graph(3), single, grid)
     slots = np.diff(slot_cdf(state, grid), axis=1) / np.diff(grid)
     for slot, particle in enumerate((1, 2, 0)):
         np.testing.assert_allclose(per[particle], slots[slot], rtol=0, atol=1e-15)
@@ -414,4 +421,4 @@ def test_single_sector_density_follows_its_ordering(basis):
     assert means[1] < means[2] < means[0]
     # a configuration with particle 1 leftmost and particle 0 rightmost lies in node 3
     x = np.array([[0.4, -1.1, 0.0]])
-    assert SectorWavefunction(state, single).sector_index(x)[0] == 3
+    assert assembled(state, single, x)[1][0] == 3

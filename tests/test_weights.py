@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from tonks.slater import SlaterState, make_level
 from tonks.traps import HarmonicBasis, Trap, solve_tabulated
-from tonks.weights import BoundaryWeight, ToleranceError, _products, all_gammas, gamma, slot_cdf
+from reference import psi
+from tonks import weights
+from tonks.weights import BoundaryWeight, ToleranceError, _products, all_gammas, slot_cdf
 
 GAMMA_2 = math.sqrt(2.0 / math.pi)
 GAMMA_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
@@ -38,24 +40,16 @@ def state3(basis):
 
 
 def test_two_body_anchor(state2):
-    w = gamma(state2, 1)
+    (w,) = all_gammas(state2)
     assert w.method == "ordered-overlap"
     assert w.value == pytest.approx(GAMMA_2, abs=1e-14)
     assert w.error < 1e-10
 
 
 def test_three_body_anchor(state3):
-    for k in (1, 2):
-        w = gamma(state3, k)
+    for w in all_gammas(state3):
         assert w.value == pytest.approx(GAMMA_3, abs=1e-14)
         assert w.error < 1e-10
-
-
-def test_boundary_index_range(state3):
-    with pytest.raises(ValueError):
-        gamma(state3, 0)
-    with pytest.raises(ValueError):
-        gamma(state3, 3)
 
 
 def test_excited_state_weights_positive(basis):
@@ -68,19 +62,29 @@ def test_excited_state_weights_positive(basis):
 def test_config_validation(state3):
     for tol in (0.0, -1e-10, math.nan):
         with pytest.raises(ValueError, match="tolerance"):
-            gamma(state3, 1, tol=tol)
-        with pytest.raises(ValueError, match="tolerance"):
             all_gammas(state3, tol=tol)
 
 
 def test_tolerance_error_carries_best(state3):
     with pytest.raises(ToleranceError) as info:
-        gamma(state3, 1, tol=1e-16)
+        all_gammas(state3, tol=1e-16)
     best = info.value.best
     assert isinstance(best, BoundaryWeight)
-    assert best.k == 1
+    # the boundary that missed tol by most: one of the two, each gamma_3
+    assert best.k in (1, 2)
     assert best.value == pytest.approx(GAMMA_3, rel=1e-6)
     assert best.error > 1e-16
+
+
+def test_first_pass_doublings_run_out():
+    # A compute that never finds a Cholesky factor of A(inf) exhausts the
+    # doublings and names the last panel count tried.
+    def singular(panels):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    top = weights.START_PANELS << weights.MAX_DOUBLINGS
+    with pytest.raises(ToleranceError, match=rf"A\(inf\) is not positive definite on {top // 2} panels"):
+        weights._refine(singular, 1e-10)
 
 
 def test_four_body_symmetry():
@@ -203,7 +207,7 @@ def test_slot_cdf_against_direct_quadrature(state2):
         y = x + 0.5 * (hi - x) * (t + 1.0)
         wy = 0.5 * (hi - x) * w
         yy = np.stack(np.meshgrid(y, y, indexing="ij"), axis=-1)
-        above = float(np.einsum("i,j,ij->", wy, wy, state2.psi(yy) ** 2))
+        above = float(np.einsum("i,j,ij->", wy, wy, psi(state2, yy) ** 2))
         cdf = slot_cdf(state2, [x])
         assert cdf[0, 0] == pytest.approx(1.0 - above, abs=1e-13)
         assert 0.0 <= cdf[1, 0] <= cdf[0, 0]
