@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import stdtrit
 
@@ -209,7 +210,8 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
         for parity in (0, 1):
             cols = np.where(quanta % 2 == parity, width[ties], 0)
             w, j = np.nonzero(np.arange(d) < cols[orbit][:, None])
-            at = (w, (np.cumsum(cols) - cols)[orbit[w]] + j)
+            # int32 indices, which the contact products of _row_average keep (12 bytes an entry, not 16)
+            at = np.array([w, (np.cumsum(cols) - cols)[orbit[w]] + j], dtype=np.int32)
             dims = (len(occ), cols.sum())
             ks = () if len(lam) == n_particles else tuple(
                 sparse.csc_array((coef[w, k, j], at), shape=dims) for k in range(d))
@@ -223,10 +225,11 @@ def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
     W commutes with every particle permutation, so only its rows W[R, :] at
     the sorted occupations R, one per orbit, are assembled, over every pair:
     T_f^T W T_f = sum over the d rows e_k of the irrep of
-    T_(e_k)[R]^T diag(|orbit| / d) W[R, :] T_(e_k).  The rows keep int32
-    indices, and the blocks come from a generator that holds only them, so
-    the per-pair temporaries are freed before the first block.  A block's d
-    terms are added one at a time and scaled by 1/d in place.
+    T_(e_k)[R]^T diag(|orbit| / d) W[R, :] T_(e_k).  The rows are built in
+    groups that share their leading occupation, so no temporary spans all of
+    them; they keep int32 indices, and the blocks come from a generator that
+    holds only them.  A block's d terms are added one at a time and scaled by
+    1/d in place.
     """
     shape = (n_modes,) * n_particles
     occ = np.indices(shape).reshape(n_particles, -1).T
@@ -234,16 +237,20 @@ def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
     rows = np.flatnonzero(size)  # the sorted occupations, ascending
     r, i4, mode = occ[rows], delta_tensor(n_modes), np.arange(n_modes)
     stride = n_modes ** np.arange(n_particles - 1, -1, -1)
-    w_r = sparse.csr_array((len(rows), len(occ)))
-    for p, q in itertools.combinations(range(n_particles), 2):
-        # Row o holds i4[r_p, r_q, c, d] at r with slots p, q set to c, d, in ascending columns.
-        pair = i4[r[:, p], r[:, q]].reshape(len(rows), -1) * size[rows, None]
-        o, cd = np.nonzero(pair)
-        at = (rows - r[:, p] * stride[p] - r[:, q] * stride[q])[o] \
-            + np.add.outer(mode * stride[p], mode * stride[q]).ravel()[cd]
-        ptr = np.searchsorted(o, np.arange(len(rows) + 1))
-        w_r = w_r + sparse.csr_array((pair[o, cd], at.astype(np.int32), ptr.astype(np.int32)),
-                                     shape=w_r.shape)
+    groups = []
+    for g in np.split(np.arange(len(rows)), np.flatnonzero(np.diff(r[:, 0])) + 1):
+        w_g = sparse.csr_array((len(g), len(occ)))
+        for p, q in itertools.combinations(range(n_particles), 2):
+            # Row o holds i4[r_p, r_q, c, d] at r with slots p, q set to c, d, in ascending columns.
+            pair = i4[r[g, p], r[g, q]].reshape(len(g), -1) * size[rows[g], None]
+            o, cd = np.nonzero(pair)
+            at = (rows[g] - r[g, p] * stride[p] - r[g, q] * stride[q])[o] \
+                + np.add.outer(mode * stride[p], mode * stride[q]).ravel()[cd]
+            ptr = np.searchsorted(o, np.arange(len(g) + 1))
+            w_g = w_g + sparse.csr_array((pair[o, cd], at.astype(np.int32), ptr.astype(np.int32)),
+                                         shape=w_g.shape)
+        groups.append(w_g)
+    w_r = sparse.vstack(groups, format="csr")
     return (_row_average(w_r, rows, ks) if ks else None for _, _, ks in blocks)
 
 
@@ -337,8 +344,6 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     columns are returned.  The row isometries are orthonormal, so only
     states of one block row overlap, as their block eigenvectors x_prev^T x.
     """
-    from scipy import optimize  # slow to load; imported where the solvers need it
-
     blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
     dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
     if cfg.n_states > dim:
@@ -363,7 +368,10 @@ def diagonalize(cfg: EDConfig) -> EDResult:
             for r in np.intersect1d(p_row, row):
                 a, b = np.flatnonzero(p_row == r), np.flatnonzero(row == r)
                 overlap[np.ix_(a, b)] = np.abs(p_xs[r][:, p_col[a]].T @ xs[r][:, col[b]])
-            _, perm = optimize.linear_sum_assignment(-overlap)  # rows come back as 0..n_keep-1
+            # + 1 keeps every zero overlap an edge, without moving the optimum; rows come back
+            # as 0..n_keep-1
+            _, perm = min_weight_full_bipartite_matching(sparse.csr_array(overlap + 1.0),
+                                                         maximize=True)
             quality[gi] = overlap[np.arange(n_keep), perm]
         tracked[gi] = vals[perm]
         inter[gi] = contact[perm]

@@ -47,6 +47,13 @@ def test_spectrum_and_density_skip_unused_scipy():
         assert [m for m in loaded if m.startswith(UNUSED_BY_SPECTRUM)] == [], argv
 
 
+def test_validate_loads_no_optimizer():
+    # the tracking matcher comes from scipy.sparse.csgraph; scipy.optimize is not loaded
+    loaded = modules_after(["validate", "--n", "2", "--n-modes", "8", "--no-timestamp"])
+    assert "tonks.oracle" in loaded and "scipy.sparse.csgraph" in loaded
+    assert [m for m in loaded if m.startswith("scipy.optimize")] == []
+
+
 def test_public_names_resolve_lazily():
     report = fresh("""
 import importlib, json, sys

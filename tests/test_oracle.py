@@ -588,12 +588,69 @@ def test_tracking_matches_dense_reference(npart, n_modes, sizes, g_values, n_sta
     assert np.any(res.tracked > res.energies[:, -1:] + 1e-9) == crossed
 
 
+def test_zero_overlap_tie_keeps_its_match():
+    # Column 6 leaves the n_states + 2 window at g = 20, where all its overlaps
+    # are exact zeros across block rows; the matcher continues it on a [1^3]
+    # state at its trap energy 5.5, flagged by track_quality 0.
+    res = diagonalize(EDConfig(3, 7, (5.0, 20.0, 80.0), n_states=7))
+    assert res.track_quality[1, 6] == 0.0
+    assert res.tracked[0, 6] == pytest.approx(5.1546, abs=1e-4)
+    assert res.tracked[1:, 6].tolist() == [5.5, 5.5]
+
+
+@pytest.mark.parametrize("npart, n_modes, sizes, g_values, n_states", [
+    (2, 8, None, (5.0, 20.0, 80.0), 4),
+    (2, 8, None, (2.0, 5.0, 20.0, 80.0), 5),
+    (3, 6, None, (5.0, 20.0, 80.0), 4),
+    (3, 7, None, (5.0, 20.0, 80.0), 5),
+    (3, 7, (2, 1), (2.0, 5.0, 20.0), 5),
+])
+def test_matcher_maximizes_total_overlap(monkeypatch, npart, n_modes, sizes, g_values, n_states):
+    # Against every permutation of the n_keep = n_states + 2 columns: the
+    # matching maximizes the summed overlap, and its columns come in row order.
+    matcher, calls = oracle.min_weight_full_bipartite_matching, []
+
+    def recording(graph, maximize):
+        rows, cols = matcher(graph, maximize=maximize)
+        calls.append((graph.toarray() - 1.0, rows, cols))
+        return rows, cols
+
+    monkeypatch.setattr(oracle, "min_weight_full_bipartite_matching", recording)
+    comp = None if sizes is None else ComponentSpec(sizes)
+    res = diagonalize(EDConfig(npart, n_modes, g_values, n_states=n_states, components=comp))
+    assert len(calls) == len(g_values) - 1
+    for gi, (overlap, rows, cols) in enumerate(calls, 1):
+        n = len(overlap)
+        assert n == n_states + 2 <= 7
+        np.testing.assert_array_equal(rows, np.arange(n))
+        perms = np.array(list(itertools.permutations(range(n))))
+        best = overlap[np.arange(n), perms].sum(axis=1).max()
+        assert overlap[rows, cols].sum() >= best - 1e-12
+        np.testing.assert_allclose(res.track_quality[gi], overlap[rows, cols][:n_states],
+                                   rtol=0, atol=1e-15)
+
+
+def test_contact_rows_memory_bound():
+    # tracemalloc peak of the contact rows of three particles at 22 modes
+    # (1,771 sorted occupations, 1.40 M entries): 56.9 MB when each pair's
+    # rows spanned all of them at once, 36.6 MB built in groups of one
+    # leading occupation.
+    tracemalloc.start()
+    try:
+        oracle._block_contacts(22, 3, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6
+
+
 def test_diagonalize_memory_bound():
     # tracemalloc peak of one 14-mode run: 13.0 MB when every block state was
     # mapped and each dense block was built twice per coupling, 7.2 MB when
     # only the kept states were mapped, 7.0 MB with states in block coordinates.
+    # The run is traced cold: diagonalize imports nothing on its first call (a
+    # lazy scipy.optimize import once added 6.6 MB to it).
     cfg = EDConfig(3, 14, (20.0, 50.0, 100.0), n_states=10)
-    diagonalize(cfg)  # pays the lazy scipy.optimize import outside the trace
     tracemalloc.start()
     try:
         diagonalize(cfg)
