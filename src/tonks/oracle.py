@@ -430,7 +430,8 @@ def slope_fit(result: EDResult, state_index: int,
 
     The energies demand at least three couplings.  When no reduced-basis
     result is supplied, the same configuration is rerun with four fewer
-    modes to estimate the truncation contribution.
+    modes to estimate the truncation contribution.  A column tracked
+    through overlap 0 is refused, and skipped among the reduced columns.
     """
     cfg = result.config
     if len(cfg.g_values) < 3:
@@ -438,13 +439,17 @@ def slope_fit(result: EDResult, state_index: int,
     if not 0 <= state_index < cfg.n_states:
         raise ValueError(f"state index {state_index} outside 0..{cfg.n_states - 1}")
     g = np.asarray(cfg.g_values)
+    lost = np.flatnonzero(result.track_quality[:, state_index] == 0)
+    if lost.size:
+        raise ValueError(f"column {state_index} is tracked through overlap 0 at g = "
+                         f"{g[lost[0]]:g}, onto an arbitrary state; retain more states (--states)")
     slope, intercept, half = _weighted_slope(g, result.tracked[:, state_index])
     if reduced is None:
         reduced = diagonalize(replace(cfg, n_modes=cfg.n_modes - 4))
     # Adiabatic tracking may order columns differently in the reduced
     # basis, so match by nearest fitted slope instead of column index.
     r_slopes = [_weighted_slope(g, reduced.tracked[:, j])[0]
-                for j in range(reduced.tracked.shape[1])]
+                for j in np.flatnonzero(np.all(reduced.track_quality > 0, axis=0))]
     r_slope = min(r_slopes, key=lambda s: abs(s - slope))
     return SlopeFit(
         state_index=state_index,

@@ -100,8 +100,8 @@ class SectorGraph:
     permutations); edges rows are (node u, node v, 0-based slot), u < v,
     for each swap of unequal letters in neighbouring slots; signs is
     (-1)^(inversions) of each word, which flips across every edge.
-    codes are the base-kappa values of the words, ascending.  blocks, built
-    on first use, holds one group per irrep of the relabelling group: d sparse
+    Each word's key is its letters as one raw-byte scalar (_keys).  blocks,
+    built on first use, holds one group per irrep of the relabelling group: d sparse
     isometries (words x M * d), one per row of the irrep's Young orthogonal
     form, whose widths sum to the node count over all groups.
     """
@@ -111,7 +111,6 @@ class SectorGraph:
     words: np.ndarray = field(repr=False)
     edges: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
-    codes: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -125,20 +124,19 @@ class SectorGraph:
         """Node index of each word along the last axis, by lexicographic rank."""
         words = np.asarray(words)
         kappa = len(self.components.sizes)
+        # Checked before the int8 keys, in which an out-of-range letter would wrap.
         if words.shape[-1:] != (self.n,) or np.any((words < 0) | (words >= kappa)):
             raise KeyError(f"not a word of this graph: {words}")
-        codes = words.astype(np.int64) @ _radix(kappa, self.n)
-        idx = np.minimum(np.searchsorted(self.codes, codes), self.n_nodes - 1)
-        if np.any(self.codes[idx] != codes):
+        idx = np.minimum(np.searchsorted(_keys(self.words), _keys(words)), self.n_nodes - 1)
+        if np.any(self.words[idx] != words):
             raise KeyError(f"not a word of this graph: {words}")
         return idx
 
 
-def _radix(kappa: int, n: int) -> np.ndarray:
-    """Place values of a base-kappa word code, most significant slot first."""
-    if kappa ** n >= 2**63:
-        raise ValueError(f"words of {n} letters over {kappa} components overflow 63-bit codes")
-    return kappa ** np.arange(n - 1, -1, -1, dtype=np.int64)
+def _keys(words) -> np.ndarray:
+    """Each word's int8 letters, none negative, as one void scalar, which sorts as the word does."""
+    words = np.ascontiguousarray(words, dtype=np.int8)
+    return words.view(f"V{words.shape[-1]}")[..., 0]
 
 
 def _arrangements(sizes: tuple[int, ...]) -> np.ndarray:
@@ -157,8 +155,8 @@ def _arrangements(sizes: tuple[int, ...]) -> np.ndarray:
 def build_graph(n: int, components: ComponentSpec | None = None) -> SectorGraph:
     """Generate the word graph for n particles (distinguishable by default).
 
-    Each slot-k neighbour is found by its word code in O(dim) per slot.
-    The node count is capped at NODE_CAP.
+    Each slot-k neighbour is found by a binary search of the keys for the
+    swapped word.  NODE_CAP on the node count is the only size limit.
     """
     if n < 2:
         raise ValueError("the ordering graph needs at least 2 particles")
@@ -170,30 +168,19 @@ def build_graph(n: int, components: ComponentSpec | None = None) -> SectorGraph:
             f"components {comp.sizes} give {comp.n_words} words, "
             f"above the graph cap of {NODE_CAP} nodes"
         )
-    kappa = len(comp.sizes)
-    radix = _radix(kappa, n)
     words = _arrangements(comp.sizes)
-    wide = words.astype(np.int64)
-    codes = wide @ radix
+    keys = _keys(words)
     edges = []
     for k in range(n - 1):
-        a, b = wide[:, k], wide[:, k + 1]
         # Swapping a < b raises the word, so each edge is listed once, from u < v.
-        u = np.flatnonzero(a < b)
-        step = (b[u] - a[u]) * (radix[k] - radix[k + 1])
-        v = np.searchsorted(codes, codes[u] + step)
+        u = np.flatnonzero(words[:, k] < words[:, k + 1])
+        swapped = words[u]
+        swapped[:, [k, k + 1]] = swapped[:, [k + 1, k]]
+        v = np.searchsorted(keys, _keys(swapped))
         edges.append(np.column_stack([u, v, np.full(len(u), k)]))
-    inversions = sum(
-        np.sum(wide[:, i, None] > wide[:, i + 1 :], axis=1) for i in range(n - 1)
-    )
-    return SectorGraph(
-        n=n,
-        components=comp,
-        words=words,
-        edges=np.concatenate(edges),
-        signs=1 - 2 * (inversions % 2),
-        codes=codes,
-    )
+    inversions = sum(np.sum(words[:, i, None] > words[:, i + 1:], axis=1) for i in range(n - 1))
+    return SectorGraph(n=n, components=comp, words=words, edges=np.concatenate(edges),
+                       signs=1 - 2 * (inversions % 2))
 
 
 def _classes(sizes: tuple[int, ...]) -> list[list[int]]:

@@ -17,6 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+TIE_TOL = 1e-9  # total energies this close tie, and the level is not unique
+
 
 @dataclass(frozen=True)
 class SlaterState:
@@ -31,13 +33,13 @@ class SlaterState:
         return len(self.occupation)
 
 
-def make_level(basis, n: int, level: int = 0, tie_tol: float = 1e-9) -> SlaterState:
+def make_level(basis, n: int, level: int = 0) -> SlaterState:
     """The level-th excited free-fermion state of n particles in the trap.
 
     Occupations are ranked by total energy over a growing orbital pool;
     the pool is extended until no occupation involving an unexplored
     orbital could still undercut the requested level.  A tie at the
-    requested level within tie_tol means the state is not unique and is
+    requested level within TIE_TOL means the state is not unique and is
     rejected.
     """
     if n < 1:
@@ -56,7 +58,7 @@ def make_level(basis, n: int, level: int = 0, tie_tol: float = 1e-9) -> SlaterSt
         )
         # Any occupation reaching past the pool costs at least floor_energy.
         floor_energy = sum(energies[: n - 1]) + basis.energy(pool + 1) if pool < cap else math.inf
-        if len(ranked) > level + 1 and ranked[level + 1][0] < floor_energy - tie_tol:
+        if len(ranked) > level + 1 and ranked[level + 1][0] < floor_energy - TIE_TOL:
             break
         if pool == cap:
             if len(ranked) <= level:
@@ -71,13 +73,13 @@ def make_level(basis, n: int, level: int = 0, tie_tol: float = 1e-9) -> SlaterSt
         neighbors.append(ranked[level - 1])
     if len(ranked) > level + 1:
         neighbors.append(ranked[level + 1])
-    clashes = [occ for e, occ in neighbors if abs(e - e_sel) <= tie_tol]
-    if math.isfinite(floor_energy) and floor_energy - e_sel <= tie_tol:
+    clashes = [occ for e, occ in neighbors if abs(e - e_sel) <= TIE_TOL]
+    if math.isfinite(floor_energy) and floor_energy - e_sel <= TIE_TOL:
         clashes.append(tuple(range(n - 1)) + (pool + 1,))
     if clashes:
         listed = ", ".join(str(c) for c in [occ_sel, *clashes])
         raise ValueError(
             f"level {level} is degenerate: occupations {listed} share total energy "
-            f"{e_sel:.12g} within {tie_tol:g}; pick a definite occupation by hand"
+            f"{e_sel:.12g} within {TIE_TOL:g}; pick a definite occupation by hand"
         )
     return SlaterState(basis=basis, occupation=occ_sel, energy=float(e_sel))

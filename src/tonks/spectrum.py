@@ -37,6 +37,8 @@ from .sectors import GraphLaplacian, SectorGraph, build_graph
 from .slater import SlaterState
 from .weights import slot_cdf
 
+DEGENERACY_TOL = 1e-8  # eigenvalue gap, relative to the largest |entry| (>= 1), inside a group
+
 
 @dataclass(frozen=True)
 class KSpectrum:
@@ -65,7 +67,7 @@ class KSpectrum:
         return v @ v.T
 
 
-def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
+def solve(lap) -> KSpectrum:
     """Full spectrum of a (projected or full) ordering Laplacian, dense or sparse.
 
     The input is taken once as a CSR array, checked for squareness and
@@ -103,7 +105,7 @@ def solve(lap, degeneracy_tol: float | None = None) -> KSpectrum:
     vecs += 0.0  # every zero +0.0, as the products T y leave it, on both paths
     _lead_positive(vecs)
     vals = vals[order]
-    tol = degeneracy_tol if degeneracy_tol is not None else 1e-8 * scale
+    tol = DEGENERACY_TOL * scale
     groups = []
     start = 0
     for i in range(1, len(vals) + 1):

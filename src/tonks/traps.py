@@ -19,6 +19,7 @@ import numpy as np
 HARMONIC_INDEX_CAP = 200
 # Sinc matrix entries per block of evaluation points.
 SINC_BLOCK = 1 << 20
+TABLE_TOL = 1e-8  # agreement of a table's interpolation and of its grid halving
 
 
 class ConvergenceError(RuntimeError):
@@ -214,13 +215,13 @@ def _resolves(v: np.ndarray, stride: int, tol: float) -> bool:
     return bool(np.all(np.abs(fit - v[i]) <= tol * np.maximum(1.0, v[i] - np.min(v))))
 
 
-def solve_tabulated(trap: Trap, count: int, tol: float = 1e-8) -> TabulatedBasis:
+def solve_tabulated(trap: Trap, count: int) -> TabulatedBasis:
     """Solve a tabulated trap for its lowest `count` orbitals.
 
     One sinc-DVR eigensolve on the coarsest power-of-two subsample of the
     table that (a) reproduces every skipped sample by local 8-point
     interpolation and (b) gives the same energies as its every-other-point
-    companion, both within tol (relative above an energy of 1).  The
+    companion, both within TABLE_TOL (relative above an energy of 1).  The
     table's own grid is the last candidate; when it fails (b) too, the
     table does not resolve the states and a ConvergenceError is raised.
     """
@@ -232,11 +233,11 @@ def solve_tabulated(trap: Trap, count: int, tol: float = 1e-8) -> TabulatedBasis
     while len(trap.v[:: 4 * stride]) > count + 1:
         stride *= 2
     while stride >= 1:
-        if _resolves(trap.v, stride, tol):
+        if _resolves(trap.v, stride, TABLE_TOL):
             fine, coarse = solve(stride), solve(2 * stride)
             shift = np.abs(fine.energies - coarse.energies)
             scale = np.maximum(1.0, fine.energies - np.min(trap.v))
-            if np.all(shift <= tol * scale):
+            if np.all(shift <= TABLE_TOL * scale):
                 break
         stride //= 2
     wall = min(trap.v[0], trap.v[-1])
@@ -249,6 +250,6 @@ def solve_tabulated(trap: Trap, count: int, tol: float = 1e-8) -> TabulatedBasis
         bad = int(np.argmax(shift / scale))
         raise ConvergenceError(f"state {bad} not converged: its energy moved by {shift[bad]:.3e} "
                                f"between the table grid and every other point (tolerance "
-                               f"{tol:.1e}); the sampled grid is too coarse for this state")
+                               f"{TABLE_TOL:.1e}); the sampled grid is too coarse for this state")
     fine.companion = coarse
     return fine

@@ -304,6 +304,18 @@ def test_gamma_past_48_particles():
         assert abs(a["value"] - b["value"]) <= a["error"] + b["error"]
 
 
+def test_spectrum_three_components_of_forty():
+    # 1,560 words of 40 letters over three components
+    doc = json.loads(run_cli("spectrum", "--n", "40", "--components", "38,1,1",
+                             "--no-timestamp").stdout)
+    ks = np.array(doc["spectrum"]["projected"]["k_values"])
+    total = sum(row["value"] for row in doc["gammas"])
+    # the uniform vector has K = 0 to rounding; every K lies in [0, 2 * sum of weights]
+    assert len(ks) == 1560
+    assert abs(ks[0]) < 1e-12 * ks[-1]
+    assert np.all(ks[1:] > 0) and ks[-1] <= 2 * total
+
+
 def test_validate_two_body():
     proc = run_cli("validate", "--n", "2", "--n-modes", "24", "--g", "20,50,100",
                    "--rtol", "0.2", "--no-timestamp")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -596,6 +597,25 @@ def test_zero_overlap_tie_keeps_its_match():
     assert res.track_quality[1, 6] == 0.0
     assert res.tracked[0, 6] == pytest.approx(5.1546, abs=1e-4)
     assert res.tracked[1:, 6].tolist() == [5.5, 5.5]
+
+
+def test_slope_fit_refuses_zero_overlap_column():
+    res = diagonalize(EDConfig(3, 7, (5.0, 20.0, 80.0), n_states=7))
+    # refused before any reduced run, which 7 - 4 modes could not hold
+    with pytest.raises(ValueError, match=r"column 6 .* overlap 0 at g = 20\b.*--states"):
+        slope_fit(res, 6)
+    # As the reduced run, column 6 is skipped by the nearest-slope match: against
+    # the run itself, each other column is matched to itself, and column 6, fitted
+    # with its flag cleared, to its nearest neighbour among the others.
+    fits = [slope_fit(res, j, reduced=res) for j in range(6)]
+    assert all(f.truncation_shift == 0.0 for f in fits)
+    quality = res.track_quality.copy()
+    quality[1, 6] = 1.0
+    unflagged = replace(res, track_quality=quality)
+    own = slope_fit(unflagged, 6, reduced=unflagged)
+    assert own.truncation_shift == 0.0
+    assert slope_fit(unflagged, 6, reduced=res).truncation_shift == min(
+        abs(f.k_value - own.k_value) for f in fits)
 
 
 @pytest.mark.parametrize("npart, n_modes, sizes, g_values, n_states", [

@@ -13,6 +13,7 @@ from scipy.sparse import csr_array
 from tonks.sectors import (
     NODE_CAP,
     ComponentSpec,
+    _keys,
     build_graph,
     cycle_ordering,
     laplacian,
@@ -58,9 +59,10 @@ def test_particle_cap():
     assert build_graph(8, ComponentSpec((2, 2, 2, 2))).n_nodes == NODE_CAP
     with pytest.raises(ValueError, match="34650 words"):
         build_graph(12, ComponentSpec((4, 4, 4)))
-    # few words, but 2^70 word codes do not fit in 64 bits
-    with pytest.raises(ValueError, match="overflow"):
-        build_graph(70, ComponentSpec((68, 2)))
+    # few words of many letters: each word is keyed by its letters, whatever their count
+    g = build_graph(70, ComponentSpec((68, 2)))
+    assert g.n_nodes == math.comb(70, 2) == 2415
+    np.testing.assert_array_equal(g.index(g.words), np.arange(2415))
 
 
 def test_two_component_twelve_particles():
@@ -68,7 +70,9 @@ def test_two_component_twelve_particles():
     assert g.n_nodes == math.comb(12, 6) == 924
     # each slot joins the words with 0 then 1 there to their swaps
     assert g.edges.shape == (11 * math.comb(10, 5), 3)
-    assert np.all(np.diff(g.codes) > 0)
+    # strictly ascending keys: sorted and distinct
+    keys = _keys(g.words)
+    assert np.array_equal(np.unique(keys), keys)
     np.testing.assert_array_equal(g.index(g.words), np.arange(924))
 
 
@@ -78,6 +82,10 @@ def test_index_lookup():
         assert g.index(p) == i
     with pytest.raises(KeyError):
         g.index((0, 1, 2, 2))
+    # letters outside 0..3, which wrap in int8 (256 to 0, -1 to 255)
+    for word in [(256, 1, 2, 3), (-1, 1, 2, 3), (0, 1, 2, 4)]:
+        with pytest.raises(KeyError):
+            g.index(word)
 
 
 def test_signs_alternate_across_edges():

@@ -253,12 +253,6 @@ def test_lead_positive_matches_column_loop():
     np.testing.assert_array_equal(vecs, expected)
 
 
-def test_solve_custom_grouping(hexagon):
-    _, lap, _ = hexagon
-    merged = solve(lap, degeneracy_tol=10.0)
-    assert merged.groups == (tuple(range(6)),)
-
-
 def test_group_projector(hexagon):
     _, _, spec = hexagon
     p = spec.group_projector(1)
