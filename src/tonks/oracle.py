@@ -226,10 +226,10 @@ def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
     the sorted occupations R, one per orbit, are assembled, over every pair:
     T_f^T W T_f = sum over the d rows e_k of the irrep of
     T_(e_k)[R]^T diag(|orbit| / d) W[R, :] T_(e_k).  The rows are built in
-    groups that share their leading occupation, so no temporary spans all of
-    them; they keep int32 indices, and the blocks come from a generator that
-    holds only them.  A block's d terms are added one at a time and scaled by
-    1/d in place.
+    groups that share their leading occupation, each copied as it is built
+    into one set of int32-indexed arrays sized by the nonzero integrals of the
+    pairs, and the blocks come from a generator that holds only them.  A
+    block's d terms are added one at a time and scaled by 1/d in place.
     """
     shape = (n_modes,) * n_particles
     occ = np.indices(shape).reshape(n_particles, -1).T
@@ -237,10 +237,14 @@ def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
     rows = np.flatnonzero(size)  # the sorted occupations, ascending
     r, i4, mode = occ[rows], delta_tensor(n_modes), np.arange(n_modes)
     stride = n_modes ** np.arange(n_particles - 1, -1, -1)
-    groups = []
+    pairs = list(itertools.combinations(range(n_particles), 2))
+    nonzero = np.count_nonzero(i4.reshape(n_modes, n_modes, -1), axis=2)  # at most, per pair
+    bound = int(sum(nonzero[r[:, p], r[:, q]].sum() for p, q in pairs))
+    data, indices = np.empty(bound), np.empty(bound, dtype=np.int32)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
     for g in np.split(np.arange(len(rows)), np.flatnonzero(np.diff(r[:, 0])) + 1):
         w_g = sparse.csr_array((len(g), len(occ)))
-        for p, q in itertools.combinations(range(n_particles), 2):
+        for p, q in pairs:
             # Row o holds i4[r_p, r_q, c, d] at r with slots p, q set to c, d, in ascending columns.
             pair = i4[r[g, p], r[g, q]].reshape(len(g), -1) * size[rows[g], None]
             o, cd = np.nonzero(pair)
@@ -249,8 +253,11 @@ def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
             ptr = np.searchsorted(o, np.arange(len(g) + 1))
             w_g = w_g + sparse.csr_array((pair[o, cd], at.astype(np.int32), ptr.astype(np.int32)),
                                          shape=w_g.shape)
-        groups.append(w_g)
-    w_r = sparse.vstack(groups, format="csr")
+        lo = indptr[g[0]]
+        data[lo:lo + w_g.nnz], indices[lo:lo + w_g.nnz] = w_g.data, w_g.indices
+        indptr[g + 1] = lo + w_g.indptr[1:]
+    nnz = indptr[-1]  # a few percent below the bound: the pairs share some entries
+    w_r = sparse.csr_array((data[:nnz], indices[:nnz], indptr), shape=(len(rows), len(occ)))
     return (_row_average(w_r, rows, ks) if ks else None for _, _, ks in blocks)
 
 
@@ -270,9 +277,9 @@ def _solve_block(w_b: sparse.csr_array | None, h0: np.ndarray, g_values: tuple[f
     """Lowest k states of diag(h0) + g w_b in the block, at every coupling g.
 
     Returns (energies, eigenvectors in the block, contact expectations) per
-    coupling.  A dense solve refills one Fortran-ordered buffer per coupling
-    and lets eigh overwrite it.  For [1^N] (w_b None) they are the unit
-    vectors of the k columns of lowest trap energy, in stable order.
+    coupling.  A dense solve refills one Fortran-ordered buffer per coupling,
+    from one CSC copy of w_b, and lets eigh overwrite it.  For [1^N] (w_b
+    None) they are the unit vectors of the k lowest trap energies, stably.
     """
     if w_b is None:
         order = np.argsort(h0, kind="stable")[:k]
@@ -280,11 +287,12 @@ def _solve_block(w_b: sparse.csr_array | None, h0: np.ndarray, g_values: tuple[f
         return [(h0[order], x, np.zeros(k))] * len(g_values)
     dense = len(h0) <= DENSE_DIM_CAP or k >= len(h0) - 1
     buf = np.empty((len(h0), len(h0)), order="F") if dense else None
+    fill = w_b.tocsc() if dense else None  # buf's layout, converted once, not per coupling
     diag = np.arange(len(h0))
     solved = []
     for g in g_values:
         if dense:
-            w_b.toarray(out=buf)  # zeroes buf first
+            fill.toarray(out=buf)  # zeroes buf first
             buf *= g
             buf[diag, diag] += h0
             e, x = eigh(buf, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)

@@ -28,8 +28,9 @@ components of size s, which acts freely on the words: the word space is
 C^M (M = words / |G| orbits) times the regular representation of G.  In
 Young's orthogonal form rho (Okounkov & Vershik, Selecta Math. 2, 581 (1996))
 each row of rho(g) for an irrep of dimension d spans M * d vectors that the
-Laplacian maps into themselves, all d rows with the same block.  The N!
-orderings are one orbit of G = S_N, and split into the S_N irreps.
+Laplacian maps into themselves, all d rows with the same block, read off
+the slot swaps of the M orbit roots.  The N! orderings, one orbit of S_N,
+split into the S_N irreps.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
 
 # Largest node count of any graph: the words of a composition, or the n!
 # orderings of the full graph.  A graph of more than one orbit has at
@@ -96,19 +96,20 @@ class SectorGraph:
     """Ordering graph on the component words of n particles.
 
     words lists the nodes in lexicographic order, one word of component
-    letters per row (with all components singletons, the n!
-    permutations); edges rows are (node u, node v, 0-based slot), u < v,
-    for each swap of unequal letters in neighbouring slots; signs is
-    (-1)^(inversions) of each word, which flips across every edge.
-    Each word's key is its letters as one raw-byte scalar (_keys).  blocks,
-    built on first use, holds one group per irrep of the relabelling group: d sparse
-    isometries (words x M * d), one per row of the irrep's Young orthogonal
-    form, whose widths sum to the node count over all groups.
+    letters per row (with all components singletons, the n! permutations);
+    swaps[k] maps each node to its word with the letters of 0-based slots k
+    and k+1 swapped (itself where they are equal); edges rows are (u, v,
+    slot), u < v, for each swap of unequal letters, slot by slot; signs is
+    (-1)^(inversions) of each word, which flips across every edge.  Each
+    word's key is its letters as one raw-byte scalar (_keys).  relabellings,
+    built on first use, holds the relabelling group's word table and Young
+    matrices (_relabellings).
     """
 
     n: int
     components: ComponentSpec
     words: np.ndarray = field(repr=False)
+    swaps: np.ndarray = field(repr=False)
     edges: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
 
@@ -117,8 +118,8 @@ class SectorGraph:
         return len(self.words)
 
     @cached_property
-    def blocks(self) -> tuple[tuple[csr_array, ...], ...]:
-        return _relabelling_blocks(self)
+    def relabellings(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        return _relabellings(self)
 
     def index(self, words) -> np.ndarray:
         """Node index of each word along the last axis, by lexicographic rank."""
@@ -155,7 +156,7 @@ def _arrangements(sizes: tuple[int, ...]) -> np.ndarray:
 def build_graph(n: int, components: ComponentSpec | None = None) -> SectorGraph:
     """Generate the word graph for n particles (distinguishable by default).
 
-    Each slot-k neighbour is found by a binary search of the keys for the
+    Each slot-k swap is found by a binary search of the keys for the
     swapped word.  NODE_CAP on the node count is the only size limit.
     """
     if n < 2:
@@ -170,30 +171,24 @@ def build_graph(n: int, components: ComponentSpec | None = None) -> SectorGraph:
         )
     words = _arrangements(comp.sizes)
     keys = _keys(words)
-    edges = []
+    swaps, edges = np.tile(np.arange(len(words)), (n - 1, 1)), []
     for k in range(n - 1):
         # Swapping a < b raises the word, so each edge is listed once, from u < v.
         u = np.flatnonzero(words[:, k] < words[:, k + 1])
         swapped = words[u]
         swapped[:, [k, k + 1]] = swapped[:, [k + 1, k]]
         v = np.searchsorted(keys, _keys(swapped))
+        swaps[k, u], swaps[k, v] = v, u
         edges.append(np.column_stack([u, v, np.full(len(u), k)]))
     inversions = sum(np.sum(words[:, i, None] > words[:, i + 1:], axis=1) for i in range(n - 1))
-    return SectorGraph(n=n, components=comp, words=words, edges=np.concatenate(edges),
-                       signs=1 - 2 * (inversions % 2))
+    return SectorGraph(n=n, components=comp, words=words, swaps=swaps,
+                       edges=np.concatenate(edges), signs=1 - 2 * (inversions % 2))
 
 
 def _classes(sizes: tuple[int, ...]) -> list[list[int]]:
     """The letters of each component size shared by two or more components."""
     by_size = [[c for c, s in enumerate(sizes) if s == size] for size in sorted(set(sizes))]
     return [letters for letters in by_size if len(letters) > 1]
-
-
-def _swap(kappa: int, a: int, b: int) -> np.ndarray:
-    """Letter map exchanging components a and b."""
-    t = np.arange(kappa)
-    t[[a, b]] = b, a
-    return t
 
 
 def _partitions(m: int, top: int | None = None) -> list[tuple[int, ...]]:
@@ -228,56 +223,50 @@ def _young_generators(shape: tuple[int, ...]) -> list[np.ndarray]:
     return gens
 
 
-def _relabelling_blocks(graph: SectorGraph) -> tuple[tuple[csr_array, ...], ...]:
-    """Sparse isometries onto the relabelling blocks, grouped per irrep of G.
+def _relabellings(graph: SectorGraph) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The word table of the relabelling group G, and rho(g) in each irrep's Young form.
 
     Word w = g.r_i of orbit i (r_i the orbit's word whose equal-size letters
-    first appear in ascending order) is basis vector (i, g) of C^M x C[G], and
-    a relabelling h acts as g -> h g.  rho(g) for each word is the product of
-    the generators' Young matrices along a breadth-first walk from its root,
-    one Kronecker factor per class of equal-size components.  For an irrep
-    of dimension d and each row a of rho, the columns (i, b) with entries
-    sqrt(d / |G|) rho(g)[a, b] are orthonormal (Schur orthogonality) and span
-    a space that the Laplacian, which commutes with h, maps into itself; the
-    d isometries give the same T_a^T L T_a.
+    first appear in ascending order) is basis vector (i, g) of C^M x C[G].  G
+    is enumerated as letter maps by a breadth-first walk from the identity
+    (element 0) over the exchanges t of neighbouring equal-size components,
+    with rho(t g) = rho(t) rho(g), one Kronecker factor per class of them.
+    Returns table[g, i], the node of g.r_i, and per irrep in a fixed order
+    the |G| x d x d matrices rho(g).
     """
-    words, sizes = graph.words, graph.components.sizes
-    kappa, n_words = len(sizes), graph.n_nodes
-    classes = _classes(sizes)
+    words, kappa, classes = graph.words, len(graph.components.sizes), _classes(graph.components.sizes)
     first = np.stack([np.argmax(words == c, axis=1) for c in range(kappa)], axis=1)
-    root = np.ones(n_words, dtype=bool)
+    root = np.ones(graph.n_nodes, dtype=bool)
     for letters in classes:
         root &= np.all(np.diff(first[:, letters], axis=1) > 0, axis=1)
-    orbit = np.where(root, np.cumsum(root) - 1, -1)
-    swaps = [_swap(kappa, a, b) for letters in classes for a, b in zip(letters, letters[1:])]
-    walk = []  # (generator, words reached, their parents) in breadth-first order
-    frontier = np.flatnonzero(root)
+    roots, maps = words[root], np.arange(kappa)[None]
+    swaps = [np.where(maps[0] == a, b, np.where(maps[0] == b, a, maps[0]))
+             for letters in classes for a, b in zip(letters, letters[1:])]
+    walk, frontier = [], np.arange(1)  # walk: (exchange, first element it reaches, their parents)
+    seen = np.arange(graph.n_nodes) == graph.index(roots[0])  # the words g.r_0 reached
     while frontier.size:
-        unseen = orbit < 0
+        start = len(maps)
         for j, t in enumerate(swaps):
-            nb = graph.index(t[words[frontier]])
-            new = orbit[nb] < 0
-            orbit[nb[new]] = orbit[frontier[new]]
-            walk.append((j, nb[new], frontier[new]))
-        frontier = np.flatnonzero(unseen & (orbit >= 0))
-    m = int(root.sum())
-    blocks = []
+            reached = t[maps[frontier]]
+            nb = graph.index(reached[:, roots[0]])
+            new = ~seen[nb]
+            seen[nb[new]] = True
+            walk.append((j, len(maps), frontier[new]))
+            maps = np.concatenate([maps, reached[new]])
+        frontier = np.arange(start, len(maps))
+    young = []
     for shapes in itertools.product(*(_partitions(len(letters)) for letters in classes)):
-        young = [_young_generators(shape) for shape in shapes]
-        dims = [len(gens[0]) for gens in young]
+        gens = [_young_generators(shape) for shape in shapes]
+        dims = [len(g[0]) for g in gens]
         mats = [np.kron(np.kron(np.eye(math.prod(dims[:c])), gen), np.eye(math.prod(dims[c + 1:])))
-                for c, gens in enumerate(young) for gen in gens]
+                for c, g in enumerate(gens) for gen in g]
         d = math.prod(dims)
-        rho = np.empty((n_words, d, d))
-        rho[root] = np.eye(d)
-        for j, reached, parent in walk:
-            rho[reached] = mats[j] @ rho[parent]
-        rho *= math.sqrt(d * m / n_words)
-        cols = (orbit[:, None] * d + np.arange(d)).ravel()
-        indptr = np.arange(0, n_words * d + 1, d)
-        blocks.append(tuple(csr_array((rho[:, a].ravel(), cols, indptr), shape=(n_words, m * d))
-                            for a in range(d)))
-    return tuple(blocks)
+        rho = np.empty((len(maps), d, d))
+        rho[0] = np.eye(d)
+        for j, lo, parents in walk:
+            rho[lo:lo + len(parents)] = mats[j] @ rho[parents]
+        young.append(rho)
+    return graph.index(maps[:, roots]), tuple(young)
 
 
 def _weight_array(graph: SectorGraph, gammas) -> np.ndarray:
@@ -291,79 +280,84 @@ def _weight_array(graph: SectorGraph, gammas) -> np.ndarray:
     return arr
 
 
-def _weighted_degrees(graph: SectorGraph, w: np.ndarray) -> np.ndarray:
-    """Each word's degree: gamma_k added slot by slot wherever neighbouring letters differ.
+class GraphLaplacian:
+    """The word Laplacian L = sum_k gamma_k (I - P_k), P_k the slot-k swap graph.swaps[k].
 
-    Relabelled words differ at the same slots, so they get bit-identical
-    degrees, and each of the n! orderings gets the weights summed in slot order.
-    """
-    words = graph.words
-    deg = np.zeros(graph.n_nodes)
-    for k in range(graph.n - 1):
-        deg += np.where(words[:, k] != words[:, k + 1], w[k], 0.0)
-    return deg
-
-
-class GraphLaplacian(csr_array):
-    """Sparse word Laplacian that keeps its graph, so that solve can use its blocks.
-
-    Arrays that scipy derives from it are built without the graph.
+    It keeps its graph and weights, not a matrix: `@` (1-D and 2-D), `sum`,
+    `diagonal` and `toarray` act through the swaps, and `blocks` assembles
+    the relabelling blocks at the orbit roots.
     """
 
-    graph: SectorGraph | None = None
+    def __init__(self, graph: SectorGraph, weights: np.ndarray):
+        self.graph, self.weights = graph, weights
+        self.shape = (graph.n_nodes, graph.n_nodes)
 
-    def blocks(self) -> tuple[tuple[csr_array, ...], ...]:
-        """The graph's relabelling blocks per irrep, or () (one block) when the matrix
-        does not commute exactly with the relabellings, as after an in-place edit."""
-        graph = self.graph
-        if graph is None:
-            return ()
-        kappa = len(graph.components.sizes)
-        coo = self.tocoo()
-        for letters in _classes(graph.components.sizes):
-            for a, b in zip(letters, letters[1:]):
-                p = graph.index(_swap(kappa, a, b)[graph.words])
-                moved = csr_array((coo.data, (p[coo.row], p[coo.col])), shape=self.shape)
-                if (moved != self).nnz:
-                    return ()
-        return graph.blocks
+    T = property(lambda self: self)  # every P_k is a symmetric permutation
+
+    def __matmul__(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        return sum((w * (y - y[p]) for w, p in zip(self.weights, self.graph.swaps)),
+                   np.zeros(y.shape))
+
+    def diagonal(self) -> np.ndarray:
+        """Each word's degree, gamma_k added slot by slot where its letters differ."""
+        node = np.arange(self.shape[0])
+        return sum((np.where(p != node, w, 0.0) for w, p in zip(self.weights, self.graph.swaps)),
+                   np.zeros(self.shape[0]))
+
+    def sum(self, axis=None):
+        """Entry sums of each row, equal to those of each column, or of all for axis None."""
+        rows, node = self.diagonal(), np.arange(self.shape[0])
+        for w, p in zip(self.weights, self.graph.swaps):
+            rows = rows - np.where(p != node, w, 0.0)
+        return rows if axis is not None else float(rows.sum())
+
+    def toarray(self, order: str = "C") -> np.ndarray:
+        """The dense matrix: -gamma_k at each edge (+0.0 if zero), the degrees on the diagonal."""
+        out = np.zeros(self.shape, order=order)
+        u, v, s = self.graph.edges.T
+        out[u, v] = out[v, u] = 0.0 - self.weights[s]
+        out.flat[::len(out) + 1] = self.diagonal()
+        return out
+
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per irrep of the relabelling group, its matrices rho(g) and the dense T_a^T L T_a.
+
+        Column (i, b) of T_a, for row a of rho, is sqrt(d / |G|) rho(g)[a, b]
+        at the words g.r_i.  With the slot-k swap of root r_i equal to
+        h_ik.r_j, Schur orthogonality gives every row the block
+        sum_k gamma_k (I - sum_i E_(i,j) (x) rho(h_ik)), whose identity part is
+        the roots' degrees; for the N! orderings, sum_k gamma_k (1 - rho(s_k)).
+        """
+        table, young = self.graph.relabellings
+        elem, orbit = np.unravel_index(np.argsort(table, axis=None), table.shape)
+        roots, m, out = table[0], table.shape[1], []
+        for rho in young:
+            d = rho.shape[1]
+            b = np.zeros((m, d, m, d))
+            for w, p in zip(self.weights, self.graph.swaps):
+                i = np.flatnonzero(p[roots] != roots)  # the roots whose slot-k letters differ
+                b[i, :, orbit[p[roots[i]]], :] -= w * rho[elem[p[roots[i]]]]
+            b = b.reshape(m * d, m * d)
+            b.flat[::m * d + 1] += np.repeat(self.diagonal()[roots], d)
+            out.append((rho, b))
+        return out
 
 
 def projected_laplacian(graph: SectorGraph, gammas) -> GraphLaplacian:
-    """Sparse weighted Laplacian on the graph's component words.
+    """Weighted Laplacian on the graph's component words.
 
     This is the full ordering Laplacian restricted to relabeling-invariant
     amplitudes, in the basis of normalized word indicators.  It carries the
     graph, whose relabelling blocks solve diagonalizes one by one.
     """
-    w = _weight_array(graph, gammas)
-    u, v, s = graph.edges.T
-    diag = np.arange(graph.n_nodes)
-    rows = np.concatenate([u, v, diag])
-    cols = np.concatenate([v, u, diag])
-    vals = np.concatenate([-w[s], -w[s], _weighted_degrees(graph, w)])
-    lap = GraphLaplacian((vals, (rows, cols)), shape=(graph.n_nodes,) * 2)
-    lap.graph = graph
-    return lap
+    return GraphLaplacian(graph, _weight_array(graph, gammas))
 
 
 def laplacian(graph: SectorGraph, gammas) -> np.ndarray:
     """Dense weighted Laplacian over all n! orderings of the graph's particles: the
     unsplit reference, one n! x n! solve; projected_laplacian splits by S_n irrep."""
     return projected_laplacian(build_graph(graph.n), gammas).toarray()
-
-
-def trace_identity_gap(graph: SectorGraph, gammas) -> float:
-    """Relative gap between the Laplacian trace and n! * sum of weights.
-
-    Reads the trace from the edge list, twice the sum of the edge weights,
-    so the edges of every ordering must cover each boundary exactly once.
-    """
-    full = build_graph(graph.n)
-    w = _weight_array(full, gammas)
-    expected = full.n_nodes * float(np.sum(w))
-    total = 2.0 * float(w[full.edges[:, 2]].sum())
-    return abs(total - expected) / max(abs(expected), 1.0)
 
 
 def cycle_ordering(graph: SectorGraph) -> np.ndarray:

@@ -6,12 +6,12 @@ coefficients K_j of the large-coupling expansion
     E_j(g) = E_free - K_j / g + O(1/g^2),
 
 one per admissible amplitude vector.  Every Laplacian, dense over the n!
-orderings or sparse, takes one path: as a CSR array, block by block.  A
-word Laplacian from `projected_laplacian` splits into the relabelling
-blocks of its graph, one eigensolve per irrep of the relabelling group;
-any other Laplacian is one block, solved whole.  Each block is diagonalized
-in a buffer of the solver's own by LAPACK's divide-and-conquer eigensolver,
-which copes well with the large degenerate groups of these graphs.
+orderings or a word Laplacian, takes one path, block by block, with NumPy
+alone.  A word Laplacian from `projected_laplacian` splits into the
+relabelling blocks of its graph, one eigensolve per irrep of the
+relabelling group; any other Laplacian is one block, solved whole.  Each
+block is diagonalized by LAPACK's divide-and-conquer eigensolver, which
+copes well with the large degenerate groups of these graphs.
 
 An amplitude vector a describes the adiabatic state that scales the
 reference determinant sector by sector: Psi(x) = a_sigma(x) Psi_ref(x),
@@ -30,8 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse import csr_array
+from numpy.linalg import eigh
 
 from .sectors import GraphLaplacian, SectorGraph, build_graph
 from .slater import SlaterState
@@ -68,51 +67,50 @@ class KSpectrum:
 
 
 def solve(lap) -> KSpectrum:
-    """Full spectrum of a (projected or full) ordering Laplacian, dense or sparse.
+    """Full spectrum of a (projected or full) ordering Laplacian.
 
-    The input is taken once as a CSR array, checked for squareness and
-    symmetry in that form, and solved per irrep of a word Laplacian's
-    relabelling blocks (see `GraphLaplacian.blocks`): the irrep's first T
-    gives the dense T^T L T, whose eigenvectors y become T y for each T.
-    Any other matrix is one block, solved whole.  Each block is diagonalized
-    in a Fortran-ordered buffer that LAPACK's divide-and-conquer eigensolver
-    overwrites; the caller's matrix is untouched.  The values are merged by a
-    stable sort, and each block's vectors are scattered into place by its
-    inverse.  Each vector's first largest-magnitude component is positive.
+    A word Laplacian takes one eigensolve per irrep of its relabelling group
+    (`GraphLaplacian.blocks`), whose eigenvectors y become T_a y for each row
+    a, one product of rho(.)[a, :] with y each, placed through the word table.
+    Any other input, an array or anything with toarray(), is checked for
+    squareness and symmetry and solved whole as the one block of the trivial
+    group; it is left untouched.  The values are merged by a stable sort, and
+    each vector's first largest-magnitude component is positive.
     """
-    blocks = lap.blocks() if isinstance(lap, GraphLaplacian) else ()
-    lap = csr_array(lap, dtype=float)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise ValueError("laplacian must be square")
-    asym = float(abs(lap - lap.T).max()) if lap.nnz else 0.0
-    scale = max(1.0, float(abs(lap).max()) if lap.nnz else 0.0)
-    if asym > 1e-12 * scale:
-        raise ValueError(f"laplacian is not symmetric (asymmetry {asym:.3e})")
-    # A matrix without relabelling blocks is solved whole, with no identity T.
-    mats = ((g, g[0].T @ (lap @ g[0])) for g in blocks) if blocks else [((None,), lap)]
-    spectra = [(group, *eigh(a.toarray(order="F"), driver="evd", overwrite_a=True,
-                             check_finite=False)) for group, a in mats]
-    solved = [(t, v, y) for group, v, y in spectra for t in group]
-    vals = np.concatenate([v for _, v, _ in solved])
+    if isinstance(lap, GraphLaplacian):
+        table = lap.graph.relabellings[0]
+        spectra = [(rho, *eigh(b)) for rho, b in lap.blocks()]
+        scale = max(1.0, float(lap.diagonal().max()))
+    else:
+        a = np.asarray(lap.toarray() if hasattr(lap, "toarray") else lap, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("laplacian must be square")
+        i, j = np.nonzero(a)  # the entries that can differ from their mirror, read in order
+        asym = float(np.abs(a[i, j] - a[j, i]).max(initial=0.0))
+        scale = max(1.0, float(np.abs(a[i, j]).max(initial=0.0)))
+        if asym > 1e-12 * scale:
+            raise ValueError(f"laplacian is not symmetric (asymmetry {asym:.3e})")
+        table, spectra = np.arange(len(a))[None], [(np.ones((1, 1, 1)), *eigh(a))]
+    vals = np.concatenate([v for rho, v, _ in spectra for _ in range(rho.shape[1])])
     order = np.argsort(vals, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    vecs = np.empty(lap.shape, order="F")
+    rank = np.argsort(order)  # the inverse permutation
+    vecs = np.empty((len(vals), len(vals)), order="F")
+    at = np.argsort(table, axis=None) if len(table) > 1 else slice(None)  # word -> row (g, i)
     start = 0
-    for t, v, y in solved:
-        vecs[:, rank[start:start + len(v)]] = y if t is None else t @ y
-        start += len(v)
+    for rho, v, y in spectra:
+        (size, d, _), k = rho.shape, len(v)
+        y = y.reshape(k // d, d, k).transpose(1, 0, 2).reshape(d, k * k // d)  # [b, (i, c)]
+        for row in range(d):
+            z = (math.sqrt(d / size) * rho[:, row]) @ y if size > 1 else y  # T_a y
+            vecs[:, rank[start:start + k]] = z.reshape(table.size, k)[at]
+            start += k
     vecs += 0.0  # every zero +0.0, as the products T y leave it, on both paths
     _lead_positive(vecs)
     vals = vals[order]
     tol = DEGENERACY_TOL * scale
-    groups = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol:
-            groups.append(tuple(range(start, i)))
-            start = i
-    return KSpectrum(values=vals, vectors=vecs, groups=tuple(groups), tol=tol)
+    ends = [*(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), len(vals)] if len(vals) else []
+    groups = tuple(tuple(range(a, b)) for a, b in zip([0, *ends], ends))
+    return KSpectrum(values=vals, vectors=vecs, groups=groups, tol=tol)
 
 
 def _lead_positive(vecs: np.ndarray) -> None:

@@ -11,7 +11,11 @@ different direction:
 - `mc_gammas` estimates every boundary weight by seeded, stratified
   Monte Carlo from the coordinates up;
 - `two_body_reference` and `two_body_slope` solve the transcendental
-  two-body relation in the harmonic trap.
+  two-body relation in the harmonic trap;
+- `isometries` writes out the relabelling isometries T_a of a word graph
+  as dense matrices, from its word table and Young matrices;
+- `trace_identity_gap` reads the ordering Laplacian's trace from its edge
+  list alone.
 """
 
 from __future__ import annotations
@@ -93,6 +97,40 @@ def assembled(state, amplitudes, x) -> tuple[np.ndarray, np.ndarray]:
     perm = np.argsort(x.reshape(-1, state.n), axis=1, kind="stable")
     sector = build_graph(state.n).index(perm).reshape(x.shape[:-1])
     return np.asarray(amplitudes, dtype=float)[sector] * psi(state, x), sector
+
+
+def isometries(graph) -> list[tuple[np.ndarray, ...]]:
+    """Per irrep of the relabelling group, the d dense isometries T_a, one per row a.
+
+    Column (i, b) of T_a holds sqrt(d / |G|) rho(g)[a, b] at the word g.r_i,
+    table[g, i] of the graph's word table.
+    """
+    table, young = graph.relabellings
+    m = table.shape[1]
+    out = []
+    for rho in young:
+        size, d = rho.shape[:2]
+        cols = np.arange(m)[:, None] * d + np.arange(d)
+        group = []
+        for a in range(d):
+            t = np.zeros((graph.n_nodes, m * d))
+            t[table[:, :, None], cols] = math.sqrt(d / size) * rho[:, None, a, :]
+            group.append(t)
+        out.append(tuple(group))
+    return out
+
+
+def trace_identity_gap(graph, gammas) -> float:
+    """Relative gap between the Laplacian trace and n! * sum of weights.
+
+    Reads the trace from the edge list, twice the sum of the edge weights,
+    so the edges of every ordering must cover each boundary exactly once.
+    """
+    full = build_graph(graph.n)
+    w = np.array(gammas, dtype=float)
+    expected = full.n_nodes * float(np.sum(w))
+    total = 2.0 * float(w[full.edges[:, 2]].sum())
+    return abs(total - expected) / max(abs(expected), 1.0)
 
 
 def mc_gammas(state, samples: int = 2_000_000, seed: int = 0) -> list[BoundaryWeight]:

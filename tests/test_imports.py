@@ -9,8 +9,6 @@ from pathlib import Path
 import tonks
 
 SRC = str(Path(tonks.__file__).resolve().parents[1])
-# scipy.linalg and scipy.sparse are what the Laplacian solves need
-UNUSED_BY_SPECTRUM = ("scipy.special", "scipy.sparse.linalg", "scipy.optimize")
 
 
 def fresh(code: str):
@@ -41,10 +39,12 @@ def test_gamma_loads_no_scipy():
 
 
 def test_spectrum_and_density_skip_unused_scipy():
-    for argv in (["spectrum", "--n", "4"], ["density", "--n", "3"]):
+    # the word Laplacian and its relabelling blocks need NumPy alone
+    for argv in (["spectrum", "--n", "4"], ["spectrum", "--n", "6", "--components", "3,3"],
+                 ["density", "--n", "3"]):
         loaded = modules_after([*argv, "--no-timestamp"])
-        assert "scipy.linalg" in loaded and "tonks.spectrum" in loaded
-        assert [m for m in loaded if m.startswith(UNUSED_BY_SPECTRUM)] == [], argv
+        assert "tonks.spectrum" in loaded and "tonks.sectors" in loaded
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == [], argv
 
 
 def test_validate_loads_no_optimizer():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
+from reference import trace_identity_gap
 from tonks.sectors import (
     NODE_CAP,
     ComponentSpec,
@@ -18,7 +19,6 @@ from tonks.sectors import (
     cycle_ordering,
     laplacian,
     projected_laplacian,
-    trace_identity_gap,
 )
 
 GAMMA_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
@@ -246,5 +246,5 @@ def test_laplacian_linear_in_weights(w1, w2, a):
             g = build_graph(n, ComponentSpec(sizes))
             np.testing.assert_allclose(
                 projected_laplacian(g, mix).toarray(),
-                (a * projected_laplacian(g, x) + projected_laplacian(g, y)).toarray(),
+                a * projected_laplacian(g, x).toarray() + projected_laplacian(g, y).toarray(),
                 rtol=0, atol=1e-12)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.sparse import csr_array
 
-from reference import assembled, psi
+from reference import assembled, isometries, psi
 from tonks.sectors import ComponentSpec, build_graph, laplacian, projected_laplacian
 from tonks import spectrum as spectrum_module
 from tonks.slater import make_level
@@ -59,18 +59,18 @@ def test_solve_input_checks():
 def test_solve_dense_and_sparse_agree(sizes):
     n = sum(sizes)
     w = np.random.default_rng(16).uniform(0.5, 2.0, n - 1)
-    sparse = projected_laplacian(build_graph(n, ComponentSpec(sizes)), w)
-    dense = sparse.toarray(order="F")
-    kept = (dense.copy(), sparse.data.copy(), sparse.indices.copy(), sparse.indptr.copy())
-    a, b = solve(dense), solve(sparse)
+    lap = projected_laplacian(build_graph(n, ComponentSpec(sizes)), w)
+    dense = lap.toarray(order="F")
+    kept = (dense.copy(), lap.graph.words.copy(), lap.graph.swaps.copy(), lap.weights.copy())
+    a, b = solve(dense), solve(lap)
     scale = 2.0 * float(np.sum(w))
     assert np.max(np.abs(a.values - b.values)) < 1e-12 * scale
     assert a.groups == b.groups
-    # the solver works on its own buffer: the caller's matrices are untouched
+    # the solver works on its own buffers: the caller's matrix, graph and weights are untouched
     np.testing.assert_array_equal(dense, kept[0])
-    for got, before in zip((sparse.data, sparse.indices, sparse.indptr), kept[1:]):
+    for got, before in zip((lap.graph.words, lap.graph.swaps, lap.weights), kept[1:]):
         np.testing.assert_array_equal(got, before)
-    resid = sparse @ b.vectors - b.vectors * b.values
+    resid = lap @ b.vectors - b.vectors * b.values
     assert np.max(np.abs(resid)) < 1e-12 * scale
 
 
@@ -119,10 +119,15 @@ def _check_blocked_solve(sizes, w):
     # one group per irrep of prod_s S_(m_s) (S_N on the N! orderings), each of
     # d isometries of width M * d, d the irrep's dimension and M the orbit count
     classes = [m for m in Counter(sizes).values() if m > 1]
-    orbits = graph.n_nodes // math.prod(math.factorial(m) for m in classes)
+    order = math.prod(math.factorial(m) for m in classes)
+    orbits = graph.n_nodes // order
     dims = [math.prod(d) for d in itertools.product(*(_irrep_dims(m) for m in classes))]
-    assert sorted(len(group) for group in graph.blocks) == sorted(dims)
-    for group in graph.blocks:
+    table, young = graph.relabellings
+    assert table.shape == (order, orbits)
+    np.testing.assert_array_equal(np.sort(table, axis=None), np.arange(graph.n_nodes))
+    assert sorted(rho.shape[1] for rho in young) == sorted(dims)
+    assert all(rho.shape == (order, len(rho[0]), len(rho[0])) for rho in young)
+    for group in isometries(graph):
         assert [t.shape for t in group] == [(graph.n_nodes, orbits * len(group))] * len(group)
 
 
@@ -164,23 +169,30 @@ def test_blocked_solve_five_singletons_and_a_pair():
     _check_blocked_solve(tuple(rng.permutation((1, 1, 1, 1, 1, 2))), rng.uniform(0.5, 2.0, 6))
 
 
-def test_edited_word_laplacian_is_one_block():
+def test_edited_word_laplacian_is_one_block(eigh_sizes):
     w = np.array([0.7, 1.3, 0.9, 1.1, 1.6])
     lap = projected_laplacian(build_graph(6, ComponentSpec((2, 2, 2))), w)
-    # three Young shapes of S_3 relabel the three pairs
+    # three Young shapes of S_3 relabel the three pairs: 15 orbits of dimensions 1, 2, 1
     assert len(lap.blocks()) == 3
-    # derived arrays do not carry the graph
-    assert (2.0 * lap).blocks() == ()
-    # an in-place edit that breaks the relabelling symmetry drops the blocks
-    lap[0, 0] = lap[0, 0] + 1.0
-    assert lap.blocks() == ()
-    # commutation is exact: a one-ulp edit drops the blocks too
-    nudged = projected_laplacian(build_graph(6, ComponentSpec((2, 2, 2))), w)
-    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
-    assert nudged.blocks() == ()
-    spec = solve(lap)
-    ref = eigh(lap.toarray(), eigvals_only=True)
+    solve(lap)
+    assert eigh_sizes == [15, 30, 15]
+    # the word Laplacian is its graph and weights: it cannot be edited in place
+    with pytest.raises(TypeError):
+        lap[0, 0] = lap.toarray()[0, 0] + 1.0
+    # an edited copy breaks the relabelling symmetry and is solved whole, as one block
+    edited = lap.toarray()
+    edited[0, 0] += 1.0
+    eigh_sizes.clear()
+    spec = solve(edited)
+    assert eigh_sizes == [90]
+    ref = eigh(edited, eigvals_only=True)
     assert np.max(np.abs(spec.values - ref)) < 1e-12 * 2.0 * float(np.sum(w))
+    # an edit of one ulp too
+    nudged = lap.toarray()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
+    eigh_sizes.clear()
+    solve(nudged)
+    assert eigh_sizes == [90]
 
 
 @pytest.fixture
@@ -190,7 +202,7 @@ def eigh_sizes(monkeypatch):
 
     def counting(a, *args, **kwargs):
         sizes.append(len(a))
-        return eigh(a, *args, **kwargs)
+        return np.linalg.eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(spectrum_module, "eigh", counting)
     return sizes
@@ -227,13 +239,32 @@ def test_young_rows_are_isometries_with_one_block(sizes, w):
     graph = build_graph(n, ComponentSpec(sizes))
     lap = projected_laplacian(graph, w)
     scale = 2.0 * float(np.sum(w))
-    assert sum(t.shape[1] for group in graph.blocks for t in group) == graph.n_nodes
-    for group in graph.blocks:
-        block = (group[0].T @ (lap @ group[0])).toarray()
+    groups = isometries(graph)
+    assert sum(t.shape[1] for group in groups for t in group) == graph.n_nodes
+    for group in groups:
+        block = group[0].T @ (lap @ group[0])
         for t in group:
-            gram = (t.T @ t).toarray()
+            gram = t.T @ t
             assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-12
-            assert np.max(np.abs((t.T @ (lap @ t)).toarray() - block)) < 1e-12 * scale
+            assert np.max(np.abs(t.T @ (lap @ t) - block)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("sizes", _COMPOSITIONS)
+@settings(max_examples=2, deadline=None)
+@given(w=st.lists(st.floats(0.0, 2.0), min_size=5, max_size=5))
+def test_root_blocks_are_dense_projections(sizes, w):
+    # the block assembled at the orbit roots is T_a^T L T_a of the dense L, for every row a
+    n = sum(sizes)
+    w = np.array(w[: n - 1])
+    graph = build_graph(n, ComponentSpec(sizes))
+    lap = projected_laplacian(graph, w)
+    dense = lap.toarray()
+    scale = max(1.0, 2.0 * float(np.sum(w)))
+    for (rho, block), group in zip(lap.blocks(), isometries(graph), strict=True):
+        assert len(group) == rho.shape[1]
+        for t in group:
+            assert np.max(np.abs(t.T @ t - np.eye(t.shape[1]))) < 1e-13
+            assert np.max(np.abs(t.T @ dense @ t - block)) < 1e-13 * scale
 
 
 def test_lead_positive_matches_column_loop():
