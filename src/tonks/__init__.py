@@ -28,8 +28,7 @@ _PUBLIC = {
     "slater": ("SlaterState", "make_level"),
     "weights": ("BoundaryWeight", "ToleranceError", "all_gammas"),
     "sectors": ("ComponentSpec", "SectorGraph", "build_graph", "laplacian", "projected_laplacian"),
-    "spectrum": ("KSpectrum", "EnergyExpansion", "solve", "classify", "expansion",
-                 "one_body_density"),
+    "spectrum": ("KSpectrum", "solve", "classify", "one_body_density"),
     "oracle": ("EDConfig", "EDResult", "SlopeFit", "delta_tensor", "diagonalize", "slope_fit"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -32,6 +32,7 @@ import os
 import stat
 import sys
 import tempfile
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +75,8 @@ _SETTINGS = {
                           "omit the timestamp for byte-reproducible output"),
     "components": _Setting("particles", str, "", ("spectrum",),
                            "component sizes, e.g. '2,1' (default distinguishable)"),
-    "n_modes": _Setting("validate", int, 30, ("validate",), "oracle single-particle modes"),
+    "n_modes": _Setting("validate", int, 30, ("validate",),
+                        "oracle single-particle modes; the shell holds n_modes - 1 quanta"),
     "g": _Setting("validate", str, "20,50,100", ("validate",),
                   "comma-separated couplings for the slope fit"),
     # 0 means: four more than the number of slopes
@@ -358,9 +360,10 @@ def _cmd_validate(args, s: dict) -> int:
     if s["states"] and s["states"] < m:
         raise InputError(f"--states must be at least {m}, the number of K values for n={n}, "
                          f"got {s['states']}")
-    if s["states"] > (s["n_modes"] - 4) ** n:
-        raise InputError(f"--states {s['states']} exceeds the basis dimension {(s['n_modes'] - 4) ** n}"
-                         f" of the {s['n_modes'] - 4}-mode truncation rerun")
+    rerun_dim = math.comb(s["n_modes"] - 5 + n, n)  # the rerun's shell: n_modes - 5 quanta
+    if s["states"] > rerun_dim:
+        raise InputError(f"--states {s['states']} exceeds the basis dimension {rerun_dim} of the "
+                         f"truncation rerun, the shell of {s['n_modes'] - 5} quanta")
     try:
         g_values = tuple(float(p) for p in s["g"].split(","))
     except ValueError as exc:
@@ -372,10 +375,9 @@ def _cmd_validate(args, s: dict) -> int:
     k_pred = solve(projected_laplacian(build_graph(n), weights)).values
     n_states = s["states"] or m + 4
     cfg = EDConfig(n_particles=n, n_modes=s["n_modes"], g_values=g_values,
-                   n_states=n_states)
+                   n_states=n_states, shell=True)
     result = diagonalize(cfg)
-    reduced = diagonalize(EDConfig(n_particles=n, n_modes=s["n_modes"] - 4,
-                                   g_values=g_values, n_states=n_states))
+    reduced = diagonalize(replace(cfg, n_modes=s["n_modes"] - 4))
     fits = [slope_fit(result, j, reduced=reduced) for j in range(m)]
     k_fit = np.sort([f.k_value for f in fits])
     k_max = float(k_pred[-1])

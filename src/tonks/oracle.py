@@ -1,7 +1,11 @@
 """Finite-coupling exact diagonalization for validating the strong-coupling law.
 
 Few fermions with a contact interaction g * sum of delta(x_i - x_j) are
-diagonalized in a truncated harmonic product basis.  The Hamiltonian
+diagonalized in a truncated harmonic product basis: the bare cube of
+n_modes orbitals per particle, or the energy shell of at most
+E_max = n_modes - 1 quanta with each pair's effective interaction built
+from the exact two-body states (Rotureau 2013, Lindgren et al. 2014),
+which `validate` uses.  The Hamiltonian
 commutes with total parity and with every particle permutation, so the
 basis is split into exact blocks, one per irreducible representation of
 the permutation group and parity, each built from Young's orthogonal form
@@ -10,12 +14,12 @@ that is antisymmetric inside every component).  Each block's contact
 matrix is assembled from the contact rows of the sorted occupations alone,
 one per orbit, and solved once for all its rows: densely up to
 DENSE_DIM_CAP, by sparse Lanczos above it, for every basis alike.  The
-antisymmetric irrep carries no contact and takes no solve.  Energies
+antisymmetric irrep carries no contact and takes no solve.  States are
 tracked across couplings by eigenvector overlap, taken in block coordinates
-as the row isometries are orthonormal, are fitted against 1/g, and the
-negated slopes are compared with the Laplacian eigenvalues K; the
-interaction expectation of each tracked state doubles as the exact dE/dg
-of the truncated model.
+as the row isometries are orthonormal.  The interaction expectation of each
+tracked state is dE/dg of the truncated model; K is the negated slope of
+the energies against 1/g in the cube, and on the shell the intercept of the
+Hellmann-Feynman slopes g^2 dE/dg against 1/g.
 """
 
 from __future__ import annotations
@@ -29,13 +33,16 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from scipy.sparse.linalg import LinearOperator, eigsh
-from scipy.special import stdtrit
+from scipy.special import digamma, gammaln, stdtrit
 
 from .sectors import ComponentSpec, _partitions, _young_generators
 from .traps import _hermite_ladder
 
 DELTA_MODE_CAP = 60
-# Widest block solved densely; a wider one takes sparse Lanczos.  Three
+# Widest block solved densely; a wider one takes sparse Lanczos.  No default
+# input needs it: the shells of `validate` are dense up to E_max = 42 (the
+# widest block of three particles at 42 and 43 quanta is 2,443 and 2,612);
+# bare cubes of three particles reach it from 26 modes, through the API.  Three
 # couplings, 2-vCPU Xeon, one BLAS thread, fresh processes, time and peak RSS:
 # the mixed blocks of a (2,1) basis at 22, 24 and 26 modes (1,771, 2,300 and
 # 2,925 wide) take 4.0, 7.7 and 14.4 s dense (0.16-0.28 GB) and 3.8, 4.9 and
@@ -81,6 +88,58 @@ def delta_tensor(n_modes: int) -> np.ndarray:
     return i4
 
 
+def _brackets(e_max: int) -> np.ndarray:
+    """One-dimensional Talmi-Moshinsky brackets B[s, a, N] = <a, s - a | N, s - N>.
+
+    They carry the pair of orbitals a and s - a to the orbitals N and s - N
+    of X = (x1 + x2) / sqrt 2 and x = (x1 - x2) / sqrt 2; the rotation keeps
+    the quanta s.  The integrand has degree at most 2 s in each coordinate,
+    so a Gauss-Hermite rule of e_max + 1 nodes per coordinate is exact.
+    """
+    y, w = np.polynomial.hermite.hermgauss(e_max + 1)
+    one = _hermite_ladder(y, e_max) * np.exp(np.log(w) + y * y)  # the Gaussians: exp(-y1^2 - y2^2)
+    cm = _hermite_ladder((y[:, None] + y) / math.sqrt(2.0), e_max)
+    rel = _hermite_ladder((y[:, None] - y) / math.sqrt(2.0), e_max)
+    out = np.zeros((e_max + 1,) * 3)
+    for s in range(e_max + 1):
+        a = np.arange(s + 1)
+        pair = (one[a][:, :, None] * one[s - a][:, None, :]).reshape(s + 1, -1)
+        out[s, :s + 1, :s + 1] = pair @ (cm[a] * rel[s - a]).reshape(s + 1, -1).T
+    return out
+
+
+def _relative_interaction(g: np.ndarray, d_max: int) -> np.ndarray:
+    """Okubo-Lee-Suzuki V_eff = Z E Z^T - H_0 of the relative motion on its lowest d
+    even orbitals, for each coupling of g and d = 1..d_max, zero-padded to shape
+    (len(g), d_max + 1, d_max, d_max).
+
+    The relative Hamiltonian p^2/2 + x^2/2 + (g / sqrt 2) delta(x) has the even
+    levels E = 2b + 1/2 + u, with tan(pi u / 2) = g R / (2 sqrt 2) and
+    R = Gamma(1/4 + E/2) / Gamma(3/4 + E/2) (Busch et al. 1998); u = (2/pi)
+    arctan(g R / (2 sqrt 2)) contracts by at most |d ln R / dE| / pi < 0.23, so
+    from u = 1/2, 27 steps reach 1e-17.  State b is sum_m c_m phi_2m with c_m proportional
+    to phi_2m(0) / (E - 2m - 1/2), normalized in closed form by -dS/dE of
+    S(E) = sum_m phi_2m(0)^2 / (E - 2m - 1/2) = cot(pi u / 2) R / 2.  Z = C
+    (C^T C)^(-1/2), the polar factor of the lowest d states' model components C.
+    """
+    base, u = 2.0 * np.arange(d_max) + 0.5, np.full((len(g), d_max), 0.5)
+    for _ in range(28):
+        e = base + u
+        r = np.exp(gammaln(0.5 * e + 0.25) - gammaln(0.5 * e + 0.75))
+        u = np.arctan(g[:, None] * r / (2.0 * math.sqrt(2.0))) * (2.0 / np.pi)
+    t = 0.5 * np.pi * (e - base)  # e from the last step, with its r
+    norm2 = 0.5 * r * (0.5 * np.pi / np.sin(t) ** 2
+                       - 0.5 * (digamma(0.5 * e + 0.25) - digamma(0.5 * e + 0.75)) / np.tan(t))
+    phi0 = _hermite_ladder(np.zeros(1), 2 * d_max)[:-1:2]  # phi_2m(0), shape (d_max, 1)
+    c = phi0 / ((e[:, None, :] - base[:, None]) * np.sqrt(norm2[:, None, :]))  # [g, m, b]
+    out = np.zeros((len(g), d_max + 1, d_max, d_max))
+    for d in range(1, d_max + 1):
+        left, _, right = np.linalg.svd(c[:, :d, :d])
+        z = left @ right
+        out[:, d, :d, :d] = (z * e[:, None, :d]) @ z.transpose(0, 2, 1) - np.diag(base[:d])
+    return out
+
+
 @dataclass(frozen=True)
 class EDConfig:
     """Setup of an exact-diagonalization run.
@@ -88,7 +147,10 @@ class EDConfig:
     n_modes single-particle orbitals per particle, couplings g_values
     (finite, positive, strictly increasing), n_states retained eigenpairs.
     components=None keeps the distinguishable product basis; a
-    ComponentSpec antisymmetrizes each block of identical fermions.
+    ComponentSpec antisymmetrizes each block of identical fermions.  The
+    basis is the bare product cube with the contact g delta, or with
+    shell=True the energy shell of at most E_max = n_modes - 1 quanta with
+    the effective interaction V_eff(g) of _relative_interaction.
     """
 
     n_particles: int
@@ -96,6 +158,7 @@ class EDConfig:
     g_values: tuple[float, ...]
     n_states: int = 8
     components: ComponentSpec | None = None
+    shell: bool = False
 
     def __post_init__(self):
         if self.n_particles not in (2, 3):
@@ -106,7 +169,8 @@ class EDConfig:
             )
         if self.n_modes > DELTA_MODE_CAP:
             raise ValueError(f"n_modes exceeds cap {DELTA_MODE_CAP}")
-        dim = self.n_modes**self.n_particles
+        dim = math.comb(self.n_modes - 1 + self.n_particles, self.n_particles) if self.shell \
+            else self.n_modes**self.n_particles
         if dim > BASIS_DIM_CAP:
             raise ValueError(f"basis dimension {dim} exceeds cap {BASIS_DIM_CAP}")
         gs = tuple(float(g) for g in self.g_values)
@@ -130,8 +194,11 @@ class EDResult:
     (matched by eigenvector overlap), with the matched overlaps in
     track_quality.  Tracking runs through two buffer states, so a tracked
     state may rise above the lowest n_states.  interaction holds the
-    expectation of the bare contact operator in each tracked state, which
-    equals dE/dg of the truncated model exactly.
+    expectation of dV/dg in each tracked state, which equals dE/dg of the
+    truncated model: the bare contact in the cube; on the shell dV_eff/dg,
+    by a central difference of step 1e-4 g in the relative V_eff.  states
+    holds each tracked state at the largest coupling as (block row, block
+    eigenvector, trap energies of the block columns).
     """
 
     config: EDConfig
@@ -140,6 +207,7 @@ class EDResult:
     tracked: np.ndarray = field(repr=False)
     track_quality: np.ndarray = field(repr=False)
     interaction: np.ndarray = field(repr=False)
+    states: tuple = field(default=(), repr=False, compare=False)
 
 
 def _kernel(d: int, gens: list[np.ndarray], sign: int) -> np.ndarray:
@@ -156,8 +224,8 @@ def _kernel(d: int, gens: list[np.ndarray], sign: int) -> np.ndarray:
 _Block = tuple[np.ndarray, np.ndarray, tuple[sparse.csc_array, ...]]
 
 
-def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec | None
-                     ) -> list[_Block]:
+def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec | None,
+                     e_max: int | None = None) -> list[_Block]:
     """The exact symmetry blocks of the product basis, one per irrep of S_N and
     parity in a fixed order, each as (the retained rows f of the irrep as
     columns, trap energy of each block column, the isometries T_(e_k) of all
@@ -174,9 +242,13 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     orthonormal, a swap maps T_f to T_(rho(s_k) f), and so every T_f gives
     the same T_f^T H T_f.  Every column is an oscillator eigenstate.
     [1^N] is antisymmetric under every swap, so the contact vanishes on it.
+    With e_max, only the product states of at most e_max quanta, a set closed
+    under swaps, are kept; the isometries keep the rows of the whole product basis.
     """
     shape = (n_modes,) * n_particles
     occ = np.indices(shape).reshape(n_particles, -1).T
+    state = np.arange(len(occ)) if e_max is None else np.flatnonzero(occ.sum(axis=1) <= e_max)
+    occ = occ[state]
     steps = []  # (slot k, states whose slots k and k+1 swap), in sorting order
     for _ in range(n_particles - 1):
         for k in range(n_particles - 1):
@@ -211,8 +283,8 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
             cols = np.where(quanta % 2 == parity, width[ties], 0)
             w, j = np.nonzero(np.arange(d) < cols[orbit][:, None])
             # int32 indices, which the contact products of _row_average keep (12 bytes an entry, not 16)
-            at = np.array([w, (np.cumsum(cols) - cols)[orbit[w]] + j], dtype=np.int32)
-            dims = (len(occ), cols.sum())
+            at = np.array([state[w], (np.cumsum(cols) - cols)[orbit[w]] + j], dtype=np.int32)
+            dims = (n_modes**n_particles, cols.sum())
             ks = () if len(lam) == n_particles else tuple(
                 sparse.csc_array((coef[w, k, j], at), shape=dims) for k in range(d))
             blocks.append((f, np.repeat(quanta, cols) + 0.5 * n_particles, ks))
@@ -272,36 +344,84 @@ def _row_average(w_r: sparse.csr_array, rows: np.ndarray, ks: tuple[sparse.csc_a
     return w_b
 
 
-def _solve_block(w_b: sparse.csr_array | None, h0: np.ndarray, g_values: tuple[float, ...],
-                 k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Lowest k states of diag(h0) + g w_b in the block, at every coupling g.
+def _shell_contacts(cfg: EDConfig, blocks: list[_Block]):
+    """Per block, the (V_b, dV_b/dg) of the shell at every coupling, None for [1^N].
 
-    Returns (energies, eigenvectors in the block, contact expectations) per
-    coupling.  A dense solve refills one Fortran-ordered buffer per coupling,
-    from one CSC copy of w_b, and lets eigh overwrite it.  For [1^N] (w_b
-    None) they are the unit vectors of the k lowest trap energies, stably.
+    The pair (p, q) with s quanta and r spectator quanta is carried by the
+    brackets to its centre-of-mass orbital N and relative orbital s - N, in
+    slots p and q of the product index, where the relative V_eff of its
+    lowest (e_max - r - N) // 2 + 1 even orbitals acts; the brackets carry
+    it back.  As in _block_contacts, only the rows at the sorted
+    occupations are built, scaled by the orbit sizes, per coupling.
     """
-    if w_b is None:
+    n, e_max = cfg.n_particles, cfg.n_modes - 1
+    shape, dim, d_max = (cfg.n_modes,) * n, cfg.n_modes**n, e_max // 2 + 1
+    occ = np.indices(shape).reshape(n, -1).T
+    state = np.flatnonzero(occ.sum(axis=1) <= e_max)
+    occ, stride, br = occ[state], cfg.n_modes ** np.arange(n - 1, -1, -1), _brackets(e_max)
+    rows, size = np.unique(np.ravel_multi_index(np.sort(occ, axis=1).T, shape), return_counts=True)
+
+    def ranks(counts):  # 0..c-1 for each count c, concatenated
+        return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+    maps = []
+    for p, q in itertools.combinations(range(n), 2):
+        a, b = occ[:, p], occ[:, q]
+        i, cm = np.repeat(np.arange(len(occ)), a + b + 1), ranks(a + b + 1)
+        to = state[i] + (cm - a[i]) * (stride[p] - stride[q])
+        tm = sparse.csr_array((br[(a + b)[i], a[i], cm], (state[i], to)), shape=(dim, dim))
+        # read as centre of mass a and relative b: V_eff couples even b to even 2m
+        even = np.flatnonzero(b % 2 == 0)
+        d = (e_max - occ[even].sum(axis=1) + b[even]) // 2 + 1
+        j, m = np.repeat(even, d), ranks(d)
+        at = (np.repeat(d, d), b[j] // 2, m), (state[j], state[j] + (2 * m - b[j]) * stride[q])
+        maps.append((sparse.diags_array(size.astype(float)) @ tm[rows], tm.T.tocsr(), at))
+
+    def row_sum(table):
+        return sum(left @ sparse.csr_array((table[at[0]], at[1]), shape=(dim, dim)) @ right
+                   for left, right, at in maps)
+
+    g = np.asarray(cfg.g_values)
+    v, up, down = _relative_interaction(np.concatenate([g, g * (1 + 1e-4), g * (1 - 1e-4)]),
+                                        d_max).reshape(3, len(g), d_max + 1, d_max, d_max)
+    per_g = [(row_sum(v[i]), row_sum((up[i] - down[i]) / (2e-4 * g[i]))) for i in range(len(g))]
+    return ([(1.0, _row_average(w, rows, ks), _row_average(dw, rows, ks)) for w, dw in per_g] if ks
+            else None for _, _, ks in blocks)
+
+
+def _solve_block(terms: list | None, h0: np.ndarray, n_g: int,
+                 k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Lowest k states of diag(h0) + scale * w in the block, for each coupling's
+    (scale, w, dw) in terms: (g, W_b, W_b) in the cube, (1, V_b, dV_b/dg) on the shell.
+
+    Returns (energies, eigenvectors in the block, expectations of dw) per
+    coupling.  A dense solve refills one Fortran-ordered buffer per coupling,
+    from one CSC copy of each distinct w, and lets eigh overwrite it.  For
+    [1^N] (terms None) they are the unit vectors of the k lowest trap
+    energies, stably, for each of the n_g couplings.
+    """
+    if terms is None:
         order = np.argsort(h0, kind="stable")[:k]
         x = (np.arange(len(h0))[:, None] == order).astype(float)
-        return [(h0[order], x, np.zeros(k))] * len(g_values)
+        return [(h0[order], x, np.zeros(k))] * n_g
     dense = len(h0) <= DENSE_DIM_CAP or k >= len(h0) - 1
     buf = np.empty((len(h0), len(h0)), order="F") if dense else None
-    fill = w_b.tocsc() if dense else None  # buf's layout, converted once, not per coupling
-    diag = np.arange(len(h0))
+    diag, held = np.arange(len(h0)), None
     solved = []
-    for g in g_values:
+    for scale, w, dw in terms:
         if dense:
+            if w is not held:  # buf's layout, converted once per distinct w, not per coupling
+                held, fill = w, w.tocsc()
             fill.toarray(out=buf)  # zeroes buf first
-            buf *= g
+            buf *= scale
             buf[diag, diag] += h0
             e, x = eigh(buf, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
         else:
-            # the Hamiltonian as a product, so no sparse copy of w_b is built
-            ham = LinearOperator(w_b.shape, lambda v: g * (w_b @ v) + h0 * v, dtype=float)
+            # the Hamiltonian as a product, so no sparse copy of w is built
+            ham = LinearOperator(w.shape, lambda v: scale * (w @ v) + h0 * v, dtype=float)
             v0 = np.random.default_rng(0).standard_normal(len(h0))
             e, x = eigsh(ham, k, which="SA", v0=v0, tol=0)
-        solved.append((e, x, np.einsum("ij,ij->j", x, w_b @ x)))
+        solved.append((e, x, np.einsum("ij,ij->j", x, dw @ x)))
     return solved
 
 
@@ -322,8 +442,12 @@ def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
     block rows and eigenvector columns, contact expectations, and the block
     eigenvectors of every row; nothing is mapped to the product basis.
     """
-    contacts = _block_contacts(cfg.n_modes, cfg.n_particles, blocks)
-    solved = [_solve_block(next(contacts), h0, cfg.g_values, min(n_keep, len(h0)))
+    if cfg.shell:
+        contacts = _shell_contacts(cfg, blocks)
+    else:
+        contacts = (None if w is None else [(g, w, w) for g in cfg.g_values]
+                    for w in _block_contacts(cfg.n_modes, cfg.n_particles, blocks))
+    solved = [_solve_block(next(contacts), h0, len(cfg.g_values), min(n_keep, len(h0)))
               for _, h0, _ in blocks]
     spectra = []
     for gi in range(len(cfg.g_values)):
@@ -352,7 +476,8 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     columns are returned.  The row isometries are orthonormal, so only
     states of one block row overlap, as their block eigenvectors x_prev^T x.
     """
-    blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
+    blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components,
+                              cfg.n_modes - 1 if cfg.shell else None)
     dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
     if cfg.n_states > dim:
         raise ValueError(f"n_states={cfg.n_states} exceeds basis dimension {dim}")
@@ -384,6 +509,7 @@ def diagonalize(cfg: EDConfig) -> EDResult:
         tracked[gi] = vals[perm]
         inter[gi] = contact[perm]
         prev = row[perm], col[perm], xs
+    h0s = [h0 for f, h0, _ in blocks for _ in range(f.shape[1])]
     return EDResult(
         config=cfg,
         basis_dim=dim,
@@ -391,16 +517,21 @@ def diagonalize(cfg: EDConfig) -> EDResult:
         tracked=tracked[:, :cfg.n_states],
         track_quality=quality[:, :cfg.n_states],
         interaction=inter[:, :cfg.n_states],
+        states=tuple((r, xs[r][:, c].copy(), h0s[r])
+                     for r, c in zip(prev[0][:cfg.n_states], prev[1][:cfg.n_states])),
     )
 
 
 @dataclass(frozen=True)
 class SlopeFit:
-    """Weighted fit of one tracked energy against 1/g.
+    """Weighted fit of one tracked state against 1/g.
 
-    k_value is the negated slope; uncertainty combines the fit-residual
-    half width (Student-t at 95%) with the shift under a basis reduced
-    by four modes.
+    k_value is the negated slope of its energies in the cube; on the shell
+    it is the intercept K of its Hellmann-Feynman slopes g^2 dE/dg =
+    K - 2 c / g, which counts the 1/g^2 term of the energy.  intercept is
+    that of the energies.  uncertainty combines the fit-residual half width
+    (Student-t at 95%), the shift under a basis reduced by four modes, and
+    the gap between K and the Hellmann-Feynman slope at the largest coupling.
     """
 
     state_index: int
@@ -408,28 +539,26 @@ class SlopeFit:
     intercept: float
     residual_halfwidth: float
     truncation_shift: float
+    hf_gap: float
 
     @property
     def uncertainty(self) -> float:
-        return self.residual_halfwidth + self.truncation_shift
+        return self.residual_halfwidth + self.truncation_shift + self.hf_gap
 
 
-def _weighted_slope(g: np.ndarray, e: np.ndarray) -> tuple[float, float, float]:
-    """Slope, intercept and slope half-width of e vs 1/g, weights g^2."""
+def _weighted_line(g: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Slope and intercept of y vs 1/g, weights g^2, and their Student-t 95% half-widths."""
     x = 1.0 / g
     w = g**2
     xm = np.average(x, weights=w)
-    em = np.average(e, weights=w)
+    ym = np.average(y, weights=w)
     sxx = np.sum(w * (x - xm) ** 2)
-    slope = np.sum(w * (x - xm) * (e - em)) / sxx
-    resid = e - em - slope * (x - xm)
+    slope = np.sum(w * (x - xm) * (y - ym)) / sxx
+    resid = y - ym - slope * (x - xm)
     dof = len(g) - 2
-    if dof > 0:
-        s2 = np.sum(w * resid**2) / dof
-        half = float(stdtrit(dof, 0.975)) * math.sqrt(s2 / sxx)
-    else:
-        half = math.inf
-    return float(slope), float(em - slope * xm), half
+    t2 = float(stdtrit(dof, 0.975)) ** 2 * np.sum(w * resid**2) / dof if dof > 0 else math.inf
+    return (float(slope), float(ym - slope * xm), math.sqrt(t2 / sxx),
+            math.sqrt(t2 * (1.0 / np.sum(w) + xm * xm / sxx)))
 
 
 def slope_fit(result: EDResult, state_index: int,
@@ -438,8 +567,13 @@ def slope_fit(result: EDResult, state_index: int,
 
     The energies demand at least three couplings.  When no reduced-basis
     result is supplied, the same configuration is rerun with four fewer
-    modes to estimate the truncation contribution.  A column tracked
-    through overlap 0 is refused, and skipped among the reduced columns.
+    modes to estimate the truncation contribution.  A shell nests the shell
+    four quanta below, so there the reduced state is the one of largest
+    overlap at the largest coupling, its block columns those of the state's
+    block with at most that many quanta; in the cube, or where no reduced
+    state of that block row is tracked, the one of nearest K.
+    A column tracked through overlap 0 is refused, and skipped among the
+    reduced columns.
     """
     cfg = result.config
     if len(cfg.g_values) < 3:
@@ -451,18 +585,30 @@ def slope_fit(result: EDResult, state_index: int,
     if lost.size:
         raise ValueError(f"column {state_index} is tracked through overlap 0 at g = "
                          f"{g[lost[0]]:g}, onto an arbitrary state; retain more states (--states)")
-    slope, intercept, half = _weighted_slope(g, result.tracked[:, state_index])
+
+    def fit(res: EDResult, j: int) -> tuple[float, float, float]:
+        slope, intercept, half, _ = _weighted_line(g, res.tracked[:, j])
+        if res.config.shell:
+            _, k, _, half = _weighted_line(g, g**2 * res.interaction[:, j])
+            return k, intercept, half
+        return -slope, intercept, half
+
+    k, intercept, half = fit(result, state_index)
     if reduced is None:
         reduced = diagonalize(replace(cfg, n_modes=cfg.n_modes - 4))
-    # Adiabatic tracking may order columns differently in the reduced
-    # basis, so match by nearest fitted slope instead of column index.
-    r_slopes = [_weighted_slope(g, reduced.tracked[:, j])[0]
-                for j in np.flatnonzero(np.all(reduced.track_quality > 0, axis=0))]
-    r_slope = min(r_slopes, key=lambda s: abs(s - slope))
+    kept = np.flatnonzero(np.all(reduced.track_quality > 0, axis=0))
+    if cfg.shell and reduced.config.shell:
+        row, x, h0 = result.states[state_index]
+        x = x[h0 <= reduced.config.n_modes - 1 + 0.5 * cfg.n_particles]
+        same = [j for j in kept if reduced.states[j][0] == row]
+        if same:  # else no reduced state of this block row is tracked: the nearest K
+            kept = [max(same, key=lambda j: abs(x @ reduced.states[j][1]))]
+    r_k = min((fit(reduced, j)[0] for j in kept), key=lambda v: abs(v - k))
     return SlopeFit(
         state_index=state_index,
-        k_value=-slope,
+        k_value=k,
         intercept=intercept,
         residual_halfwidth=half,
-        truncation_shift=abs(r_slope - slope),
+        truncation_shift=abs(r_k - k),
+        hf_gap=abs(k - float(g[-1] ** 2 * result.interaction[-1, state_index])),
     )

@@ -60,11 +60,6 @@ class KSpectrum:
     def n_states(self) -> int:
         return len(self.values)
 
-    def group_projector(self, gi: int) -> np.ndarray:
-        """Orthogonal projector onto the gi-th degenerate subspace."""
-        v = self.vectors[:, list(self.groups[gi])]
-        return v @ v.T
-
 
 def solve(lap) -> KSpectrum:
     """Full spectrum of a (projected or full) ordering Laplacian.
@@ -164,32 +159,6 @@ def classify(spectrum: KSpectrum, graph: SectorGraph) -> KSpectrum:
         proj = v[by_word].reshape(graph.n_nodes, orbit, -1).sum(axis=1) / math.sqrt(orbit)
         retained.append(int(np.rint(np.sum(proj * proj))))
     return replace(spectrum, labels=tuple(labels), retained=tuple(retained))
-
-
-@dataclass(frozen=True)
-class EnergyExpansion:
-    """Large-coupling energy law E(g) = e_free - slope_k / g."""
-
-    e_free: float
-    slope_k: float
-
-    def __call__(self, g) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        if np.any(g <= 0):
-            raise ValueError("the expansion holds for repulsive coupling g > 0")
-        return self.e_free - self.slope_k / g
-
-    def derivative(self, g) -> np.ndarray:
-        """dE/dg, the contact slope of this branch."""
-        g = np.asarray(g, dtype=float)
-        if np.any(g <= 0):
-            raise ValueError("the expansion holds for repulsive coupling g > 0")
-        return self.slope_k / g**2
-
-
-def expansion(state: SlaterState, spectrum: KSpectrum) -> list[EnergyExpansion]:
-    """One energy law per Laplacian eigenvalue, anchored at the state's free energy."""
-    return [EnergyExpansion(e_free=state.energy, slope_k=float(k)) for k in spectrum.values]
 
 
 def one_body_density(state: SlaterState, graph: SectorGraph, amplitudes,

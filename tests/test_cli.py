@@ -390,10 +390,10 @@ def test_validate_bad_couplings_and_states_exit_two(monkeypatch, capsys):
     monkeypatch.setattr(tonks.oracle, "diagonalize", refused)
     assert cli.main(["validate", "--n", "3", "--n-modes", "18", "--g", "20,50"]) == 2
     assert capsys.readouterr().err == "error: slope fits need at least three couplings\n"
-    # the 4-mode truncation rerun has 16 states: more cannot be kept, refused up front
+    # the truncation rerun's shell of 3 quanta has 10 states: more cannot be kept, refused up front
     assert cli.main(["validate", "--n", "2", "--n-modes", "8", "--states", "20"]) == 2
-    assert capsys.readouterr().err == (
-        "error: --states 20 exceeds the basis dimension 16 of the 4-mode truncation rerun\n")
+    assert capsys.readouterr().err == ("error: --states 20 exceeds the basis dimension 10 of the "
+                                       "truncation rerun, the shell of 3 quanta\n")
 
 
 def _refused(state, tol):

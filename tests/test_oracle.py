@@ -717,6 +717,109 @@ def test_component_basis_above_cap(monkeypatch):
     np.testing.assert_allclose(sparse.interaction, dense.interaction, atol=1e-10)
 
 
+def test_shell_two_body_matches_reference():
+    # Two particles on the shell of at most 11 quanta: every centre-of-mass orbital N
+    # carries the relative levels of its model space, n <= 11 - N.  The even ones are
+    # the exact interacting levels (V_eff from the exact two-body states), the odd ones
+    # the free levels n + 1/2, each shifted by N + 1/2.
+    e_max, g_values = 11, (20.0, 50.0, 100.0)
+    dim = math.comb(e_max + 2, 2)
+    res = diagonalize(EDConfig(2, e_max + 1, g_values, n_states=dim, shell=True))
+    assert res.basis_dim == dim
+    for gi, g in enumerate(g_values):
+        exact = [two_body_reference(g, n // 2) + cm if n % 2 == 0 else cm + n + 1.0
+                 for cm in range(e_max + 1) for n in range(e_max + 1 - cm)]
+        np.testing.assert_allclose(res.energies[gi], np.sort(exact), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("npart, sizes", [(2, None), (2, (2,)), (3, None), (3, (2, 1)), (3, (3,))])
+def test_shell_block_invariants(npart, sizes):
+    # The shell of at most 6 quanta in 7 modes: closed under every swap, its block
+    # isometries orthonormal and supported on it, their span mapped into itself by every
+    # swap (for identical fermions, negated by every swap inside a component).  At weak
+    # coupling V_eff is the bare contact inside the shell, and so is its derivative.
+    n, e_max, g = 7, 6, 1e-5
+    comp = None if sizes is None else ComponentSpec(sizes)
+    swaps, _ = _swap_and_parity(n, npart)
+    shell = np.indices((n,) * npart).sum(axis=0).ravel() <= e_max
+    blocks = oracle._symmetry_blocks(n, npart, comp, e_max)
+    rows = _row_isometries(blocks)
+    q = np.hstack([np.zeros((n**npart, 0))] + [t for t in rows if t is not None])
+    np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+    assert not np.any(q[~shell])
+    labels = np.repeat(np.arange(len(sizes)), sizes) if sizes else np.arange(npart)
+    for (i, j), p in swaps.items():
+        np.testing.assert_array_equal(shell[p], shell)
+        if sizes is None:
+            np.testing.assert_allclose(q @ (q.T @ q[p]), q[p], atol=1e-12)
+        elif labels[i] == labels[j]:
+            np.testing.assert_allclose(q[p], -q, atol=1e-12)
+    # occupations of the shell, increasing inside every component
+    cuts = np.cumsum((0,) + (sizes or (1,) * npart))
+    want = sum(1 for r in itertools.product(range(n), repeat=npart) if sum(r) <= e_max
+               and all(list(r[a:b]) == sorted(set(r[a:b])) for a, b in zip(cuts, cuts[1:])))
+    cfg = EDConfig(npart, n, (g,), n_states=1, components=comp, shell=True)
+    assert sum(f.shape[1] * len(h0) for f, h0, _ in blocks) == want
+    assert diagonalize(cfg).basis_dim == want
+    w = _contact_matrix(n, npart)
+    first = np.cumsum([0] + [f.shape[1] for f, _, _ in blocks])
+    for start, terms in zip(first, oracle._shell_contacts(cfg, blocks)):
+        if terms is None:
+            assert rows[start] is None
+            continue
+        ((scale, v, dv),) = terms
+        bare = rows[start].T @ w @ rows[start]
+        assert scale == 1.0
+        np.testing.assert_allclose(v.toarray() / g, bare, rtol=0, atol=2e-5)
+        np.testing.assert_allclose(dv.toarray(), bare, rtol=0, atol=2e-5)
+
+
+def test_shell_interaction_is_energy_derivative():
+    # Hellmann-Feynman on the shell: <dV_eff/dg> is dE/dg of the shell model
+    res = diagonalize(EDConfig(3, 10, (4.975, 5.0, 5.025), n_states=6, shell=True))
+    fd = (res.tracked[2] - res.tracked[0]) / 0.05
+    np.testing.assert_allclose(res.interaction[1], fd, rtol=1e-4, atol=1e-9)
+
+
+def test_shell_components_share_k():
+    # (2,1) keeps one row of each mixed block and the antisymmetric shape of the
+    # distinguishable shell, so its three K are among the distinguishable six.
+    def fitted(comp, m):
+        cfg = EDConfig(3, 12, (20.0, 50.0, 100.0), n_states=m + 2, components=comp, shell=True)
+        res, reduced = diagonalize(cfg), diagonalize(replace(cfg, n_modes=8))
+        return np.sort([slope_fit(res, j, reduced=reduced).k_value for j in range(m)])
+
+    dist, pair = fitted(None, 6), fitted(ComponentSpec((2, 1)), 3)
+    gamma_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
+    np.testing.assert_allclose(dist, gamma_3 * np.array([0, 1, 1, 3, 3, 4]), rtol=0.01, atol=1e-9)
+    np.testing.assert_allclose(pair, dist[[0, 1, 3]], rtol=1e-9, atol=1e-12)
+
+
+def test_shell_reduced_state_matched_by_overlap():
+    # The rerun's columns are matched by overlap after embedding, whatever their order:
+    # against the run itself each column is its own match, and reversing the rerun's
+    # columns changes no shift.  The mixed pairs fit alike.
+    cfg = EDConfig(3, 12, (20.0, 50.0, 100.0), n_states=8, shell=True)
+    res, reduced = diagonalize(cfg), diagonalize(replace(cfg, n_modes=8))
+    assert all(slope_fit(res, j, reduced=res).truncation_shift == 0.0 for j in range(8))
+    rev = slice(None, None, -1)
+    flipped = replace(reduced, tracked=reduced.tracked[:, rev], interaction=reduced.interaction[:, rev],
+                      track_quality=reduced.track_quality[:, rev], states=reduced.states[rev])
+    fits = [slope_fit(res, j, reduced=reduced) for j in range(6)]
+    assert [f.truncation_shift for f in fits] == [
+        slope_fit(res, j, reduced=flipped).truncation_shift for j in range(6)]
+    # Each match is the nearest K among the rerun's states of the same block row.  The
+    # nearest K overall would match the top state of the even symmetric block to its odd
+    # partner, 7e-15 nearer.
+    own = [(reduced.states[j][0], slope_fit(reduced, j, reduced=reduced).k_value) for j in range(8)]
+    for j, f in enumerate(fits):
+        assert f.uncertainty == f.residual_halfwidth + f.truncation_shift + f.hf_gap
+        assert f.truncation_shift == min(abs(f.k_value - k) for row, k in own
+                                         if row == res.states[j][0])
+    k = sorted(f.k_value for f in fits)
+    assert k[1] == k[2] and k[3] == k[4]
+
+
 @pytest.fixture(scope="module")
 def state3():
     return make_level(HarmonicBasis(), 3)

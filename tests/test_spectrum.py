@@ -15,8 +15,7 @@ from reference import assembled, isometries, psi
 from tonks.sectors import ComponentSpec, build_graph, laplacian, projected_laplacian
 from tonks import spectrum as spectrum_module
 from tonks.slater import make_level
-from tonks.spectrum import (EnergyExpansion, _lead_positive, classify, expansion,
-                            one_body_density, solve)
+from tonks.spectrum import _lead_positive, classify, one_body_density, solve
 from tonks.traps import HarmonicBasis
 from tonks.weights import slot_cdf
 
@@ -285,11 +284,15 @@ def test_lead_positive_matches_column_loop():
 
 
 def test_group_projector(hexagon):
-    _, _, spec = hexagon
-    p = spec.group_projector(1)
+    # the projector onto a degenerate group, from its vectors: symmetric, idempotent,
+    # of the group's rank, and an eigenprojector of the Laplacian
+    _, lap, spec = hexagon
+    v = spec.vectors[:, list(spec.groups[1])]
+    p = v @ v.T
     np.testing.assert_allclose(p, p.T, atol=1e-14)
     np.testing.assert_allclose(p @ p, p, atol=1e-12)
     assert np.trace(p) == pytest.approx(2.0, abs=1e-12)
+    np.testing.assert_allclose(lap @ p, spec.values[1] * p, atol=1e-12)
 
 
 def test_classify_labels(hexagon):
@@ -327,19 +330,17 @@ def test_classify_shape_mismatch(hexagon):
 
 
 def test_expansion_law(basis, hexagon):
+    # E_j(g) = E_F - K_j / g on the values directly: the uniform branch stays at the
+    # free energy, the top branch falls by 4 gamma_3 / g, with contact slope K / g^2.
     _, _, spec = hexagon
     state = make_level(basis, 3)
-    laws = expansion(state, spec)
-    assert len(laws) == 6
-    assert laws[0].e_free == pytest.approx(4.5)
-    assert laws[0](50.0) == pytest.approx(4.5)
+    assert len(spec.values) == 6
+    assert state.energy == pytest.approx(4.5)
+    energies = state.energy - spec.values / 50.0
+    assert energies[0] == pytest.approx(4.5)
     k_top = 4.0 * GAMMA_3
-    assert laws[5](50.0) == pytest.approx(4.5 - k_top / 50.0, rel=1e-14)
-    assert laws[5].derivative(50.0) == pytest.approx(k_top / 2500.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        laws[5](-1.0)
-    with pytest.raises(ValueError):
-        EnergyExpansion(2.0, 1.0).derivative(0.0)
+    assert energies[5] == pytest.approx(4.5 - k_top / 50.0, rel=1e-14)
+    assert spec.values[5] / 50.0**2 == pytest.approx(k_top / 2500.0, rel=1e-14)
 
 
 def test_sector_index(basis):
