@@ -374,8 +374,7 @@ def _cmd_validate(args, s: dict) -> int:
     weights = [bw.value for bw in all_gammas(state, tol=s["tol"])]
     k_pred = solve(projected_laplacian(build_graph(n), weights)).values
     n_states = s["states"] or m + 4
-    cfg = EDConfig(n_particles=n, n_modes=s["n_modes"], g_values=g_values,
-                   n_states=n_states, shell=True)
+    cfg = EDConfig(n_particles=n, n_modes=s["n_modes"], g_values=g_values, n_states=n_states)
     result = diagonalize(cfg)
     reduced = diagonalize(replace(cfg, n_modes=s["n_modes"] - 4))
     fits = [slope_fit(result, j, reduced=reduced) for j in range(m)]

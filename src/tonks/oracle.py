@@ -1,24 +1,21 @@
 """Finite-coupling exact diagonalization for validating the strong-coupling law.
 
 Few fermions with a contact interaction g * sum of delta(x_i - x_j) are
-diagonalized in a truncated harmonic product basis: the bare cube of
-n_modes orbitals per particle, or the energy shell of at most
-E_max = n_modes - 1 quanta with each pair's effective interaction built
-from the exact two-body states (Rotureau 2013, Lindgren et al. 2014),
-which `validate` uses.  The Hamiltonian
-commutes with total parity and with every particle permutation, so the
-basis is split into exact blocks, one per irreducible representation of
-the permutation group and parity, each built from Young's orthogonal form
-with one isometry per row of the irrep (for identical fermions, per row
-that is antisymmetric inside every component).  Each block's contact
-matrix is assembled from the contact rows of the sorted occupations alone,
-one per orbit, and solved once for all its rows: densely up to
-DENSE_DIM_CAP, by sparse Lanczos above it, for every basis alike.  The
-antisymmetric irrep carries no contact and takes no solve.  States are
-tracked across couplings by eigenvector overlap, taken in block coordinates
-as the row isometries are orthonormal.  The interaction expectation of each
-tracked state is dE/dg of the truncated model; K is the negated slope of
-the energies against 1/g in the cube, and on the shell the intercept of the
+diagonalized on the energy shell of the harmonic product basis, the product
+states of at most E_max = n_modes - 1 quanta, with each pair's effective
+interaction built from the exact two-body states (Rotureau 2013, Lindgren et
+al. 2014).  The Hamiltonian commutes with total parity and with every
+particle permutation, so the shell is split into exact blocks, one per
+irreducible representation of the permutation group and parity, each built
+from Young's orthogonal form with one isometry per row of the irrep (for
+identical fermions, per row that is antisymmetric inside every component).
+Each block's interaction is assembled from the interaction rows of the
+sorted occupations alone, one per orbit, and solved once for all its rows:
+densely up to DENSE_DIM_CAP, by sparse Lanczos above it.  The antisymmetric
+irrep carries no contact and takes no solve.  States are tracked across
+couplings by eigenvector overlap, taken in block coordinates as the row
+isometries are orthonormal.  The expectation of dV_eff/dg in each tracked
+state is dE/dg of the shell model, and K is the intercept of the
 Hellmann-Feynman slopes g^2 dE/dg against 1/g.
 """
 
@@ -38,54 +35,15 @@ from scipy.special import digamma, gammaln, stdtrit
 from .sectors import ComponentSpec, _partitions, _young_generators
 from .traps import _hermite_ladder
 
-DELTA_MODE_CAP = 60
-# Widest block solved densely; a wider one takes sparse Lanczos.  No default
-# input needs it: the shells of `validate` are dense up to E_max = 42 (the
-# widest block of three particles at 42 and 43 quanta is 2,443 and 2,612);
-# bare cubes of three particles reach it from 26 modes, through the API.  Three
-# couplings, 2-vCPU Xeon, one BLAS thread, fresh processes, time and peak RSS:
-# the mixed blocks of a (2,1) basis at 22, 24 and 26 modes (1,771, 2,300 and
-# 2,925 wide) take 4.0, 7.7 and 14.4 s dense (0.16-0.28 GB) and 3.8, 4.9 and
-# 6.8 s sparse (0.14-0.22 GB), but Lanczos converges slowly in the symmetric
-# irrep: three distinguishable particles take 19.0 s dense, 23.9 s all sparse
-# and 10.4 s split at this cap (0.28, 0.22, 0.22 GB) at 26 modes, 64 s dense
-# and 26 s split (0.46, 0.34 GB) at 30 modes.
+# Largest n_modes: the shell of 59 quanta holds C(62, 3) = 37,820 states of three particles.
+MODE_CAP = 60
+# Widest block solved densely; a wider one takes sparse Lanczos.  No input below
+# 44 modes reaches it: the widest block of three particles is 2,443 at 43 modes
+# and 2,612 at 44.  Three couplings, ten states, 2-vCPU Xeon, one BLAS thread,
+# fresh processes, time and peak RSS: the shell of 43 quanta takes 9.9-11.0 s
+# (0.57-0.58 GB) split at this cap and 12.8-13.3 s (0.60-0.63 GB) all dense; the
+# shell of 44 quanta 9.3-9.5 s (0.59-0.62 GB) and 15.9-16.9 s (0.67 GB).
 DENSE_DIM_CAP = 2500
-BASIS_DIM_CAP = 200_000
-
-
-def _contact_rule(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbitals 0..n_modes-1 at the nodes of the contact rule, and its weights.
-
-    The Gauss-Hermite rule with 2 * n_modes + 3 nodes integrates a
-    product of four orbitals over the line exactly.
-    """
-    y, w = np.polynomial.hermite.hermgauss(2 * n_modes + 3)
-    # The four orbital Gaussians supply exp(-y^2); fold it against the
-    # rule weights in log space so large node values cannot overflow.
-    wt = np.exp(np.log(w) + y * y) / math.sqrt(2.0)
-    return _hermite_ladder(y / math.sqrt(2.0), n_modes - 1), wt
-
-
-def delta_tensor(n_modes: int) -> np.ndarray:
-    """Four-orbital contact integrals of the harmonic basis.
-
-    Entry [a,b,c,d] is the integral of phi_a phi_b phi_c phi_d over the
-    line, evaluated by a Gauss-Hermite rule exact at the top polynomial
-    degree.  Entries with odd index sum vanish by parity and are zeroed
-    exactly.
-    """
-    if not 1 <= n_modes <= DELTA_MODE_CAP:
-        raise ValueError(f"n_modes must be in 1..{DELTA_MODE_CAP}, got {n_modes}")
-    t, wt = _contact_rule(n_modes)
-    pair = (t[:, None, :] * t[None, :, :]).reshape(n_modes * n_modes, len(wt))
-    i4 = (pair * wt) @ pair.T
-    i4 = i4.reshape(n_modes, n_modes, n_modes, n_modes)
-    par = np.arange(n_modes) % 2
-    odd = (par[:, None, None, None] + par[None, :, None, None]
-           + par[None, None, :, None] + par[None, None, None, :]) % 2 == 1
-    i4[odd] = 0.0
-    return i4
 
 
 def _brackets(e_max: int) -> np.ndarray:
@@ -144,13 +102,11 @@ def _relative_interaction(g: np.ndarray, d_max: int) -> np.ndarray:
 class EDConfig:
     """Setup of an exact-diagonalization run.
 
-    n_modes single-particle orbitals per particle, couplings g_values
-    (finite, positive, strictly increasing), n_states retained eigenpairs.
-    components=None keeps the distinguishable product basis; a
-    ComponentSpec antisymmetrizes each block of identical fermions.  The
-    basis is the bare product cube with the contact g delta, or with
-    shell=True the energy shell of at most E_max = n_modes - 1 quanta with
-    the effective interaction V_eff(g) of _relative_interaction.
+    The energy shell of at most E_max = n_modes - 1 quanta, with the
+    effective interaction V_eff(g) of _relative_interaction at couplings
+    g_values (finite, positive, strictly increasing); n_states retained
+    eigenpairs.  components=None keeps the distinguishable product basis; a
+    ComponentSpec antisymmetrizes each block of identical fermions.
     """
 
     n_particles: int
@@ -158,7 +114,6 @@ class EDConfig:
     g_values: tuple[float, ...]
     n_states: int = 8
     components: ComponentSpec | None = None
-    shell: bool = False
 
     def __post_init__(self):
         if self.n_particles not in (2, 3):
@@ -167,12 +122,8 @@ class EDConfig:
             raise ValueError(
                 f"n_modes={self.n_modes} too small: need at least n_particles + 2"
             )
-        if self.n_modes > DELTA_MODE_CAP:
-            raise ValueError(f"n_modes exceeds cap {DELTA_MODE_CAP}")
-        dim = math.comb(self.n_modes - 1 + self.n_particles, self.n_particles) if self.shell \
-            else self.n_modes**self.n_particles
-        if dim > BASIS_DIM_CAP:
-            raise ValueError(f"basis dimension {dim} exceeds cap {BASIS_DIM_CAP}")
+        if self.n_modes > MODE_CAP:
+            raise ValueError(f"n_modes exceeds cap {MODE_CAP}")
         gs = tuple(float(g) for g in self.g_values)
         if len(gs) < 1 or not all(0 < g < math.inf for g in gs):
             raise ValueError(f"g_values must be finite and positive, got {gs}")
@@ -194,11 +145,10 @@ class EDResult:
     (matched by eigenvector overlap), with the matched overlaps in
     track_quality.  Tracking runs through two buffer states, so a tracked
     state may rise above the lowest n_states.  interaction holds the
-    expectation of dV/dg in each tracked state, which equals dE/dg of the
-    truncated model: the bare contact in the cube; on the shell dV_eff/dg,
-    by a central difference of step 1e-4 g in the relative V_eff.  states
-    holds each tracked state at the largest coupling as (block row, block
-    eigenvector, trap energies of the block columns).
+    expectation of dV_eff/dg in each tracked state, which equals dE/dg of
+    the shell model, by a central difference of step 1e-4 g in the relative
+    V_eff.  states holds each tracked state at the largest coupling as
+    (block row, block eigenvector, trap energies of the block columns).
     """
 
     config: EDConfig
@@ -222,12 +172,18 @@ def _kernel(d: int, gens: list[np.ndarray], sign: int) -> np.ndarray:
 
 
 _Block = tuple[np.ndarray, np.ndarray, tuple[sparse.csc_array, ...]]
+_Shell = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec | None,
-                     e_max: int | None = None) -> list[_Block]:
-    """The exact symmetry blocks of the product basis, one per irrep of S_N and
-    parity in a fixed order, each as (the retained rows f of the irrep as
+def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec | None
+                     ) -> tuple[_Shell, list[_Block]]:
+    """The shell of at most n_modes - 1 quanta, and its exact symmetry blocks.
+
+    The shell is (the occupations of its product states in ascending product
+    index, the positions of the sorted occupations among them, ascending, and
+    the size of each one's orbit); it is closed under swaps, and every row
+    index below is a position in it.  The blocks come one per irrep of S_N
+    and parity in a fixed order, each as (the retained rows f of the irrep as
     columns, trap energy of each block column, the isometries T_(e_k) of all
     d rows e_k of the irrep, left empty for the shape [1^N]).
 
@@ -242,20 +198,19 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     orthonormal, a swap maps T_f to T_(rho(s_k) f), and so every T_f gives
     the same T_f^T H T_f.  Every column is an oscillator eigenstate.
     [1^N] is antisymmetric under every swap, so the contact vanishes on it.
-    With e_max, only the product states of at most e_max quanta, a set closed
-    under swaps, are kept; the isometries keep the rows of the whole product basis.
     """
     shape = (n_modes,) * n_particles
     occ = np.indices(shape).reshape(n_particles, -1).T
-    state = np.arange(len(occ)) if e_max is None else np.flatnonzero(occ.sum(axis=1) <= e_max)
-    occ = occ[state]
+    occ = occ[occ.sum(axis=1) < n_modes]
+    srt = occ.copy()
     steps = []  # (slot k, states whose slots k and k+1 swap), in sorting order
     for _ in range(n_particles - 1):
         for k in range(n_particles - 1):
-            move = np.flatnonzero(occ[:, k] > occ[:, k + 1])
-            occ[move, k], occ[move, k + 1] = occ[move, k + 1], occ[move, k]
+            move = np.flatnonzero(srt[:, k] > srt[:, k + 1])
+            srt[move, k], srt[move, k + 1] = srt[move, k + 1], srt[move, k]
             steps.append((k, move))
-    _, first, orbit, size = np.unique(np.ravel_multi_index(occ.T, shape), return_index=True,
+    # the first state of an orbit, of least product index, is its sorted occupation
+    _, first, orbit, size = np.unique(np.ravel_multi_index(srt.T, shape), return_index=True,
                                       return_inverse=True, return_counts=True)
     r = occ[first]
     ties = (r[:, 1:] == r[:, :-1]) @ (1 << np.arange(n_particles - 1))  # tied slot pairs as bits
@@ -282,123 +237,82 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
         for parity in (0, 1):
             cols = np.where(quanta % 2 == parity, width[ties], 0)
             w, j = np.nonzero(np.arange(d) < cols[orbit][:, None])
-            # int32 indices, which the contact products of _row_average keep (12 bytes an entry, not 16)
-            at = np.array([state[w], (np.cumsum(cols) - cols)[orbit[w]] + j], dtype=np.int32)
-            dims = (n_modes**n_particles, cols.sum())
+            # int32 indices, which the interaction products of _shell_contacts keep
+            at = np.array([w, (np.cumsum(cols) - cols)[orbit[w]] + j], dtype=np.int32)
+            dims = (len(occ), cols.sum())
             ks = () if len(lam) == n_particles else tuple(
                 sparse.csc_array((coef[w, k, j], at), shape=dims) for k in range(d))
             blocks.append((f, np.repeat(quanta, cols) + 0.5 * n_particles, ks))
-    return blocks
+    return (occ, first, size), blocks
 
 
-def _block_contacts(n_modes: int, n_particles: int, blocks: list[_Block]):
-    """The sparse contact matrix T^T W T of each block in turn, None for [1^N].
-
-    W commutes with every particle permutation, so only its rows W[R, :] at
-    the sorted occupations R, one per orbit, are assembled, over every pair:
-    T_f^T W T_f = sum over the d rows e_k of the irrep of
-    T_(e_k)[R]^T diag(|orbit| / d) W[R, :] T_(e_k).  The rows are built in
-    groups that share their leading occupation, each copied as it is built
-    into one set of int32-indexed arrays sized by the nonzero integrals of the
-    pairs, and the blocks come from a generator that holds only them.  A
-    block's d terms are added one at a time and scaled by 1/d in place.
-    """
-    shape = (n_modes,) * n_particles
-    occ = np.indices(shape).reshape(n_particles, -1).T
-    size = np.bincount(np.ravel_multi_index(np.sort(occ, axis=1).T, shape), minlength=len(occ))
-    rows = np.flatnonzero(size)  # the sorted occupations, ascending
-    r, i4, mode = occ[rows], delta_tensor(n_modes), np.arange(n_modes)
-    stride = n_modes ** np.arange(n_particles - 1, -1, -1)
-    pairs = list(itertools.combinations(range(n_particles), 2))
-    nonzero = np.count_nonzero(i4.reshape(n_modes, n_modes, -1), axis=2)  # at most, per pair
-    bound = int(sum(nonzero[r[:, p], r[:, q]].sum() for p, q in pairs))
-    data, indices = np.empty(bound), np.empty(bound, dtype=np.int32)
-    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-    for g in np.split(np.arange(len(rows)), np.flatnonzero(np.diff(r[:, 0])) + 1):
-        w_g = sparse.csr_array((len(g), len(occ)))
-        for p, q in pairs:
-            # Row o holds i4[r_p, r_q, c, d] at r with slots p, q set to c, d, in ascending columns.
-            pair = i4[r[g, p], r[g, q]].reshape(len(g), -1) * size[rows[g], None]
-            o, cd = np.nonzero(pair)
-            at = (rows[g] - r[g, p] * stride[p] - r[g, q] * stride[q])[o] \
-                + np.add.outer(mode * stride[p], mode * stride[q]).ravel()[cd]
-            ptr = np.searchsorted(o, np.arange(len(g) + 1))
-            w_g = w_g + sparse.csr_array((pair[o, cd], at.astype(np.int32), ptr.astype(np.int32)),
-                                         shape=w_g.shape)
-        lo = indptr[g[0]]
-        data[lo:lo + w_g.nnz], indices[lo:lo + w_g.nnz] = w_g.data, w_g.indices
-        indptr[g + 1] = lo + w_g.indptr[1:]
-    nnz = indptr[-1]  # a few percent below the bound: the pairs share some entries
-    w_r = sparse.csr_array((data[:nnz], indices[:nnz], indptr), shape=(len(rows), len(occ)))
-    return (_row_average(w_r, rows, ks) if ks else None for _, _, ks in blocks)
-
-
-def _row_average(w_r: sparse.csr_array, rows: np.ndarray, ks: tuple[sparse.csc_array, ...]
-                 ) -> sparse.csr_array:
-    """(1/d) sum over the d isometries T of ks of T[rows]^T w_r T."""
-    w_b = ks[0][rows].T @ (w_r @ ks[0])
-    for t in ks[1:]:
-        w_b = w_b + t[rows].T @ (w_r @ t)
-    # scipy divides a sparse array by multiplying with the reciprocal: the same bits
-    w_b *= 1.0 / len(ks)
-    return w_b
-
-
-def _shell_contacts(cfg: EDConfig, blocks: list[_Block]):
+def _shell_contacts(n_modes: int, g_values: tuple[float, ...], shell: _Shell,
+                    blocks: list[_Block]):
     """Per block, the (V_b, dV_b/dg) of the shell at every coupling, None for [1^N].
 
     The pair (p, q) with s quanta and r spectator quanta is carried by the
     brackets to its centre-of-mass orbital N and relative orbital s - N, in
-    slots p and q of the product index, where the relative V_eff of its
-    lowest (e_max - r - N) // 2 + 1 even orbitals acts; the brackets carry
-    it back.  As in _block_contacts, only the rows at the sorted
-    occupations are built, scaled by the orbit sizes, per coupling.
+    slots p and q, where the relative V_eff of its lowest
+    (e_max - r - N) // 2 + 1 even orbitals acts; the brackets carry it back.
+    The interaction W commutes with every particle permutation, so only its
+    rows W[R, :] at the sorted occupations R, one per orbit, are built, per
+    coupling, and T_f^T W T_f = sum over the d rows e_k of the irrep of
+    T_(e_k)[R]^T diag(|orbit| / d) W[R, :] T_(e_k).
     """
-    n, e_max = cfg.n_particles, cfg.n_modes - 1
-    shape, dim, d_max = (cfg.n_modes,) * n, cfg.n_modes**n, e_max // 2 + 1
-    occ = np.indices(shape).reshape(n, -1).T
-    state = np.flatnonzero(occ.sum(axis=1) <= e_max)
-    occ, stride, br = occ[state], cfg.n_modes ** np.arange(n - 1, -1, -1), _brackets(e_max)
-    rows, size = np.unique(np.ravel_multi_index(np.sort(occ, axis=1).T, shape), return_counts=True)
+    occ, rows, size = shell
+    n, e_max = occ.shape[1], n_modes - 1
+    dim, d_max = len(occ), e_max // 2 + 1
+    stride, br = n_modes ** np.arange(n - 1, -1, -1), _brackets(e_max)
+    index = occ @ stride  # the product index of each shell state, ascending
 
     def ranks(counts):  # 0..c-1 for each count c, concatenated
         return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
+    def moved(i, shift):  # the shell position of state i with its product index shifted
+        return np.searchsorted(index, index[i] + shift)
+
     maps = []
     for p, q in itertools.combinations(range(n), 2):
         a, b = occ[:, p], occ[:, q]
-        i, cm = np.repeat(np.arange(len(occ)), a + b + 1), ranks(a + b + 1)
-        to = state[i] + (cm - a[i]) * (stride[p] - stride[q])
-        tm = sparse.csr_array((br[(a + b)[i], a[i], cm], (state[i], to)), shape=(dim, dim))
+        i, cm = np.repeat(np.arange(dim), a + b + 1), ranks(a + b + 1)
+        to = moved(i, (cm - a[i]) * (stride[p] - stride[q]))
+        tm = sparse.csr_array((br[(a + b)[i], a[i], cm], (i, to)), shape=(dim, dim))
         # read as centre of mass a and relative b: V_eff couples even b to even 2m
         even = np.flatnonzero(b % 2 == 0)
         d = (e_max - occ[even].sum(axis=1) + b[even]) // 2 + 1
         j, m = np.repeat(even, d), ranks(d)
-        at = (np.repeat(d, d), b[j] // 2, m), (state[j], state[j] + (2 * m - b[j]) * stride[q])
+        at = (np.repeat(d, d), b[j] // 2, m), (j, moved(j, (2 * m - b[j]) * stride[q]))
         maps.append((sparse.diags_array(size.astype(float)) @ tm[rows], tm.T.tocsr(), at))
 
     def row_sum(table):
         return sum(left @ sparse.csr_array((table[at[0]], at[1]), shape=(dim, dim)) @ right
                    for left, right, at in maps)
 
-    g = np.asarray(cfg.g_values)
+    def average(w_r, ks):  # (1/d) sum over the d isometries T of ks of T[rows]^T w_r T
+        w_b = ks[0][rows].T @ (w_r @ ks[0])
+        for t in ks[1:]:
+            w_b = w_b + t[rows].T @ (w_r @ t)
+        w_b /= len(ks)
+        return w_b
+
+    g = np.asarray(g_values)
     v, up, down = _relative_interaction(np.concatenate([g, g * (1 + 1e-4), g * (1 - 1e-4)]),
                                         d_max).reshape(3, len(g), d_max + 1, d_max, d_max)
     per_g = [(row_sum(v[i]), row_sum((up[i] - down[i]) / (2e-4 * g[i]))) for i in range(len(g))]
-    return ([(1.0, _row_average(w, rows, ks), _row_average(dw, rows, ks)) for w, dw in per_g] if ks
-            else None for _, _, ks in blocks)
+    return ([(average(w, ks), average(dw, ks)) for w, dw in per_g] if ks else None
+            for _, _, ks in blocks)
 
 
 def _solve_block(terms: list | None, h0: np.ndarray, n_g: int,
                  k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Lowest k states of diag(h0) + scale * w in the block, for each coupling's
-    (scale, w, dw) in terms: (g, W_b, W_b) in the cube, (1, V_b, dV_b/dg) on the shell.
+    """Lowest k states of diag(h0) + V_b in the block, for each coupling's
+    (V_b, dV_b/dg) in terms.
 
-    Returns (energies, eigenvectors in the block, expectations of dw) per
-    coupling.  A dense solve refills one Fortran-ordered buffer per coupling,
-    from one CSC copy of each distinct w, and lets eigh overwrite it.  For
-    [1^N] (terms None) they are the unit vectors of the k lowest trap
-    energies, stably, for each of the n_g couplings.
+    Returns (energies, eigenvectors in the block, expectations of dV_b/dg)
+    per coupling.  A dense solve refills one Fortran-ordered buffer per
+    coupling and lets eigh overwrite it.  For [1^N] (terms None) they are the
+    unit vectors of the k lowest trap energies, stably, for each of the n_g
+    couplings.
     """
     if terms is None:
         order = np.argsort(h0, kind="stable")[:k]
@@ -406,47 +320,40 @@ def _solve_block(terms: list | None, h0: np.ndarray, n_g: int,
         return [(h0[order], x, np.zeros(k))] * n_g
     dense = len(h0) <= DENSE_DIM_CAP or k >= len(h0) - 1
     buf = np.empty((len(h0), len(h0)), order="F") if dense else None
-    diag, held = np.arange(len(h0)), None
+    diag = np.arange(len(h0))
     solved = []
-    for scale, w, dw in terms:
+    for w, dw in terms:
         if dense:
-            if w is not held:  # buf's layout, converted once per distinct w, not per coupling
-                held, fill = w, w.tocsc()
-            fill.toarray(out=buf)  # zeroes buf first
-            buf *= scale
+            w.toarray(out=buf)  # zeroes buf first
             buf[diag, diag] += h0
             e, x = eigh(buf, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
         else:
             # the Hamiltonian as a product, so no sparse copy of w is built
-            ham = LinearOperator(w.shape, lambda v: scale * (w @ v) + h0 * v, dtype=float)
+            ham = LinearOperator(w.shape, lambda v: w @ v + h0 * v, dtype=float)
             v0 = np.random.default_rng(0).standard_normal(len(h0))
             e, x = eigsh(ham, k, which="SA", v0=v0, tol=0)
         solved.append((e, x, np.einsum("ij,ij->j", x, dw @ x)))
     return solved
 
 
-def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
+def _solve_blocks(cfg: EDConfig, shell: _Shell, blocks: list[_Block], n_keep: int
                   ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]]:
     """Lowest n_keep states of every coupling from solves of the blocks.
 
-    Each block is solved once, as diag(trap energies) + g W_b with W_b from
-    _block_contacts: densely, in one buffer per block, while it is no wider
-    than DENSE_DIM_CAP (or wants all but at most one of its states), otherwise
-    by implicitly restarted Lanczos (ARPACK) on the product
-    g (W_b v) + h0 v from a seeded start vector, so that reruns agree bit
-    for bit.  A block's contact and buffer are dropped before the next
-    block's contact is built.  Every retained row of a block carries its
-    states.  [1^N] blocks take no solve: their states are their columns in
-    stable order of trap energy, with contact expectation 0.  Per coupling,
-    the kept energies (a stable sort in the fixed block and row order), their
-    block rows and eigenvector columns, contact expectations, and the block
-    eigenvectors of every row; nothing is mapped to the product basis.
+    Each block is solved once for all its rows at every coupling, as
+    diag(trap energies) + V_b with V_b from _shell_contacts: densely, in one
+    buffer per block, while it is no wider than DENSE_DIM_CAP (or wants all
+    but at most one of its states), otherwise by implicitly restarted Lanczos
+    (ARPACK) on the product V_b v + h0 v from a seeded start vector, so that
+    reruns agree bit for bit.  A block's buffer is dropped before the next block is solved.  Every
+    retained row of a block carries its states.  [1^N] blocks take no solve:
+    their states are their columns in stable order of trap energy, with
+    interaction expectation 0.  Per coupling, the kept energies (a stable sort
+    in the fixed block and row order), their block rows and eigenvector
+    columns, interaction expectations, and the block eigenvectors of every
+    row; nothing is mapped to the product basis.
     """
-    if cfg.shell:
-        contacts = _shell_contacts(cfg, blocks)
-    else:
-        contacts = (None if w is None else [(g, w, w) for g in cfg.g_values]
-                    for w in _block_contacts(cfg.n_modes, cfg.n_particles, blocks))
+    contacts = _shell_contacts(cfg.n_modes, cfg.g_values, shell, blocks)
     solved = [_solve_block(next(contacts), h0, len(cfg.g_values), min(n_keep, len(h0)))
               for _, h0, _ in blocks]
     spectra = []
@@ -462,29 +369,27 @@ def _solve_blocks(cfg: EDConfig, blocks: list[_Block], n_keep: int
 
 
 def diagonalize(cfg: EDConfig) -> EDResult:
-    """Solve the truncated contact-interaction problem at every coupling.
+    """Solve the shell model at every coupling.
 
     The Hamiltonian commutes with total parity and with every particle
-    permutation of the basis, so it is solved in the irrep and parity
+    permutation of the shell, so it is solved in the irrep and parity
     blocks of _symmetry_blocks, once per block and none for the
-    contact-free [1^N]; every row of a block counts in basis_dim.  Every
-    basis takes this path: DENSE_DIM_CAP only chooses, block by block,
-    between a dense solve in one buffer per block and a sparse Lanczos
-    eigensolver (_solve_blocks).  The lowest n_states + 2 states of each
-    coupling are matched across couplings by maximal-overlap assignment
-    starting from the smallest coupling, and the first n_states tracked
-    columns are returned.  The row isometries are orthonormal, so only
+    contact-free [1^N]; every row of a block counts in basis_dim.
+    DENSE_DIM_CAP chooses, block by block, between a dense solve in one
+    buffer per block and a sparse Lanczos eigensolver (_solve_blocks).  The
+    lowest n_states + 2 states of each coupling are matched across couplings
+    by maximal-overlap assignment starting from the smallest coupling, and
+    the first n_states tracked columns are returned.  The row isometries are orthonormal, so only
     states of one block row overlap, as their block eigenvectors x_prev^T x.
     """
-    blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components,
-                              cfg.n_modes - 1 if cfg.shell else None)
+    shell, blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
     dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
     if cfg.n_states > dim:
         raise ValueError(f"n_states={cfg.n_states} exceeds basis dimension {dim}")
     # Two buffer states keep a crossing at the cutoff from derailing the
     # tracking of the last retained column.
     n_keep = min(cfg.n_states + 2, dim)
-    spectra = _solve_blocks(cfg, blocks, n_keep)
+    spectra = _solve_blocks(cfg, shell, blocks, n_keep)
     n_g = len(cfg.g_values)
     energies = np.empty((n_g, n_keep))
     tracked = np.empty_like(energies)
@@ -526,8 +431,7 @@ def diagonalize(cfg: EDConfig) -> EDResult:
 class SlopeFit:
     """Weighted fit of one tracked state against 1/g.
 
-    k_value is the negated slope of its energies in the cube; on the shell
-    it is the intercept K of its Hellmann-Feynman slopes g^2 dE/dg =
+    k_value is the intercept K of its Hellmann-Feynman slopes g^2 dE/dg =
     K - 2 c / g, which counts the 1/g^2 term of the energy.  intercept is
     that of the energies.  uncertainty combines the fit-residual half width
     (Student-t at 95%), the shift under a basis reduced by four modes, and
@@ -565,13 +469,13 @@ def slope_fit(result: EDResult, state_index: int,
               reduced: EDResult | None = None) -> SlopeFit:
     """Extract K for one tracked state, with an honest uncertainty.
 
-    The energies demand at least three couplings.  When no reduced-basis
-    result is supplied, the same configuration is rerun with four fewer
-    modes to estimate the truncation contribution.  A shell nests the shell
-    four quanta below, so there the reduced state is the one of largest
-    overlap at the largest coupling, its block columns those of the state's
-    block with at most that many quanta; in the cube, or where no reduced
-    state of that block row is tracked, the one of nearest K.
+    The fits demand at least three couplings.  When no reduced result is
+    supplied, the same configuration is rerun with four fewer modes to
+    estimate the truncation contribution.  A shell nests the shell four
+    quanta below, so the reduced state is the one of largest overlap at the
+    largest coupling, its block columns those of the state's block with at
+    most that many quanta; where no reduced state of that block row is
+    tracked, the one of nearest K.
     A column tracked through overlap 0 is refused, and skipped among the
     reduced columns.
     """
@@ -586,23 +490,20 @@ def slope_fit(result: EDResult, state_index: int,
         raise ValueError(f"column {state_index} is tracked through overlap 0 at g = "
                          f"{g[lost[0]]:g}, onto an arbitrary state; retain more states (--states)")
 
-    def fit(res: EDResult, j: int) -> tuple[float, float, float]:
-        slope, intercept, half, _ = _weighted_line(g, res.tracked[:, j])
-        if res.config.shell:
-            _, k, _, half = _weighted_line(g, g**2 * res.interaction[:, j])
-            return k, intercept, half
-        return -slope, intercept, half
+    def fit(res: EDResult, j: int) -> tuple[float, float]:  # K and its half-width
+        _, k, _, half = _weighted_line(g, g**2 * res.interaction[:, j])
+        return k, half
 
-    k, intercept, half = fit(result, state_index)
+    _, intercept, _, _ = _weighted_line(g, result.tracked[:, state_index])
+    k, half = fit(result, state_index)
     if reduced is None:
         reduced = diagonalize(replace(cfg, n_modes=cfg.n_modes - 4))
     kept = np.flatnonzero(np.all(reduced.track_quality > 0, axis=0))
-    if cfg.shell and reduced.config.shell:
-        row, x, h0 = result.states[state_index]
-        x = x[h0 <= reduced.config.n_modes - 1 + 0.5 * cfg.n_particles]
-        same = [j for j in kept if reduced.states[j][0] == row]
-        if same:  # else no reduced state of this block row is tracked: the nearest K
-            kept = [max(same, key=lambda j: abs(x @ reduced.states[j][1]))]
+    row, x, h0 = result.states[state_index]
+    x = x[h0 <= reduced.config.n_modes - 1 + 0.5 * cfg.n_particles]
+    same = [j for j in kept if reduced.states[j][0] == row]
+    if same:  # else no reduced state of this block row is tracked: the nearest K
+        kept = [max(same, key=lambda j: abs(x @ reduced.states[j][1]))]
     r_k = min((fit(reduced, j)[0] for j in kept), key=lambda v: abs(v - k))
     return SlopeFit(
         state_index=state_index,

@@ -15,11 +15,18 @@ different direction:
 - `isometries` writes out the relabelling isometries T_a of a word graph
   as dense matrices, from its word table and Young matrices;
 - `trace_identity_gap` reads the ordering Laplacian's trace from its edge
-  list alone.
+  list alone;
+- `delta_tensor` gives the four-orbital contact integrals of the harmonic
+  basis, the bare contact that the oracle's effective interaction tends to
+  at weak coupling;
+- `shell_reference` writes out the oracle's shell Hamiltonian as dense
+  matrices in the product basis, by explicit loops over the brackets and
+  the relative effective interaction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +34,7 @@ from scipy.special import digamma, ndtri
 from scipy.special import gamma as gamma_fn
 
 from tonks.sectors import build_graph
+from tonks.traps import _hermite_ladder
 from tonks.weights import BoundaryWeight
 
 DET_CHUNK = 8192
@@ -221,3 +229,110 @@ def two_body_slope(g: float, branch: int = 0) -> float:
     b = 0.25 - 0.5 * e_rel
     dg_de = _two_body_g(e_rel) * (-0.5) * (digamma(a) - digamma(b))
     return g**2 / dg_de
+
+
+def _contact_rule(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbitals 0..n_modes-1 at the nodes of the contact rule, and its weights.
+
+    The Gauss-Hermite rule with 2 * n_modes + 3 nodes integrates a
+    product of four orbitals over the line exactly.
+    """
+    y, w = np.polynomial.hermite.hermgauss(2 * n_modes + 3)
+    # The four orbital Gaussians supply exp(-y^2); fold it against the
+    # rule weights in log space so large node values cannot overflow.
+    wt = np.exp(np.log(w) + y * y) / math.sqrt(2.0)
+    return _hermite_ladder(y / math.sqrt(2.0), n_modes - 1), wt
+
+
+def delta_tensor(n_modes: int) -> np.ndarray:
+    """Four-orbital contact integrals of the harmonic basis.
+
+    Entry [a,b,c,d] is the integral of phi_a phi_b phi_c phi_d over the
+    line, evaluated by a Gauss-Hermite rule exact at the top polynomial
+    degree.  Entries with odd index sum vanish by parity and are zeroed
+    exactly.
+    """
+    t, wt = _contact_rule(n_modes)
+    pair = (t[:, None, :] * t[None, :, :]).reshape(n_modes * n_modes, len(wt))
+    i4 = (pair * wt) @ pair.T
+    i4 = i4.reshape(n_modes, n_modes, n_modes, n_modes)
+    par = np.arange(n_modes) % 2
+    odd = (par[:, None, None, None] + par[None, :, None, None]
+           + par[None, None, :, None] + par[None, None, None, :]) % 2 == 1
+    i4[odd] = 0.0
+    return i4
+
+
+def shell_states(n_particles: int, n_modes: int) -> list[tuple[int, ...]]:
+    """The product states of at most n_modes - 1 quanta, in ascending product index."""
+    return [r for r in itertools.product(range(n_modes), repeat=n_particles) if sum(r) < n_modes]
+
+
+def _pair_sum(n_particles: int, n_modes: int, tables: np.ndarray) -> np.ndarray:
+    """Sum over pairs of each relative operator of tables on the shell, dense.
+
+    tables[..., d, m, m'] acts on the lowest d even relative orbitals 2m.  The
+    pair (p, q) of state r has s = r_p + r_q quanta and its spectators t, and
+    <r'| V |r> = sum over centre-of-mass orbitals N of
+    B[s', r'_p, N] B[s, r_p, N] V_d[(s' - N) / 2, (s - N) / 2] with
+    d = (E_max - t - N) // 2 + 1, both relative orbitals even.
+    """
+    from tonks.oracle import _brackets
+
+    e_max = n_modes - 1
+    br = _brackets(e_max)
+    states = shell_states(n_particles, n_modes)
+    at = {r: i for i, r in enumerate(states)}
+    out = np.zeros(tables.shape[:-3] + (len(states), len(states)))
+    for i, r in enumerate(states):
+        for p, q in itertools.combinations(range(n_particles), 2):
+            s = r[p] + r[q]
+            for cm in range(s % 2, s + 1, 2):
+                d = (e_max - sum(r) + s - cm) // 2 + 1
+                for rel in range(0, 2 * d, 2):
+                    for a in range(cm + rel + 1):
+                        t = list(r)
+                        t[p], t[q] = a, cm + rel - a
+                        out[..., at[tuple(t)], i] += (br[cm + rel, a, cm] * br[s, r[p], cm]
+                                                      * tables[..., d, rel // 2, (s - cm) // 2])
+    return out
+
+
+def _antisymmetric(n_particles: int, n_modes: int, sizes: tuple[int, ...]) -> np.ndarray:
+    """Orthonormal columns spanning the shell states antisymmetric inside every component:
+    the range of the average of the signed particle permutations that stay inside the
+    components."""
+    states = shell_states(n_particles, n_modes)
+    at = {r: i for i, r in enumerate(states)}
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    proj = np.zeros((len(states), len(states)))
+    count = 0
+    for perm in itertools.permutations(range(n_particles)):
+        if np.any(labels[list(perm)] != labels):
+            continue
+        flips = sum(a > b for a, b in itertools.combinations(perm, 2))
+        for i, r in enumerate(states):
+            proj[at[tuple(r[k] for k in perm)], i] += (-1) ** flips
+        count += 1
+    vals, vecs = np.linalg.eigh(proj / count)
+    return vecs[:, vals > 0.5]
+
+
+def shell_reference(n_particles: int, n_modes: int, g: float,
+                    sizes: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
+    """H0, V_eff(g) and dV_eff/dg of the oracle's shell as dense matrices.
+
+    In the product basis of shell_states, or with component sizes on the
+    states antisymmetric inside every component.  dV_eff/dg is the central
+    difference of step 1e-4 g in the relative V_eff, as the oracle takes it.
+    """
+    from tonks.oracle import _relative_interaction
+
+    v, up, down = _relative_interaction(np.array([g, g * (1 + 1e-4), g * (1 - 1e-4)]),
+                                        (n_modes - 1) // 2 + 1)
+    h0 = np.diag([sum(r) + 0.5 * n_particles for r in shell_states(n_particles, n_modes)])
+    mats = (h0, *_pair_sum(n_particles, n_modes, np.stack([v, (up - down) / (2e-4 * g)])))
+    if sizes is None:
+        return mats
+    q = _antisymmetric(n_particles, n_modes, sizes)
+    return tuple(q.T @ m @ q for m in mats)

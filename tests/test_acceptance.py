@@ -200,15 +200,15 @@ def test_criterion_5_structural_invariants(basis, state3):
 
 
 def test_criterion_6_hellmann_feynman():
-    # finite-difference dE/dg equals the contact expectation inside the model
+    # finite-difference dE/dg equals the expectation of dV_eff/dg inside the shell model
     res = diagonalize(EDConfig(2, 30, (4.975, 5.0, 5.025), n_states=1))
     fd = (res.tracked[2, 0] - res.tracked[0, 0]) / 0.05
     hf = res.interaction[1, 0]
     assert abs(fd - hf) / abs(hf) < 1e-4
 
-    # the wavefunction at coincidence decays as 1/g, so the contact
-    # expectation falls as 1/g^2 and g^2 <delta> is the stable combination
-    # (its large-g limit is the slope K)
+    # the wavefunction at coincidence decays as 1/g, so <dV_eff/dg> falls as
+    # 1/g^2 and g^2 <dV_eff/dg> is the stable combination (its large-g limit
+    # is the slope K)
     res2 = diagonalize(EDConfig(2, 40, (20.0, 50.0, 100.0), n_states=3))
     assert res2.interaction[0, 0] > 1e-3
     s50 = 50.0**2 * res2.interaction[1, 0]

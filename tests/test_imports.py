@@ -70,9 +70,10 @@ print(json.dumps({"bare": bare, "oracle": oracle_ok, "same": same, "all": tonks.
                   "dir": listed, "star": sorted(k for k in star if k != "__builtins__")}))
 """)
     assert report["bare"] == [] and report["oracle"] and report["same"]
-    assert len(report["all"]) == 24
+    assert len(report["all"]) == 23
     # test references live in tests/reference.py, not in the package
-    assert {"gamma", "two_body_reference", "SectorWavefunction"}.isdisjoint(report["all"])
+    assert {"gamma", "two_body_reference", "SectorWavefunction", "delta_tensor"}.isdisjoint(
+        report["all"])
     assert "one_body_density" in report["all"]
     assert set(report["all"]) <= set(report["dir"])
     assert {"oracle", "spectrum", "__version__"} <= set(report["dir"])

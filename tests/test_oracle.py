@@ -1,4 +1,4 @@
-"""Finite-coupling oracle: contact integrals, diagonalization, slope fits, Monte Carlo weights."""
+"""Finite-coupling oracle: shell blocks, diagonalization, slope fits, Monte Carlo weights."""
 
 import itertools
 import math
@@ -13,14 +13,9 @@ from scipy.linalg import eigh
 from scipy.special import gammaln
 
 import tonks.oracle as oracle
-from tonks.oracle import (
-    EDConfig,
-    SlopeFit,
-    delta_tensor,
-    diagonalize,
-    slope_fit,
-)
-from reference import mc_gammas, two_body_reference, two_body_slope
+from tonks.oracle import EDConfig, SlopeFit, diagonalize, slope_fit
+from reference import (delta_tensor, mc_gammas, shell_reference, shell_states, two_body_reference,
+                       two_body_slope)
 from tonks.sectors import ComponentSpec
 from tonks.slater import make_level
 from tonks.traps import HarmonicBasis
@@ -61,9 +56,11 @@ def test_delta_tensor_matches_quadrature():
         assert t[a, b, c, d] == pytest.approx(ref, abs=1e-12)
 
 
-def test_delta_tensor_cap():
-    with pytest.raises(ValueError):
-        delta_tensor(oracle.DELTA_MODE_CAP + 1)
+def test_mode_cap():
+    # the one size cap: three particles at the cap hold the C(62, 3) = 37,820 states of 59 quanta
+    assert EDConfig(3, oracle.MODE_CAP, (1.0,)).n_modes == 60
+    with pytest.raises(ValueError, match="cap 60"):
+        EDConfig(2, oracle.MODE_CAP + 1, (1.0,))
 
 
 def test_config_validation():
@@ -110,12 +107,10 @@ def ed_two():
 
 
 def test_ed_matches_two_body_reference(ed_two):
-    # truncated energies sit above the exact values but within the
-    # truncation error of a 40-mode basis
+    # the shell's effective interaction comes from the exact two-body states,
+    # so two particles keep the exact ground energy at every coupling
     for gi, g in enumerate(ed_two.config.g_values):
-        exact = two_body_reference(g)
-        approx = ed_two.energies[gi, 0]
-        assert exact < approx < exact + 0.08
+        assert abs(ed_two.energies[gi, 0] - two_body_reference(g)) < 1e-10
 
 
 def test_ed_tracking_quality(ed_two):
@@ -156,7 +151,8 @@ def test_identical_pair_has_no_contact():
     cfg = EDConfig(n_particles=2, n_modes=12, g_values=(5.0, 10.0),
                    n_states=2, components=ComponentSpec((2,)))
     res = diagonalize(cfg)
-    assert res.basis_dim == 12 * 11 // 2
+    # pairs of distinct orbitals with at most 11 quanta
+    assert res.basis_dim == sum(a + b < 12 for a, b in itertools.combinations(range(12), 2)) == 36
     np.testing.assert_allclose(res.energies[0], res.energies[1], atol=1e-10)
     assert np.max(np.abs(res.interaction)) < 1e-10
 
@@ -165,7 +161,8 @@ def test_component_spectrum_nested_in_full():
     g_values = (8.0,)
     full = diagonalize(EDConfig(3, 8, g_values, n_states=12))
     part = diagonalize(EDConfig(3, 8, g_values, n_states=4, components=ComponentSpec((2, 1))))
-    assert part.basis_dim == 8 * 8 * 7 // 2
+    assert part.basis_dim == sum(a < b and a + b + c < 8
+                                 for a, b, c in itertools.product(range(8), repeat=3)) == 50
     for e in part.energies[0]:
         assert np.min(np.abs(full.energies[0] - e)) < 1e-8
 
@@ -179,41 +176,6 @@ def test_interaction_is_energy_derivative():
     assert abs(fd - hf) / abs(hf) < 1e-4
 
 
-def _dense_reference(cfg):
-    """Hamiltonian pieces in the product basis from Kronecker products of
-    delta_tensor, restricted to the component subspace when one is set."""
-    n, npart = cfg.n_modes, cfg.n_particles
-    i4 = delta_tensor(n)
-    d = i4.reshape(n * n, n * n)
-    e1 = np.arange(n) + 0.5
-    if npart == 2:
-        w = d
-        h0 = np.add.outer(e1, e1).ravel()
-    else:
-        eye = np.eye(n)
-        w = np.kron(d, eye) + np.kron(eye, d)
-        w += np.einsum("acdf,be->abcdef", i4, eye).reshape(n**3, n**3)
-        h0 = np.add.outer(np.add.outer(e1, e1), e1).ravel()
-    h0 = np.diag(h0)
-    if cfg.components is None:
-        return h0, w
-    # Antisymmetrize within each component: average the signed particle
-    # permutations that stay inside the components, keep the range.
-    idx = np.arange(n**npart).reshape((n,) * npart)
-    labels = np.repeat(np.arange(len(cfg.components.sizes)), cfg.components.sizes)
-    proj = np.zeros((n**npart, n**npart))
-    count = 0
-    for perm in itertools.permutations(range(npart)):
-        if np.any(labels[list(perm)] != labels):
-            continue
-        flips = sum(a > b for a, b in itertools.combinations(perm, 2))
-        proj[idx.transpose(perm).ravel(), idx.ravel()] += (-1) ** flips
-        count += 1
-    vals, vecs = np.linalg.eigh(proj / count)
-    q = vecs[:, vals > 0.5]
-    return q.T @ h0 @ q, q.T @ w @ q
-
-
 @pytest.mark.parametrize("npart, n_modes, sizes", [
     (2, 10, None), (2, 10, (2,)),
     (3, 6, None), (3, 6, (2, 1)), (3, 6, (1, 2)), (3, 6, (3,)),
@@ -221,22 +183,24 @@ def _dense_reference(cfg):
 ])
 def test_blocks_match_dense_reference(npart, n_modes, sizes):
     comp = None if sizes is None else ComponentSpec(sizes)
-    cfg = EDConfig(npart, n_modes, (5.0, 20.0), n_states=6, components=comp)
+    # three identical fermions have only the four states of at most 5 quanta in six modes
+    m = min(6, _shell_count(n_modes, npart, sizes))
+    cfg = EDConfig(npart, n_modes, (5.0, 20.0), n_states=m, components=comp)
     res = diagonalize(cfg)
-    h0, w = _dense_reference(cfg)
-    assert res.basis_dim == len(h0)
-    blocks = oracle._symmetry_blocks(n_modes, npart, comp)
+    _, blocks = oracle._symmetry_blocks(n_modes, npart, comp)
     # every row of every block
     assert sum(f.shape[1] * len(h0) for f, h0, _ in blocks) == res.basis_dim
     for gi, g in enumerate(cfg.g_values):
-        vals, vecs = np.linalg.eigh(h0 + g * w)
-        np.testing.assert_allclose(res.energies[gi], vals[:6], atol=1e-10)
-        # A tracked state may cross above the lowest six, so compare the
-        # contact expectation of each with the reference state at its
+        h0, v, dv = shell_reference(npart, n_modes, g, sizes)
+        assert res.basis_dim == len(h0)
+        vals, vecs = np.linalg.eigh(h0 + v)
+        np.testing.assert_allclose(res.energies[gi], vals[:m], atol=1e-10)
+        # A tracked state may cross above the lowest m, so compare the
+        # interaction expectation of each with the reference state at its
         # energy; degenerate states share theirs by symmetry.
         ref = np.argmin(np.abs(vals[:, None] - res.tracked[gi]), axis=0)
         np.testing.assert_allclose(vals[ref], res.tracked[gi], atol=1e-10)
-        contact = np.einsum("ij,ij->j", vecs[:, ref], w @ vecs[:, ref])
+        contact = np.einsum("ij,ij->j", vecs[:, ref], dv @ vecs[:, ref])
         np.testing.assert_allclose(res.interaction[gi], contact, atol=1e-8)
 
 
@@ -254,27 +218,33 @@ def _widths(blocks):
 
 
 def test_block_sizes():
+    # the shell of 13 quanta: C(16, 3) = 560 states in 123 orbits, each orbit's sorted occupation
+    # at its least position, and every isometry indexed by shell position
+    (occ, rows, size), blocks = oracle._symmetry_blocks(14, 3, None)
+    assert len(occ) == size.sum() == 560 and len(rows) == len(size) == 123
+    assert occ.tolist() == [list(r) for r in shell_states(3, 14)]
+    assert np.all(np.diff(rows) > 0) and np.all(np.diff(occ[rows], axis=1) >= 0)
+    assert {t.shape[0] for _, _, ks in blocks for t in ks} == {560}
     # shapes (3), (2,1), (1,1,1), each even then odd; (2,1) has two rows
-    blocks = oracle._symmetry_blocks(14, 3, None)
-    assert _widths(blocks) == [((1, 1), 280), ((1, 1), 280), ((2, 2), 455), ((2, 2), 455),
+    assert _widths(blocks) == [((1, 1), 57), ((1, 1), 66), ((2, 2), 83), ((2, 2), 102),
                                ((1, 1),), ((1, 1),)]
-    assert [len(h0) for _, h0, _ in blocks] == [280, 280, 455, 455, 182, 182]
+    assert [len(h0) for _, h0, _ in blocks] == [57, 66, 83, 102, 29, 38]
     # every row of the irrep for the contact, none for the contact-free (1,1,1)
     assert [len(ks) for _, _, ks in blocks] == [1, 1, 2, 2, 0, 0]
-    assert [t.shape[1] for t in _row_isometries(blocks)[:6]] == [280, 280, 455, 455, 455, 455]
+    assert [t.shape[1] for t in _row_isometries(blocks)[:6]] == [57, 66, 83, 83, 102, 102]
     # (2,1) components: no symmetric shape, one row of (2,1) antisymmetric under P_12
-    pair = oracle._symmetry_blocks(14, 3, ComponentSpec((2, 1)))
-    assert _widths(pair) == [((2, 1), 455), ((2, 1), 455), ((1, 1),), ((1, 1),)]
-    assert [len(h0) for _, h0, _ in pair] == [455, 455, 182, 182]
+    _, pair = oracle._symmetry_blocks(14, 3, ComponentSpec((2, 1)))
+    assert _widths(pair) == [((2, 1), 83), ((2, 1), 102), ((1, 1),), ((1, 1),)]
+    assert [len(h0) for _, h0, _ in pair] == [83, 102, 29, 38]
     assert [len(ks) for _, _, ks in pair] == [2, 2, 0, 0]
 
 
 @pytest.mark.parametrize("sizes", [None, (1, 1), (2,)])
 def test_two_particle_blocks_within_dense_cap(sizes):
     # at the mode cap every two-particle block is solved densely
-    # (60 modes: 930 for (1, 1), 900 for (2,))
+    # (60 modes: the 1,830 states of 59 quanta, blocks of at most 465)
     comp = None if sizes is None else ComponentSpec(sizes)
-    blocks = oracle._symmetry_blocks(oracle.DELTA_MODE_CAP, 2, comp)
+    _, blocks = oracle._symmetry_blocks(oracle.MODE_CAP, 2, comp)
     assert max(len(h0) for _, h0, _ in blocks) <= oracle.DENSE_DIM_CAP
 
 
@@ -294,40 +264,41 @@ def _solver_widths(monkeypatch):
 
 
 def test_dense_blocks_below_cap(monkeypatch):
-    # 512 product states exceed the cap, but no block (at most 84) does.
+    # The 120 shell states exceed the cap, but no block (at most 23) does.
     cfg = EDConfig(n_particles=3, n_modes=8, g_values=(10.0,), n_states=6)
     uncapped = diagonalize(cfg)
-    monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 200)
+    monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 100)
     widths = _solver_widths(monkeypatch)
     capped = diagonalize(cfg)
     sizes = widths["eigh"]
     assert widths["eigsh"] == []
-    blocks = oracle._symmetry_blocks(8, 3, None)
+    _, blocks = oracle._symmetry_blocks(8, 3, None)
     # the mixed irrep's second row shares the solve of its first
     shared = sum((f.shape[1] - 1) * len(h0) for f, h0, _ in blocks)
-    # the antisymmetric states, C(8, 3) of them, take no solve
+    # the antisymmetric states, the 11 of at most 7 quanta, take no solve
     free = sum(len(h0) for _, h0, ks in blocks if not ks)
-    assert capped.basis_dim == 512 and free == 56 and max(sizes) <= 200
-    assert sum(sizes) + shared + free == 512
+    assert capped.basis_dim == 120 and free == 11 and max(sizes) <= 100
+    assert sum(sizes) + shared + free == 120
     np.testing.assert_array_equal(capped.energies, uncapped.energies)
     np.testing.assert_array_equal(capped.interaction, uncapped.interaction)
 
 
 def _swap_and_parity(n_modes, n_particles):
-    """Product-basis permutation of each pair swap P_ij, and the parity of each state."""
-    idx = np.arange(n_modes**n_particles).reshape((n_modes,) * n_particles)
+    """Shell permutation of each pair swap P_ij, and the parity of each shell state."""
+    states = shell_states(n_particles, n_modes)
+    at = {r: w for w, r in enumerate(states)}
     swaps = {}
     for i, j in itertools.combinations(range(n_particles), 2):
         order = list(range(n_particles))
         order[i], order[j] = j, i
-        swaps[i, j] = idx.transpose(order).ravel()
-    parity = (-1.0) ** np.indices(idx.shape).sum(axis=0).ravel()
+        swaps[i, j] = np.array([at[tuple(r[k] for k in order)] for r in states])
+    parity = (-1.0) ** np.array([sum(r) for r in states])
     return swaps, parity
 
 
 def _contact_matrix(n_modes, n_particles):
-    """The bare contact operator, summed over pairs, on the full product basis,
-    assembled from the nonzeros of delta_tensor."""
+    """The bare contact operator, summed over pairs, on the shell of at most
+    n_modes - 1 quanta, assembled from the nonzeros of delta_tensor."""
     n = n_modes
     i4 = delta_tensor(n)
     a, b, c, d = np.nonzero(i4)
@@ -343,7 +314,15 @@ def _contact_matrix(n_modes, n_particles):
         rows = ((a * stride[p] + b * stride[q])[:, None] + spect).ravel()
         cols = ((c * stride[p] + d * stride[q])[:, None] + spect).ravel()
         w = w + sparse.csr_array((np.repeat(v, len(spect)), (rows, cols)), shape=(dim, dim))
-    return w
+    shell = np.flatnonzero(np.indices((n,) * n_particles).sum(axis=0).ravel() < n)
+    return w[shell][:, shell]
+
+
+def _shell_count(n_modes, npart, sizes):
+    """The shell states whose occupations increase inside every component."""
+    cuts = np.cumsum((0,) + (sizes or (1,) * npart))
+    return sum(all(list(r[a:b]) == sorted(set(r[a:b])) for a, b in zip(cuts, cuts[1:]))
+               for r in shell_states(npart, n_modes))
 
 
 @pytest.mark.parametrize("npart, sizes", [
@@ -351,29 +330,30 @@ def _contact_matrix(n_modes, n_particles):
     (4, None), (4, (2, 2)), (4, (3, 1)), (4, (1, 2, 1)),
 ])
 def test_block_invariants(npart, sizes):
-    n = 5 if npart == 4 else 7
+    n, g = (8 if npart == 4 else 7), 5.0
     comp = None if sizes is None else ComponentSpec(sizes)
     swaps, parity = _swap_and_parity(n, npart)
     labels = np.repeat(np.arange(len(sizes)), sizes) if sizes else np.arange(npart)
-    trap = np.indices((n,) * npart).sum(axis=0).ravel() + 0.5 * npart
-    w = _contact_matrix(n, npart)
-    blocks = oracle._symmetry_blocks(n, npart, comp)
+    trap = np.array([sum(r) for r in shell_states(npart, n)]) + 0.5 * npart
+    _, v, dv = shell_reference(npart, n, g)
+    shell, blocks = oracle._symmetry_blocks(n, npart, comp)
     isometries = iter(_row_isometries(blocks))
     q, free = [], []
-    for (f, h0, ks), w_b in zip(blocks, oracle._block_contacts(n, npart, blocks)):
+    for (f, h0, ks), terms in zip(blocks, oracle._shell_contacts(n, (g,), shell, blocks)):
         rows = [next(isometries) for _ in range(f.shape[1])]
         # only the antisymmetric shape [1^N] is contact-free, and its isometries are not built
-        assert (w_b is None) == (not ks) == (rows[0] is None)
-        if w_b is None:
+        assert (terms is None) == (not ks) == (rows[0] is None)
+        if terms is None:
             free.append(h0)
             continue
+        ((v_b, dv_b),) = terms
         assert f.shape[0] == len(ks)
         np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-12)
         # one class-sum value, the irrep's, on every row
         c = rows[0][:, 0] @ sum(rows[0][p, 0] for p in swaps.values())
         assert c == pytest.approx(round(c), abs=1e-12)
         assert round(c) != -math.comb(npart, 2)
-        w_0 = rows[0].T @ w @ rows[0]
+        v_0 = rows[0].T @ v @ rows[0]
         for t in rows:
             np.testing.assert_allclose(sum(t[p] for p in swaps.values()), c * t, atol=1e-12)
             np.testing.assert_allclose(parity[:, None] * t, parity[np.argmax(np.abs(t[:, 0]))] * t,
@@ -384,20 +364,21 @@ def test_block_invariants(npart, sizes):
             for (i, j), p in swaps.items():
                 if labels[i] == labels[j]:
                     np.testing.assert_allclose(t[p], -t, atol=1e-12)
-            # every row carries the same block Hamiltonian, whose contact
-            # _block_contacts gives from the rows of W at the sorted occupations
-            w_t = t.T @ w @ t
-            np.testing.assert_allclose(w_t, w_0, atol=1e-12)
-            np.testing.assert_allclose(w_t, w_b.toarray(), atol=1e-12)
+            # every row carries the same block Hamiltonian, whose interaction and its
+            # derivative _shell_contacts gives from the rows at the sorted occupations
+            v_t = t.T @ v @ t
+            np.testing.assert_allclose(v_t, v_0, atol=1e-12)
+            np.testing.assert_allclose(v_t, v_b.toarray(), atol=1e-12)
+            np.testing.assert_allclose(t.T @ dv @ t, dv_b.toarray(), atol=1e-12)
         q += rows
     # [1^N], even then odd: the trap energies of the occupations without a repeated mode
     assert len(free) == 2
     np.testing.assert_array_equal(np.sort(np.concatenate(free)), sorted(
-        sum(r) + 0.5 * npart for r in itertools.combinations(range(n), npart)))
+        sum(r) + 0.5 * npart for r in itertools.combinations(range(n), npart) if sum(r) < n))
     if q:
         q = np.hstack(q)
         np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
-    want = math.prod(math.comb(n, s) for s in sizes) if sizes else n**npart
+    want = _shell_count(n, npart, sizes)
     assert sum(f.shape[1] * len(h0) for f, h0, _ in blocks) == want
     if npart < 4:
         cfg = EDConfig(npart, n, (1.0,), n_states=1, components=comp)
@@ -411,11 +392,10 @@ def test_mixed_blocks_isospectral():
     # The mixed irrep (2,1) is one block per parity with two rows: their
     # isometries are orthogonal, each swap maps their span into itself, and
     # both carry the same block Hamiltonian.
-    cfg = EDConfig(3, 8, (5.0,))
-    h0, w = _dense_reference(cfg)
-    h = h0 + 5.0 * w
+    h0, v, _ = shell_reference(3, 8, 5.0)
+    h = h0 + v
     swaps, _ = _swap_and_parity(8, 3)
-    blocks = oracle._symmetry_blocks(8, 3, None)
+    _, blocks = oracle._symmetry_blocks(8, 3, None)
     mixed = [_row_isometries([block]) for block in blocks if block[0].shape[1] > 1]
     assert len(mixed) == 2
     for ta, tb in mixed:
@@ -443,38 +423,40 @@ def test_eigh_widths_one_solve_per_mixed_pair(monkeypatch):
     dist = solved(3, None)
     # per coupling: one solve per shape and parity, the mixed irrep's second row
     # mapped, and no solve of the contact-free (1,1,1)
-    assert widths == [280, 280, 280, 280, 455, 455, 455, 455]
-    assert sum(widths) == 2 * 1470 and dist.basis_dim == 14**3
+    assert widths == [57, 57, 66, 66, 83, 83, 102, 102]
+    assert sum(widths) == 2 * 308 and dist.basis_dim == math.comb(16, 3)
     ones = solved(3, (1, 1, 1))
-    assert widths == [280, 280, 280, 280, 455, 455, 455, 455]
+    assert widths == [57, 57, 66, 66, 83, 83, 102, 102]
     for name in ("energies", "tracked", "track_quality", "interaction"):
         np.testing.assert_array_equal(getattr(ones, name), getattr(dist, name))
     solved(2, None)
-    assert widths == [56, 56, 49, 49]
+    assert widths == [28, 28, 28, 28]
     solved(3, (2, 1))
-    assert widths == [455, 455, 455, 455]
+    assert widths == [83, 83, 102, 102]
     # identical fermions span only the contact-free shape: no solve at all
     for npart in (2, 3):
-        assert solved(npart, (npart,)).basis_dim == math.comb(14, npart) and widths == []
+        assert solved(npart, (npart,)).basis_dim == _shell_count(14, npart, (npart,)) \
+            and widths == []
 
 
 def test_mapped_vectors_are_eigenvectors():
-    # All 216 states of six modes.  Each state is a block eigenvector x in its
-    # block row; mapped by the row isometry T_f, built here, it is an
-    # eigenvector of the product-basis Hamiltonian.
+    # All 56 states of the shell of five quanta.  Each state is a block eigenvector x
+    # in its block row; mapped by the row isometry T_f, built here, it is an
+    # eigenvector of the shell Hamiltonian in the product basis.
     cfg = EDConfig(3, 6, (5.0, 20.0))
-    blocks = oracle._symmetry_blocks(6, 3, None)
+    shell, blocks = oracle._symmetry_blocks(6, 3, None)
     isometries = _row_isometries(blocks)
-    h0, w = _dense_reference(cfg)
     swaps, _ = _swap_and_parity(6, 3)
-    for g, (vals, row, col, contact, xs) in zip(cfg.g_values, oracle._solve_blocks(cfg, blocks, 216)):
-        assert len(vals) == 216 and len(xs) == len(isometries)
+    for g, (vals, row, col, contact, xs) in zip(cfg.g_values,
+                                                oracle._solve_blocks(cfg, shell, blocks, 56)):
+        h0, v, dv = shell_reference(3, 6, g)
+        assert len(vals) == 56 and len(xs) == len(isometries)
         solved = np.array([isometries[r] is not None for r in row])
         vecs = np.column_stack([isometries[r] @ xs[r][:, c] for r, c in zip(row[solved], col[solved])])
-        resid = (h0 + g * w) @ vecs - vecs * vals[solved]
+        resid = (h0 + v) @ vecs - vecs * vals[solved]
         assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-12)
-        np.testing.assert_allclose(contact[solved], np.einsum("ij,ij->j", vecs, w @ vecs),
+        np.testing.assert_allclose(contact[solved], np.einsum("ij,ij->j", vecs, dv @ vecs),
                                    atol=1e-12)
         # the vectors of every row of a multi-row block: class-sum value 0, the mixed irrep
         mixed = np.abs(sum(vecs[p] for p in swaps.values())).max(axis=0) < 1e-12
@@ -487,24 +469,25 @@ def test_contact_free_states_are_trap_states():
     # Every state of the antisymmetric shape is a unit column of its block:
     # exactly its trap energy and exactly zero interaction.
     cfg = EDConfig(3, 6, (5.0, 20.0))
-    blocks = oracle._symmetry_blocks(6, 3, None)
+    shell, blocks = oracle._symmetry_blocks(6, 3, None)
     energies = [h0 for f, h0, _ in blocks for _ in range(f.shape[1])]
     free = [r for r, t in enumerate(_row_isometries(blocks)) if t is None]
-    for vals, row, col, contact, xs in oracle._solve_blocks(cfg, blocks, 216):
+    for vals, row, col, contact, xs in oracle._solve_blocks(cfg, shell, blocks, 56):
         anti = np.isin(row, free)
-        assert np.sum(anti) == math.comb(6, 3)
+        assert np.sum(anti) == _shell_count(6, 3, (3,)) == 4
         assert np.all(contact[anti] == 0.0)
         for v, r, c in zip(vals[anti], row[anti], col[anti]):
             x = xs[r][:, c]
             assert np.count_nonzero(x) == 1 and x.max() == 1.0
             assert v == energies[r][np.argmax(x)]
         np.testing.assert_array_equal(np.sort(vals[anti]), sorted(
-            sum(r) + 1.5 for r in itertools.combinations(range(6), 3)))
+            sum(r) + 1.5 for r in itertools.combinations(range(6), 3) if sum(r) < 6))
     # Identical fermions: every state is one, tracked with overlap 1 at every coupling.
     for npart, n in ((2, 12), (3, 9)):
         res = diagonalize(EDConfig(npart, n, (5.0, 20.0, 80.0), n_states=8,
                                    components=ComponentSpec((npart,))))
-        free = sorted(sum(c) + 0.5 * npart for c in itertools.combinations(range(n), npart))
+        free = sorted(sum(c) + 0.5 * npart for c in itertools.combinations(range(n), npart)
+                      if sum(c) < n)
         np.testing.assert_array_equal(res.energies, np.tile(free[:8], (3, 1)))
         np.testing.assert_array_equal(res.tracked, res.energies)
         assert np.all(res.interaction == 0.0)
@@ -518,11 +501,11 @@ def test_kept_states_match_full_run(sizes):
     # with the same block eigenvectors, bit for bit.
     comp = None if sizes is None else ComponentSpec(sizes)
     cfg = EDConfig(3, 6, (5.0, 20.0), components=comp)
-    blocks = oracle._symmetry_blocks(6, 3, comp)
+    shell, blocks = oracle._symmetry_blocks(6, 3, comp)
     dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
-    full = oracle._solve_blocks(cfg, blocks, dim)
+    full = oracle._solve_blocks(cfg, shell, blocks, dim)
     for n_keep in (max(len(h0) for _, h0, _ in blocks), dim - 1):
-        for kept, whole in zip(oracle._solve_blocks(cfg, blocks, n_keep), full):
+        for kept, whole in zip(oracle._solve_blocks(cfg, shell, blocks, n_keep), full):
             for a, b in zip(kept[:4], whole):
                 assert a.shape == (n_keep,)
                 assert a.tobytes() == b[:n_keep].tobytes()
@@ -533,9 +516,9 @@ def test_kept_states_match_full_run(sizes):
 
 
 def _tracked_reference(cfg):
-    """Tracked energies, overlaps and contact expectations of the lowest
-    n_states + 2 eigenvectors of the dense product-basis Hamiltonian, matched
-    across couplings by product-basis overlap as diagonalize matches them.
+    """Tracked energies, overlaps and interaction expectations of the lowest
+    n_states + 2 eigenvectors of the dense shell Hamiltonian, matched across
+    couplings by product-basis overlap as diagonalize matches them.
 
     A degenerate level has no preferred eigenbasis, so at every coupling after
     the first its eigenvectors are rotated onto the previous states that
@@ -543,11 +526,12 @@ def _tracked_reference(cfg):
     """
     from scipy.optimize import linear_sum_assignment
 
-    h0, w = _dense_reference(cfg)
+    sizes = None if cfg.components is None else cfg.components.sizes
     n_keep = cfg.n_states + 2
     out, prev = [], None
     for g in cfg.g_values:
-        vals, vecs = np.linalg.eigh(h0 + g * w)
+        h0, v, dv = shell_reference(cfg.n_particles, cfg.n_modes, g, sizes)
+        vals, vecs = np.linalg.eigh(h0 + v)
         assert vals[n_keep] - vals[n_keep - 1] > 1e-8, "a degenerate level straddles the cutoff"
         perm, quality = np.arange(n_keep), np.ones(n_keep)
         if prev is not None:
@@ -562,16 +546,17 @@ def _tracked_reference(cfg):
             perm = cols[np.argsort(rows)]
             quality = overlap[np.arange(n_keep), perm]
         prev = vecs[:, perm]
-        out.append((vals[perm], quality, np.einsum("ij,ij->j", prev, w @ prev)))
+        out.append((vals[perm], quality, np.einsum("ij,ij->j", prev, dv @ prev)))
     return [np.array(part)[:, :cfg.n_states] for part in zip(*out)]
 
 
 @pytest.mark.parametrize("npart, n_modes, sizes, g_values, n_states, crossed", [
     (2, 8, None, (5.0, 20.0, 80.0), 4, False),
-    (2, 8, None, (5.0, 20.0, 80.0), 6, True),
-    (3, 6, None, (5.0, 20.0, 80.0), 4, True),
+    # two particles never cross: each interacting level rises toward the free level above it
+    (2, 8, None, (0.5, 5.0, 200.0), 6, False),
+    (3, 6, None, (1.0, 2.0, 3.0), 4, True),
     (3, 7, (2, 1), (5.0, 20.0, 80.0), 6, False),
-    (3, 7, (2, 1), (2.0, 5.0, 20.0), 10, True),
+    (3, 7, (2, 1), (0.5, 3.0, 200.0), 10, True),
 ])
 def test_tracking_matches_dense_reference(npart, n_modes, sizes, g_values, n_states, crossed):
     # Overlaps in block coordinates track the states as product-basis overlaps do.
@@ -590,31 +575,33 @@ def test_tracking_matches_dense_reference(npart, n_modes, sizes, g_values, n_sta
 
 
 def test_zero_overlap_tie_keeps_its_match():
-    # Column 6 leaves the n_states + 2 window at g = 20, where all its overlaps
+    # Column 3 leaves the n_states + 2 window at g = 5, where all its overlaps
     # are exact zeros across block rows; the matcher continues it on a [1^3]
-    # state at its trap energy 5.5, flagged by track_quality 0.
-    res = diagonalize(EDConfig(3, 7, (5.0, 20.0, 80.0), n_states=7))
-    assert res.track_quality[1, 6] == 0.0
-    assert res.tracked[0, 6] == pytest.approx(5.1546, abs=1e-4)
-    assert res.tracked[1:, 6].tolist() == [5.5, 5.5]
+    # state at its trap energy 4.5, flagged by track_quality 0.
+    res = diagonalize(EDConfig(3, 6, (2.0, 5.0, 20.0), n_states=4))
+    assert res.track_quality[1, 3] == 0.0
+    assert res.tracked[0, 3] == pytest.approx(3.8812, abs=1e-4)
+    assert res.tracked[1:, 3].tolist() == [4.5, 4.5]
 
 
 def test_slope_fit_refuses_zero_overlap_column():
-    res = diagonalize(EDConfig(3, 7, (5.0, 20.0, 80.0), n_states=7))
-    # refused before any reduced run, which 7 - 4 modes could not hold
-    with pytest.raises(ValueError, match=r"column 6 .* overlap 0 at g = 20\b.*--states"):
-        slope_fit(res, 6)
-    # As the reduced run, column 6 is skipped by the nearest-slope match: against
-    # the run itself, each other column is matched to itself, and column 6, fitted
-    # with its flag cleared, to its nearest neighbour among the others.
-    fits = [slope_fit(res, j, reduced=res) for j in range(6)]
+    res = diagonalize(EDConfig(3, 6, (2.0, 5.0, 20.0), n_states=4))
+    # refused before any reduced run, which 6 - 4 modes could not hold
+    with pytest.raises(ValueError, match=r"column 3 .* overlap 0 at g = 5\b.*--states"):
+        slope_fit(res, 3)
+    # As the reduced run, column 3 is skipped: against the run itself, each other
+    # column is matched to itself, and column 3, fitted with its flag cleared, to
+    # the nearest K among the others, as no other tracked state shares its [1^3]
+    # block row.
+    fits = [slope_fit(res, j, reduced=res) for j in range(3)]
     assert all(f.truncation_shift == 0.0 for f in fits)
+    assert res.states[3][0] not in [res.states[j][0] for j in range(3)]
     quality = res.track_quality.copy()
-    quality[1, 6] = 1.0
+    quality[1, 3] = 1.0
     unflagged = replace(res, track_quality=quality)
-    own = slope_fit(unflagged, 6, reduced=unflagged)
+    own = slope_fit(unflagged, 3, reduced=unflagged)
     assert own.truncation_shift == 0.0
-    assert slope_fit(unflagged, 6, reduced=res).truncation_shift == min(
+    assert slope_fit(unflagged, 3, reduced=res).truncation_shift == min(
         abs(f.k_value - own.k_value) for f in fits)
 
 
@@ -650,35 +637,19 @@ def test_matcher_maximizes_total_overlap(monkeypatch, npart, n_modes, sizes, g_v
                                    rtol=0, atol=1e-15)
 
 
-def test_contact_rows_memory_bound():
-    # tracemalloc peak of the contact rows of three particles at 22 modes
-    # (1,771 sorted occupations, 1.40 M entries): 56.9 MB when each pair's
-    # rows spanned all of them at once, 36.6 MB built in groups of one
-    # leading occupation and stacked, 26.8 MB with each group copied into
-    # one preallocated set of arrays as it is built.  The bound leaves 12%.
-    tracemalloc.start()
-    try:
-        oracle._block_contacts(22, 3, [])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 30e6
-
-
 def test_diagonalize_memory_bound():
-    # tracemalloc peak of one 14-mode run: 13.0 MB when every block state was
-    # mapped and each dense block was built twice per coupling, 7.2 MB when
-    # only the kept states were mapped, 7.0 MB with states in block coordinates.
-    # The run is traced cold: diagonalize imports nothing on its first call (a
-    # lazy scipy.optimize import once added 6.6 MB to it).
-    cfg = EDConfig(3, 14, (20.0, 50.0, 100.0), n_states=10)
+    # tracemalloc peak of the shell of 29 quanta, the default of `validate`: 84.8 MB with
+    # the isometries and bracket maps indexed over the 27,000 states of the product cube,
+    # 80.2 MB indexed by the 4,960 shell positions.  The bound leaves 10%.  The run is
+    # traced cold: diagonalize imports nothing on its first call.
+    cfg = EDConfig(3, 30, (20.0, 50.0, 100.0), n_states=10)
     tracemalloc.start()
     try:
         diagonalize(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 88e6
 
 
 def test_buffer_states_keep_tracking():
@@ -708,10 +679,10 @@ def test_component_basis_above_cap(monkeypatch):
     # any other basis, block by block.
     cfg = EDConfig(3, 10, (20.0, 50.0, 100.0), n_states=6, components=ComponentSpec((2, 1)))
     dense = diagonalize(cfg)
-    monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 100)
+    monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 30)
     widths = _solver_widths(monkeypatch)
     sparse = diagonalize(cfg)
-    assert widths["eigh"] == [] and widths["eigsh"] == [165, 165, 165, 165, 165, 165]
+    assert widths["eigh"] == [] and widths["eigsh"] == [31, 31, 31, 41, 41, 41]
     np.testing.assert_allclose(sparse.energies, dense.energies, atol=1e-10)
     np.testing.assert_allclose(sparse.tracked, dense.tracked, atol=1e-10)
     np.testing.assert_allclose(sparse.interaction, dense.interaction, atol=1e-10)
@@ -724,7 +695,7 @@ def test_shell_two_body_matches_reference():
     # the free levels n + 1/2, each shifted by N + 1/2.
     e_max, g_values = 11, (20.0, 50.0, 100.0)
     dim = math.comb(e_max + 2, 2)
-    res = diagonalize(EDConfig(2, e_max + 1, g_values, n_states=dim, shell=True))
+    res = diagonalize(EDConfig(2, e_max + 1, g_values, n_states=dim))
     assert res.basis_dim == dim
     for gi, g in enumerate(g_values):
         exact = [two_body_reference(g, n // 2) + cm if n % 2 == 0 else cm + n + 1.0
@@ -734,49 +705,42 @@ def test_shell_two_body_matches_reference():
 
 @pytest.mark.parametrize("npart, sizes", [(2, None), (2, (2,)), (3, None), (3, (2, 1)), (3, (3,))])
 def test_shell_block_invariants(npart, sizes):
-    # The shell of at most 6 quanta in 7 modes: closed under every swap, its block
-    # isometries orthonormal and supported on it, their span mapped into itself by every
-    # swap (for identical fermions, negated by every swap inside a component).  At weak
-    # coupling V_eff is the bare contact inside the shell, and so is its derivative.
-    n, e_max, g = 7, 6, 1e-5
+    # The shell of at most 6 quanta in 7 modes: its block isometries orthonormal, their
+    # span mapped into itself by every swap (for identical fermions, negated by every swap
+    # inside a component).  At weak coupling V_eff is the bare contact inside the shell,
+    # and so is its derivative.
+    n, g = 7, 1e-5
     comp = None if sizes is None else ComponentSpec(sizes)
     swaps, _ = _swap_and_parity(n, npart)
-    shell = np.indices((n,) * npart).sum(axis=0).ravel() <= e_max
-    blocks = oracle._symmetry_blocks(n, npart, comp, e_max)
+    shell, blocks = oracle._symmetry_blocks(n, npart, comp)
     rows = _row_isometries(blocks)
-    q = np.hstack([np.zeros((n**npart, 0))] + [t for t in rows if t is not None])
+    q = np.hstack([np.zeros((len(shell[0]), 0))] + [t for t in rows if t is not None])
     np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
-    assert not np.any(q[~shell])
     labels = np.repeat(np.arange(len(sizes)), sizes) if sizes else np.arange(npart)
     for (i, j), p in swaps.items():
-        np.testing.assert_array_equal(shell[p], shell)
         if sizes is None:
             np.testing.assert_allclose(q @ (q.T @ q[p]), q[p], atol=1e-12)
         elif labels[i] == labels[j]:
             np.testing.assert_allclose(q[p], -q, atol=1e-12)
-    # occupations of the shell, increasing inside every component
-    cuts = np.cumsum((0,) + (sizes or (1,) * npart))
-    want = sum(1 for r in itertools.product(range(n), repeat=npart) if sum(r) <= e_max
-               and all(list(r[a:b]) == sorted(set(r[a:b])) for a, b in zip(cuts, cuts[1:])))
-    cfg = EDConfig(npart, n, (g,), n_states=1, components=comp, shell=True)
+    want = _shell_count(n, npart, sizes)
+    cfg = EDConfig(npart, n, (g,), n_states=1, components=comp)
     assert sum(f.shape[1] * len(h0) for f, h0, _ in blocks) == want
     assert diagonalize(cfg).basis_dim == want
     w = _contact_matrix(n, npart)
     first = np.cumsum([0] + [f.shape[1] for f, _, _ in blocks])
-    for start, terms in zip(first, oracle._shell_contacts(cfg, blocks)):
+    for start, terms in zip(first, oracle._shell_contacts(n, (g,), shell, blocks)):
         if terms is None:
             assert rows[start] is None
             continue
-        ((scale, v, dv),) = terms
+        ((v, dv),) = terms
         bare = rows[start].T @ w @ rows[start]
-        assert scale == 1.0
         np.testing.assert_allclose(v.toarray() / g, bare, rtol=0, atol=2e-5)
         np.testing.assert_allclose(dv.toarray(), bare, rtol=0, atol=2e-5)
 
 
 def test_shell_interaction_is_energy_derivative():
     # Hellmann-Feynman on the shell: <dV_eff/dg> is dE/dg of the shell model
-    res = diagonalize(EDConfig(3, 10, (4.975, 5.0, 5.025), n_states=6, shell=True))
+    res = diagonalize(EDConfig(3, 10, (4.975, 5.0, 5.025), n_states=6))
     fd = (res.tracked[2] - res.tracked[0]) / 0.05
     np.testing.assert_allclose(res.interaction[1], fd, rtol=1e-4, atol=1e-9)
 
@@ -785,7 +749,7 @@ def test_shell_components_share_k():
     # (2,1) keeps one row of each mixed block and the antisymmetric shape of the
     # distinguishable shell, so its three K are among the distinguishable six.
     def fitted(comp, m):
-        cfg = EDConfig(3, 12, (20.0, 50.0, 100.0), n_states=m + 2, components=comp, shell=True)
+        cfg = EDConfig(3, 12, (20.0, 50.0, 100.0), n_states=m + 2, components=comp)
         res, reduced = diagonalize(cfg), diagonalize(replace(cfg, n_modes=8))
         return np.sort([slope_fit(res, j, reduced=reduced).k_value for j in range(m)])
 
@@ -799,7 +763,7 @@ def test_shell_reduced_state_matched_by_overlap():
     # The rerun's columns are matched by overlap after embedding, whatever their order:
     # against the run itself each column is its own match, and reversing the rerun's
     # columns changes no shift.  The mixed pairs fit alike.
-    cfg = EDConfig(3, 12, (20.0, 50.0, 100.0), n_states=8, shell=True)
+    cfg = EDConfig(3, 12, (20.0, 50.0, 100.0), n_states=8)
     res, reduced = diagonalize(cfg), diagonalize(replace(cfg, n_modes=8))
     assert all(slope_fit(res, j, reduced=res).truncation_shift == 0.0 for j in range(8))
     rev = slice(None, None, -1)
