@@ -9,14 +9,14 @@ particle permutation, so the shell is split into exact blocks, one per
 irreducible representation of the permutation group and parity, each built
 from Young's orthogonal form with one isometry per row of the irrep (for
 identical fermions, per row that is antisymmetric inside every component).
-Each block's interaction is assembled from the interaction rows of the
-sorted occupations alone, one per orbit, and solved once for all its rows:
-densely up to DENSE_DIM_CAP, by sparse Lanczos above it.  The antisymmetric
-irrep carries no contact and takes no solve.  States are tracked across
-couplings by eigenvector overlap, taken in block coordinates as the row
-isometries are orthonormal.  The expectation of dV_eff/dg in each tracked
-state is dE/dg of the shell model, and K is the intercept of the
-Hellmann-Feynman slopes g^2 dE/dg against 1/g.
+One coupling at a time, each block's interaction is assembled from the
+interaction rows of the sorted occupations alone, one per orbit, and solved
+once for all its rows: densely up to DENSE_DIM_CAP, by sparse Lanczos above
+it.  The antisymmetric irrep carries no contact and takes no solve.  States
+are tracked across couplings by eigenvector overlap, taken in block
+coordinates as the row isometries are orthonormal.  The expectation of
+dV_eff/dg in each tracked state is dE/dg of the shell model, and K is the
+intercept of the Hellmann-Feynman slopes g^2 dE/dg against 1/g.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ MODE_CAP = 60
 # Widest block solved densely; a wider one takes sparse Lanczos.  No input below
 # 44 modes reaches it: the widest block of three particles is 2,443 at 43 modes
 # and 2,612 at 44.  Three couplings, ten states, 2-vCPU Xeon, one BLAS thread,
-# fresh processes, time and peak RSS: the shell of 43 quanta takes 9.9-11.0 s
-# (0.57-0.58 GB) split at this cap and 12.8-13.3 s (0.60-0.63 GB) all dense; the
-# shell of 44 quanta 9.3-9.5 s (0.59-0.62 GB) and 15.9-16.9 s (0.67 GB).
+# fresh processes, time and peak RSS: the shell of 43 quanta takes 9.4-11.3 s
+# (325-326 MB) split at this cap and 12.8-14.2 s (335-336 MB) all dense; the
+# shell of 44 quanta 8.0-9.0 s (299-301 MB) and 15.8-15.9 s (366-367 MB).
 DENSE_DIM_CAP = 2500
 
 
@@ -246,18 +246,17 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     return (occ, first, size), blocks
 
 
-def _shell_contacts(n_modes: int, g_values: tuple[float, ...], shell: _Shell,
-                    blocks: list[_Block]):
-    """Per block, the (V_b, dV_b/dg) of the shell at every coupling, None for [1^N].
+def _shell_contacts(n_modes: int, g_values: tuple[float, ...], shell: _Shell):
+    """Per coupling in turn, the rows (W[R, :], dW/dg[R, :]) of the shell at the sorted
+    occupations R, one per orbit, each row scaled by its orbit size.
 
     The pair (p, q) with s quanta and r spectator quanta is carried by the
     brackets to its centre-of-mass orbital N and relative orbital s - N, in
     slots p and q, where the relative V_eff of its lowest
     (e_max - r - N) // 2 + 1 even orbitals acts; the brackets carry it back.
     The interaction W commutes with every particle permutation, so only its
-    rows W[R, :] at the sorted occupations R, one per orbit, are built, per
-    coupling, and T_f^T W T_f = sum over the d rows e_k of the irrep of
-    T_(e_k)[R]^T diag(|orbit| / d) W[R, :] T_(e_k).
+    rows at R are built; the bracket maps are built once, the rows of a
+    coupling only when it is reached.
     """
     occ, rows, size = shell
     n, e_max = occ.shape[1], n_modes - 1
@@ -288,84 +287,77 @@ def _shell_contacts(n_modes: int, g_values: tuple[float, ...], shell: _Shell,
         return sum(left @ sparse.csr_array((table[at[0]], at[1]), shape=(dim, dim)) @ right
                    for left, right, at in maps)
 
-    def average(w_r, ks):  # (1/d) sum over the d isometries T of ks of T[rows]^T w_r T
-        w_b = ks[0][rows].T @ (w_r @ ks[0])
-        for t in ks[1:]:
-            w_b = w_b + t[rows].T @ (w_r @ t)
-        w_b /= len(ks)
-        return w_b
-
     g = np.asarray(g_values)
     v, up, down = _relative_interaction(np.concatenate([g, g * (1 + 1e-4), g * (1 - 1e-4)]),
                                         d_max).reshape(3, len(g), d_max + 1, d_max, d_max)
-    per_g = [(row_sum(v[i]), row_sum((up[i] - down[i]) / (2e-4 * g[i]))) for i in range(len(g))]
-    return ([(average(w, ks), average(dw, ks)) for w, dw in per_g] if ks else None
-            for _, _, ks in blocks)
+    for i in range(len(g)):
+        yield row_sum(v[i]), row_sum((up[i] - down[i]) / (2e-4 * g[i]))
 
 
-def _solve_block(terms: list | None, h0: np.ndarray, n_g: int,
-                 k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Lowest k states of diag(h0) + V_b in the block, for each coupling's
-    (V_b, dV_b/dg) in terms.
-
-    Returns (energies, eigenvectors in the block, expectations of dV_b/dg)
-    per coupling.  A dense solve refills one Fortran-ordered buffer per
-    coupling and lets eigh overwrite it.  For [1^N] (terms None) they are the
-    unit vectors of the k lowest trap energies, stably, for each of the n_g
-    couplings.
+def _block_average(w_r: sparse.csr_array, rows: np.ndarray, ks: tuple) -> sparse.csr_array:
+    """T_f^T W T_f of a block, from the rows w_r = diag(|orbit|) W[rows, :] of W:
+    (1/d) sum over the isometries T of all d rows of the irrep, ks, of T[rows]^T w_r T.
     """
-    if terms is None:
-        order = np.argsort(h0, kind="stable")[:k]
-        x = (np.arange(len(h0))[:, None] == order).astype(float)
-        return [(h0[order], x, np.zeros(k))] * n_g
-    dense = len(h0) <= DENSE_DIM_CAP or k >= len(h0) - 1
-    buf = np.empty((len(h0), len(h0)), order="F") if dense else None
-    diag = np.arange(len(h0))
-    solved = []
-    for w, dw in terms:
-        if dense:
-            w.toarray(out=buf)  # zeroes buf first
-            buf[diag, diag] += h0
-            e, x = eigh(buf, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
-        else:
-            # the Hamiltonian as a product, so no sparse copy of w is built
-            ham = LinearOperator(w.shape, lambda v: w @ v + h0 * v, dtype=float)
-            v0 = np.random.default_rng(0).standard_normal(len(h0))
-            e, x = eigsh(ham, k, which="SA", v0=v0, tol=0)
-        solved.append((e, x, np.einsum("ij,ij->j", x, dw @ x)))
-    return solved
+    w_b = ks[0][rows].T @ (w_r @ ks[0])
+    for t in ks[1:]:
+        w_b = w_b + t[rows].T @ (w_r @ t)
+    w_b /= len(ks)
+    return w_b
 
 
-def _solve_blocks(cfg: EDConfig, shell: _Shell, blocks: list[_Block], n_keep: int
-                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]]:
-    """Lowest n_keep states of every coupling from solves of the blocks.
+def _solve_block(w: sparse.csr_array, h0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k energies of diag(h0) + w, w the V_b of one coupling, and their
+    eigenvectors in the block.
 
-    Each block is solved once for all its rows at every coupling, as
-    diag(trap energies) + V_b with V_b from _shell_contacts: densely, in one
-    buffer per block, while it is no wider than DENSE_DIM_CAP (or wants all
-    but at most one of its states), otherwise by implicitly restarted Lanczos
-    (ARPACK) on the product V_b v + h0 v from a seeded start vector, so that
-    reruns agree bit for bit.  A block's buffer is dropped before the next block is solved.  Every
-    retained row of a block carries its states.  [1^N] blocks take no solve:
-    their states are their columns in stable order of trap energy, with
-    interaction expectation 0.  Per coupling, the kept energies (a stable sort
-    in the fixed block and row order), their block rows and eigenvector
-    columns, interaction expectations, and the block eigenvectors of every
-    row; nothing is mapped to the product basis.
+    Dense while the block is no wider than DENSE_DIM_CAP (or k is all but at
+    most one of its states), in a Fortran-ordered array that eigh overwrites;
+    otherwise implicitly restarted Lanczos (ARPACK) on the product
+    w v + h0 v, so that no sparse copy of w is built, from a seeded start
+    vector, so that reruns agree bit for bit.
     """
-    contacts = _shell_contacts(cfg.n_modes, cfg.g_values, shell, blocks)
-    solved = [_solve_block(next(contacts), h0, len(cfg.g_values), min(n_keep, len(h0)))
-              for _, h0, _ in blocks]
-    spectra = []
-    for gi in range(len(cfg.g_values)):
-        es, xs, cs = zip(*[states[gi] for (f, _, _), states in zip(blocks, solved)
-                           for _ in range(f.shape[1])])
+    if len(h0) <= DENSE_DIM_CAP or k >= len(h0) - 1:
+        ham = w.toarray(order="F")
+        ham[np.diag_indices(len(h0))] += h0
+        return eigh(ham, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
+    ham = LinearOperator(w.shape, lambda v: w @ v + h0 * v, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(len(h0))
+    return eigsh(ham, k, which="SA", v0=v0, tol=0)
+
+
+def _solve_blocks(cfg: EDConfig, shell: _Shell, blocks: list[_Block], n_keep: int):
+    """Lowest n_keep states of each coupling in turn, from solves of the blocks.
+
+    Yields one merged spectrum per coupling from that coupling's interaction
+    rows (_shell_contacts), which are dropped before the next coupling's are
+    built.  Each block is solved once for all its rows, as diag(trap
+    energies) + V_b (_solve_block); its dV_b/dg expectations are taken once
+    V_b is dropped.  Every retained row of a block carries its states.
+    [1^N] blocks take no solve: their states are their unit columns in
+    stable order of trap energy, with interaction expectation 0.  Per
+    coupling, the kept energies (a stable sort in the fixed block and row
+    order), their block rows and eigenvector columns, interaction
+    expectations, and the block eigenvectors of every row; nothing is mapped
+    to the product basis.
+    """
+    rows = shell[1]
+    for w_r, dw_r in _shell_contacts(cfg.n_modes, cfg.g_values, shell):
+        solved = []
+        for f, h0, ks in blocks:
+            k = min(n_keep, len(h0))
+            if ks:
+                e, x = _solve_block(_block_average(w_r, rows, ks), h0, k)
+                c = np.einsum("ij,ij->j", x, _block_average(dw_r, rows, ks) @ x)
+            else:  # [1^N]
+                at = np.argsort(h0, kind="stable")[:k]
+                e, x, c = h0[at], (np.arange(len(h0))[:, None] == at).astype(float), np.zeros(k)
+            solved += [(e, x, c)] * f.shape[1]
+        del w_r, dw_r  # before the next coupling's rows are built
+        es, xs, cs = zip(*solved)
         vals, contact = np.concatenate(es), np.concatenate(cs)
         order = np.argsort(vals, kind="stable")[:n_keep]
         row = np.repeat(np.arange(len(es)), [len(e) for e in es])[order]
         col = np.concatenate([np.arange(len(e)) for e in es])[order]
-        spectra.append((vals[order], row, col, contact[order], xs))
-    return spectra
+        yield vals[order], row, col, contact[order], xs
 
 
 def diagonalize(cfg: EDConfig) -> EDResult:
@@ -375,12 +367,13 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     permutation of the shell, so it is solved in the irrep and parity
     blocks of _symmetry_blocks, once per block and none for the
     contact-free [1^N]; every row of a block counts in basis_dim.
-    DENSE_DIM_CAP chooses, block by block, between a dense solve in one
-    buffer per block and a sparse Lanczos eigensolver (_solve_blocks).  The
-    lowest n_states + 2 states of each coupling are matched across couplings
-    by maximal-overlap assignment starting from the smallest coupling, and
-    the first n_states tracked columns are returned.  The row isometries are orthonormal, so only
-    states of one block row overlap, as their block eigenvectors x_prev^T x.
+    DENSE_DIM_CAP chooses, block by block, between a dense solve and a
+    sparse Lanczos eigensolver (_solve_block).  The couplings are solved in
+    ascending order (_solve_blocks), and the lowest n_states + 2 states of
+    each are matched to those of the one before by maximal-overlap
+    assignment as they arrive; the first n_states tracked columns are
+    returned.  The row isometries are orthonormal, so only states of one
+    block row overlap, as their block eigenvectors x_prev^T x.
     """
     shell, blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
     dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
@@ -389,14 +382,13 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     # Two buffer states keep a crossing at the cutoff from derailing the
     # tracking of the last retained column.
     n_keep = min(cfg.n_states + 2, dim)
-    spectra = _solve_blocks(cfg, shell, blocks, n_keep)
     n_g = len(cfg.g_values)
     energies = np.empty((n_g, n_keep))
     tracked = np.empty_like(energies)
     quality = np.ones_like(energies)
     inter = np.empty_like(energies)
     prev = None
-    for gi, (vals, row, col, contact, xs) in enumerate(spectra):
+    for gi, (vals, row, col, contact, xs) in enumerate(_solve_blocks(cfg, shell, blocks, n_keep)):
         energies[gi] = vals
         if prev is None:
             perm = np.arange(n_keep)

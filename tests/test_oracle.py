@@ -337,16 +337,17 @@ def test_block_invariants(npart, sizes):
     trap = np.array([sum(r) for r in shell_states(npart, n)]) + 0.5 * npart
     _, v, dv = shell_reference(npart, n, g)
     shell, blocks = oracle._symmetry_blocks(n, npart, comp)
+    ((w_r, dw_r),) = oracle._shell_contacts(n, (g,), shell)
     isometries = iter(_row_isometries(blocks))
     q, free = [], []
-    for (f, h0, ks), terms in zip(blocks, oracle._shell_contacts(n, (g,), shell, blocks)):
+    for f, h0, ks in blocks:
         rows = [next(isometries) for _ in range(f.shape[1])]
         # only the antisymmetric shape [1^N] is contact-free, and its isometries are not built
-        assert (terms is None) == (not ks) == (rows[0] is None)
-        if terms is None:
+        assert (not ks) == (rows[0] is None)
+        if not ks:
             free.append(h0)
             continue
-        ((v_b, dv_b),) = terms
+        v_b, dv_b = (oracle._block_average(w, shell[1], ks) for w in (w_r, dw_r))
         assert f.shape[0] == len(ks)
         np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-12)
         # one class-sum value, the irrep's, on every row
@@ -365,7 +366,7 @@ def test_block_invariants(npart, sizes):
                 if labels[i] == labels[j]:
                     np.testing.assert_allclose(t[p], -t, atol=1e-12)
             # every row carries the same block Hamiltonian, whose interaction and its
-            # derivative _shell_contacts gives from the rows at the sorted occupations
+            # derivative _block_average gives from the rows at the sorted occupations
             v_t = t.T @ v @ t
             np.testing.assert_allclose(v_t, v_0, atol=1e-12)
             np.testing.assert_allclose(v_t, v_b.toarray(), atol=1e-12)
@@ -421,18 +422,18 @@ def test_eigh_widths_one_solve_per_mixed_pair(monkeypatch):
         return diagonalize(EDConfig(npart, 14, (20.0, 50.0), n_states=6, components=comp))
 
     dist = solved(3, None)
-    # per coupling: one solve per shape and parity, the mixed irrep's second row
+    # coupling by coupling: one solve per shape and parity, the mixed irrep's second row
     # mapped, and no solve of the contact-free (1,1,1)
-    assert widths == [57, 57, 66, 66, 83, 83, 102, 102]
+    assert widths == [57, 66, 83, 102] * 2
     assert sum(widths) == 2 * 308 and dist.basis_dim == math.comb(16, 3)
     ones = solved(3, (1, 1, 1))
-    assert widths == [57, 57, 66, 66, 83, 83, 102, 102]
+    assert widths == [57, 66, 83, 102] * 2
     for name in ("energies", "tracked", "track_quality", "interaction"):
         np.testing.assert_array_equal(getattr(ones, name), getattr(dist, name))
     solved(2, None)
-    assert widths == [28, 28, 28, 28]
+    assert widths == [28, 28] * 2
     solved(3, (2, 1))
-    assert widths == [83, 83, 102, 102]
+    assert widths == [83, 102] * 2
     # identical fermions span only the contact-free shape: no solve at all
     for npart in (2, 3):
         assert solved(npart, (npart,)).basis_dim == _shell_count(14, npart, (npart,)) \
@@ -640,8 +641,9 @@ def test_matcher_maximizes_total_overlap(monkeypatch, npart, n_modes, sizes, g_v
 def test_diagonalize_memory_bound():
     # tracemalloc peak of the shell of 29 quanta, the default of `validate`: 84.8 MB with
     # the isometries and bracket maps indexed over the 27,000 states of the product cube,
-    # 80.2 MB indexed by the 4,960 shell positions.  The bound leaves 10%.  The run is
-    # traced cold: diagonalize imports nothing on its first call.
+    # 80.2 MB indexed by the 4,960 shell positions with the interaction rows of every
+    # coupling alive at once, 40.1 MB with those of one coupling at a time.  The bound
+    # leaves 10%.  The run is traced cold: diagonalize imports nothing on its first call.
     cfg = EDConfig(3, 30, (20.0, 50.0, 100.0), n_states=10)
     tracemalloc.start()
     try:
@@ -649,7 +651,7 @@ def test_diagonalize_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 88e6
+    assert peak < 44.1e6
 
 
 def test_buffer_states_keep_tracking():
@@ -682,7 +684,7 @@ def test_component_basis_above_cap(monkeypatch):
     monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 30)
     widths = _solver_widths(monkeypatch)
     sparse = diagonalize(cfg)
-    assert widths["eigh"] == [] and widths["eigsh"] == [31, 31, 31, 41, 41, 41]
+    assert widths["eigh"] == [] and widths["eigsh"] == [31, 41] * 3
     np.testing.assert_allclose(sparse.energies, dense.energies, atol=1e-10)
     np.testing.assert_allclose(sparse.tracked, dense.tracked, atol=1e-10)
     np.testing.assert_allclose(sparse.interaction, dense.interaction, atol=1e-10)
@@ -728,11 +730,12 @@ def test_shell_block_invariants(npart, sizes):
     assert diagonalize(cfg).basis_dim == want
     w = _contact_matrix(n, npart)
     first = np.cumsum([0] + [f.shape[1] for f, _, _ in blocks])
-    for start, terms in zip(first, oracle._shell_contacts(n, (g,), shell, blocks)):
-        if terms is None:
+    ((w_r, dw_r),) = oracle._shell_contacts(n, (g,), shell)
+    for start, (_, _, ks) in zip(first, blocks):
+        if not ks:
             assert rows[start] is None
             continue
-        ((v, dv),) = terms
+        v, dv = (oracle._block_average(t, shell[1], ks) for t in (w_r, dw_r))
         bare = rows[start].T @ w @ rows[start]
         np.testing.assert_allclose(v.toarray() / g, bare, rtol=0, atol=2e-5)
         np.testing.assert_allclose(dv.toarray(), bare, rtol=0, atol=2e-5)
