@@ -449,7 +449,8 @@ def test_mapped_vectors_are_eigenvectors():
     isometries = _row_isometries(blocks)
     swaps, _ = _swap_and_parity(6, 3)
     for g, (vals, row, col, contact, xs) in zip(cfg.g_values,
-                                                oracle._solve_blocks(cfg, shell, blocks, 56)):
+                                                oracle._solve_blocks(cfg, shell, blocks, 56),
+                                                strict=True):
         h0, v, dv = shell_reference(3, 6, g)
         assert len(vals) == 56 and len(xs) == len(isometries)
         solved = np.array([isometries[r] is not None for r in row])
@@ -504,9 +505,13 @@ def test_kept_states_match_full_run(sizes):
     cfg = EDConfig(3, 6, (5.0, 20.0), components=comp)
     shell, blocks = oracle._symmetry_blocks(6, 3, comp)
     dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
-    full = oracle._solve_blocks(cfg, shell, blocks, dim)
+    full = list(oracle._solve_blocks(cfg, shell, blocks, dim))
+    assert len(full) == len(cfg.g_values)
     for n_keep in (max(len(h0) for _, h0, _ in blocks), dim - 1):
-        for kept, whole in zip(oracle._solve_blocks(cfg, shell, blocks, n_keep), full):
+        compared = 0
+        for kept, whole in zip(oracle._solve_blocks(cfg, shell, blocks, n_keep), full,
+                               strict=True):
+            compared += 1
             for a, b in zip(kept[:4], whole):
                 assert a.shape == (n_keep,)
                 assert a.tobytes() == b[:n_keep].tobytes()
@@ -514,6 +519,7 @@ def test_kept_states_match_full_run(sizes):
                 assert kept[4][r][:, c].tobytes() == whole[4][r][:, c].tobytes()
             # the contact-free [1^3] states are among them
             assert np.any(kept[3] == 0.0)
+        assert compared == len(cfg.g_values)
 
 
 def _tracked_reference(cfg):
