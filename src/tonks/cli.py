@@ -79,8 +79,6 @@ _SETTINGS = {
                         "oracle single-particle modes; the shell holds n_modes - 1 quanta"),
     "g": _Setting("validate", str, "20,50,100", ("validate",),
                   "comma-separated couplings for the slope fit"),
-    # 0 means: four more than the number of slopes
-    "states": _Setting("validate", int, 0, ("validate",), "oracle eigenstates retained"),
     "rtol": _Setting("validate", float, 0.10, ("validate",), "allowed relative slope deviation"),
     "state": _Setting("density", int, 0, ("density",), "state index in ascending K order"),
     "grid_lo": _Setting("density", float, -5.0, ("density",), "density grid start"),
@@ -349,35 +347,26 @@ def _cmd_validate(args, s: dict) -> int:
         raise InputError("validation against the oracle runs in the unit harmonic trap")
     if s["rtol"] < 0:
         raise InputError(f"rtol must be non-negative, got {s['rtol']}")
-    n = s["n"]
-    if n not in (2, 3):
-        raise InputError("the oracle supports n in {2, 3}")
-    # The truncation estimate reruns with four fewer modes, which the oracle
-    # needs to be at least n + 2.
-    if s["n_modes"] < n + 6:
-        raise InputError(f"--n-modes must be at least {n + 6} for n={n}, got {s['n_modes']}")
-    m = math.factorial(n)  # one K value per ordering
-    if s["states"] and s["states"] < m:
-        raise InputError(f"--states must be at least {m}, the number of K values for n={n}, "
-                         f"got {s['states']}")
-    rerun_dim = math.comb(s["n_modes"] - 5 + n, n)  # the rerun's shell: n_modes - 5 quanta
-    if s["states"] > rerun_dim:
-        raise InputError(f"--states {s['states']} exceeds the basis dimension {rerun_dim} of the "
-                         f"truncation rerun, the shell of {s['n_modes'] - 5} quanta")
     try:
         g_values = tuple(float(p) for p in s["g"].split(","))
     except ValueError as exc:
         raise InputError(f"cannot parse couplings {s['g']!r}") from exc
     if len(g_values) < 3:
         raise InputError("slope fits need at least three couplings")
+    n = s["n"]
+    # one K value per ordering: n! tracked states, an empty product for the n < 1 EDConfig refuses
+    cfg = EDConfig(n_particles=n, n_modes=s["n_modes"], g_values=g_values,
+                   n_states=math.prod(range(1, n + 1)))
+    # The truncation estimate reruns with four fewer modes, which the oracle
+    # needs to be at least n + 2.
+    if s["n_modes"] < n + 6:
+        raise InputError(f"--n-modes must be at least {n + 6} for n={n}, got {s['n_modes']}")
     state, _ = _build_problem(s)
     weights = [bw.value for bw in all_gammas(state, tol=s["tol"])]
     k_pred = solve(projected_laplacian(build_graph(n), weights)).values
-    n_states = s["states"] or m + 4
-    cfg = EDConfig(n_particles=n, n_modes=s["n_modes"], g_values=g_values, n_states=n_states)
     result = diagonalize(cfg)
     reduced = diagonalize(replace(cfg, n_modes=s["n_modes"] - 4))
-    fits = [slope_fit(result, j, reduced=reduced) for j in range(m)]
+    fits = [slope_fit(result, j, reduced=reduced) for j in range(cfg.n_states)]
     k_fit = np.sort([f.k_value for f in fits])
     k_max = float(k_pred[-1])
     denom = np.maximum(k_pred, 0.1 * k_max)

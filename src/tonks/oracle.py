@@ -12,11 +12,12 @@ identical fermions, per row that is antisymmetric inside every component).
 One coupling at a time, each block's interaction is assembled from the
 interaction rows of the sorted occupations alone, one per orbit, and solved
 once for all its rows: densely up to DENSE_DIM_CAP, by sparse Lanczos above
-it.  The antisymmetric irrep carries no contact and takes no solve.  States
-are tracked across couplings by eigenvector overlap, taken in block
-coordinates as the row isometries are orthonormal.  The expectation of
-dV_eff/dg in each tracked state is dE/dg of the shell model, and K is the
-intercept of the Hellmann-Feynman slopes g^2 dE/dg against 1/g.
+it.  The antisymmetric irrep carries no contact and takes no solve.  Each
+state is tracked across couplings inside its block row by eigenvector
+overlap, taken in block coordinates as the row isometries are orthonormal.
+The expectation of dV_eff/dg in each tracked state is dE/dg of the shell
+model, and K is the intercept of the Hellmann-Feynman slopes g^2 dE/dg
+against 1/g.
 """
 
 from __future__ import annotations
@@ -142,12 +143,12 @@ class EDResult:
 
     energies are sorted ascending per coupling; column j of tracked
     follows a single adiabatic state from the smallest coupling upward
-    (matched by eigenvector overlap), with the matched overlaps in
-    track_quality.  Tracking runs through two buffer states, so a tracked
-    state may rise above the lowest n_states.  interaction holds the
-    expectation of dV_eff/dg in each tracked state, which equals dE/dg of
-    the shell model, by a central difference of step 1e-4 g in the relative
-    V_eff.  states holds each tracked state at the largest coupling as
+    inside its block row (matched by eigenvector overlap), with the matched
+    overlaps in track_quality, so a tracked state may rise above the lowest
+    n_states.  interaction holds the expectation of dV_eff/dg in each
+    tracked state, which equals dE/dg of the shell model, by a central
+    difference of step 1e-4 g in the relative V_eff.  states holds each
+    tracked state at the largest coupling as
     (block row, block eigenvector, trap energies of the block columns).
     """
 
@@ -324,26 +325,24 @@ def _solve_block(w: sparse.csr_array, h0: np.ndarray, k: int) -> tuple[np.ndarra
     return eigsh(ham, k, which="SA", v0=v0, tol=0)
 
 
-def _solve_blocks(cfg: EDConfig, shell: _Shell, blocks: list[_Block], n_keep: int):
-    """Lowest n_keep states of each coupling in turn, from solves of the blocks.
+def _solve_blocks(cfg: EDConfig, shell: _Shell, blocks: list[_Block]):
+    """Lowest n_states states of every block row, for each coupling in turn.
 
-    Yields one merged spectrum per coupling from that coupling's interaction
-    rows (_shell_contacts), which are dropped before the next coupling's are
+    Yields one list per coupling, from that coupling's interaction rows
+    (_shell_contacts), which are dropped before the next coupling's are
     built.  Each block is solved once for all its rows, as diag(trap
     energies) + V_b (_solve_block); its dV_b/dg expectations are taken once
-    V_b is dropped.  Every retained row of a block carries its states.
-    [1^N] blocks take no solve: their states are their unit columns in
-    stable order of trap energy, with interaction expectation 0.  Per
-    coupling, the kept energies (a stable sort in the fixed block and row
-    order), their block rows and eigenvector columns, interaction
-    expectations, and the block eigenvectors of every row; nothing is mapped
-    to the product basis.
+    V_b is dropped.  [1^N] blocks take no solve: their states are their unit
+    columns in stable order of trap energy, with interaction expectation 0.
+    The list holds (energies, block eigenvectors, interaction expectations)
+    of every retained row in the fixed block and row order; nothing is
+    mapped to the product basis.
     """
     rows = shell[1]
     for w_r, dw_r in _shell_contacts(cfg.n_modes, cfg.g_values, shell):
         solved = []
         for f, h0, ks in blocks:
-            k = min(n_keep, len(h0))
+            k = min(cfg.n_states, len(h0))
             if ks:
                 e, x = _solve_block(_block_average(w_r, rows, ks), h0, k)
                 c = np.einsum("ij,ij->j", x, _block_average(dw_r, rows, ks) @ x)
@@ -352,12 +351,7 @@ def _solve_blocks(cfg: EDConfig, shell: _Shell, blocks: list[_Block], n_keep: in
                 e, x, c = h0[at], (np.arange(len(h0))[:, None] == at).astype(float), np.zeros(k)
             solved += [(e, x, c)] * f.shape[1]
         del w_r, dw_r  # before the next coupling's rows are built
-        es, xs, cs = zip(*solved)
-        vals, contact = np.concatenate(es), np.concatenate(cs)
-        order = np.argsort(vals, kind="stable")[:n_keep]
-        row = np.repeat(np.arange(len(es)), [len(e) for e in es])[order]
-        col = np.concatenate([np.arange(len(e)) for e in es])[order]
-        yield vals[order], row, col, contact[order], xs
+        yield solved
 
 
 def diagonalize(cfg: EDConfig) -> EDResult:
@@ -369,53 +363,50 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     contact-free [1^N]; every row of a block counts in basis_dim.
     DENSE_DIM_CAP chooses, block by block, between a dense solve and a
     sparse Lanczos eigensolver (_solve_block).  The couplings are solved in
-    ascending order (_solve_blocks), and the lowest n_states + 2 states of
-    each are matched to those of the one before by maximal-overlap
-    assignment as they arrive; the first n_states tracked columns are
-    returned.  The row isometries are orthonormal, so only states of one
-    block row overlap, as their block eigenvectors x_prev^T x.
+    ascending order (_solve_blocks).  The lowest n_states states of the
+    smallest coupling are tracked, each inside its block row: the row
+    isometries are orthonormal, so states of different rows overlap exactly
+    0 and states of one row as their block eigenvectors, x_prev^T x.  At
+    every later coupling the tracked states of a row are matched to the
+    row's own states by maximal-overlap assignment; states of one row can
+    cross, so their rank in the row does not follow them.
     """
     shell, blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
     dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
     if cfg.n_states > dim:
         raise ValueError(f"n_states={cfg.n_states} exceeds basis dimension {dim}")
-    # Two buffer states keep a crossing at the cutoff from derailing the
-    # tracking of the last retained column.
-    n_keep = min(cfg.n_states + 2, dim)
-    n_g = len(cfg.g_values)
-    energies = np.empty((n_g, n_keep))
-    tracked = np.empty_like(energies)
-    quality = np.ones_like(energies)
-    inter = np.empty_like(energies)
-    prev = None
-    for gi, (vals, row, col, contact, xs) in enumerate(_solve_blocks(cfg, shell, blocks, n_keep)):
-        energies[gi] = vals
-        if prev is None:
-            perm = np.arange(n_keep)
+    shape = (len(cfg.g_values), cfg.n_states)
+    energies, tracked, inter = np.empty(shape), np.empty(shape), np.empty(shape)
+    quality = np.ones(shape)
+    for gi, solved in enumerate(_solve_blocks(cfg, shell, blocks)):
+        es, xs, cs = zip(*solved)
+        vals = np.concatenate(es)
+        order = np.argsort(vals, kind="stable")[:cfg.n_states]
+        energies[gi] = vals[order]
+        if gi == 0:
+            row = np.repeat(np.arange(len(es)), [len(e) for e in es])[order]
+            col = np.concatenate([np.arange(len(e)) for e in es])[order]
         else:
-            p_row, p_col, p_xs = prev
-            overlap = np.zeros((n_keep, n_keep))
-            for r in np.intersect1d(p_row, row):
-                a, b = np.flatnonzero(p_row == r), np.flatnonzero(row == r)
-                overlap[np.ix_(a, b)] = np.abs(p_xs[r][:, p_col[a]].T @ xs[r][:, col[b]])
-            # + 1 keeps every zero overlap an edge, without moving the optimum; rows come back
-            # as 0..n_keep-1
-            _, perm = min_weight_full_bipartite_matching(sparse.csr_array(overlap + 1.0),
-                                                         maximize=True)
-            quality[gi] = overlap[np.arange(n_keep), perm]
-        tracked[gi] = vals[perm]
-        inter[gi] = contact[perm]
-        prev = row[perm], col[perm], xs
+            for r in np.unique(row):
+                at = np.flatnonzero(row == r)
+                overlap = np.abs(prev[r][:, col[at]].T @ xs[r])
+                # + 1 keeps every zero overlap an edge, without moving the optimum; rows come
+                # back as 0..len(at)-1
+                _, col[at] = min_weight_full_bipartite_matching(sparse.csr_array(overlap + 1.0),
+                                                                maximize=True)
+                quality[gi, at] = overlap[np.arange(len(at)), col[at]]
+        tracked[gi] = [es[r][c] for r, c in zip(row, col)]
+        inter[gi] = [cs[r][c] for r, c in zip(row, col)]
+        prev = xs
     h0s = [h0 for f, h0, _ in blocks for _ in range(f.shape[1])]
     return EDResult(
         config=cfg,
         basis_dim=dim,
-        energies=energies[:, :cfg.n_states],
-        tracked=tracked[:, :cfg.n_states],
-        track_quality=quality[:, :cfg.n_states],
-        interaction=inter[:, :cfg.n_states],
-        states=tuple((r, xs[r][:, c].copy(), h0s[r])
-                     for r, c in zip(prev[0][:cfg.n_states], prev[1][:cfg.n_states])),
+        energies=energies,
+        tracked=tracked,
+        track_quality=quality,
+        interaction=inter,
+        states=tuple((r, xs[r][:, c].copy(), h0s[r]) for r, c in zip(row, col)),
     )
 
 
@@ -468,8 +459,6 @@ def slope_fit(result: EDResult, state_index: int,
     largest coupling, its block columns those of the state's block with at
     most that many quanta; where no reduced state of that block row is
     tracked, the one of nearest K.
-    A column tracked through overlap 0 is refused, and skipped among the
-    reduced columns.
     """
     cfg = result.config
     if len(cfg.g_values) < 3:
@@ -477,10 +466,6 @@ def slope_fit(result: EDResult, state_index: int,
     if not 0 <= state_index < cfg.n_states:
         raise ValueError(f"state index {state_index} outside 0..{cfg.n_states - 1}")
     g = np.asarray(cfg.g_values)
-    lost = np.flatnonzero(result.track_quality[:, state_index] == 0)
-    if lost.size:
-        raise ValueError(f"column {state_index} is tracked through overlap 0 at g = "
-                         f"{g[lost[0]]:g}, onto an arbitrary state; retain more states (--states)")
 
     def fit(res: EDResult, j: int) -> tuple[float, float]:  # K and its half-width
         _, k, _, half = _weighted_line(g, g**2 * res.interaction[:, j])
@@ -490,9 +475,9 @@ def slope_fit(result: EDResult, state_index: int,
     k, half = fit(result, state_index)
     if reduced is None:
         reduced = diagonalize(replace(cfg, n_modes=cfg.n_modes - 4))
-    kept = np.flatnonzero(np.all(reduced.track_quality > 0, axis=0))
     row, x, h0 = result.states[state_index]
     x = x[h0 <= reduced.config.n_modes - 1 + 0.5 * cfg.n_particles]
+    kept = range(reduced.config.n_states)
     same = [j for j in kept if reduced.states[j][0] == row]
     if same:  # else no reduced state of this block row is tracked: the nearest K
         kept = [max(same, key=lambda j: abs(x @ reduced.states[j][1]))]

@@ -374,14 +374,11 @@ def test_validate_mixed_pairs_fit_identically():
     assert doc["passed"] is True
 
 
-def test_validate_bad_couplings_and_states_exit_two(monkeypatch, capsys):
+def test_validate_bad_couplings_exit_two(monkeypatch, capsys):
     for g in ("20,50,inf", "20,nan,100"):
         proc = run_cli("validate", "--n", "2", "--n-modes", "10", "--g", g, expect=2)
         assert proc.stderr.startswith("error: g_values must be finite and positive")
         assert "Warning" not in proc.stderr
-    proc = run_cli("validate", "--n", "3", "--n-modes", "10", "--states", "3", expect=2)
-    assert proc.stderr.strip() == (
-        "error: --states must be at least 6, the number of K values for n=3, got 3")
 
     def refused(cfg):
         raise AssertionError("oracle ran before its input was checked")
@@ -390,14 +387,22 @@ def test_validate_bad_couplings_and_states_exit_two(monkeypatch, capsys):
     monkeypatch.setattr(tonks.oracle, "diagonalize", refused)
     assert cli.main(["validate", "--n", "3", "--n-modes", "18", "--g", "20,50"]) == 2
     assert capsys.readouterr().err == "error: slope fits need at least three couplings\n"
-    # the truncation rerun's shell of 3 quanta has 10 states: more cannot be kept, refused up front
-    assert cli.main(["validate", "--n", "2", "--n-modes", "8", "--states", "20"]) == 2
-    assert capsys.readouterr().err == ("error: --states 20 exceeds the basis dimension 10 of the "
-                                       "truncation rerun, the shell of 3 quanta\n")
 
 
 def _refused(state, tol):
     raise AssertionError("weights computed for a refused input")
+
+
+def test_oracle_input_refused_before_weights(monkeypatch, capsys):
+    # EDConfig checks every oracle input before a boundary weight is computed
+    monkeypatch.setattr(cli, "all_gammas", _refused)
+    for extra, message in ((["--g", "20,50,inf"], "g_values must be finite and positive"),
+                           (["--g", "50,20,100"], "g_values must be strictly increasing"),
+                           (["--n-modes", "61"], "n_modes exceeds cap 60"),
+                           (["--n", "4"], "exact diagonalization supports 2 or 3 particles"),
+                           (["--n", "-1"], "exact diagonalization supports 2 or 3 particles")):
+        assert cli.main(["validate", *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_over_cap_input_refused_before_weights(monkeypatch, capsys):
@@ -511,6 +516,8 @@ def test_removed_options_exit_two(tmp_path):
     for flag, value in (("--method", "monte-carlo"), ("--samples", "1000"),
                         ("--strata", "8"), ("--threads", "2"), ("--mc-target", "0.1")):
         run_cli("gamma", "--n", "2", flag, value, expect=2)
+    # the oracle tracks n! states, one per K value
+    run_cli("validate", "--n", "2", "--states", "10", expect=2)
     ini = tmp_path / "old.ini"
     ini.write_text("[integration]\nmethod = auto\n")
     proc = run_cli("gamma", "--config", str(ini), expect=2)
@@ -519,6 +526,9 @@ def test_removed_options_exit_two(tmp_path):
     ini.write_text("[density]\nseed = 3\n")
     proc = run_cli("density", "--config", str(ini), expect=2)
     assert "unknown key 'seed' in config section [density]" in proc.stderr
+    ini.write_text("[validate]\nstates = 10\n")
+    proc = run_cli("validate", "--config", str(ini), expect=2)
+    assert "unknown key 'states' in config section [validate]" in proc.stderr
 
 
 def test_unknown_config_section_exits_two(tmp_path):

@@ -444,45 +444,46 @@ def test_mapped_vectors_are_eigenvectors():
     # All 56 states of the shell of five quanta.  Each state is a block eigenvector x
     # in its block row; mapped by the row isometry T_f, built here, it is an
     # eigenvector of the shell Hamiltonian in the product basis.
-    cfg = EDConfig(3, 6, (5.0, 20.0))
+    cfg = EDConfig(3, 6, (5.0, 20.0), n_states=56)
     shell, blocks = oracle._symmetry_blocks(6, 3, None)
     isometries = _row_isometries(blocks)
     swaps, _ = _swap_and_parity(6, 3)
-    for g, (vals, row, col, contact, xs) in zip(cfg.g_values,
-                                                oracle._solve_blocks(cfg, shell, blocks, 56),
-                                                strict=True):
+    for g, solved in zip(cfg.g_values, oracle._solve_blocks(cfg, shell, blocks), strict=True):
         h0, v, dv = shell_reference(3, 6, g)
-        assert len(vals) == 56 and len(xs) == len(isometries)
-        solved = np.array([isometries[r] is not None for r in row])
-        vecs = np.column_stack([isometries[r] @ xs[r][:, c] for r, c in zip(row[solved], col[solved])])
-        resid = (h0 + v) @ vecs - vecs * vals[solved]
+        assert len(solved) == len(isometries) and sum(len(e) for e, _, _ in solved) == 56
+        rows = [(t, *row) for t, row in zip(isometries, solved) if t is not None]
+        vals = np.concatenate([e for _, e, _, _ in rows])
+        vecs = np.hstack([t @ x for t, _, x, _ in rows])
+        contact = np.concatenate([c for _, _, _, c in rows])
+        resid = (h0 + v) @ vecs - vecs * vals
         assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-12)
-        np.testing.assert_allclose(contact[solved], np.einsum("ij,ij->j", vecs, dv @ vecs),
-                                   atol=1e-12)
+        np.testing.assert_allclose(contact, np.einsum("ij,ij->j", vecs, dv @ vecs), atol=1e-12)
         # the vectors of every row of a multi-row block: class-sum value 0, the mixed irrep
         mixed = np.abs(sum(vecs[p] for p in swaps.values())).max(axis=0) < 1e-12
         assert np.sum(mixed) == sum(f.shape[1] * len(h0) for f, h0, _ in blocks if f.shape[1] > 1)
         # each of their energies comes from one solve, so the two rows agree bit for bit
-        assert np.all(np.unique(vals[solved][mixed], return_counts=True)[1] % 2 == 0)
+        assert np.all(np.unique(vals[mixed], return_counts=True)[1] % 2 == 0)
 
 
 def test_contact_free_states_are_trap_states():
     # Every state of the antisymmetric shape is a unit column of its block:
     # exactly its trap energy and exactly zero interaction.
-    cfg = EDConfig(3, 6, (5.0, 20.0))
+    cfg = EDConfig(3, 6, (5.0, 20.0), n_states=56)
     shell, blocks = oracle._symmetry_blocks(6, 3, None)
     energies = [h0 for f, h0, _ in blocks for _ in range(f.shape[1])]
     free = [r for r, t in enumerate(_row_isometries(blocks)) if t is None]
-    for vals, row, col, contact, xs in oracle._solve_blocks(cfg, shell, blocks, 56):
-        anti = np.isin(row, free)
-        assert np.sum(anti) == _shell_count(6, 3, (3,)) == 4
-        assert np.all(contact[anti] == 0.0)
-        for v, r, c in zip(vals[anti], row[anti], col[anti]):
-            x = xs[r][:, c]
-            assert np.count_nonzero(x) == 1 and x.max() == 1.0
-            assert v == energies[r][np.argmax(x)]
-        np.testing.assert_array_equal(np.sort(vals[anti]), sorted(
+    for g, solved in zip(cfg.g_values, oracle._solve_blocks(cfg, shell, blocks), strict=True):
+        anti = []
+        for r in free:
+            e, x, c = solved[r]
+            assert np.all(c == 0.0)
+            for v, col in zip(e, x.T):
+                assert np.count_nonzero(col) == 1 and col.max() == 1.0
+                assert v == energies[r][np.argmax(col)]
+            anti += list(e)
+        assert len(anti) == _shell_count(6, 3, (3,)) == 4
+        np.testing.assert_array_equal(np.sort(anti), sorted(
             sum(r) + 1.5 for r in itertools.combinations(range(6), 3) if sum(r) < 6))
     # Identical fermions: every state is one, tracked with overlap 1 at every coupling.
     for npart, n in ((2, 12), (3, 9)):
@@ -498,34 +499,40 @@ def test_contact_free_states_are_trap_states():
 
 @pytest.mark.parametrize("sizes", [None, (2, 1)])
 def test_kept_states_match_full_run(sizes):
-    # With n_keep no narrower than any block, every block is solved whole
-    # either way, so the kept states are the first states of the full run,
-    # with the same block eigenvectors, bit for bit.
+    # With n_states no narrower than any block, every block is solved whole
+    # either way, so each row keeps the states of the full run, bit for bit, and
+    # the energies are the lowest n_states of the merged full spectrum.
     comp = None if sizes is None else ComponentSpec(sizes)
-    cfg = EDConfig(3, 6, (5.0, 20.0), components=comp)
     shell, blocks = oracle._symmetry_blocks(6, 3, comp)
     dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
-    full = list(oracle._solve_blocks(cfg, shell, blocks, dim))
+    cfg = EDConfig(3, 6, (5.0, 20.0), n_states=dim, components=comp)
+    full = list(oracle._solve_blocks(cfg, shell, blocks))
     assert len(full) == len(cfg.g_values)
-    for n_keep in (max(len(h0) for _, h0, _ in blocks), dim - 1):
+    merged = [np.sort(np.concatenate([e for e, _, _ in whole]), kind="stable") for whole in full]
+    for n_states in (max(len(h0) for _, h0, _ in blocks), dim - 1):
+        kept = replace(cfg, n_states=n_states)
         compared = 0
-        for kept, whole in zip(oracle._solve_blocks(cfg, shell, blocks, n_keep), full,
-                               strict=True):
+        for part, whole in zip(oracle._solve_blocks(kept, shell, blocks), full, strict=True):
             compared += 1
-            for a, b in zip(kept[:4], whole):
-                assert a.shape == (n_keep,)
-                assert a.tobytes() == b[:n_keep].tobytes()
-            for r, c in zip(kept[1], kept[2]):
-                assert kept[4][r][:, c].tobytes() == whole[4][r][:, c].tobytes()
-            # the contact-free [1^3] states are among them
-            assert np.any(kept[3] == 0.0)
+            assert len(part) == len(whole)
+            for ours, theirs in zip(part, whole):
+                assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
         assert compared == len(cfg.g_values)
+        res = diagonalize(kept)
+        for gi, vals in enumerate(merged):
+            assert res.energies[gi].tobytes() == vals[:n_states].tobytes()
+        # the contact-free [1^3] states are among them
+        assert np.any(res.interaction == 0.0)
+    # Fewer states than a block holds: its lowest ones, from a partial solve.
+    res = diagonalize(replace(cfg, n_states=4))
+    np.testing.assert_allclose(res.energies, [vals[:4] for vals in merged], rtol=0, atol=1e-12)
 
 
 def _tracked_reference(cfg):
     """Tracked energies, overlaps and interaction expectations of the lowest
-    n_states + 2 eigenvectors of the dense shell Hamiltonian, matched across
-    couplings by product-basis overlap as diagonalize matches them.
+    n_states eigenvectors of the dense shell Hamiltonian at the first coupling,
+    matched to all its eigenvectors at each later coupling by product-basis
+    overlap, as diagonalize matches them.
 
     A degenerate level has no preferred eigenbasis, so at every coupling after
     the first its eigenvectors are rotated onto the previous states that
@@ -534,27 +541,28 @@ def _tracked_reference(cfg):
     from scipy.optimize import linear_sum_assignment
 
     sizes = None if cfg.components is None else cfg.components.sizes
-    n_keep = cfg.n_states + 2
     out, prev = [], None
     for g in cfg.g_values:
         h0, v, dv = shell_reference(cfg.n_particles, cfg.n_modes, g, sizes)
         vals, vecs = np.linalg.eigh(h0 + v)
-        assert vals[n_keep] - vals[n_keep - 1] > 1e-8, "a degenerate level straddles the cutoff"
-        perm, quality = np.arange(n_keep), np.ones(n_keep)
-        if prev is not None:
-            start = np.flatnonzero(np.diff(vals[:n_keep + 1], prepend=-np.inf) > 1e-8)
+        if prev is None:
+            m = cfg.n_states
+            assert vals[m] - vals[m - 1] > 1e-8, "a degenerate level straddles the cutoff"
+            perm, quality = np.arange(m), np.ones(m)
+        else:
+            start = np.flatnonzero(np.diff(vals, prepend=-np.inf, append=np.inf) > 1e-8)
             for a, b in zip(start, start[1:]):
                 m = vecs[:, a:b].T @ prev
                 near = np.argsort(-np.linalg.norm(m, axis=0), kind="stable")[:b - a]
-                u, _, vt = np.linalg.svd(m[:, near])
+                # zero columns pad a level wider than the tracked states
+                u, _, vt = np.linalg.svd(np.pad(m[:, near], ((0, 0), (0, b - a - len(near)))))
                 vecs[:, a:b] = vecs[:, a:b] @ (u @ vt)
-            overlap = np.abs(prev.T @ vecs[:, :n_keep])
-            rows, cols = linear_sum_assignment(-overlap)
-            perm = cols[np.argsort(rows)]
-            quality = overlap[np.arange(n_keep), perm]
+            overlap = np.abs(prev.T @ vecs)
+            rows, perm = linear_sum_assignment(-overlap)
+            quality = overlap[rows, perm]
         prev = vecs[:, perm]
         out.append((vals[perm], quality, np.einsum("ij,ij->j", prev, dv @ prev)))
-    return [np.array(part)[:, :cfg.n_states] for part in zip(*out)]
+    return [np.array(part) for part in zip(*out)]
 
 
 @pytest.mark.parametrize("npart, n_modes, sizes, g_values, n_states, crossed", [
@@ -564,6 +572,8 @@ def _tracked_reference(cfg):
     (3, 6, None, (1.0, 2.0, 3.0), 4, True),
     (3, 7, (2, 1), (5.0, 20.0, 80.0), 6, False),
     (3, 7, (2, 1), (0.5, 3.0, 200.0), 10, True),
+    # column 3 rises past the lowest six
+    (3, 6, None, (2.0, 5.0, 20.0), 4, True),
 ])
 def test_tracking_matches_dense_reference(npart, n_modes, sizes, g_values, n_states, crossed):
     # Overlaps in block coordinates track the states as product-basis overlaps do.
@@ -577,39 +587,27 @@ def test_tracking_matches_dense_reference(npart, n_modes, sizes, g_values, n_sta
     # every match is unambiguous
     assert np.min(res.track_quality) > 0.6
     # crossed: a state kept at one coupling leaves the lowest n_states at the
-    # next, where tracking follows it into the two buffer states
+    # next, where tracking follows it up its block row
     assert np.any(res.tracked > res.energies[:, -1:] + 1e-9) == crossed
 
 
-def test_zero_overlap_tie_keeps_its_match():
-    # Column 3 leaves the n_states + 2 window at g = 5, where all its overlaps
-    # are exact zeros across block rows; the matcher continues it on a [1^3]
-    # state at its trap energy 4.5, flagged by track_quality 0.
-    res = diagonalize(EDConfig(3, 6, (2.0, 5.0, 20.0), n_states=4))
-    assert res.track_quality[1, 3] == 0.0
-    assert res.tracked[0, 3] == pytest.approx(3.8812, abs=1e-4)
-    assert res.tracked[1:, 3].tolist() == [4.5, 4.5]
-
-
-def test_slope_fit_refuses_zero_overlap_column():
-    res = diagonalize(EDConfig(3, 6, (2.0, 5.0, 20.0), n_states=4))
-    # refused before any reduced run, which 6 - 4 modes could not hold
-    with pytest.raises(ValueError, match=r"column 3 .* overlap 0 at g = 5\b.*--states"):
-        slope_fit(res, 3)
-    # As the reduced run, column 3 is skipped: against the run itself, each other
-    # column is matched to itself, and column 3, fitted with its flag cleared, to
-    # the nearest K among the others, as no other tracked state shares its [1^3]
-    # block row.
-    fits = [slope_fit(res, j, reduced=res) for j in range(3)]
-    assert all(f.truncation_shift == 0.0 for f in fits)
-    assert res.states[3][0] not in [res.states[j][0] for j in range(3)]
-    quality = res.track_quality.copy()
-    quality[1, 3] = 1.0
-    unflagged = replace(res, track_quality=quality)
-    own = slope_fit(unflagged, 3, reduced=unflagged)
+def test_tracked_states_keep_their_block_row():
+    # Column 3 starts in the odd symmetric row, as the centre-of-mass excitation
+    # of the ground state, and stays there: a state cannot leave its block row.
+    cfg = EDConfig(3, 6, (2.0, 5.0, 20.0), n_states=4)
+    res = diagonalize(cfg)
+    first = diagonalize(replace(cfg, g_values=(2.0,)))
+    assert [s[0] for s in res.states] == [s[0] for s in first.states]
+    assert np.min(res.track_quality) > 0.97
+    # it rises to 5.22 at g = 20, above the lowest four
+    assert res.tracked[-1, 3] > res.energies[-1, 3] + 0.7
+    own = slope_fit(res, 3, reduced=res)
     assert own.truncation_shift == 0.0
-    assert slope_fit(unflagged, 3, reduced=res).truncation_shift == min(
-        abs(f.k_value - own.k_value) for f in fits)
+    # A rerun that tracks no state of column 3's row: the nearest K among its columns.
+    three = diagonalize(replace(cfg, n_states=3))
+    assert res.states[3][0] not in [s[0] for s in three.states]
+    assert slope_fit(res, 3, reduced=three).truncation_shift == min(
+        abs(slope_fit(three, j, reduced=three).k_value - own.k_value) for j in range(3))
 
 
 @pytest.mark.parametrize("npart, n_modes, sizes, g_values, n_states", [
@@ -620,8 +618,9 @@ def test_slope_fit_refuses_zero_overlap_column():
     (3, 7, (2, 1), (2.0, 5.0, 20.0), 5),
 ])
 def test_matcher_maximizes_total_overlap(monkeypatch, npart, n_modes, sizes, g_values, n_states):
-    # Against every permutation of the n_keep = n_states + 2 columns: the
-    # matching maximizes the summed overlap, and its columns come in row order.
+    # One assignment per tracked block row and coupling, against every injection of
+    # the row's tracked states into its solved ones: each maximizes the row's summed
+    # overlap, and so their sum the total.  Its columns come in row order.
     matcher, calls = oracle.min_weight_full_bipartite_matching, []
 
     def recording(graph, maximize):
@@ -632,15 +631,19 @@ def test_matcher_maximizes_total_overlap(monkeypatch, npart, n_modes, sizes, g_v
     monkeypatch.setattr(oracle, "min_weight_full_bipartite_matching", recording)
     comp = None if sizes is None else ComponentSpec(sizes)
     res = diagonalize(EDConfig(npart, n_modes, g_values, n_states=n_states, components=comp))
-    assert len(calls) == len(g_values) - 1
-    for gi, (overlap, rows, cols) in enumerate(calls, 1):
-        n = len(overlap)
-        assert n == n_states + 2 <= 7
-        np.testing.assert_array_equal(rows, np.arange(n))
-        perms = np.array(list(itertools.permutations(range(n))))
-        best = overlap[np.arange(n), perms].sum(axis=1).max()
+    row = np.array([state[0] for state in res.states])
+    tracked_rows = np.unique(row)
+    assert len(calls) == (len(g_values) - 1) * len(tracked_rows)
+    for i, (overlap, rows, cols) in enumerate(calls):
+        gi, r = divmod(i, len(tracked_rows))
+        at = np.flatnonzero(row == tracked_rows[r])
+        m, k = overlap.shape
+        assert m == len(at) <= k <= n_states
+        np.testing.assert_array_equal(rows, np.arange(m))
+        injections = np.array(list(itertools.permutations(range(k), m)))
+        best = overlap[np.arange(m), injections].sum(axis=1).max()
         assert overlap[rows, cols].sum() >= best - 1e-12
-        np.testing.assert_allclose(res.track_quality[gi], overlap[rows, cols][:n_states],
+        np.testing.assert_allclose(res.track_quality[gi + 1, at], overlap[rows, cols],
                                    rtol=0, atol=1e-15)
 
 
@@ -661,8 +664,8 @@ def test_diagonalize_memory_bound():
 
 
 def test_buffer_states_keep_tracking():
-    # A level crossing at the cutoff of the ten retained states once left
-    # the last column matched with overlap near 0.
+    # A level crossing at the cutoff of the ten retained states: each column
+    # still follows its own state.
     res = diagonalize(EDConfig(3, 14, (20.0, 50.0, 100.0), n_states=10))
     assert res.tracked.shape == res.track_quality.shape == (3, 10)
     assert np.min(res.track_quality) >= 0.99
