@@ -4,20 +4,19 @@ Few fermions with a contact interaction g * sum of delta(x_i - x_j) are
 diagonalized on the energy shell of the harmonic product basis, the product
 states of at most E_max = n_modes - 1 quanta, with each pair's effective
 interaction built from the exact two-body states (Rotureau 2013, Lindgren et
-al. 2014).  The Hamiltonian commutes with total parity and with every
-particle permutation, so the shell is split into exact blocks, one per
-irreducible representation of the permutation group and parity, each built
-from Young's orthogonal form with one isometry per row of the irrep (for
-identical fermions, per row that is antisymmetric inside every component).
-One coupling at a time, each block's interaction is assembled from the
-interaction rows of the sorted occupations alone, one per orbit, and solved
-once for all its rows: densely up to DENSE_DIM_CAP, by sparse Lanczos above
-it.  The antisymmetric irrep carries no contact and takes no solve.  Each
-state is tracked across couplings inside its block row by eigenvector
-overlap, taken in block coordinates as the row isometries are orthonormal.
-The expectation of dV_eff/dg in each tracked state is dE/dg of the shell
-model, and K is the intercept of the Hellmann-Feynman slopes g^2 dE/dg
-against 1/g.
+al. 2014).  The Hamiltonian commutes with total parity, with every particle
+permutation and with the centre-of-mass quanta N_cm.  So the shell is split
+into exact blocks, one per irrep of the permutation group and parity, each
+built from Young's orthogonal form with one isometry per row of the irrep
+(for identical fermions, per row antisymmetric inside every component), and
+each block keeps only its intrinsic states, N_cm = 0, as every state of the
+strong-coupling manifold does (Elliott & Skyrme 1955).  One coupling at a
+time, each block's interaction is assembled from the interaction rows of the
+sorted occupations alone and solved densely, once for all its rows; the
+antisymmetric irrep carries no contact and takes no solve.  Each state is
+tracked across couplings inside its block row by eigenvector overlap.  The
+expectation of dV_eff/dg in each tracked state is dE/dg of the shell model,
+and K is the intercept of the Hellmann-Feynman slopes g^2 dE/dg against 1/g.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import digamma, gammaln, stdtrit
 
 from .sectors import ComponentSpec, _partitions, _young_generators
@@ -38,13 +36,6 @@ from .traps import _hermite_ladder
 
 # Largest n_modes: the shell of 59 quanta holds C(62, 3) = 37,820 states of three particles.
 MODE_CAP = 60
-# Widest block solved densely; a wider one takes sparse Lanczos.  No input below
-# 44 modes reaches it: the widest block of three particles is 2,443 at 43 modes
-# and 2,612 at 44.  Three couplings, ten states, 2-vCPU Xeon, one BLAS thread,
-# fresh processes, time and peak RSS: the shell of 43 quanta takes 9.4-11.3 s
-# (325-326 MB) split at this cap and 12.8-14.2 s (335-336 MB) all dense; the
-# shell of 44 quanta 8.0-9.0 s (299-301 MB) and 15.8-15.9 s (366-367 MB).
-DENSE_DIM_CAP = 2500
 
 
 def _brackets(e_max: int) -> np.ndarray:
@@ -148,8 +139,8 @@ class EDResult:
     n_states.  interaction holds the expectation of dV_eff/dg in each
     tracked state, which equals dE/dg of the shell model, by a central
     difference of step 1e-4 g in the relative V_eff.  states holds each
-    tracked state at the largest coupling as
-    (block row, block eigenvector, trap energies of the block columns).
+    tracked state at the largest coupling as (block row, eigenvector in the
+    block columns).
     """
 
     config: EDConfig
@@ -161,19 +152,37 @@ class EDResult:
     states: tuple = field(default=(), repr=False, compare=False)
 
 
-def _kernel(d: int, gens: list[np.ndarray], sign: int) -> np.ndarray:
-    """Orthonormal columns spanning the vectors v with rho v = sign * v for every
-    rho in gens, as the null space of the sum of (1 - sign * rho).
-
-    Generators of m adjacent slots leave that sum a gap of at least
-    2 (1 - cos(pi / m)) above zero (0.38 at m = 5), far above the 1e-6 cut.
+def _kernel(m: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the null space of the positive semidefinite matrix m,
+    whose nonzero eigenvalues lie far above the 1e-6 cut: at least 1 for N_cm, and at least
+    2 (1 - cos(pi / k)) (0.38 at k = 5) for a sum of 1 -/+ rho over Young generators of k slots.
     """
-    vals, vecs = np.linalg.eigh(sum((np.eye(d) - sign * rho for rho in gens), np.zeros((d, d))))
+    vals, vecs = np.linalg.eigh(m)
     return vecs[:, vals < 1e-6]
 
 
-_Block = tuple[np.ndarray, np.ndarray, tuple[sparse.csc_array, ...]]
+_Block = tuple[np.ndarray, tuple, sparse.csc_array, np.ndarray, bool]
 _Shell = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _intrinsic(cm_b: sparse.csr_array, h0: np.ndarray) -> tuple[sparse.csc_array, np.ndarray]:
+    """The isometry P onto the kernel of a block's N_cm, cm_b, and the trap energy of each
+    of its columns.  N_cm keeps the quanta, so each layer of equal trap energy h0
+    (ascending) is one diagonal square of cm_b, filled from its nonzeros alone.
+    """
+    start = np.flatnonzero(np.diff(h0, prepend=-np.inf))
+    w = np.diff(start, append=len(h0))
+    at = np.cumsum(w * w) - w * w  # each layer's square, row-major, in one buffer
+    cm = cm_b.tocoo()
+    lay = np.searchsorted(start, cm.row, side="right") - 1
+    buf = np.zeros(np.sum(w * w))
+    np.add.at(buf, at[lay] + (cm.row - start[lay]) * w[lay] + cm.col - start[lay], cm.data)
+    kernels = [_kernel(buf[a:a + n * n].reshape(n, n)) for a, n in zip(at, w)]
+    owner = np.repeat(np.arange(len(w)), [v.shape[1] for v in kernels])
+    ptr = np.concatenate([[0], np.cumsum(w[owner])])
+    rows = np.arange(ptr[-1]) - np.repeat(ptr[:-1] - start[owner], w[owner])
+    data = np.concatenate([np.zeros(0)] + [v.T.ravel() for v in kernels])
+    return sparse.csc_array((data, rows, ptr), shape=(len(h0), len(owner))), h0[start[owner]]
 
 
 def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec | None
@@ -185,8 +194,9 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     the size of each one's orbit); it is closed under swaps, and every row
     index below is a position in it.  The blocks come one per irrep of S_N
     and parity in a fixed order, each as (the retained rows f of the irrep as
-    columns, trap energy of each block column, the isometries T_(e_k) of all
-    d rows e_k of the irrep, left empty for the shape [1^N]).
+    columns, the isometries T_(e_k) of all d rows e_k of the irrep, the
+    isometry P onto the block's N_cm = 0 states, the trap energy of each
+    column of P, whether the block has a contact).
 
     Product state w is sigma_w r, with r its sorted occupation and sigma_w the
     adjacent swaps s_k that sort it.  For a shape with Young's orthogonal form
@@ -197,8 +207,10 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     sqrt(d / |orbit|) f^T rho(sigma_w) e_j at w: T_f = sum_k f[k] T_(e_k).  By
     Schur orthogonality the columns of the T_f of orthonormal rows f are
     orthonormal, a swap maps T_f to T_(rho(s_k) f), and so every T_f gives
-    the same T_f^T H T_f.  Every column is an oscillator eigenstate.
-    [1^N] is antisymmetric under every swap, so the contact vanishes on it.
+    the same T_f^T H T_f, and the same T_f^T N_cm T_f with N_cm = (1/N) sum_ij
+    a_i^+ a_j.  Every column is an oscillator eigenstate; the columns come in
+    layers of ascending quanta, orbits in shell order inside each.  [1^N] is
+    antisymmetric under every swap, so the contact vanishes on it.
     """
     shape = (n_modes,) * n_particles
     occ = np.indices(shape).reshape(n_particles, -1).T
@@ -216,19 +228,32 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     r = occ[first]
     ties = (r[:, 1:] == r[:, :-1]) @ (1 << np.arange(n_particles - 1))  # tied slot pairs as bits
     quanta = r.sum(axis=1)
+    order = np.argsort(quanta, kind="stable")
+    # N_cm on the shell: a_i^+ a_i counts particle i's quanta, a_i^+ a_j moves one from j to i
+    stride = n_modes ** np.arange(n_particles - 1, -1, -1)
+    index = occ @ stride  # the product index of each shell state, ascending
+    moves = [(np.flatnonzero(occ[:, j]), i, j)
+             for i, j in itertools.permutations(range(n_particles), 2)]
+    at = np.concatenate([np.arange(len(occ))] + [o for o, _, _ in moves])
+    to = [np.searchsorted(index, index[o] + stride[i] - stride[j]) for o, i, j in moves]
+    val = [np.sqrt(occ[o, j] * (occ[o, i] + 1.0)) for o, i, j in moves]
+    cm = sparse.csr_array((np.concatenate([occ.sum(axis=1)] + val) / n_particles,
+                           (np.concatenate([np.arange(len(occ))] + to), at)), shape=(len(occ),) * 2)
     sizes = (1,) * n_particles if components is None else components.sizes
     label = np.repeat(np.arange(len(sizes)), sizes)
     blocks = []
     for lam in _partitions(n_particles):
         gens = _young_generators(lam)
         d = len(gens[0])
-        f = _kernel(d, [rho for rho, a, b in zip(gens, label, label[1:]) if a == b], -1)
+        f = _kernel(sum((np.eye(d) + rho for rho, a, b in zip(gens, label, label[1:]) if a == b),
+                        np.zeros((d, d))))
         if not f.shape[1]:
             continue
         e = np.zeros((2 ** (n_particles - 1), d, d))  # fixed vectors of each tie pattern, padded
         width = np.zeros(len(e), dtype=int)
         for p in np.unique(ties):
-            basis = _kernel(d, [rho for k, rho in enumerate(gens) if p >> k & 1], 1)
+            basis = _kernel(sum((np.eye(d) - rho for k, rho in enumerate(gens) if p >> k & 1),
+                                np.zeros((d, d))))
             e[p, :, :basis.shape[1]] = basis
             width[p] = basis.shape[1]
         rho_w = np.broadcast_to(np.eye(d), (len(occ), d, d)).copy()
@@ -237,13 +262,16 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
         coef = rho_w @ e[ties[orbit]] * np.sqrt(d / size[orbit])[:, None, None]
         for parity in (0, 1):
             cols = np.where(quanta % 2 == parity, width[ties], 0)
+            start = np.empty_like(cols)  # the first column of each orbit
+            start[order] = np.cumsum(cols[order]) - cols[order]
             w, j = np.nonzero(np.arange(d) < cols[orbit][:, None])
             # int32 indices, which the interaction products of _shell_contacts keep
-            at = np.array([w, (np.cumsum(cols) - cols)[orbit[w]] + j], dtype=np.int32)
+            at = np.array([w, start[orbit[w]] + j], dtype=np.int32)
             dims = (len(occ), cols.sum())
-            ks = () if len(lam) == n_particles else tuple(
-                sparse.csc_array((coef[w, k, j], at), shape=dims) for k in range(d))
-            blocks.append((f, np.repeat(quanta, cols) + 0.5 * n_particles, ks))
+            ks = tuple(sparse.csc_array((coef[w, k, j], at), shape=dims) for k in range(d))
+            h0 = np.repeat(quanta[order], cols[order]) + 0.5 * n_particles
+            # every row isometry gives the same block, as N_cm commutes with every permutation
+            blocks.append((f, ks, *_intrinsic(ks[0].T @ (cm @ ks[0]), h0), len(lam) < n_particles))
     return (occ, first, size), blocks
 
 
@@ -296,60 +324,39 @@ def _shell_contacts(n_modes: int, g_values: tuple[float, ...], shell: _Shell):
 
 
 def _block_average(w_r: sparse.csr_array, rows: np.ndarray, ks: tuple) -> sparse.csr_array:
-    """T_f^T W T_f of a block, from the rows w_r = diag(|orbit|) W[rows, :] of W:
-    (1/d) sum over the isometries T of all d rows of the irrep, ks, of T[rows]^T w_r T.
+    """T_f^T W T_f of a block, or P^T T_f^T W T_f P, from the rows w_r = diag(|orbit|) W[rows, :]
+    of W: (1/d) sum over ks, the isometries T_(e_k) (or T_(e_k) P) of all d rows of the irrep,
+    of T[rows]^T w_r T.
     """
-    w_b = ks[0][rows].T @ (w_r @ ks[0])
-    for t in ks[1:]:
-        w_b = w_b + t[rows].T @ (w_r @ t)
-    w_b /= len(ks)
-    return w_b
-
-
-def _solve_block(w: sparse.csr_array, h0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k energies of diag(h0) + w, w the V_b of one coupling, and their
-    eigenvectors in the block.
-
-    Dense while the block is no wider than DENSE_DIM_CAP (or k is all but at
-    most one of its states), in a Fortran-ordered array that eigh overwrites;
-    otherwise implicitly restarted Lanczos (ARPACK) on the product
-    w v + h0 v, so that no sparse copy of w is built, from a seeded start
-    vector, so that reruns agree bit for bit.
-    """
-    if len(h0) <= DENSE_DIM_CAP or k >= len(h0) - 1:
-        ham = w.toarray(order="F")
-        ham[np.diag_indices(len(h0))] += h0
-        return eigh(ham, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
-    ham = LinearOperator(w.shape, lambda v: w @ v + h0 * v, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(len(h0))
-    return eigsh(ham, k, which="SA", v0=v0, tol=0)
+    return sum(t[rows].T @ (w_r @ t) for t in ks) / len(ks)
 
 
 def _solve_blocks(cfg: EDConfig, shell: _Shell, blocks: list[_Block]):
-    """Lowest n_states states of every block row, for each coupling in turn.
+    """Lowest n_states intrinsic states of every block row, for each coupling in turn.
 
     Yields one list per coupling, from that coupling's interaction rows
-    (_shell_contacts), which are dropped before the next coupling's are
-    built.  Each block is solved once for all its rows, as diag(trap
-    energies) + V_b (_solve_block); its dV_b/dg expectations are taken once
-    V_b is dropped.  [1^N] blocks take no solve: their states are their unit
-    columns in stable order of trap energy, with interaction expectation 0.
-    The list holds (energies, block eigenvectors, interaction expectations)
-    of every retained row in the fixed block and row order; nothing is
-    mapped to the product basis.
+    (_shell_contacts), dropped before the next coupling's are built.  Each block
+    is solved densely once for all its rows, as diag(hp) + P^T V_b P averaged
+    through the isometries T_(e_k) P; [1^N] takes no solve: its states are the
+    columns of P, with interaction expectation 0.  The list holds (energies,
+    eigenvectors in the block columns, interaction expectations) of every
+    retained row in the fixed block and row order.
     """
     rows = shell[1]
+    us = [tuple((t @ p).tocsr() for t in ks) if contact else ()
+          for _, ks, p, _, contact in blocks]
     for w_r, dw_r in _shell_contacts(cfg.n_modes, cfg.g_values, shell):
         solved = []
-        for f, h0, ks in blocks:
-            k = min(cfg.n_states, len(h0))
-            if ks:
-                e, x = _solve_block(_block_average(w_r, rows, ks), h0, k)
-                c = np.einsum("ij,ij->j", x, _block_average(dw_r, rows, ks) @ x)
-            else:  # [1^N]
-                at = np.argsort(h0, kind="stable")[:k]
-                e, x, c = h0[at], (np.arange(len(h0))[:, None] == at).astype(float), np.zeros(k)
-            solved += [(e, x, c)] * f.shape[1]
+        for (f, _, p, hp, _), u in zip(blocks, us):
+            k = min(cfg.n_states, len(hp))
+            if u and k:
+                ham = _block_average(w_r, rows, u).toarray()
+                ham[np.diag_indices(len(hp))] += hp
+                e, x = eigh(ham, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
+                c = np.einsum("ij,ij->j", x, _block_average(dw_r, rows, u) @ x)
+            else:  # [1^N], or no intrinsic state
+                e, x, c = hp[:k], np.eye(len(hp), k), np.zeros(k)
+            solved += [(e, p @ x, c)] * f.shape[1]
         del w_r, dw_r  # before the next coupling's rows are built
         yield solved
 
@@ -357,24 +364,20 @@ def _solve_blocks(cfg: EDConfig, shell: _Shell, blocks: list[_Block]):
 def diagonalize(cfg: EDConfig) -> EDResult:
     """Solve the shell model at every coupling.
 
-    The Hamiltonian commutes with total parity and with every particle
-    permutation of the shell, so it is solved in the irrep and parity
-    blocks of _symmetry_blocks, once per block and none for the
-    contact-free [1^N]; every row of a block counts in basis_dim.
-    DENSE_DIM_CAP chooses, block by block, between a dense solve and a
-    sparse Lanczos eigensolver (_solve_block).  The couplings are solved in
-    ascending order (_solve_blocks).  The lowest n_states states of the
-    smallest coupling are tracked, each inside its block row: the row
-    isometries are orthonormal, so states of different rows overlap exactly
-    0 and states of one row as their block eigenvectors, x_prev^T x.  At
-    every later coupling the tracked states of a row are matched to the
-    row's own states by maximal-overlap assignment; states of one row can
-    cross, so their rank in the row does not follow them.
+    It is solved on the N_cm = 0 states of the blocks of _symmetry_blocks, in
+    ascending order of coupling (_solve_blocks); basis_dim counts them in every
+    row, as many as the shell states of exactly n_modes - 1 quanta.  The lowest
+    n_states states of the smallest coupling are tracked, each inside its block
+    row: the row isometries are orthonormal, so states of different rows overlap
+    exactly 0 and states of one row as their block eigenvectors, x_prev^T x.  At
+    every later coupling the tracked states of a row are matched to the row's own
+    states by maximal-overlap assignment; states of one row can cross, so their
+    rank in the row does not follow them.
     """
     shell, blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
-    dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
+    dim = sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks)
     if cfg.n_states > dim:
-        raise ValueError(f"n_states={cfg.n_states} exceeds basis dimension {dim}")
+        raise ValueError(f"n_states={cfg.n_states} exceeds the intrinsic basis dimension {dim}")
     shape = (len(cfg.g_values), cfg.n_states)
     energies, tracked, inter = np.empty(shape), np.empty(shape), np.empty(shape)
     quality = np.ones(shape)
@@ -398,16 +401,9 @@ def diagonalize(cfg: EDConfig) -> EDResult:
         tracked[gi] = [es[r][c] for r, c in zip(row, col)]
         inter[gi] = [cs[r][c] for r, c in zip(row, col)]
         prev = xs
-    h0s = [h0 for f, h0, _ in blocks for _ in range(f.shape[1])]
-    return EDResult(
-        config=cfg,
-        basis_dim=dim,
-        energies=energies,
-        tracked=tracked,
-        track_quality=quality,
-        interaction=inter,
-        states=tuple((r, xs[r][:, c].copy(), h0s[r]) for r, c in zip(row, col)),
-    )
+    return EDResult(config=cfg, basis_dim=dim, energies=energies, tracked=tracked,
+                    track_quality=quality, interaction=inter,
+                    states=tuple((r, xs[r][:, c].copy()) for r, c in zip(row, col)))
 
 
 @dataclass(frozen=True)
@@ -456,9 +452,9 @@ def slope_fit(result: EDResult, state_index: int,
     supplied, the same configuration is rerun with four fewer modes to
     estimate the truncation contribution.  A shell nests the shell four
     quanta below, so the reduced state is the one of largest overlap at the
-    largest coupling, its block columns those of the state's block with at
-    most that many quanta; where no reduced state of that block row is
-    tracked, the one of nearest K.
+    largest coupling; the block columns come in ascending quanta, so its block
+    columns are the first ones of the state's block.  Where no reduced state
+    of that block row is tracked, it is the one of nearest K.
     """
     cfg = result.config
     if len(cfg.g_values) < 3:
@@ -475,11 +471,11 @@ def slope_fit(result: EDResult, state_index: int,
     k, half = fit(result, state_index)
     if reduced is None:
         reduced = diagonalize(replace(cfg, n_modes=cfg.n_modes - 4))
-    row, x, h0 = result.states[state_index]
-    x = x[h0 <= reduced.config.n_modes - 1 + 0.5 * cfg.n_particles]
+    row, x = result.states[state_index]
     kept = range(reduced.config.n_states)
     same = [j for j in kept if reduced.states[j][0] == row]
     if same:  # else no reduced state of this block row is tracked: the nearest K
+        x = x[:len(reduced.states[same[0]][1])]
         kept = [max(same, key=lambda j: abs(x @ reduced.states[j][1]))]
     r_k = min((fit(reduced, j)[0] for j in kept), key=lambda v: abs(v - k))
     return SlopeFit(

@@ -21,7 +21,10 @@ different direction:
   at weak coupling;
 - `shell_reference` writes out the oracle's shell Hamiltonian as dense
   matrices in the product basis, by explicit loops over the brackets and
-  the relative effective interaction.
+  the relative effective interaction; `shell_cm` writes out the
+  centre-of-mass quanta on the same basis, by explicit loops over the
+  particle pairs, and `intrinsic_reference` restricts the Hamiltonian to
+  their kernel.
 """
 
 from __future__ import annotations
@@ -336,3 +339,36 @@ def shell_reference(n_particles: int, n_modes: int, g: float,
         return mats
     q = _antisymmetric(n_particles, n_modes, sizes)
     return tuple(q.T @ m @ q for m in mats)
+
+
+def shell_cm(n_particles: int, n_modes: int, sizes: tuple[int, ...] | None = None) -> np.ndarray:
+    """The centre-of-mass quanta N_cm = (1/N) sum_ij a_i^+ a_j on the oracle's shell, dense.
+
+    In the product basis of shell_states, or with component sizes on the states
+    antisymmetric inside every component, as shell_reference.
+    """
+    states = shell_states(n_particles, n_modes)
+    at = {r: i for i, r in enumerate(states)}
+    out = np.zeros((len(states), len(states)))
+    for k, r in enumerate(states):
+        for i in range(n_particles):
+            for j in range(n_particles):
+                if i == j:
+                    out[k, k] += r[i] / n_particles
+                elif r[j] > 0:
+                    t = list(r)
+                    t[i], t[j] = r[i] + 1, r[j] - 1
+                    out[at[tuple(t)], k] += math.sqrt(r[j] * (r[i] + 1)) / n_particles
+    if sizes is None:
+        return out
+    q = _antisymmetric(n_particles, n_modes, sizes)
+    return q.T @ out @ q
+
+
+def intrinsic_reference(n_particles: int, n_modes: int, g: float,
+                        sizes: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
+    """shell_reference restricted to the kernel of shell_cm: H0, V_eff(g) and dV_eff/dg on
+    orthonormal columns Q spanning the states of N_cm = 0, and Q itself."""
+    vals, vecs = np.linalg.eigh(shell_cm(n_particles, n_modes, sizes))
+    q = vecs[:, vals < 0.5]  # N_cm has integer eigenvalues
+    return (*(q.T @ m @ q for m in shell_reference(n_particles, n_modes, g, sizes)), q)

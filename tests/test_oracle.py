@@ -14,8 +14,8 @@ from scipy.special import gammaln
 
 import tonks.oracle as oracle
 from tonks.oracle import EDConfig, SlopeFit, diagonalize, slope_fit
-from reference import (delta_tensor, mc_gammas, shell_reference, shell_states, two_body_reference,
-                       two_body_slope)
+from reference import (delta_tensor, intrinsic_reference, mc_gammas, shell_cm, shell_reference,
+                       shell_states, two_body_reference, two_body_slope)
 from tonks.sectors import ComponentSpec
 from tonks.slater import make_level
 from tonks.traps import HarmonicBasis
@@ -151,8 +151,8 @@ def test_identical_pair_has_no_contact():
     cfg = EDConfig(n_particles=2, n_modes=12, g_values=(5.0, 10.0),
                    n_states=2, components=ComponentSpec((2,)))
     res = diagonalize(cfg)
-    # pairs of distinct orbitals with at most 11 quanta
-    assert res.basis_dim == sum(a + b < 12 for a, b in itertools.combinations(range(12), 2)) == 36
+    # as many intrinsic states as pairs of distinct orbitals with exactly 11 quanta
+    assert res.basis_dim == sum(a + b == 11 for a, b in itertools.combinations(range(12), 2)) == 6
     np.testing.assert_allclose(res.energies[0], res.energies[1], atol=1e-10)
     assert np.max(np.abs(res.interaction)) < 1e-10
 
@@ -161,8 +161,8 @@ def test_component_spectrum_nested_in_full():
     g_values = (8.0,)
     full = diagonalize(EDConfig(3, 8, g_values, n_states=12))
     part = diagonalize(EDConfig(3, 8, g_values, n_states=4, components=ComponentSpec((2, 1))))
-    assert part.basis_dim == sum(a < b and a + b + c < 8
-                                 for a, b, c in itertools.product(range(8), repeat=3)) == 50
+    assert part.basis_dim == sum(a < b and a + b + c == 7
+                                 for a, b, c in itertools.product(range(8), repeat=3)) == 16
     for e in part.energies[0]:
         assert np.min(np.abs(full.energies[0] - e)) < 1e-8
 
@@ -182,16 +182,17 @@ def test_interaction_is_energy_derivative():
     (3, 8, None), (3, 8, (2, 1)), (3, 8, (1, 2)), (3, 8, (3,)),
 ])
 def test_blocks_match_dense_reference(npart, n_modes, sizes):
+    # The dense shell Hamiltonian restricted to the kernel of the centre-of-mass quanta.
     comp = None if sizes is None else ComponentSpec(sizes)
-    # three identical fermions have only the four states of at most 5 quanta in six modes
-    m = min(6, _shell_count(n_modes, npart, sizes))
+    # three identical fermions have only the two intrinsic states of at most 5 quanta in six modes
+    m = min(6, _intrinsic_count(n_modes, npart, sizes))
     cfg = EDConfig(npart, n_modes, (5.0, 20.0), n_states=m, components=comp)
     res = diagonalize(cfg)
     _, blocks = oracle._symmetry_blocks(n_modes, npart, comp)
     # every row of every block
-    assert sum(f.shape[1] * len(h0) for f, h0, _ in blocks) == res.basis_dim
+    assert sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks) == res.basis_dim
     for gi, g in enumerate(cfg.g_values):
-        h0, v, dv = shell_reference(npart, n_modes, g, sizes)
+        h0, v, dv, _ = intrinsic_reference(npart, n_modes, g, sizes)
         assert res.basis_dim == len(h0)
         vals, vecs = np.linalg.eigh(h0 + v)
         np.testing.assert_allclose(res.energies[gi], vals[:m], atol=1e-10)
@@ -206,15 +207,42 @@ def test_blocks_match_dense_reference(npart, n_modes, sizes):
 
 def _row_isometries(blocks):
     """T_f = sum_k f[k, r] ks[k] of every retained row r, block by block in the
-    row order of _solve_blocks, as dense arrays; None for the contact-free [1^N],
-    whose isometries are not built."""
-    return [sum(f[k, r] * t for k, t in enumerate(ks)).toarray() if ks else None
-            for f, _, ks in blocks for r in range(f.shape[1])]
+    row order of _solve_blocks, as dense arrays."""
+    return [sum(f[k, r] * t for k, t in enumerate(ks)).toarray()
+            for f, ks, *_ in blocks for r in range(f.shape[1])]
 
 
 def _widths(blocks):
     """The shape of every block's row basis f and the width of each of its isometries."""
-    return [(f.shape, *{t.shape[1] for t in ks}) for f, _, ks in blocks]
+    return [(f.shape, *{t.shape[1] for t in ks}) for f, ks, *_ in blocks]
+
+
+def _layer_counts(n_modes, npart, sizes):
+    """The shell states whose occupations increase inside every component, counted by quanta."""
+    cuts = np.cumsum((0,) + (sizes or (1,) * npart))
+    counts = [0] * n_modes
+    for r in shell_states(npart, n_modes):
+        if all(list(r[a:b]) == sorted(set(r[a:b])) for a, b in zip(cuts, cuts[1:])):
+            counts[sum(r)] += 1
+    return counts
+
+
+def _shell_count(n_modes, npart, sizes):
+    """The shell states whose occupations increase inside every component."""
+    return sum(_layer_counts(n_modes, npart, sizes))
+
+
+def _intrinsic_count(n_modes, npart, sizes):
+    """The intrinsic states of the shell: each layer of q quanta holds as many as it has states,
+    less the centre-of-mass excitations of the layer below, so they number as the states of
+    exactly n_modes - 1 quanta."""
+    return _layer_counts(n_modes, npart, sizes)[-1]
+
+
+def _intrinsic_levels(n_modes, npart, sizes):
+    """The trap energies of the intrinsic states, ascending."""
+    counts = [0] + _layer_counts(n_modes, npart, sizes)
+    return [q + 0.5 * npart for q in range(n_modes) for _ in range(counts[q + 1] - counts[q])]
 
 
 def test_block_sizes():
@@ -224,63 +252,73 @@ def test_block_sizes():
     assert len(occ) == size.sum() == 560 and len(rows) == len(size) == 123
     assert occ.tolist() == [list(r) for r in shell_states(3, 14)]
     assert np.all(np.diff(rows) > 0) and np.all(np.diff(occ[rows], axis=1) >= 0)
-    assert {t.shape[0] for _, _, ks in blocks for t in ks} == {560}
+    assert {t.shape[0] for _, ks, *_ in blocks for t in ks} == {560}
     # shapes (3), (2,1), (1,1,1), each even then odd; (2,1) has two rows
     assert _widths(blocks) == [((1, 1), 57), ((1, 1), 66), ((2, 2), 83), ((2, 2), 102),
-                               ((1, 1),), ((1, 1),)]
-    assert [len(h0) for _, h0, _ in blocks] == [57, 66, 83, 102, 29, 38]
-    # every row of the irrep for the contact, none for the contact-free (1,1,1)
-    assert [len(ks) for _, _, ks in blocks] == [1, 1, 2, 2, 0, 0]
+                               ((1, 1), 29), ((1, 1), 38)]
+    # every row of the irrep, and a contact on all but (1,1,1)
+    assert [len(ks) for _, ks, *_ in blocks] == [1, 1, 2, 2, 1, 1]
+    assert [contact for *_, contact in blocks] == [True] * 4 + [False] * 2
     assert [t.shape[1] for t in _row_isometries(blocks)[:6]] == [57, 66, 83, 83, 102, 102]
+    # the intrinsic states of each block: 105 = C(15, 2) with the second rows of (2,1)
+    assert [p.shape for _, ks, p, _, _ in blocks] == [
+        (57, 12), (66, 9), (83, 16), (102, 19), (29, 5), (38, 9)]
+    assert sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks) == 105
     # (2,1) components: no symmetric shape, one row of (2,1) antisymmetric under P_12
     _, pair = oracle._symmetry_blocks(14, 3, ComponentSpec((2, 1)))
-    assert _widths(pair) == [((2, 1), 83), ((2, 1), 102), ((1, 1),), ((1, 1),)]
-    assert [len(h0) for _, h0, _ in pair] == [83, 102, 29, 38]
-    assert [len(ks) for _, _, ks in pair] == [2, 2, 0, 0]
+    assert _widths(pair) == [((2, 1), 83), ((2, 1), 102), ((1, 1), 29), ((1, 1), 38)]
+    assert [len(hp) for *_, hp, _ in pair] == [16, 19, 5, 9]
+    assert [len(ks) for _, ks, *_ in pair] == [2, 2, 1, 1]
 
 
-@pytest.mark.parametrize("sizes", [None, (1, 1), (2,)])
-def test_two_particle_blocks_within_dense_cap(sizes):
-    # at the mode cap every two-particle block is solved densely
-    # (60 modes: the 1,830 states of 59 quanta, blocks of at most 465)
+@pytest.mark.parametrize("npart, sizes", [(2, None), (2, (2,)), (3, None), (3, (2, 1))])
+def test_intrinsic_dimension(monkeypatch, npart, sizes):
+    # basis_dim counts the intrinsic states, as many as the shell states of exactly
+    # n_modes - 1 quanta; an empty block takes no eigensolve.
+    widths = []
+
+    def recording_eigh(a, **kwargs):
+        widths.append(len(a))
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh", recording_eigh)
     comp = None if sizes is None else ComponentSpec(sizes)
-    _, blocks = oracle._symmetry_blocks(oracle.MODE_CAP, 2, comp)
-    assert max(len(h0) for _, h0, _ in blocks) <= oracle.DENSE_DIM_CAP
+    dim = _intrinsic_count(14, npart, sizes)
+    assert dim == {(2, None): 14, (2, (2,)): 7, (3, None): 105, (3, (2, 1)): 49}[npart, sizes]
+    res = diagonalize(EDConfig(npart, 14, (20.0, 50.0), n_states=dim, components=comp))
+    assert res.basis_dim == dim
+    _, blocks = oracle._symmetry_blocks(14, npart, comp)
+    assert 0 not in widths and sum(widths) == 2 * sum(len(hp) for *_, hp, c in blocks if c)
+    if npart == 2:
+        # two particles: one intrinsic state per relative level, the even ones symmetric,
+        # the odd ones antisymmetric, so the [2]-odd and [1,1]-even blocks are empty
+        assert [len(hp) for *_, hp, _ in blocks] == ([7, 0, 0, 7] if sizes is None else [0, 7])
+        assert widths == ([7] * 2 if sizes is None else [])
+        _, capped = oracle._symmetry_blocks(oracle.MODE_CAP, 2, None)
+        assert [len(hp) for *_, hp, _ in capped] == [30, 0, 0, 30]
+    with pytest.raises(ValueError, match=f"intrinsic basis dimension {dim}"):
+        diagonalize(EDConfig(npart, 14, (20.0,), n_states=dim + 1, components=comp))
 
 
-def _solver_widths(monkeypatch):
-    """Record the width of every dense and every sparse block solve."""
-    widths = {"eigh": [], "eigsh": []}
-
-    def recording(name, solver):
-        def solve(a, *args, **kwargs):
-            widths[name].append(a.shape[0])
-            return solver(a, *args, **kwargs)
-        return solve
-
-    monkeypatch.setattr(oracle, "eigh", recording("eigh", eigh))
-    monkeypatch.setattr(oracle, "eigsh", recording("eigsh", oracle.eigsh))
-    return widths
-
-
-def test_dense_blocks_below_cap(monkeypatch):
-    # The 120 shell states exceed the cap, but no block (at most 23) does.
-    cfg = EDConfig(n_particles=3, n_modes=8, g_values=(10.0,), n_states=6)
-    uncapped = diagonalize(cfg)
-    monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 100)
-    widths = _solver_widths(monkeypatch)
-    capped = diagonalize(cfg)
-    sizes = widths["eigh"]
-    assert widths["eigsh"] == []
-    _, blocks = oracle._symmetry_blocks(8, 3, None)
-    # the mixed irrep's second row shares the solve of its first
-    shared = sum((f.shape[1] - 1) * len(h0) for f, h0, _ in blocks)
-    # the antisymmetric states, the 11 of at most 7 quanta, take no solve
-    free = sum(len(h0) for _, h0, ks in blocks if not ks)
-    assert capped.basis_dim == 120 and free == 11 and max(sizes) <= 100
-    assert sum(sizes) + shared + free == 120
-    np.testing.assert_array_equal(capped.energies, uncapped.energies)
-    np.testing.assert_array_equal(capped.interaction, uncapped.interaction)
+@pytest.mark.parametrize("npart, sizes", [(2, None), (2, (2,)), (3, None), (3, (2, 1))])
+def test_kept_states_have_no_centre_of_mass_quanta(npart, sizes):
+    # Every kept state, mapped to the product basis through its row isometry T_f,
+    # has <N_cm> = 0, against N_cm written out by loops.
+    comp = None if sizes is None else ComponentSpec(sizes)
+    n = 8 if npart == 3 else 10
+    cfg = EDConfig(npart, n, (5.0, 20.0), n_states=_intrinsic_count(n, npart, sizes),
+                   components=comp)
+    shell, blocks = oracle._symmetry_blocks(n, npart, comp)
+    isometries = _row_isometries(blocks)
+    cm = shell_cm(npart, n)
+    for solved in oracle._solve_blocks(cfg, shell, blocks):
+        vecs = np.hstack([t @ x for t, (_, x, _) in zip(isometries, solved, strict=True)])
+        assert vecs.shape[1] == cfg.n_states
+        np.testing.assert_allclose(np.einsum("ij,ij->j", vecs, cm @ vecs), 0.0, rtol=0, atol=1e-12)
+    res = diagonalize(cfg)
+    for row, y in res.states:
+        v = isometries[row] @ y
+        assert abs(v @ cm @ v) < 1e-12
 
 
 def _swap_and_parity(n_modes, n_particles):
@@ -318,13 +356,6 @@ def _contact_matrix(n_modes, n_particles):
     return w[shell][:, shell]
 
 
-def _shell_count(n_modes, npart, sizes):
-    """The shell states whose occupations increase inside every component."""
-    cuts = np.cumsum((0,) + (sizes or (1,) * npart))
-    return sum(all(list(r[a:b]) == sorted(set(r[a:b])) for a, b in zip(cuts, cuts[1:]))
-               for r in shell_states(npart, n_modes))
-
-
 @pytest.mark.parametrize("npart, sizes", [
     (2, None), (2, (2,)), (3, None), (3, (2, 1)), (3, (1, 2)), (3, (3,)),
     (4, None), (4, (2, 2)), (4, (3, 1)), (4, (1, 2, 1)),
@@ -336,57 +367,68 @@ def test_block_invariants(npart, sizes):
     labels = np.repeat(np.arange(len(sizes)), sizes) if sizes else np.arange(npart)
     trap = np.array([sum(r) for r in shell_states(npart, n)]) + 0.5 * npart
     _, v, dv = shell_reference(npart, n, g)
+    cm = shell_cm(npart, n)
     shell, blocks = oracle._symmetry_blocks(n, npart, comp)
     ((w_r, dw_r),) = oracle._shell_contacts(n, (g,), shell)
     isometries = iter(_row_isometries(blocks))
     q, free = [], []
-    for f, h0, ks in blocks:
+    for f, ks, p, hp, contact in blocks:
         rows = [next(isometries) for _ in range(f.shape[1])]
-        # only the antisymmetric shape [1^N] is contact-free, and its isometries are not built
-        assert (not ks) == (rows[0] is None)
-        if not ks:
-            free.append(h0)
-            continue
         v_b, dv_b = (oracle._block_average(w, shell[1], ks) for w in (w_r, dw_r))
         assert f.shape[0] == len(ks)
         np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-12)
-        # one class-sum value, the irrep's, on every row
-        c = rows[0][:, 0] @ sum(rows[0][p, 0] for p in swaps.values())
+        # one class-sum value, the irrep's, on every row; only the antisymmetric shape
+        # [1^N] is contact-free
+        c = rows[0][:, 0] @ sum(rows[0][perm, 0] for perm in swaps.values())
         assert c == pytest.approx(round(c), abs=1e-12)
-        assert round(c) != -math.comb(npart, 2)
+        assert contact == (round(c) != -math.comb(npart, 2))
+        # every column an oscillator eigenstate, in layers of ascending trap energy
+        h0 = np.round(2.0 * trap @ rows[0] ** 2) / 2.0  # trap energies are half-integers
+        assert np.all(np.diff(h0) >= 0)
+        # P: orthonormal columns, each inside one layer, spanning the kernel of the block's N_cm
+        pd, cm_b = p.toarray(), rows[0].T @ cm @ rows[0]
+        np.testing.assert_allclose(pd.T @ pd, np.eye(len(hp)), atol=1e-12)
+        np.testing.assert_allclose(h0[:, None] * pd, pd * hp, atol=1e-12)
+        np.testing.assert_allclose(cm_b @ pd, 0.0, atol=1e-12)
+        assert len(hp) == np.sum(np.linalg.eigvalsh(cm_b) < 0.5)
         v_0 = rows[0].T @ v @ rows[0]
         for t in rows:
-            np.testing.assert_allclose(sum(t[p] for p in swaps.values()), c * t, atol=1e-12)
+            np.testing.assert_allclose(sum(t[perm] for perm in swaps.values()), c * t, atol=1e-12)
             np.testing.assert_allclose(parity[:, None] * t, parity[np.argmax(np.abs(t[:, 0]))] * t,
                                        atol=1e-12)
-            # every column an oscillator eigenstate with the block's trap energy
             np.testing.assert_allclose(trap[:, None] * t, t * h0, atol=1e-12)
             # identical fermions: every swap inside a component flips the sign
-            for (i, j), p in swaps.items():
+            for (i, j), perm in swaps.items():
                 if labels[i] == labels[j]:
-                    np.testing.assert_allclose(t[p], -t, atol=1e-12)
-            # every row carries the same block Hamiltonian, whose interaction and its
-            # derivative _block_average gives from the rows at the sorted occupations
+                    np.testing.assert_allclose(t[perm], -t, atol=1e-12)
+            # every row carries the same block Hamiltonian and N_cm, whose interaction and
+            # its derivative _block_average gives from the rows at the sorted occupations
             v_t = t.T @ v @ t
             np.testing.assert_allclose(v_t, v_0, atol=1e-12)
             np.testing.assert_allclose(v_t, v_b.toarray(), atol=1e-12)
             np.testing.assert_allclose(t.T @ dv @ t, dv_b.toarray(), atol=1e-12)
+            np.testing.assert_allclose(t.T @ cm @ t, cm_b, atol=1e-12)
+            if not contact:
+                np.testing.assert_allclose(v_t, 0.0, atol=1e-12)
+        if not contact:
+            free.append(h0)
         q += rows
     # [1^N], even then odd: the trap energies of the occupations without a repeated mode
     assert len(free) == 2
     np.testing.assert_array_equal(np.sort(np.concatenate(free)), sorted(
         sum(r) + 0.5 * npart for r in itertools.combinations(range(n), npart) if sum(r) < n))
-    if q:
-        q = np.hstack(q)
-        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
-    want = _shell_count(n, npart, sizes)
-    assert sum(f.shape[1] * len(h0) for f, h0, _ in blocks) == want
+    q = np.hstack(q)
+    np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+    assert q.shape[1] == _shell_count(n, npart, sizes)
     if npart < 4:
         cfg = EDConfig(npart, n, (1.0,), n_states=1, components=comp)
-        assert diagonalize(cfg).basis_dim == want
+        assert diagonalize(cfg).basis_dim == _intrinsic_count(n, npart, sizes)
+    else:
+        assert sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks) == _intrinsic_count(
+            n, npart, sizes)
     if npart == 4 and sizes is None:
         # shapes (4), (3,1), (2,2), (2,1,1), (1,1,1,1), each even then odd
-        assert [f.shape[1] for f, _, _ in blocks] == [1, 1, 3, 3, 2, 2, 3, 3, 1, 1]
+        assert [f.shape[1] for f, *_ in blocks] == [1, 1, 3, 3, 2, 2, 3, 3, 1, 1]
 
 
 def test_mixed_blocks_isospectral():
@@ -422,79 +464,88 @@ def test_eigh_widths_one_solve_per_mixed_pair(monkeypatch):
         return diagonalize(EDConfig(npart, 14, (20.0, 50.0), n_states=6, components=comp))
 
     dist = solved(3, None)
-    # coupling by coupling: one solve per shape and parity, the mixed irrep's second row
-    # mapped, and no solve of the contact-free (1,1,1)
-    assert widths == [57, 66, 83, 102] * 2
-    assert sum(widths) == 2 * 308 and dist.basis_dim == math.comb(16, 3)
+    # coupling by coupling: one dense solve per shape and parity on its intrinsic states,
+    # the mixed irrep's second row mapped, and no solve of the contact-free (1,1,1)
+    assert widths == [12, 9, 16, 19] * 2
+    _, blocks = oracle._symmetry_blocks(14, 3, None)
+    shared = sum((f.shape[1] - 1) * len(hp) for f, _, _, hp, _ in blocks)
+    free = sum(len(hp) for *_, hp, contact in blocks if not contact)
+    assert sum(widths[:4]) + shared + free == 56 + 35 + 14 == dist.basis_dim == math.comb(15, 2)
     ones = solved(3, (1, 1, 1))
-    assert widths == [57, 66, 83, 102] * 2
+    assert widths == [12, 9, 16, 19] * 2
     for name in ("energies", "tracked", "track_quality", "interaction"):
         np.testing.assert_array_equal(getattr(ones, name), getattr(dist, name))
+    # two particles: the odd [1,1] block is antisymmetric, the even [2] one has 7 states
     solved(2, None)
-    assert widths == [28, 28] * 2
+    assert widths == [7] * 2
     solved(3, (2, 1))
-    assert widths == [83, 102] * 2
+    assert widths == [16, 19] * 2
     # identical fermions span only the contact-free shape: no solve at all
     for npart in (2, 3):
-        assert solved(npart, (npart,)).basis_dim == _shell_count(14, npart, (npart,)) \
+        assert solved(npart, (npart,)).basis_dim == _intrinsic_count(14, npart, (npart,)) \
             and widths == []
 
 
 def test_mapped_vectors_are_eigenvectors():
-    # All 56 states of the shell of five quanta.  Each state is a block eigenvector x
-    # in its block row; mapped by the row isometry T_f, built here, it is an
-    # eigenvector of the shell Hamiltonian in the product basis.
-    cfg = EDConfig(3, 6, (5.0, 20.0), n_states=56)
+    # All 21 intrinsic states of the shell of five quanta.  Each state is an eigenvector
+    # in the columns of its block row; mapped by the row isometry T_f, built here, it is
+    # an eigenvector of the shell Hamiltonian in the product basis.
+    cfg = EDConfig(3, 6, (5.0, 20.0), n_states=21)
     shell, blocks = oracle._symmetry_blocks(6, 3, None)
     isometries = _row_isometries(blocks)
     swaps, _ = _swap_and_parity(6, 3)
     for g, solved in zip(cfg.g_values, oracle._solve_blocks(cfg, shell, blocks), strict=True):
         h0, v, dv = shell_reference(3, 6, g)
-        assert len(solved) == len(isometries) and sum(len(e) for e, _, _ in solved) == 56
-        rows = [(t, *row) for t, row in zip(isometries, solved) if t is not None]
-        vals = np.concatenate([e for _, e, _, _ in rows])
-        vecs = np.hstack([t @ x for t, _, x, _ in rows])
-        contact = np.concatenate([c for _, _, _, c in rows])
+        assert len(solved) == len(isometries) and sum(len(e) for e, _, _ in solved) == 21
+        vals = np.concatenate([e for e, _, _ in solved])
+        vecs = np.hstack([t @ y for t, (_, y, _) in zip(isometries, solved)])
+        contact = np.concatenate([c for _, _, c in solved])
         resid = (h0 + v) @ vecs - vecs * vals
         assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-12)
         np.testing.assert_allclose(contact, np.einsum("ij,ij->j", vecs, dv @ vecs), atol=1e-12)
         # the vectors of every row of a multi-row block: class-sum value 0, the mixed irrep
         mixed = np.abs(sum(vecs[p] for p in swaps.values())).max(axis=0) < 1e-12
-        assert np.sum(mixed) == sum(f.shape[1] * len(h0) for f, h0, _ in blocks if f.shape[1] > 1)
+        assert np.sum(mixed) == sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks
+                                    if f.shape[1] > 1)
         # each of their energies comes from one solve, so the two rows agree bit for bit
         assert np.all(np.unique(vals[mixed], return_counts=True)[1] % 2 == 0)
 
 
 def test_contact_free_states_are_trap_states():
-    # Every state of the antisymmetric shape is a unit column of its block:
-    # exactly its trap energy and exactly zero interaction.
-    cfg = EDConfig(3, 6, (5.0, 20.0), n_states=56)
+    # Every intrinsic state of the antisymmetric shape is a column of its block's
+    # isometry P, exactly at its trap energy and with exactly zero interaction.
+    cfg = EDConfig(3, 6, (5.0, 20.0), n_states=21)
     shell, blocks = oracle._symmetry_blocks(6, 3, None)
-    energies = [h0 for f, h0, _ in blocks for _ in range(f.shape[1])]
-    free = [r for r, t in enumerate(_row_isometries(blocks)) if t is None]
-    for g, solved in zip(cfg.g_values, oracle._solve_blocks(cfg, shell, blocks), strict=True):
+    rows = [block for block in blocks for _ in range(block[0].shape[1])]
+    free = [r for r, (*_, contact) in enumerate(rows) if not contact]
+    for solved in oracle._solve_blocks(cfg, shell, blocks):
         anti = []
         for r in free:
-            e, x, c = solved[r]
+            e, y, c = solved[r]
+            _, _, p, hp, _ = rows[r]
             assert np.all(c == 0.0)
-            for v, col in zip(e, x.T):
-                assert np.count_nonzero(col) == 1 and col.max() == 1.0
-                assert v == energies[r][np.argmax(col)]
+            np.testing.assert_array_equal(e, hp)
+            np.testing.assert_array_equal(y, p.toarray())
             anti += list(e)
-        assert len(anti) == _shell_count(6, 3, (3,)) == 4
-        np.testing.assert_array_equal(np.sort(anti), sorted(
-            sum(r) + 1.5 for r in itertools.combinations(range(6), 3) if sum(r) < 6))
+        assert len(anti) == _intrinsic_count(6, 3, (3,)) == 2
+        np.testing.assert_array_equal(np.sort(anti), _intrinsic_levels(6, 3, (3,)))
     # Identical fermions: every state is one, tracked with overlap 1 at every coupling.
-    for npart, n in ((2, 12), (3, 9)):
+    for npart, n in ((2, 16), (3, 12)):
         res = diagonalize(EDConfig(npart, n, (5.0, 20.0, 80.0), n_states=8,
                                    components=ComponentSpec((npart,))))
-        free = sorted(sum(c) + 0.5 * npart for c in itertools.combinations(range(n), npart)
-                      if sum(c) < n)
+        free = _intrinsic_levels(n, npart, (npart,))
         np.testing.assert_array_equal(res.energies, np.tile(free[:8], (3, 1)))
         np.testing.assert_array_equal(res.tracked, res.energies)
         assert np.all(res.interaction == 0.0)
         np.testing.assert_allclose(res.track_quality, 1.0, atol=1e-12)
+    # The K = 0 state of three distinguishable particles is the antisymmetric ground
+    # state: its interaction and its fitted K are exactly 0.0.
+    res = diagonalize(EDConfig(3, 10, (20.0, 50.0, 100.0), n_states=6))
+    (j,) = np.flatnonzero(np.all(res.interaction == 0.0, axis=0))
+    fit = slope_fit(res, j)
+    assert fit.k_value == 0.0 and fit.uncertainty == 0.0
+    assert res.tracked[0, j] == 1.5 + 3.0
 
 
 @pytest.mark.parametrize("sizes", [None, (2, 1)])
@@ -504,12 +555,12 @@ def test_kept_states_match_full_run(sizes):
     # the energies are the lowest n_states of the merged full spectrum.
     comp = None if sizes is None else ComponentSpec(sizes)
     shell, blocks = oracle._symmetry_blocks(6, 3, comp)
-    dim = sum(f.shape[1] * len(h0) for f, h0, _ in blocks)
+    dim = sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks)
     cfg = EDConfig(3, 6, (5.0, 20.0), n_states=dim, components=comp)
     full = list(oracle._solve_blocks(cfg, shell, blocks))
     assert len(full) == len(cfg.g_values)
     merged = [np.sort(np.concatenate([e for e, _, _ in whole]), kind="stable") for whole in full]
-    for n_states in (max(len(h0) for _, h0, _ in blocks), dim - 1):
+    for n_states in (max(len(hp) for *_, hp, _ in blocks), dim - 1):
         kept = replace(cfg, n_states=n_states)
         compared = 0
         for part, whole in zip(oracle._solve_blocks(kept, shell, blocks), full, strict=True):
@@ -521,8 +572,8 @@ def test_kept_states_match_full_run(sizes):
         res = diagonalize(kept)
         for gi, vals in enumerate(merged):
             assert res.energies[gi].tobytes() == vals[:n_states].tobytes()
-        # the contact-free [1^3] states are among them
-        assert np.any(res.interaction == 0.0)
+        if n_states == dim - 1:  # the contact-free [1^3] states are among them
+            assert np.any(res.interaction == 0.0)
     # Fewer states than a block holds: its lowest ones, from a partial solve.
     res = diagonalize(replace(cfg, n_states=4))
     np.testing.assert_allclose(res.energies, [vals[:4] for vals in merged], rtol=0, atol=1e-12)
@@ -530,9 +581,9 @@ def test_kept_states_match_full_run(sizes):
 
 def _tracked_reference(cfg):
     """Tracked energies, overlaps and interaction expectations of the lowest
-    n_states eigenvectors of the dense shell Hamiltonian at the first coupling,
-    matched to all its eigenvectors at each later coupling by product-basis
-    overlap, as diagonalize matches them.
+    n_states eigenvectors of the dense shell Hamiltonian on the states of N_cm = 0
+    at the first coupling, matched to all its eigenvectors at each later coupling
+    by product-basis overlap, as diagonalize matches them.
 
     A degenerate level has no preferred eigenbasis, so at every coupling after
     the first its eigenvectors are rotated onto the previous states that
@@ -543,7 +594,7 @@ def _tracked_reference(cfg):
     sizes = None if cfg.components is None else cfg.components.sizes
     out, prev = [], None
     for g in cfg.g_values:
-        h0, v, dv = shell_reference(cfg.n_particles, cfg.n_modes, g, sizes)
+        h0, v, dv, _ = intrinsic_reference(cfg.n_particles, cfg.n_modes, g, sizes)
         vals, vecs = np.linalg.eigh(h0 + v)
         if prev is None:
             m = cfg.n_states
@@ -569,11 +620,11 @@ def _tracked_reference(cfg):
     (2, 8, None, (5.0, 20.0, 80.0), 4, False),
     # two particles never cross: each interacting level rises toward the free level above it
     (2, 8, None, (0.5, 5.0, 200.0), 6, False),
-    (3, 6, None, (1.0, 2.0, 3.0), 4, True),
+    (3, 6, None, (1.0, 2.0, 3.0), 6, True),
     (3, 7, (2, 1), (5.0, 20.0, 80.0), 6, False),
-    (3, 7, (2, 1), (0.5, 3.0, 200.0), 10, True),
-    # column 3 rises past the lowest six
-    (3, 6, None, (2.0, 5.0, 20.0), 4, True),
+    (3, 7, (2, 1), (0.5, 3.0, 200.0), 9, True),
+    # column 9 rises past the lowest ten
+    (3, 6, None, (2.0, 5.0, 20.0), 10, True),
 ])
 def test_tracking_matches_dense_reference(npart, n_modes, sizes, g_values, n_states, crossed):
     # Overlaps in block coordinates track the states as product-basis overlaps do.
@@ -592,22 +643,23 @@ def test_tracking_matches_dense_reference(npart, n_modes, sizes, g_values, n_sta
 
 
 def test_tracked_states_keep_their_block_row():
-    # Column 3 starts in the odd symmetric row, as the centre-of-mass excitation
-    # of the ground state, and stays there: a state cannot leave its block row.
-    cfg = EDConfig(3, 6, (2.0, 5.0, 20.0), n_states=4)
+    # Column 9 starts in the odd symmetric row, its one state among the lowest ten
+    # intrinsic states, and stays there: a state cannot leave its block row.
+    cfg = EDConfig(3, 6, (2.0, 5.0, 20.0), n_states=10)
     res = diagonalize(cfg)
     first = diagonalize(replace(cfg, g_values=(2.0,)))
-    assert [s[0] for s in res.states] == [s[0] for s in first.states]
-    assert np.min(res.track_quality) > 0.97
-    # it rises to 5.22 at g = 20, above the lowest four
-    assert res.tracked[-1, 3] > res.energies[-1, 3] + 0.7
-    own = slope_fit(res, 3, reduced=res)
+    rows = [s[0] for s in res.states]
+    assert rows == [s[0] for s in first.states] and rows.count(1) == 1 and rows[9] == 1
+    assert np.min(res.track_quality) > 0.95
+    # it rises to 6.81 at g = 20, above the lowest ten
+    assert res.tracked[-1, 9] > res.energies[-1, 9] + 0.3
+    own = slope_fit(res, 9, reduced=res)
     assert own.truncation_shift == 0.0
-    # A rerun that tracks no state of column 3's row: the nearest K among its columns.
-    three = diagonalize(replace(cfg, n_states=3))
-    assert res.states[3][0] not in [s[0] for s in three.states]
-    assert slope_fit(res, 3, reduced=three).truncation_shift == min(
-        abs(slope_fit(three, j, reduced=three).k_value - own.k_value) for j in range(3))
+    # A rerun that tracks no state of column 9's row: the nearest K among its columns.
+    nine = diagonalize(replace(cfg, n_states=9))
+    assert 1 not in [s[0] for s in nine.states]
+    assert slope_fit(res, 9, reduced=nine).truncation_shift == min(
+        abs(slope_fit(nine, j, reduced=nine).k_value - own.k_value) for j in range(9))
 
 
 @pytest.mark.parametrize("npart, n_modes, sizes, g_values, n_states", [
@@ -651,8 +703,9 @@ def test_diagonalize_memory_bound():
     # tracemalloc peak of the shell of 29 quanta, the default of `validate`: 84.8 MB with
     # the isometries and bracket maps indexed over the 27,000 states of the product cube,
     # 80.2 MB indexed by the 4,960 shell positions with the interaction rows of every
-    # coupling alive at once, 40.1 MB with those of one coupling at a time.  The bound
-    # leaves 10%.  The run is traced cold: diagonalize imports nothing on its first call.
+    # coupling alive at once, 40.1 MB with those of one coupling at a time, 32.8 MB with
+    # the blocks solved on their intrinsic states alone.  The bound leaves 10%.  The run
+    # is traced cold: diagonalize imports nothing on its first call.
     cfg = EDConfig(3, 30, (20.0, 50.0, 100.0), n_states=10)
     tracemalloc.start()
     try:
@@ -660,7 +713,7 @@ def test_diagonalize_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 44.1e6
+    assert peak < 36.1e6
 
 
 def test_buffer_states_keep_tracking():
@@ -671,46 +724,16 @@ def test_buffer_states_keep_tracking():
     assert np.min(res.track_quality) >= 0.99
 
 
-def test_sparse_matches_dense(monkeypatch):
-    cfg = EDConfig(n_particles=3, n_modes=10, g_values=(10.0,), n_states=6)
-    dense = diagonalize(cfg)
-    monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 10)
-    widths = _solver_widths(monkeypatch)
-    sparse = diagonalize(cfg)
-    # every block with a contact is wider than the cap, so each takes the in-block Lanczos solve
-    assert widths["eigh"] == [] and min(widths["eigsh"]) > 10
-    np.testing.assert_allclose(sparse.energies, dense.energies, atol=1e-8)
-    np.testing.assert_allclose(sparse.interaction, dense.interaction, atol=1e-6)
-    again = diagonalize(cfg)
-    np.testing.assert_array_equal(again.energies, sparse.energies)
-
-
-def test_component_basis_above_cap(monkeypatch):
-    # Identical fermions in a basis whose blocks exceed the cap are solved like
-    # any other basis, block by block.
-    cfg = EDConfig(3, 10, (20.0, 50.0, 100.0), n_states=6, components=ComponentSpec((2, 1)))
-    dense = diagonalize(cfg)
-    monkeypatch.setattr(oracle, "DENSE_DIM_CAP", 30)
-    widths = _solver_widths(monkeypatch)
-    sparse = diagonalize(cfg)
-    assert widths["eigh"] == [] and widths["eigsh"] == [31, 41] * 3
-    np.testing.assert_allclose(sparse.energies, dense.energies, atol=1e-10)
-    np.testing.assert_allclose(sparse.tracked, dense.tracked, atol=1e-10)
-    np.testing.assert_allclose(sparse.interaction, dense.interaction, atol=1e-10)
-
-
 def test_shell_two_body_matches_reference():
-    # Two particles on the shell of at most 11 quanta: every centre-of-mass orbital N
-    # carries the relative levels of its model space, n <= 11 - N.  The even ones are
+    # Two particles on the shell of at most 11 quanta: the intrinsic states are the
+    # centre-of-mass ground orbital with every relative level n <= 11.  The even ones are
     # the exact interacting levels (V_eff from the exact two-body states), the odd ones
-    # the free levels n + 1/2, each shifted by N + 1/2.
+    # the free levels n + 1/2, each shifted by 1/2.
     e_max, g_values = 11, (20.0, 50.0, 100.0)
-    dim = math.comb(e_max + 2, 2)
-    res = diagonalize(EDConfig(2, e_max + 1, g_values, n_states=dim))
-    assert res.basis_dim == dim
+    res = diagonalize(EDConfig(2, e_max + 1, g_values, n_states=e_max + 1))
+    assert res.basis_dim == e_max + 1
     for gi, g in enumerate(g_values):
-        exact = [two_body_reference(g, n // 2) + cm if n % 2 == 0 else cm + n + 1.0
-                 for cm in range(e_max + 1) for n in range(e_max + 1 - cm)]
+        exact = [two_body_reference(g, n // 2) if n % 2 == 0 else n + 1.0 for n in range(e_max + 1)]
         np.testing.assert_allclose(res.energies[gi], np.sort(exact), rtol=0, atol=1e-10)
 
 
@@ -725,7 +748,7 @@ def test_shell_block_invariants(npart, sizes):
     swaps, _ = _swap_and_parity(n, npart)
     shell, blocks = oracle._symmetry_blocks(n, npart, comp)
     rows = _row_isometries(blocks)
-    q = np.hstack([np.zeros((len(shell[0]), 0))] + [t for t in rows if t is not None])
+    q = np.hstack(rows)
     np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
     labels = np.repeat(np.arange(len(sizes)), sizes) if sizes else np.arange(npart)
     for (i, j), p in swaps.items():
@@ -733,21 +756,19 @@ def test_shell_block_invariants(npart, sizes):
             np.testing.assert_allclose(q @ (q.T @ q[p]), q[p], atol=1e-12)
         elif labels[i] == labels[j]:
             np.testing.assert_allclose(q[p], -q, atol=1e-12)
-    want = _shell_count(n, npart, sizes)
+    assert q.shape[1] == _shell_count(n, npart, sizes)
     cfg = EDConfig(npart, n, (g,), n_states=1, components=comp)
-    assert sum(f.shape[1] * len(h0) for f, h0, _ in blocks) == want
-    assert diagonalize(cfg).basis_dim == want
+    assert diagonalize(cfg).basis_dim == _intrinsic_count(n, npart, sizes)
     w = _contact_matrix(n, npart)
-    first = np.cumsum([0] + [f.shape[1] for f, _, _ in blocks])
+    first = np.cumsum([0] + [f.shape[1] for f, *_ in blocks])
     ((w_r, dw_r),) = oracle._shell_contacts(n, (g,), shell)
-    for start, (_, _, ks) in zip(first, blocks):
-        if not ks:
-            assert rows[start] is None
-            continue
+    for start, (_, ks, _, _, contact) in zip(first, blocks):
         v, dv = (oracle._block_average(t, shell[1], ks) for t in (w_r, dw_r))
         bare = rows[start].T @ w @ rows[start]
         np.testing.assert_allclose(v.toarray() / g, bare, rtol=0, atol=2e-5)
         np.testing.assert_allclose(dv.toarray(), bare, rtol=0, atol=2e-5)
+        if not contact:  # the bare contact vanishes on [1^N] too
+            np.testing.assert_allclose(bare, 0.0, rtol=0, atol=1e-12)
 
 
 def test_shell_interaction_is_energy_derivative():
