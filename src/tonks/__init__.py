@@ -13,9 +13,8 @@ wavefunction, and diagonalizing the resulting graph Laplacian.  A
 finite-coupling exact-diagonalization oracle is included for validation.
 
 The public names, and the submodules, resolve on first use (PEP 562):
-`import tonks` loads no submodule; every module but the oracle imports
-NumPy alone (a tabulated trap loads scipy.linalg when it is solved), and
-the oracle loads SciPy.  Each access reads the name from its defining
+`import tonks` loads no submodule, and every module imports NumPy alone:
+no command loads SciPy.  Each access reads the name from its defining
 module, so a patched or wrapped `tonks.spectrum.solve` is what `tonks.solve` gives.
 """
 

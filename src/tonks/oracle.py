@@ -10,9 +10,10 @@ into exact blocks, one per irrep of the permutation group and parity, each
 built from Young's orthogonal form with one isometry per row of the irrep
 (for identical fermions, per row antisymmetric inside every component), and
 each block keeps only its intrinsic states, N_cm = 0, as every state of the
-strong-coupling manifold does (Elliott & Skyrme 1955).  One coupling at a
-time, each block's interaction is assembled from the interaction rows of the
-sorted occupations alone and solved densely, once for all its rows; the
+strong-coupling manifold does (Elliott & Skyrme 1955).  Each block's
+interaction is that of one particle pair, in its centre-of-mass and relative
+orbitals, times the number of pairs; its pair rows are built once, and at each
+coupling the block is solved densely, once for all its rows; the
 antisymmetric irrep carries no contact and takes no solve.  Each state is
 tracked across couplings inside its block row by eigenvector overlap.  The
 expectation of dV_eff/dg in each tracked state is dE/dg of the shell model,
@@ -26,10 +27,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-from scipy.special import digamma, gammaln, stdtrit
+from numpy.linalg import eigh
 
 from .sectors import ComponentSpec, _partitions, _young_generators
 from .traps import _hermite_ladder
@@ -58,6 +56,21 @@ def _brackets(e_max: int) -> np.ndarray:
     return out
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _digamma(x: np.ndarray) -> np.ndarray:
+    """psi(x) for x > 0: psi(x) = psi(x + 1) - 1/x up to x >= 10, then the asymptotic series
+    ln x - 1/(2x) - sum_k B_2k / (2k x^2k), whose first omitted term is below 1e-16 there."""
+    x, shift = np.array(x, dtype=float), 0.0
+    while np.any(low := x < 10.0):
+        shift, x = shift - low / x, x + low
+    x2 = 1.0 / (x * x)
+    series = x2 * (1 / 12 - x2 * (1 / 120 - x2 * (1 / 252 - x2 * (1 / 240 - x2 * (
+        1 / 132 - x2 * (691 / 32760 - x2 / 12))))))
+    return shift + np.log(x) - 0.5 / x - series
+
+
 def _relative_interaction(g: np.ndarray, d_max: int) -> np.ndarray:
     """Okubo-Lee-Suzuki V_eff = Z E Z^T - H_0 of the relative motion on its lowest d
     even orbitals, for each coupling of g and d = 1..d_max, zero-padded to shape
@@ -75,11 +88,11 @@ def _relative_interaction(g: np.ndarray, d_max: int) -> np.ndarray:
     base, u = 2.0 * np.arange(d_max) + 0.5, np.full((len(g), d_max), 0.5)
     for _ in range(28):
         e = base + u
-        r = np.exp(gammaln(0.5 * e + 0.25) - gammaln(0.5 * e + 0.75))
+        r = np.exp(_lgamma(0.5 * e + 0.25) - _lgamma(0.5 * e + 0.75))
         u = np.arctan(g[:, None] * r / (2.0 * math.sqrt(2.0))) * (2.0 / np.pi)
     t = 0.5 * np.pi * (e - base)  # e from the last step, with its r
     norm2 = 0.5 * r * (0.5 * np.pi / np.sin(t) ** 2
-                       - 0.5 * (digamma(0.5 * e + 0.25) - digamma(0.5 * e + 0.75)) / np.tan(t))
+                       - 0.5 * (_digamma(0.5 * e + 0.25) - _digamma(0.5 * e + 0.75)) / np.tan(t))
     phi0 = _hermite_ladder(np.zeros(1), 2 * d_max)[:-1:2]  # phi_2m(0), shape (d_max, 1)
     c = phi0 / ((e[:, None, :] - base[:, None]) * np.sqrt(norm2[:, None, :]))  # [g, m, b]
     out = np.zeros((len(g), d_max + 1, d_max, d_max))
@@ -161,42 +174,49 @@ def _kernel(m: np.ndarray) -> np.ndarray:
     return vecs[:, vals < 1e-6]
 
 
-_Block = tuple[np.ndarray, tuple, sparse.csc_array, np.ndarray, bool]
-_Shell = tuple[np.ndarray, np.ndarray, np.ndarray]
+_Block = tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray, bool]
 
 
-def _intrinsic(cm_b: sparse.csr_array, h0: np.ndarray) -> tuple[sparse.csc_array, np.ndarray]:
-    """The isometry P onto the kernel of a block's N_cm, cm_b, and the trap energy of each
-    of its columns.  N_cm keeps the quanta, so each layer of equal trap energy h0
-    (ascending) is one diagonal square of cm_b, filled from its nonzeros alone.
+def _intrinsic(occ: np.ndarray, up: np.ndarray, iso: tuple, edges: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The isometry P onto the kernel of a block's N_cm, and the trap energy of each of its
+    columns.  N_cm = b^+ b, with b = N^(-1/2) sum_i a_i lowering the quanta by one, so each
+    layer of q quanta, the block columns edges[q]:edges[q + 1], is one diagonal square of
+    N_cm: the Gram matrix of b T_q, with T_q those columns of T_(e_0) on the states of q
+    quanta.  up[i] is the shell position of each state with one more quantum in slot i.
     """
-    start = np.flatnonzero(np.diff(h0, prepend=-np.inf))
-    w = np.diff(start, append=len(h0))
-    at = np.cumsum(w * w) - w * w  # each layer's square, row-major, in one buffer
-    cm = cm_b.tocoo()
-    lay = np.searchsorted(start, cm.row, side="right") - 1
-    buf = np.zeros(np.sum(w * w))
-    np.add.at(buf, at[lay] + (cm.row - start[lay]) * w[lay] + cm.col - start[lay], cm.data)
-    kernels = [_kernel(buf[a:a + n * n].reshape(n, n)) for a, n in zip(at, w)]
-    owner = np.repeat(np.arange(len(w)), [v.shape[1] for v in kernels])
-    ptr = np.concatenate([[0], np.cumsum(w[owner])])
-    rows = np.arange(ptr[-1]) - np.repeat(ptr[:-1] - start[owner], w[owner])
-    data = np.concatenate([np.zeros(0)] + [v.T.ravel() for v in kernels])
-    return sparse.csc_array((data, rows, ptr), shape=(len(h0), len(owner))), h0[start[owner]]
+    states, at, coef = iso
+    n, total = occ.shape[1], occ.sum(axis=1)
+    layers = np.flatnonzero(np.diff(edges))
+    kernels = [np.zeros((edges[-1], 0))]  # each layer's, padded to all the block columns
+    for q in layers:
+        c0, w = edges[q], edges[q + 1] - edges[q]
+        mine = np.flatnonzero(total[states] == q)
+        t = np.zeros((len(mine), w + 1))  # the last column gathers the padding of at
+        np.put_along_axis(t, np.minimum(at[mine] - c0, w), coef[mine, 0], axis=1)
+        below = np.flatnonzero(total == q - 1)
+        bt = sum(np.sqrt(occ[below, i] + 1.0)[:, None]
+                 * t[np.searchsorted(states[mine], up[i, below]), :w] for i in range(n))
+        kernel = _kernel(bt.T @ bt / n)
+        kernels.append(np.zeros((edges[-1], kernel.shape[1])))
+        kernels[-1][c0:c0 + w] = kernel
+    return np.hstack(kernels), np.repeat(layers + 0.5 * n, [v.shape[1] for v in kernels[1:]])
 
 
 def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec | None
-                     ) -> tuple[_Shell, list[_Block]]:
+                     ) -> tuple[np.ndarray, list[_Block]]:
     """The shell of at most n_modes - 1 quanta, and its exact symmetry blocks.
 
-    The shell is (the occupations of its product states in ascending product
-    index, the positions of the sorted occupations among them, ascending, and
-    the size of each one's orbit); it is closed under swaps, and every row
-    index below is a position in it.  The blocks come one per irrep of S_N
-    and parity in a fixed order, each as (the retained rows f of the irrep as
-    columns, the isometries T_(e_k) of all d rows e_k of the irrep, the
-    isometry P onto the block's N_cm = 0 states, the trap energy of each
-    column of P, whether the block has a contact).
+    The shell is the occupations of its product states in ascending product
+    index; it is closed under swaps, and every row index below is a position
+    in it.  The blocks come one per irrep of S_N and parity in a fixed order,
+    each as (the retained rows f of the irrep as columns, the isometries
+    T_(e_k) of all d rows e_k of the irrep, the isometry P onto the block's
+    N_cm = 0 states, the trap energy of each column of P, whether the block
+    has a contact).  The isometries are one gather (states, at, coef): the
+    shell positions of the states of the block's parity, and for each state
+    and j < d the column at[., j] where T_(e_k) holds coef[., k, j] (the
+    block's column count, a padding column, past the state's own columns).
 
     Product state w is sigma_w r, with r its sorted occupation and sigma_w the
     adjacent swaps s_k that sort it.  For a shape with Young's orthogonal form
@@ -229,16 +249,9 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     ties = (r[:, 1:] == r[:, :-1]) @ (1 << np.arange(n_particles - 1))  # tied slot pairs as bits
     quanta = r.sum(axis=1)
     order = np.argsort(quanta, kind="stable")
-    # N_cm on the shell: a_i^+ a_i counts particle i's quanta, a_i^+ a_j moves one from j to i
     stride = n_modes ** np.arange(n_particles - 1, -1, -1)
     index = occ @ stride  # the product index of each shell state, ascending
-    moves = [(np.flatnonzero(occ[:, j]), i, j)
-             for i, j in itertools.permutations(range(n_particles), 2)]
-    at = np.concatenate([np.arange(len(occ))] + [o for o, _, _ in moves])
-    to = [np.searchsorted(index, index[o] + stride[i] - stride[j]) for o, i, j in moves]
-    val = [np.sqrt(occ[o, j] * (occ[o, i] + 1.0)) for o, i, j in moves]
-    cm = sparse.csr_array((np.concatenate([occ.sum(axis=1)] + val) / n_particles,
-                           (np.concatenate([np.arange(len(occ))] + to), at)), shape=(len(occ),) * 2)
+    up = np.searchsorted(index, index + stride[:, None])
     sizes = (1,) * n_particles if components is None else components.sizes
     label = np.repeat(np.arange(len(sizes)), sizes)
     blocks = []
@@ -251,7 +264,7 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
             continue
         e = np.zeros((2 ** (n_particles - 1), d, d))  # fixed vectors of each tie pattern, padded
         width = np.zeros(len(e), dtype=int)
-        for p in np.unique(ties):
+        for p in set(ties.tolist()):  # np.unique would load numpy.ma
             basis = _kernel(sum((np.eye(d) - rho for k, rho in enumerate(gens) if p >> k & 1),
                                 np.zeros((d, d))))
             e[p, :, :basis.shape[1]] = basis
@@ -264,101 +277,117 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
             cols = np.where(quanta % 2 == parity, width[ties], 0)
             start = np.empty_like(cols)  # the first column of each orbit
             start[order] = np.cumsum(cols[order]) - cols[order]
-            w, j = np.nonzero(np.arange(d) < cols[orbit][:, None])
-            # int32 indices, which the interaction products of _shell_contacts keep
-            at = np.array([w, start[orbit[w]] + j], dtype=np.int32)
-            dims = (len(occ), cols.sum())
-            ks = tuple(sparse.csc_array((coef[w, k, j], at), shape=dims) for k in range(d))
-            h0 = np.repeat(quanta[order], cols[order]) + 0.5 * n_particles
+            edges = np.concatenate([[0], np.cumsum(np.bincount(quanta, cols, n_modes))]).astype(int)
+            states = np.flatnonzero(occ.sum(axis=1) % 2 == parity)
+            o = orbit[states, None]
+            at = np.where(np.arange(d) < cols[o], start[o] + np.arange(d), edges[-1])
+            iso = (states, at, coef[states])
             # every row isometry gives the same block, as N_cm commutes with every permutation
-            blocks.append((f, ks, *_intrinsic(ks[0].T @ (cm @ ks[0]), h0), len(lam) < n_particles))
-    return (occ, first, size), blocks
+            blocks.append((f, iso, *_intrinsic(occ, up, iso, edges), len(lam) < n_particles))
+    return occ, blocks
 
 
-def _shell_contacts(n_modes: int, g_values: tuple[float, ...], shell: _Shell):
-    """Per coupling in turn, the rows (W[R, :], dW/dg[R, :]) of the shell at the sorted
-    occupations R, one per orbit, each row scaled by its orbit size.
+def _pair_rows(occ: np.ndarray, iso: tuple, p: np.ndarray, br: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Y_k = sqrt(N (N - 1) / (2 d)) B T_(e_k) P for the d rows k of the irrep, on the even
+    relative orbitals of the pair in slots 0 and 1, so that the block interaction is
+    sum_k Y_k^T V Y_k (_interaction); and stops, with the rows of V_eff width d_V at
+    stops[d_V - 1]:stops[d_V].
 
-    The pair (p, q) with s quanta and r spectator quanta is carried by the
-    brackets to its centre-of-mass orbital N and relative orbital s - N, in
-    slots p and q, where the relative V_eff of its lowest
-    (e_max - r - N) // 2 + 1 even orbitals acts; the brackets carry it back.
-    The interaction W commutes with every particle permutation, so only its
-    rows at R are built; the bracket maps are built once, the rows of a
-    coupling only when it is reached.
+    W commutes with every permutation and the sum over all rows of the irrep is invariant
+    under them, so each of the N (N - 1) / 2 pairs gives the same (1/d) sum_k T_(e_k)^T V_pq
+    T_(e_k) as slots 0 and 1.  The brackets br (_brackets) carry their orbitals a and s - a
+    to the centre-of-mass orbital N and relative orbital s - N, keeping the pair quanta s
+    and the spectators: they act on the s + 1 states of each (s, spectators), whose rows of
+    U_k = T_(e_k) P gather coef against P.  A row of Y is a shell state read as (N, r,
+    spectators), r even, where V_eff acts on the lowest d_V = (e_max - N - spectator
+    quanta) // 2 + 1 even orbitals: rows in order of d_V, r and (N, spectators).
     """
-    occ, rows, size = shell
-    n, e_max = occ.shape[1], n_modes - 1
-    dim, d_max = len(occ), e_max // 2 + 1
-    stride, br = n_modes ** np.arange(n - 1, -1, -1), _brackets(e_max)
-    index = occ @ stride  # the product index of each shell state, ascending
+    states, at, coef = iso
+    st, n, e_max = occ[states], occ.shape[1], len(br) - 1
+    s = st[:, 0] + st[:, 1]
+    spect = st[:, 2:] @ len(br) ** np.arange(n - 2)
+    d_v = (e_max - st[:, 0] - st[:, 2:].sum(axis=1)) // 2 + 1
+    even = np.flatnonzero(st[:, 1] % 2 == 0)
+    row = np.empty(len(st), dtype=int)  # the row of Y of each even state
+    row[even[np.lexsort((spect[even], st[even, 0], st[even, 1], d_v[even]))]] = np.arange(len(even))
+    br = br * math.sqrt(n * (n - 1) / (2 * coef.shape[1]))
+    ppad = np.vstack([p, np.zeros((1, p.shape[1]))])
+    y = np.empty((coef.shape[1], len(even), p.shape[1]))
+    src = np.lexsort((st[:, 0], spect, s))  # by s, spectators and a: runs of s + 1 states
+    for q, (lo, hi) in enumerate(itertools.pairwise(np.searchsorted(s[src], np.arange(e_max + 2)))):
+        i = src[lo:hi].reshape(-1, q + 1).T  # [a, group]
+        u = (coef[i] @ ppad[at[i]]).reshape(q + 1, -1)  # [a, (group, k, column)]
+        nn = np.arange(q % 2, q + 1, 2)  # N with s - N even
+        y[:, row[i[nn]]] = (br[q][:q + 1, nn].T @ u).reshape(
+            len(nn), i.shape[1], len(y), p.shape[1]).transpose(2, 0, 1, 3)
+    return y, np.cumsum(np.bincount(d_v[even]))
 
-    def ranks(counts):  # 0..c-1 for each count c, concatenated
-        return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    def moved(i, shift):  # the shell position of state i with its product index shifted
-        return np.searchsorted(index, index[i] + shift)
+def _interaction(pair: tuple, table: np.ndarray) -> np.ndarray:
+    """sum_k Y_k^T V Y_k of the rows of _pair_rows, for the relative V_eff table of
+    _relative_interaction at one coupling (or its derivative)."""
+    y, stops = pair
+    vy = np.empty_like(y)
+    for d, (a, b) in enumerate(itertools.pairwise(stops), 1):
+        vy[:, a:b] = (table[d, :d, :d] @ y[:, a:b].reshape(len(y), d, -1)).reshape(len(y), b - a, -1)
+    flat = y.reshape(-1, y.shape[2])
+    return flat.T @ vy.reshape(flat.shape)
 
-    maps = []
-    for p, q in itertools.combinations(range(n), 2):
-        a, b = occ[:, p], occ[:, q]
-        i, cm = np.repeat(np.arange(dim), a + b + 1), ranks(a + b + 1)
-        to = moved(i, (cm - a[i]) * (stride[p] - stride[q]))
-        tm = sparse.csr_array((br[(a + b)[i], a[i], cm], (i, to)), shape=(dim, dim))
-        # read as centre of mass a and relative b: V_eff couples even b to even 2m
-        even = np.flatnonzero(b % 2 == 0)
-        d = (e_max - occ[even].sum(axis=1) + b[even]) // 2 + 1
-        j, m = np.repeat(even, d), ranks(d)
-        at = (np.repeat(d, d), b[j] // 2, m), (j, moved(j, (2 * m - b[j]) * stride[q]))
-        maps.append((sparse.diags_array(size.astype(float)) @ tm[rows], tm.T.tocsr(), at))
 
-    def row_sum(table):
-        return sum(left @ sparse.csr_array((table[at[0]], at[1]), shape=(dim, dim)) @ right
-                   for left, right, at in maps)
+def _solve_blocks(cfg: EDConfig, occ: np.ndarray, blocks: list[_Block]):
+    """Lowest n_states intrinsic states of every block row, for each coupling in turn.
 
-    g = np.asarray(g_values)
+    Each block is solved densely once for all its rows, as diag(hp) + P^T V_b P from the
+    pair rows Y_k (_pair_rows), built once; [1^N] takes no solve: its states are the
+    columns of P, with interaction expectation 0.  dV_eff/dg is a central difference of
+    step 1e-4 g.  Yields one list per coupling, holding (energies, eigenvectors in the
+    block columns, interaction expectations) of every retained row in the fixed block and
+    row order.
+    """
+    br = _brackets(cfg.n_modes - 1)
+    pairs = [_pair_rows(occ, iso, p, br) if contact else None for _, iso, p, _, contact in blocks]
+    g, d_max = np.asarray(cfg.g_values), (cfg.n_modes - 1) // 2 + 1
     v, up, down = _relative_interaction(np.concatenate([g, g * (1 + 1e-4), g * (1 - 1e-4)]),
                                         d_max).reshape(3, len(g), d_max + 1, d_max, d_max)
     for i in range(len(g)):
-        yield row_sum(v[i]), row_sum((up[i] - down[i]) / (2e-4 * g[i]))
-
-
-def _block_average(w_r: sparse.csr_array, rows: np.ndarray, ks: tuple) -> sparse.csr_array:
-    """T_f^T W T_f of a block, or P^T T_f^T W T_f P, from the rows w_r = diag(|orbit|) W[rows, :]
-    of W: (1/d) sum over ks, the isometries T_(e_k) (or T_(e_k) P) of all d rows of the irrep,
-    of T[rows]^T w_r T.
-    """
-    return sum(t[rows].T @ (w_r @ t) for t in ks) / len(ks)
-
-
-def _solve_blocks(cfg: EDConfig, shell: _Shell, blocks: list[_Block]):
-    """Lowest n_states intrinsic states of every block row, for each coupling in turn.
-
-    Yields one list per coupling, from that coupling's interaction rows
-    (_shell_contacts), dropped before the next coupling's are built.  Each block
-    is solved densely once for all its rows, as diag(hp) + P^T V_b P averaged
-    through the isometries T_(e_k) P; [1^N] takes no solve: its states are the
-    columns of P, with interaction expectation 0.  The list holds (energies,
-    eigenvectors in the block columns, interaction expectations) of every
-    retained row in the fixed block and row order.
-    """
-    rows = shell[1]
-    us = [tuple((t @ p).tocsr() for t in ks) if contact else ()
-          for _, ks, p, _, contact in blocks]
-    for w_r, dw_r in _shell_contacts(cfg.n_modes, cfg.g_values, shell):
-        solved = []
-        for (f, _, p, hp, _), u in zip(blocks, us):
+        dv, solved = (up[i] - down[i]) / (2e-4 * g[i]), []
+        for (f, _, p, hp, _), pair in zip(blocks, pairs):
             k = min(cfg.n_states, len(hp))
-            if u and k:
-                ham = _block_average(w_r, rows, u).toarray()
+            if pair is not None and k:
+                ham = _interaction(pair, v[i])
                 ham[np.diag_indices(len(hp))] += hp
-                e, x = eigh(ham, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
-                c = np.einsum("ij,ij->j", x, _block_average(dw_r, rows, u) @ x)
+                e, x = (a[..., :k] for a in eigh(ham))
+                c = np.einsum("ij,ij->j", x, _interaction(pair, dv) @ x)
             else:  # [1^N], or no intrinsic state
                 e, x, c = hp[:k], np.eye(len(hp), k), np.zeros(k)
             solved += [(e, p @ x, c)] * f.shape[1]
-        del w_r, dw_r  # before the next coupling's rows are built
         yield solved
+
+
+def _assignment(score: np.ndarray) -> np.ndarray:
+    """The column of each row of the m x k score matrix, m <= k, each column used at most once,
+    of greatest summed score: the Hungarian method by shortest augmenting paths with
+    potentials, one row at a time, O(m^2 k).  Column 0 of the working arrays is the root."""
+    m, k = score.shape
+    u, v = np.zeros(m + 1), np.zeros(k + 1)
+    owner, way = np.zeros((2, k + 1), dtype=int)  # owner: 1 + the row matched to each column
+    for i in range(1, m + 1):
+        owner[0], j = i, 0
+        slack, used = np.full(k + 1, np.inf), np.zeros(k + 1, dtype=bool)
+        while owner[j]:  # grow the tree of tight edges from row i to a free column
+            used[j] = True
+            cost = -score[owner[j] - 1] - u[owner[j]] - v[1:]
+            better = ~used[1:] & (cost < slack[1:])
+            slack[1:][better], way[1:][better] = cost[better], j
+            j = 1 + np.argmin(np.where(used[1:], np.inf, slack[1:]))
+            delta = slack[j]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while j:  # flip the path back to the root
+            owner[j], j = owner[way[j]], way[j]
+    return np.argsort(owner[1:], kind="stable")[k - m:]  # after the k - m unmatched columns
 
 
 def diagonalize(cfg: EDConfig) -> EDResult:
@@ -374,14 +403,14 @@ def diagonalize(cfg: EDConfig) -> EDResult:
     states by maximal-overlap assignment; states of one row can cross, so their
     rank in the row does not follow them.
     """
-    shell, blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
+    occ, blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
     dim = sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks)
     if cfg.n_states > dim:
         raise ValueError(f"n_states={cfg.n_states} exceeds the intrinsic basis dimension {dim}")
     shape = (len(cfg.g_values), cfg.n_states)
     energies, tracked, inter = np.empty(shape), np.empty(shape), np.empty(shape)
     quality = np.ones(shape)
-    for gi, solved in enumerate(_solve_blocks(cfg, shell, blocks)):
+    for gi, solved in enumerate(_solve_blocks(cfg, occ, blocks)):
         es, xs, cs = zip(*solved)
         vals = np.concatenate(es)
         order = np.argsort(vals, kind="stable")[:cfg.n_states]
@@ -390,13 +419,10 @@ def diagonalize(cfg: EDConfig) -> EDResult:
             row = np.repeat(np.arange(len(es)), [len(e) for e in es])[order]
             col = np.concatenate([np.arange(len(e)) for e in es])[order]
         else:
-            for r in np.unique(row):
+            for r in sorted(set(row.tolist())):
                 at = np.flatnonzero(row == r)
                 overlap = np.abs(prev[r][:, col[at]].T @ xs[r])
-                # + 1 keeps every zero overlap an edge, without moving the optimum; rows come
-                # back as 0..len(at)-1
-                _, col[at] = min_weight_full_bipartite_matching(sparse.csr_array(overlap + 1.0),
-                                                                maximize=True)
+                col[at] = _assignment(overlap)
                 quality[gi, at] = overlap[np.arange(len(at)), col[at]]
         tracked[gi] = [es[r][c] for r, c in zip(row, col)]
         inter[gi] = [cs[r][c] for r, c in zip(row, col)]
@@ -429,6 +455,21 @@ class SlopeFit:
         return self.residual_halfwidth + self.truncation_shift + self.hf_gap
 
 
+def _t_quantile(dof: int, p: float = 0.975) -> float:
+    """The p quantile of Student's t for an integer dof: bisection in theta = arctan(t /
+    sqrt(dof)) of the closed-form A(t | dof) = 2 p - 1 (Abramowitz & Stegun 26.7.3-4)."""
+    def two_sided(theta):
+        c, s, term, total = math.cos(theta), math.sin(theta), 1.0, 0.0
+        for j in range(dof // 2):
+            total, term = total + term, term * c * c * (2 * j + 1 + dof % 2) / (2 * j + 2 + dof % 2)
+        return (theta + s * c * total) * 2 / math.pi if dof % 2 else s * total
+
+    lo, hi = 0.0, 0.5 * math.pi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if two_sided(mid) < 2 * p - 1 else (lo, mid)
+    return math.sqrt(dof) * math.tan(mid)
+
+
 def _weighted_line(g: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """Slope and intercept of y vs 1/g, weights g^2, and their Student-t 95% half-widths."""
     x = 1.0 / g
@@ -439,7 +480,7 @@ def _weighted_line(g: np.ndarray, y: np.ndarray) -> tuple[float, float, float, f
     slope = np.sum(w * (x - xm) * (y - ym)) / sxx
     resid = y - ym - slope * (x - xm)
     dof = len(g) - 2
-    t2 = float(stdtrit(dof, 0.975)) ** 2 * np.sum(w * resid**2) / dof if dof > 0 else math.inf
+    t2 = _t_quantile(dof) ** 2 * np.sum(w * resid**2) / dof if dof > 0 else math.inf
     return (float(slope), float(ym - slope * xm), math.sqrt(t2 / sxx),
             math.sqrt(t2 * (1.0 / np.sum(w) + xm * xm / sxx)))
 

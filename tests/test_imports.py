@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import tonks
 
 SRC = str(Path(tonks.__file__).resolve().parents[1])
@@ -47,11 +49,17 @@ def test_spectrum_and_density_skip_unused_scipy():
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == [], argv
 
 
-def test_validate_loads_no_optimizer():
-    # the tracking matcher comes from scipy.sparse.csgraph; scipy.optimize is not loaded
-    loaded = modules_after(["validate", "--n", "2", "--n-modes", "8", "--no-timestamp"])
-    assert "tonks.oracle" in loaded and "scipy.sparse.csgraph" in loaded
-    assert [m for m in loaded if m.startswith("scipy.optimize")] == []
+def test_validate_and_tabulated_trap_load_no_scipy(tmp_path):
+    # the oracle's interaction, eigensolves, special functions and matcher, and the sinc-DVR
+    # solve of a tabulated trap, need NumPy alone
+    x = np.linspace(-8.0, 8.0, 161)
+    np.savetxt(tmp_path / "harmonic.dat", np.column_stack([x, 0.5 * x * x]))
+    for argv, module in ((["validate", "--n", "2", "--n-modes", "8"], "tonks.oracle"),
+                         (["gamma", "--n", "3", "--trap", str(tmp_path / "harmonic.dat")],
+                          "tonks.traps")):
+        loaded = modules_after([*argv, "--no-timestamp"])
+        assert module in loaded
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == [], argv
 
 
 def test_public_names_resolve_lazily():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import quad
-from scipy.linalg import eigh
-from scipy.special import gammaln
+from scipy.optimize import linear_sum_assignment
+from scipy.special import digamma, gammaln, stdtrit
 
 import tonks.oracle as oracle
 from tonks.oracle import EDConfig, SlopeFit, diagonalize, slope_fit
@@ -205,16 +205,32 @@ def test_blocks_match_dense_reference(npart, n_modes, sizes):
         np.testing.assert_allclose(res.interaction[gi], contact, atol=1e-8)
 
 
-def _row_isometries(blocks):
-    """T_f = sum_k f[k, r] ks[k] of every retained row r, block by block in the
-    row order of _solve_blocks, as dense arrays."""
-    return [sum(f[k, r] * t for k, t in enumerate(ks)).toarray()
-            for f, ks, *_ in blocks for r in range(f.shape[1])]
+def _row_isometries(occ, blocks):
+    """T_f = sum_k f[k, r] T_(e_k) of every retained row r, block by block in the row order
+    of _solve_blocks, as dense arrays on the shell occ, written out from each block's
+    gather (states, at, coef)."""
+    out = []
+    for f, (states, at, coef), p, *_ in blocks:
+        for r in range(f.shape[1]):
+            t = np.zeros((len(occ), len(p) + 1))  # the last column takes the padding of at
+            t[states[:, None], at] = np.einsum("skj,k->sj", coef, f[:, r])
+            out.append(t[:, :-1])
+    return out
 
 
 def _widths(blocks):
-    """The shape of every block's row basis f and the width of each of its isometries."""
-    return [(f.shape, *{t.shape[1] for t in ks}) for f, ks, *_ in blocks]
+    """The shape of every block's row basis f and the width of its isometries."""
+    return [(f.shape, len(p)) for f, _, p, *_ in blocks]
+
+
+def _block_interactions(occ, iso, n_cols, g):
+    """The interaction of a block on all its columns, not only the intrinsic ones (P = 1),
+    and its derivative in g, from the pair rows of _pair_rows."""
+    e_max = occ.max()
+    pair = oracle._pair_rows(occ, iso, np.eye(n_cols), oracle._brackets(e_max))
+    v, up, down = oracle._relative_interaction(np.array([g, g * (1 + 1e-4), g * (1 - 1e-4)]),
+                                               e_max // 2 + 1)
+    return oracle._interaction(pair, v), oracle._interaction(pair, (up - down) / (2e-4 * g))
 
 
 def _layer_counts(n_modes, npart, sizes):
@@ -246,29 +262,29 @@ def _intrinsic_levels(n_modes, npart, sizes):
 
 
 def test_block_sizes():
-    # the shell of 13 quanta: C(16, 3) = 560 states in 123 orbits, each orbit's sorted occupation
-    # at its least position, and every isometry indexed by shell position
-    (occ, rows, size), blocks = oracle._symmetry_blocks(14, 3, None)
-    assert len(occ) == size.sum() == 560 and len(rows) == len(size) == 123
-    assert occ.tolist() == [list(r) for r in shell_states(3, 14)]
-    assert np.all(np.diff(rows) > 0) and np.all(np.diff(occ[rows], axis=1) >= 0)
-    assert {t.shape[0] for _, ks, *_ in blocks for t in ks} == {560}
+    # the shell of 13 quanta: C(16, 3) = 560 states, and every isometry indexed by shell
+    # position: the even and odd blocks of a shape gather from the two halves of the shell
+    occ, blocks = oracle._symmetry_blocks(14, 3, None)
+    assert len(occ) == 560 and occ.tolist() == [list(r) for r in shell_states(3, 14)]
+    for (_, even, *_), (_, odd, *_) in zip(blocks[::2], blocks[1::2]):
+        np.testing.assert_array_equal(np.sort(np.concatenate([even[0], odd[0]])), np.arange(560))
+        assert np.all(occ[even[0]].sum(axis=1) % 2 == 0) and np.all(occ[odd[0]].sum(axis=1) % 2)
     # shapes (3), (2,1), (1,1,1), each even then odd; (2,1) has two rows
     assert _widths(blocks) == [((1, 1), 57), ((1, 1), 66), ((2, 2), 83), ((2, 2), 102),
                                ((1, 1), 29), ((1, 1), 38)]
     # every row of the irrep, and a contact on all but (1,1,1)
-    assert [len(ks) for _, ks, *_ in blocks] == [1, 1, 2, 2, 1, 1]
+    assert [iso[2].shape[1] for _, iso, *_ in blocks] == [1, 1, 2, 2, 1, 1]
     assert [contact for *_, contact in blocks] == [True] * 4 + [False] * 2
-    assert [t.shape[1] for t in _row_isometries(blocks)[:6]] == [57, 66, 83, 83, 102, 102]
+    assert [t.shape[1] for t in _row_isometries(occ, blocks)[:6]] == [57, 66, 83, 83, 102, 102]
     # the intrinsic states of each block: 105 = C(15, 2) with the second rows of (2,1)
-    assert [p.shape for _, ks, p, _, _ in blocks] == [
+    assert [p.shape for _, _, p, _, _ in blocks] == [
         (57, 12), (66, 9), (83, 16), (102, 19), (29, 5), (38, 9)]
     assert sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks) == 105
     # (2,1) components: no symmetric shape, one row of (2,1) antisymmetric under P_12
     _, pair = oracle._symmetry_blocks(14, 3, ComponentSpec((2, 1)))
     assert _widths(pair) == [((2, 1), 83), ((2, 1), 102), ((1, 1), 29), ((1, 1), 38)]
     assert [len(hp) for *_, hp, _ in pair] == [16, 19, 5, 9]
-    assert [len(ks) for _, ks, *_ in pair] == [2, 2, 1, 1]
+    assert [iso[2].shape[1] for _, iso, *_ in pair] == [2, 2, 1, 1]
 
 
 @pytest.mark.parametrize("npart, sizes", [(2, None), (2, (2,)), (3, None), (3, (2, 1))])
@@ -277,9 +293,9 @@ def test_intrinsic_dimension(monkeypatch, npart, sizes):
     # n_modes - 1 quanta; an empty block takes no eigensolve.
     widths = []
 
-    def recording_eigh(a, **kwargs):
+    def recording_eigh(a):
         widths.append(len(a))
-        return eigh(a, **kwargs)
+        return np.linalg.eigh(a)
 
     monkeypatch.setattr(oracle, "eigh", recording_eigh)
     comp = None if sizes is None else ComponentSpec(sizes)
@@ -308,10 +324,10 @@ def test_kept_states_have_no_centre_of_mass_quanta(npart, sizes):
     n = 8 if npart == 3 else 10
     cfg = EDConfig(npart, n, (5.0, 20.0), n_states=_intrinsic_count(n, npart, sizes),
                    components=comp)
-    shell, blocks = oracle._symmetry_blocks(n, npart, comp)
-    isometries = _row_isometries(blocks)
+    occ, blocks = oracle._symmetry_blocks(n, npart, comp)
+    isometries = _row_isometries(occ, blocks)
     cm = shell_cm(npart, n)
-    for solved in oracle._solve_blocks(cfg, shell, blocks):
+    for solved in oracle._solve_blocks(cfg, occ, blocks):
         vecs = np.hstack([t @ x for t, (_, x, _) in zip(isometries, solved, strict=True)])
         assert vecs.shape[1] == cfg.n_states
         np.testing.assert_allclose(np.einsum("ij,ij->j", vecs, cm @ vecs), 0.0, rtol=0, atol=1e-12)
@@ -368,14 +384,13 @@ def test_block_invariants(npart, sizes):
     trap = np.array([sum(r) for r in shell_states(npart, n)]) + 0.5 * npart
     _, v, dv = shell_reference(npart, n, g)
     cm = shell_cm(npart, n)
-    shell, blocks = oracle._symmetry_blocks(n, npart, comp)
-    ((w_r, dw_r),) = oracle._shell_contacts(n, (g,), shell)
-    isometries = iter(_row_isometries(blocks))
+    occ, blocks = oracle._symmetry_blocks(n, npart, comp)
+    isometries = iter(_row_isometries(occ, blocks))
     q, free = [], []
-    for f, ks, p, hp, contact in blocks:
+    for f, iso, p, hp, contact in blocks:
         rows = [next(isometries) for _ in range(f.shape[1])]
-        v_b, dv_b = (oracle._block_average(w, shell[1], ks) for w in (w_r, dw_r))
-        assert f.shape[0] == len(ks)
+        v_b, dv_b = _block_interactions(occ, iso, len(p), g)
+        assert f.shape[0] == iso[2].shape[1]
         np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-12)
         # one class-sum value, the irrep's, on every row; only the antisymmetric shape
         # [1^N] is contact-free
@@ -386,10 +401,10 @@ def test_block_invariants(npart, sizes):
         h0 = np.round(2.0 * trap @ rows[0] ** 2) / 2.0  # trap energies are half-integers
         assert np.all(np.diff(h0) >= 0)
         # P: orthonormal columns, each inside one layer, spanning the kernel of the block's N_cm
-        pd, cm_b = p.toarray(), rows[0].T @ cm @ rows[0]
-        np.testing.assert_allclose(pd.T @ pd, np.eye(len(hp)), atol=1e-12)
-        np.testing.assert_allclose(h0[:, None] * pd, pd * hp, atol=1e-12)
-        np.testing.assert_allclose(cm_b @ pd, 0.0, atol=1e-12)
+        cm_b = rows[0].T @ cm @ rows[0]
+        np.testing.assert_allclose(p.T @ p, np.eye(len(hp)), atol=1e-12)
+        np.testing.assert_allclose(h0[:, None] * p, p * hp, atol=1e-12)
+        np.testing.assert_allclose(cm_b @ p, 0.0, atol=1e-12)
         assert len(hp) == np.sum(np.linalg.eigvalsh(cm_b) < 0.5)
         v_0 = rows[0].T @ v @ rows[0]
         for t in rows:
@@ -402,11 +417,11 @@ def test_block_invariants(npart, sizes):
                 if labels[i] == labels[j]:
                     np.testing.assert_allclose(t[perm], -t, atol=1e-12)
             # every row carries the same block Hamiltonian and N_cm, whose interaction and
-            # its derivative _block_average gives from the rows at the sorted occupations
+            # its derivative the pair rows of slots 0 and 1 give
             v_t = t.T @ v @ t
             np.testing.assert_allclose(v_t, v_0, atol=1e-12)
-            np.testing.assert_allclose(v_t, v_b.toarray(), atol=1e-12)
-            np.testing.assert_allclose(t.T @ dv @ t, dv_b.toarray(), atol=1e-12)
+            np.testing.assert_allclose(v_t, v_b, atol=1e-12)
+            np.testing.assert_allclose(t.T @ dv @ t, dv_b, atol=1e-12)
             np.testing.assert_allclose(t.T @ cm @ t, cm_b, atol=1e-12)
             if not contact:
                 np.testing.assert_allclose(v_t, 0.0, atol=1e-12)
@@ -438,8 +453,8 @@ def test_mixed_blocks_isospectral():
     h0, v, _ = shell_reference(3, 8, 5.0)
     h = h0 + v
     swaps, _ = _swap_and_parity(8, 3)
-    _, blocks = oracle._symmetry_blocks(8, 3, None)
-    mixed = [_row_isometries([block]) for block in blocks if block[0].shape[1] > 1]
+    occ, blocks = oracle._symmetry_blocks(8, 3, None)
+    mixed = [_row_isometries(occ, [block]) for block in blocks if block[0].shape[1] > 1]
     assert len(mixed) == 2
     for ta, tb in mixed:
         span = np.hstack([ta, tb])
@@ -452,9 +467,9 @@ def test_mixed_blocks_isospectral():
 def test_eigh_widths_one_solve_per_mixed_pair(monkeypatch):
     widths = []
 
-    def recording_eigh(a, **kwargs):
+    def recording_eigh(a):
         widths.append(len(a))
-        return eigh(a, **kwargs)
+        return np.linalg.eigh(a)
 
     monkeypatch.setattr(oracle, "eigh", recording_eigh)
 
@@ -491,10 +506,10 @@ def test_mapped_vectors_are_eigenvectors():
     # in the columns of its block row; mapped by the row isometry T_f, built here, it is
     # an eigenvector of the shell Hamiltonian in the product basis.
     cfg = EDConfig(3, 6, (5.0, 20.0), n_states=21)
-    shell, blocks = oracle._symmetry_blocks(6, 3, None)
-    isometries = _row_isometries(blocks)
+    occ, blocks = oracle._symmetry_blocks(6, 3, None)
+    isometries = _row_isometries(occ, blocks)
     swaps, _ = _swap_and_parity(6, 3)
-    for g, solved in zip(cfg.g_values, oracle._solve_blocks(cfg, shell, blocks), strict=True):
+    for g, solved in zip(cfg.g_values, oracle._solve_blocks(cfg, occ, blocks), strict=True):
         h0, v, dv = shell_reference(3, 6, g)
         assert len(solved) == len(isometries) and sum(len(e) for e, _, _ in solved) == 21
         vals = np.concatenate([e for e, _, _ in solved])
@@ -516,17 +531,17 @@ def test_contact_free_states_are_trap_states():
     # Every intrinsic state of the antisymmetric shape is a column of its block's
     # isometry P, exactly at its trap energy and with exactly zero interaction.
     cfg = EDConfig(3, 6, (5.0, 20.0), n_states=21)
-    shell, blocks = oracle._symmetry_blocks(6, 3, None)
+    occ, blocks = oracle._symmetry_blocks(6, 3, None)
     rows = [block for block in blocks for _ in range(block[0].shape[1])]
     free = [r for r, (*_, contact) in enumerate(rows) if not contact]
-    for solved in oracle._solve_blocks(cfg, shell, blocks):
+    for solved in oracle._solve_blocks(cfg, occ, blocks):
         anti = []
         for r in free:
             e, y, c = solved[r]
             _, _, p, hp, _ = rows[r]
             assert np.all(c == 0.0)
             np.testing.assert_array_equal(e, hp)
-            np.testing.assert_array_equal(y, p.toarray())
+            np.testing.assert_array_equal(y, p)
             anti += list(e)
         assert len(anti) == _intrinsic_count(6, 3, (3,)) == 2
         np.testing.assert_array_equal(np.sort(anti), _intrinsic_levels(6, 3, (3,)))
@@ -554,16 +569,16 @@ def test_kept_states_match_full_run(sizes):
     # either way, so each row keeps the states of the full run, bit for bit, and
     # the energies are the lowest n_states of the merged full spectrum.
     comp = None if sizes is None else ComponentSpec(sizes)
-    shell, blocks = oracle._symmetry_blocks(6, 3, comp)
+    occ, blocks = oracle._symmetry_blocks(6, 3, comp)
     dim = sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks)
     cfg = EDConfig(3, 6, (5.0, 20.0), n_states=dim, components=comp)
-    full = list(oracle._solve_blocks(cfg, shell, blocks))
+    full = list(oracle._solve_blocks(cfg, occ, blocks))
     assert len(full) == len(cfg.g_values)
     merged = [np.sort(np.concatenate([e for e, _, _ in whole]), kind="stable") for whole in full]
     for n_states in (max(len(hp) for *_, hp, _ in blocks), dim - 1):
         kept = replace(cfg, n_states=n_states)
         compared = 0
-        for part, whole in zip(oracle._solve_blocks(kept, shell, blocks), full, strict=True):
+        for part, whole in zip(oracle._solve_blocks(kept, occ, blocks), full, strict=True):
             compared += 1
             assert len(part) == len(whole)
             for ours, theirs in zip(part, whole):
@@ -589,8 +604,6 @@ def _tracked_reference(cfg):
     the first its eigenvectors are rotated onto the previous states that
     project on it most, by the polar factor of their overlaps.
     """
-    from scipy.optimize import linear_sum_assignment
-
     sizes = None if cfg.components is None else cfg.components.sizes
     out, prev = [], None
     for g in cfg.g_values:
@@ -673,25 +686,26 @@ def test_matcher_maximizes_total_overlap(monkeypatch, npart, n_modes, sizes, g_v
     # One assignment per tracked block row and coupling, against every injection of
     # the row's tracked states into its solved ones: each maximizes the row's summed
     # overlap, and so their sum the total.  Its columns come in row order.
-    matcher, calls = oracle.min_weight_full_bipartite_matching, []
+    matcher, calls = oracle._assignment, []
 
-    def recording(graph, maximize):
-        rows, cols = matcher(graph, maximize=maximize)
-        calls.append((graph.toarray() - 1.0, rows, cols))
-        return rows, cols
+    def recording(overlap):
+        cols = matcher(overlap)
+        calls.append((overlap, cols))
+        return cols
 
-    monkeypatch.setattr(oracle, "min_weight_full_bipartite_matching", recording)
+    monkeypatch.setattr(oracle, "_assignment", recording)
     comp = None if sizes is None else ComponentSpec(sizes)
     res = diagonalize(EDConfig(npart, n_modes, g_values, n_states=n_states, components=comp))
     row = np.array([state[0] for state in res.states])
     tracked_rows = np.unique(row)
     assert len(calls) == (len(g_values) - 1) * len(tracked_rows)
-    for i, (overlap, rows, cols) in enumerate(calls):
+    for i, (overlap, cols) in enumerate(calls):
         gi, r = divmod(i, len(tracked_rows))
         at = np.flatnonzero(row == tracked_rows[r])
         m, k = overlap.shape
         assert m == len(at) <= k <= n_states
-        np.testing.assert_array_equal(rows, np.arange(m))
+        rows = np.arange(m)
+        assert len(set(cols)) == m
         injections = np.array(list(itertools.permutations(range(k), m)))
         best = overlap[np.arange(m), injections].sum(axis=1).max()
         assert overlap[rows, cols].sum() >= best - 1e-12
@@ -699,13 +713,50 @@ def test_matcher_maximizes_total_overlap(monkeypatch, npart, n_modes, sizes, g_v
                                    rtol=0, atol=1e-15)
 
 
+def test_special_functions_match_scipy():
+    # ln Gamma and psi at the arguments E/2 + 1/4 and E/2 + 3/4 of _relative_interaction, for
+    # every even level E up to the cap.  ln Gamma reaches 75 there, where one ulp is 1.4e-14,
+    # so it may also differ by 1e-15 relative (SciPy's gammaln is itself 2 ulp from the
+    # correctly rounded value at the top).
+    e = np.linspace(0.5, 2 * (oracle.MODE_CAP // 2) + 1.5, 20001)
+    for x in (0.5 * e + 0.25, 0.5 * e + 0.75):
+        np.testing.assert_allclose(oracle._lgamma(x), gammaln(x), rtol=1e-15, atol=1e-14)
+        np.testing.assert_allclose(oracle._digamma(x), digamma(x), rtol=0, atol=1e-14)
+
+
+def test_t_quantile_matches_scipy():
+    for dof in range(1, 61):
+        assert oracle._t_quantile(dof) == pytest.approx(stdtrit(dof, 0.975), rel=1e-12, abs=0)
+
+
+def test_assignment_matches_scipy():
+    # random m x m overlaps, some with ties and zeros: the same greatest total, each column once
+    rng = np.random.default_rng(32)
+    for m in range(1, 13):
+        for draw in (rng.random((m, m)), np.round(rng.random((m, m)), 1),
+                     rng.random((m, m)) * (rng.random((m, m)) < 0.3), np.zeros((m, m)),
+                     np.ones((m, m))):
+            cols = oracle._assignment(draw)
+            assert sorted(cols) == list(range(m))
+            rows, best = linear_sum_assignment(draw, maximize=True)
+            assert draw[np.arange(m), cols].sum() == pytest.approx(draw[rows, best].sum(),
+                                                                    rel=1e-14, abs=1e-14)
+    # more columns than rows: each row gets its own column of the best injection
+    score = rng.random((4, 7))
+    cols = oracle._assignment(score)
+    assert len(set(cols)) == 4
+    rows, best = linear_sum_assignment(score, maximize=True)
+    assert score[np.arange(4), cols].sum() == pytest.approx(score[rows, best].sum(), rel=1e-14)
+
+
 def test_diagonalize_memory_bound():
     # tracemalloc peak of the shell of 29 quanta, the default of `validate`: 84.8 MB with
     # the isometries and bracket maps indexed over the 27,000 states of the product cube,
     # 80.2 MB indexed by the 4,960 shell positions with the interaction rows of every
     # coupling alive at once, 40.1 MB with those of one coupling at a time, 32.8 MB with
-    # the blocks solved on their intrinsic states alone.  The bound leaves 10%.  The run
-    # is traced cold: diagonalize imports nothing on its first call.
+    # the blocks solved on their intrinsic states alone, 9.9 MB with the interaction built
+    # from dense pair rows.  The bound leaves 10%.  The run is traced cold: diagonalize
+    # imports nothing on its first call.
     cfg = EDConfig(3, 30, (20.0, 50.0, 100.0), n_states=10)
     tracemalloc.start()
     try:
@@ -713,7 +764,7 @@ def test_diagonalize_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36.1e6
+    assert peak < 10.9e6
 
 
 def test_buffer_states_keep_tracking():
@@ -746,8 +797,8 @@ def test_shell_block_invariants(npart, sizes):
     n, g = 7, 1e-5
     comp = None if sizes is None else ComponentSpec(sizes)
     swaps, _ = _swap_and_parity(n, npart)
-    shell, blocks = oracle._symmetry_blocks(n, npart, comp)
-    rows = _row_isometries(blocks)
+    occ, blocks = oracle._symmetry_blocks(n, npart, comp)
+    rows = _row_isometries(occ, blocks)
     q = np.hstack(rows)
     np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
     labels = np.repeat(np.arange(len(sizes)), sizes) if sizes else np.arange(npart)
@@ -761,12 +812,11 @@ def test_shell_block_invariants(npart, sizes):
     assert diagonalize(cfg).basis_dim == _intrinsic_count(n, npart, sizes)
     w = _contact_matrix(n, npart)
     first = np.cumsum([0] + [f.shape[1] for f, *_ in blocks])
-    ((w_r, dw_r),) = oracle._shell_contacts(n, (g,), shell)
-    for start, (_, ks, _, _, contact) in zip(first, blocks):
-        v, dv = (oracle._block_average(t, shell[1], ks) for t in (w_r, dw_r))
+    for start, (_, iso, p, _, contact) in zip(first, blocks):
+        v, dv = _block_interactions(occ, iso, len(p), g)
         bare = rows[start].T @ w @ rows[start]
-        np.testing.assert_allclose(v.toarray() / g, bare, rtol=0, atol=2e-5)
-        np.testing.assert_allclose(dv.toarray(), bare, rtol=0, atol=2e-5)
+        np.testing.assert_allclose(v / g, bare, rtol=0, atol=2e-5)
+        np.testing.assert_allclose(dv, bare, rtol=0, atol=2e-5)
         if not contact:  # the bare contact vanishes on [1^N] too
             np.testing.assert_allclose(bare, 0.0, rtol=0, atol=1e-12)
 
