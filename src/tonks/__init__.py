@@ -28,7 +28,7 @@ _PUBLIC = {
     "weights": ("BoundaryWeight", "ToleranceError", "all_gammas"),
     "sectors": ("ComponentSpec", "SectorGraph", "build_graph", "laplacian", "projected_laplacian"),
     "spectrum": ("KSpectrum", "solve", "classify", "one_body_density"),
-    "oracle": ("EDConfig", "EDResult", "SlopeFit", "diagonalize", "slope_fit"),
+    "oracle": ("EDConfig", "EDResult", "diagonalize"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -1,15 +1,15 @@
 """Command-line interface.
 
 Subcommands: spectrum (boundary weights, Laplacian eigenvalues,
-amplitude vectors), gamma (boundary weights only), validate (slope
-fits from the finite-coupling oracle against the Laplacian K values),
-density (one-body density of one adiabatic state).  Every setting is
+amplitude vectors), gamma (boundary weights only), validate (the
+finite-coupling oracle's K at infinite coupling against the Laplacian K
+values), density (one-body density of one adiabatic state).  Every setting is
 declared once, in _SETTINGS: its INI section, type, default, the
 subcommands that take it as a flag, and its help text.  Settings come
 from an INI config file overridden by command-line flags; an unknown
 section or key, a value of the wrong type, or a float that is not finite
 is bad input.  Results are written atomically as a CSV table
-(validate: one row per slope, columns
+(validate: one row per K, columns
 index,k_predicted,k_fitted,rel_deviation,uncertainty) or as JSON,
 indented by two spaces with each number array on one line and exact
 float reprs, each distinct magnitude of an array formatted once, as
@@ -32,7 +32,6 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +41,7 @@ from .slater import make_level
 from .traps import ConvergenceError, HarmonicBasis, Trap, solve_tabulated
 from .weights import ToleranceError, all_gammas
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class _Setting(NamedTuple):
@@ -78,8 +77,8 @@ _SETTINGS = {
     "n_modes": _Setting("validate", int, 30, ("validate",),
                         "oracle single-particle modes; the shell holds n_modes - 1 quanta"),
     "g": _Setting("validate", str, "20,50,100", ("validate",),
-                  "comma-separated couplings for the slope fit"),
-    "rtol": _Setting("validate", float, 0.10, ("validate",), "allowed relative slope deviation"),
+                  "comma-separated couplings of the finite-coupling slopes"),
+    "rtol": _Setting("validate", float, 0.10, ("validate",), "allowed relative K deviation"),
     "state": _Setting("density", int, 0, ("density",), "state index in ascending K order"),
     "grid_lo": _Setting("density", float, -5.0, ("density",), "density grid start"),
     "grid_hi": _Setting("density", float, 5.0, ("density",), "density grid end"),
@@ -339,7 +338,7 @@ def _cmd_spectrum(args, s: dict) -> int:
 
 
 def _cmd_validate(args, s: dict) -> int:
-    from .oracle import EDConfig, diagonalize, slope_fit
+    from .oracle import EDConfig, diagonalize, k_uncertainty
     from .sectors import build_graph, projected_laplacian
     from .spectrum import solve
 
@@ -351,28 +350,20 @@ def _cmd_validate(args, s: dict) -> int:
         g_values = tuple(float(p) for p in s["g"].split(","))
     except ValueError as exc:
         raise InputError(f"cannot parse couplings {s['g']!r}") from exc
-    if len(g_values) < 3:
-        raise InputError("slope fits need at least three couplings")
     n = s["n"]
-    # one K value per ordering: n! tracked states, an empty product for the n < 1 EDConfig refuses
-    cfg = EDConfig(n_particles=n, n_modes=s["n_modes"], g_values=g_values,
-                   n_states=math.prod(range(1, n + 1)))
-    # The truncation estimate reruns with four fewer modes, which the oracle
-    # needs to be at least n + 2.
+    cfg = EDConfig(n_particles=n, n_modes=s["n_modes"], g_values=g_values)
+    # The uncertainty reruns with four fewer modes, which the oracle needs to be at least n + 2.
     if s["n_modes"] < n + 6:
         raise InputError(f"--n-modes must be at least {n + 6} for n={n}, got {s['n_modes']}")
     state, _ = _build_problem(s)
     weights = [bw.value for bw in all_gammas(state, tol=s["tol"])]
     k_pred = solve(projected_laplacian(build_graph(n), weights)).values
     result = diagonalize(cfg)
-    reduced = diagonalize(replace(cfg, n_modes=s["n_modes"] - 4))
-    fits = [slope_fit(result, j, reduced=reduced) for j in range(cfg.n_states)]
-    k_fit = np.sort([f.k_value for f in fits])
-    k_max = float(k_pred[-1])
-    denom = np.maximum(k_pred, 0.1 * k_max)
-    rel = np.abs(k_fit - k_pred) / denom
+    k_inf = result.k_values
+    unc = [k_uncertainty(result, diagonalize(EDConfig(n, s["n_modes"] - 4)))] * len(k_inf)
+    denom = np.maximum(k_pred, 0.1 * float(k_pred[-1]))
+    rel = np.abs(k_inf - k_pred) / denom
     ok = bool(np.all(rel <= s["rtol"]))
-    unc = [f.uncertainty for f in sorted(fits, key=lambda f: f.k_value)]
     body = {
         "input": {
             "n_particles": n,
@@ -381,18 +372,20 @@ def _cmd_validate(args, s: dict) -> int:
             "rtol": s["rtol"],
         },
         "k_predicted": k_pred,
-        "k_fitted": k_fit,
+        # K at 1/g = 0 and its uncertainty, under the key names of schema 3
+        "k_fitted": k_inf,
         "rel_deviation": rel,
         "fit_uncertainties": unc,
+        "k_at_couplings": result.slopes,
         "passed": ok,
     }
     rows = [[j, *(repr(float(v)) for v in cols)]
-            for j, cols in enumerate(zip(k_pred, k_fit, rel, unc))]
+            for j, cols in enumerate(zip(k_pred, k_inf, rel, unc))]
     _write(args, s, body, ["index", "k_predicted", "k_fitted", "rel_deviation", "uncertainty"],
            rows)
     if args.output:
-        for kp, kf, r in zip(k_pred, k_fit, rel):
-            print(f"K_pred={kp:.6f}  K_fit={kf:.6f}  rel={r:.4f}")
+        for kp, ki, r in zip(k_pred, k_inf, rel):
+            print(f"K_pred={kp:.6f}  K_inf={ki:.6f}  rel={r:.4f}")
         print("PASS" if ok else "FAIL")
     return 0 if ok else 3
 

@@ -4,27 +4,29 @@ Few fermions with a contact interaction g * sum of delta(x_i - x_j) are
 diagonalized on the energy shell of the harmonic product basis, the product
 states of at most E_max = n_modes - 1 quanta, with each pair's effective
 interaction built from the exact two-body states (Rotureau 2013, Lindgren et
-al. 2014).  The Hamiltonian commutes with total parity, with every particle
-permutation and with the centre-of-mass quanta N_cm.  So the shell is split
-into exact blocks, one per irrep of the permutation group and parity, each
-built from Young's orthogonal form with one isometry per row of the irrep
-(for identical fermions, per row antisymmetric inside every component), and
-each block keeps only its intrinsic states, N_cm = 0, as every state of the
-strong-coupling manifold does (Elliott & Skyrme 1955).  Each block's
-interaction is that of one particle pair, in its centre-of-mass and relative
-orbitals, times the number of pairs; its pair rows are built once, and at each
-coupling the block is solved densely, once for all its rows; the
-antisymmetric irrep carries no contact and takes no solve.  Each state is
-tracked across couplings inside its block row by eigenvector overlap.  The
-expectation of dV_eff/dg in each tracked state is dE/dg of the shell model,
-and K is the intercept of the Hellmann-Feynman slopes g^2 dE/dg against 1/g.
+al. 2014) as a smooth function of the inverse coupling x = 1/g through x = 0.
+The Hamiltonian commutes with total parity, with every particle permutation
+and with the centre-of-mass quanta N_cm.  So the shell is split into exact
+blocks, one per irrep of the permutation group and parity, each built from
+Young's orthogonal form with one isometry per row of the irrep (for identical
+fermions, per row antisymmetric inside every component), and each block keeps
+only its intrinsic states, N_cm = 0, as every state of the strong-coupling
+manifold does (Elliott & Skyrme 1955).  Each block's interaction is that of
+one particle pair, in its centre-of-mass and relative orbitals, times the
+number of pairs; its pair rows are built once, and at each x the block is
+solved densely, once for all its rows; the antisymmetric irrep carries no
+contact and takes no solve.  At x = 0 the manifold is each block's states
+below E_F + 1/2, and by Hellmann-Feynman their K in E = E_F - K/g + O(1/g^2)
+(Volosniev et al. 2014) are the eigenvalues of -dV_eff/dx on them: one solve,
+nothing fitted.  At each finite coupling the same count of the block's lowest
+states gives the slopes g^2 dE/dg = -dE/dx.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import eigh
@@ -34,6 +36,9 @@ from .traps import _hermite_ladder
 
 # Largest n_modes: the shell of 59 quanta holds C(62, 3) = 37,820 states of three particles.
 MODE_CAP = 60
+# Step h of the central differences in x = 1/g: their error goes as h^2 (1.3e-6 in the two-body K
+# at h = 1e-4) and their rounding as 1/h.
+STEP = 1e-6
 
 
 def _brackets(e_max: int) -> np.ndarray:
@@ -71,31 +76,32 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     return shift + np.log(x) - 0.5 / x - series
 
 
-def _relative_interaction(g: np.ndarray, d_max: int) -> np.ndarray:
+def _relative_interaction(x: np.ndarray, d_max: int) -> np.ndarray:
     """Okubo-Lee-Suzuki V_eff = Z E Z^T - H_0 of the relative motion on its lowest d
-    even orbitals, for each coupling of g and d = 1..d_max, zero-padded to shape
-    (len(g), d_max + 1, d_max, d_max).
+    even orbitals, for each inverse coupling of x = 1/g and d = 1..d_max, zero-padded to
+    shape (len(x), d_max + 1, d_max, d_max).
 
-    The relative Hamiltonian p^2/2 + x^2/2 + (g / sqrt 2) delta(x) has the even
+    The relative Hamiltonian p^2/2 + r^2/2 + (g / sqrt 2) delta(r) has the even
     levels E = 2b + 1/2 + u, with tan(pi u / 2) = g R / (2 sqrt 2) and
-    R = Gamma(1/4 + E/2) / Gamma(3/4 + E/2) (Busch et al. 1998); u = (2/pi)
-    arctan(g R / (2 sqrt 2)) contracts by at most |d ln R / dE| / pi < 0.23, so
-    from u = 1/2, 27 steps reach 1e-17.  State b is sum_m c_m phi_2m with c_m proportional
-    to phi_2m(0) / (E - 2m - 1/2), normalized in closed form by -dS/dE of
-    S(E) = sum_m phi_2m(0)^2 / (E - 2m - 1/2) = cot(pi u / 2) R / 2.  Z = C
-    (C^T C)^(-1/2), the polar factor of the lowest d states' model components C.
+    R = Gamma(1/4 + E/2) / Gamma(3/4 + E/2) (Busch et al. 1998), that is
+    u = 1 - (2/pi) arctan(2 sqrt 2 x / R): smooth through x = 0, where u = 1, and
+    continued by x < 0 on the same branch.  The map contracts by at most
+    |d ln R / dE| / pi < 0.23, so from u = 1, 28 steps reach 1e-17.  State b is
+    sum_m c_m phi_2m with c_m proportional to phi_2m(0) / (E - 2m - 1/2), normalized in
+    closed form by -dS/dE of S(E) = sum_m phi_2m(0)^2 / (E - 2m - 1/2) = cot(pi u / 2) R / 2.
+    Z = C (C^T C)^(-1/2), the polar factor of the lowest d states' model components C.
     """
-    base, u = 2.0 * np.arange(d_max) + 0.5, np.full((len(g), d_max), 0.5)
+    base, u = 2.0 * np.arange(d_max) + 0.5, np.ones((len(x), d_max))
     for _ in range(28):
         e = base + u
         r = np.exp(_lgamma(0.5 * e + 0.25) - _lgamma(0.5 * e + 0.75))
-        u = np.arctan(g[:, None] * r / (2.0 * math.sqrt(2.0))) * (2.0 / np.pi)
+        u = 1.0 - np.arctan(2.0 * math.sqrt(2.0) * x[:, None] / r) * (2.0 / np.pi)
     t = 0.5 * np.pi * (e - base)  # e from the last step, with its r
     norm2 = 0.5 * r * (0.5 * np.pi / np.sin(t) ** 2
                        - 0.5 * (_digamma(0.5 * e + 0.25) - _digamma(0.5 * e + 0.75)) / np.tan(t))
     phi0 = _hermite_ladder(np.zeros(1), 2 * d_max)[:-1:2]  # phi_2m(0), shape (d_max, 1)
-    c = phi0 / ((e[:, None, :] - base[:, None]) * np.sqrt(norm2[:, None, :]))  # [g, m, b]
-    out = np.zeros((len(g), d_max + 1, d_max, d_max))
+    c = phi0 / ((e[:, None, :] - base[:, None]) * np.sqrt(norm2[:, None, :]))  # [x, m, b]
+    out = np.zeros((len(x), d_max + 1, d_max, d_max))
     for d in range(1, d_max + 1):
         left, _, right = np.linalg.svd(c[:, :d, :d])
         z = left @ right
@@ -108,16 +114,15 @@ class EDConfig:
     """Setup of an exact-diagonalization run.
 
     The energy shell of at most E_max = n_modes - 1 quanta, with the
-    effective interaction V_eff(g) of _relative_interaction at couplings
-    g_values (finite, positive, strictly increasing); n_states retained
-    eigenpairs.  components=None keeps the distinguishable product basis; a
-    ComponentSpec antisymmetrizes each block of identical fermions.
+    effective interaction V_eff of _relative_interaction, solved at 1/g = 0
+    and at the couplings g_values (finite, positive, strictly increasing;
+    none needed for K).  components=None keeps the distinguishable product
+    basis; a ComponentSpec antisymmetrizes each block of identical fermions.
     """
 
     n_particles: int
     n_modes: int
-    g_values: tuple[float, ...]
-    n_states: int = 8
+    g_values: tuple[float, ...] = ()
     components: ComponentSpec | None = None
 
     def __post_init__(self):
@@ -130,39 +135,36 @@ class EDConfig:
         if self.n_modes > MODE_CAP:
             raise ValueError(f"n_modes exceeds cap {MODE_CAP}")
         gs = tuple(float(g) for g in self.g_values)
-        if len(gs) < 1 or not all(0 < g < math.inf for g in gs):
+        if not all(0 < g < math.inf for g in gs):
             raise ValueError(f"g_values must be finite and positive, got {gs}")
         if any(b <= a for a, b in zip(gs, gs[1:])):
             raise ValueError("g_values must be strictly increasing")
         object.__setattr__(self, "g_values", gs)
-        if self.n_states < 1:
-            raise ValueError("n_states must be positive")
         if self.components is not None and self.components.n != self.n_particles:
             raise ValueError("component sizes must sum to n_particles")
 
 
 @dataclass(frozen=True)
 class EDResult:
-    """Spectra of one EDConfig across its couplings.
+    """The strong-coupling manifold of one EDConfig.
 
-    energies are sorted ascending per coupling; column j of tracked
-    follows a single adiabatic state from the smallest coupling upward
-    inside its block row (matched by eigenvector overlap), with the matched
-    overlaps in track_quality, so a tracked state may rise above the lowest
-    n_states.  interaction holds the expectation of dV_eff/dg in each
-    tracked state, which equals dE/dg of the shell model, by a central
-    difference of step 1e-4 g in the relative V_eff.  states holds each
-    tracked state at the largest coupling as (block row, eigenvector in the
-    block columns).
+    The manifold is the intrinsic states below E_F + 1/2 at 1/g = 0, with
+    E_F = N^2 / 2 the free Fermi energy: one state per word of the components.
+    In each block row they are its lowest m_r states, and at every coupling the
+    row's lowest m_r states continue them.  k_values holds their K at 1/g = 0,
+    ascending: the eigenvalues of -dV_eff/dx (x = 1/g) on each row's manifold,
+    by a central difference of step STEP; step_shift is the largest change of
+    the sorted K under step 2 STEP.  energies and slopes hold, for each coupling
+    of g_values, the ascending energies of the manifold states and their
+    ascending Hellmann-Feynman slopes g^2 dE/dg = -<dV_eff/dx>.
     """
 
     config: EDConfig
     basis_dim: int
+    k_values: np.ndarray = field(repr=False)
+    step_shift: float
     energies: np.ndarray = field(repr=False)
-    tracked: np.ndarray = field(repr=False)
-    track_quality: np.ndarray = field(repr=False)
-    interaction: np.ndarray = field(repr=False)
-    states: tuple = field(default=(), repr=False, compare=False)
+    slopes: np.ndarray = field(repr=False)
 
 
 def _kernel(m: np.ndarray) -> np.ndarray:
@@ -326,7 +328,7 @@ def _pair_rows(occ: np.ndarray, iso: tuple, p: np.ndarray, br: np.ndarray
 
 def _interaction(pair: tuple, table: np.ndarray) -> np.ndarray:
     """sum_k Y_k^T V Y_k of the rows of _pair_rows, for the relative V_eff table of
-    _relative_interaction at one coupling (or its derivative)."""
+    _relative_interaction at one x = 1/g (or its derivative)."""
     y, stops = pair
     vy = np.empty_like(y)
     for d, (a, b) in enumerate(itertools.pairwise(stops), 1):
@@ -336,194 +338,81 @@ def _interaction(pair: tuple, table: np.ndarray) -> np.ndarray:
 
 
 def _solve_blocks(cfg: EDConfig, occ: np.ndarray, blocks: list[_Block]):
-    """Lowest n_states intrinsic states of every block row, for each coupling in turn.
+    """The manifold of every block of _symmetry_blocks, in their order.
 
-    Each block is solved densely once for all its rows, as diag(hp) + P^T V_b P from the
-    pair rows Y_k (_pair_rows), built once; [1^N] takes no solve: its states are the
-    columns of P, with interaction expectation 0.  dV_eff/dg is a central difference of
-    step 1e-4 g.  Yields one list per coupling, holding (energies, eigenvectors in the
-    block columns, interaction expectations) of every retained row in the fixed block and
-    row order.
+    Each block is solved densely at x = 1/g = 0 and then at each coupling, once for all its
+    rows, as diag(hp) + P^T V_b P from its pair rows Y_k (_pair_rows), built once per block.
+    Its manifold is its m states below E_F + 1/2 at x = 0, and at each coupling its lowest m
+    states; a block with none takes no solve at the couplings.  -dV_eff/dx is a central
+    difference of step h = STEP, taken on the manifold alone as sum_k (Y_k X)^T V (Y_k X).
+    [1^N] takes no solve: its states are the columns of P, with no interaction.  Yields per
+    block K, the eigenvalues of -dV_eff/dx on the manifold at x = 0, with step h and with
+    step 2h, and for x = 0 and each coupling the manifold's (energies, expectations of
+    -dV_eff/dx, eigenvectors in the block columns).
     """
-    br = _brackets(cfg.n_modes - 1)
-    pairs = [_pair_rows(occ, iso, p, br) if contact else None for _, iso, p, _, contact in blocks]
-    g, d_max = np.asarray(cfg.g_values), (cfg.n_modes - 1) // 2 + 1
-    v, up, down = _relative_interaction(np.concatenate([g, g * (1 + 1e-4), g * (1 - 1e-4)]),
-                                        d_max).reshape(3, len(g), d_max + 1, d_max, d_max)
-    for i in range(len(g)):
-        dv, solved = (up[i] - down[i]) / (2e-4 * g[i]), []
-        for (f, _, p, hp, _), pair in zip(blocks, pairs):
-            k = min(cfg.n_states, len(hp))
-            if pair is not None and k:
-                ham = _interaction(pair, v[i])
-                ham[np.diag_indices(len(hp))] += hp
-                e, x = (a[..., :k] for a in eigh(ham))
-                c = np.einsum("ij,ij->j", x, _interaction(pair, dv) @ x)
-            else:  # [1^N], or no intrinsic state
-                e, x, c = hp[:k], np.eye(len(hp), k), np.zeros(k)
-            solved += [(e, p @ x, c)] * f.shape[1]
-        yield solved
-
-
-def _assignment(score: np.ndarray) -> np.ndarray:
-    """The column of each row of the m x k score matrix, m <= k, each column used at most once,
-    of greatest summed score: the Hungarian method by shortest augmenting paths with
-    potentials, one row at a time, O(m^2 k).  Column 0 of the working arrays is the root."""
-    m, k = score.shape
-    u, v = np.zeros(m + 1), np.zeros(k + 1)
-    owner, way = np.zeros((2, k + 1), dtype=int)  # owner: 1 + the row matched to each column
-    for i in range(1, m + 1):
-        owner[0], j = i, 0
-        slack, used = np.full(k + 1, np.inf), np.zeros(k + 1, dtype=bool)
-        while owner[j]:  # grow the tree of tight edges from row i to a free column
-            used[j] = True
-            cost = -score[owner[j] - 1] - u[owner[j]] - v[1:]
-            better = ~used[1:] & (cost < slack[1:])
-            slack[1:][better], way[1:][better] = cost[better], j
-            j = 1 + np.argmin(np.where(used[1:], np.inf, slack[1:]))
-            delta = slack[j]
-            u[owner[used]] += delta
-            v[used] -= delta
-            slack[~used] -= delta
-        while j:  # flip the path back to the root
-            owner[j], j = owner[way[j]], way[j]
-    return np.argsort(owner[1:], kind="stable")[k - m:]  # after the k - m unmatched columns
+    d_max = (cfg.n_modes - 1) // 2 + 1
+    x = np.concatenate([[0.0], 1.0 / np.asarray(cfg.g_values)])
+    steps = STEP * np.array([0.0, -1.0, 1.0])
+    tables = _relative_interaction(np.concatenate([(x[:, None] + steps).ravel(), 2 * steps[1:]]), d_max)
+    v, down, up = tables[:-2].reshape(len(x), 3, d_max + 1, d_max, d_max).transpose(1, 0, 2, 3, 4)
+    w, w2 = (down - up) / (2 * STEP), (tables[-2] - tables[-1]) / (4 * STEP)  # -dV_eff/dx
+    cut, br = 0.5 * cfg.n_particles ** 2 + 0.5, _brackets(cfg.n_modes - 1)
+    for _, iso, p, hp, contact in blocks:
+        if not (contact and len(hp)):  # [1^N], or no intrinsic state
+            m = np.count_nonzero(hp < cut)
+            yield np.zeros(m), np.zeros(m), [(hp[:m], np.zeros(m), p[:, :m])] * len(x)
+            continue
+        pair, m, solved = _pair_rows(occ, iso, p, br), None, []
+        for i in range(len(x)):
+            ham = _interaction(pair, v[i])
+            ham[np.diag_indices(len(hp))] += hp
+            e, vec = eigh(ham)
+            m = np.count_nonzero(e < cut) if m is None else m
+            if not m:
+                k = k2 = np.zeros(0)
+                solved = [(k, k, p[:, :0])] * len(x)
+                break
+            on = (pair[0] @ vec[:, :m], pair[1])  # the pair rows of the manifold
+            slope = _interaction(on, w[i])
+            if i == 0:
+                k, k2 = np.linalg.eigvalsh(slope), np.linalg.eigvalsh(_interaction(on, w2))
+            solved.append((e[:m], np.diagonal(slope).copy(), p @ vec[:, :m]))
+        yield k, k2, solved
 
 
 def diagonalize(cfg: EDConfig) -> EDResult:
-    """Solve the shell model at every coupling.
+    """Solve the shell model at 1/g = 0 and at every coupling.
 
-    It is solved on the N_cm = 0 states of the blocks of _symmetry_blocks, in
-    ascending order of coupling (_solve_blocks); basis_dim counts them in every
-    row, as many as the shell states of exactly n_modes - 1 quanta.  The lowest
-    n_states states of the smallest coupling are tracked, each inside its block
-    row: the row isometries are orthonormal, so states of different rows overlap
-    exactly 0 and states of one row as their block eigenvectors, x_prev^T x.  At
-    every later coupling the tracked states of a row are matched to the row's own
-    states by maximal-overlap assignment; states of one row can cross, so their
-    rank in the row does not follow them.
+    It is solved on the N_cm = 0 states of the blocks of _symmetry_blocks (_solve_blocks);
+    basis_dim counts them in every row, as many as the shell states of exactly n_modes - 1
+    quanta.  Every row of a block holds the block's manifold.  The manifold must hold one
+    state per word of the components, else a ValueError.
     """
     occ, blocks = _symmetry_blocks(cfg.n_modes, cfg.n_particles, cfg.components)
     dim = sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks)
-    if cfg.n_states > dim:
-        raise ValueError(f"n_states={cfg.n_states} exceeds the intrinsic basis dimension {dim}")
-    shape = (len(cfg.g_values), cfg.n_states)
-    energies, tracked, inter = np.empty(shape), np.empty(shape), np.empty(shape)
-    quality = np.ones(shape)
-    for gi, solved in enumerate(_solve_blocks(cfg, occ, blocks)):
-        es, xs, cs = zip(*solved)
-        vals = np.concatenate(es)
-        order = np.argsort(vals, kind="stable")[:cfg.n_states]
-        energies[gi] = vals[order]
-        if gi == 0:
-            row = np.repeat(np.arange(len(es)), [len(e) for e in es])[order]
-            col = np.concatenate([np.arange(len(e)) for e in es])[order]
-        else:
-            for r in sorted(set(row.tolist())):
-                at = np.flatnonzero(row == r)
-                overlap = np.abs(prev[r][:, col[at]].T @ xs[r])
-                col[at] = _assignment(overlap)
-                quality[gi, at] = overlap[np.arange(len(at)), col[at]]
-        tracked[gi] = [es[r][c] for r, c in zip(row, col)]
-        inter[gi] = [cs[r][c] for r, c in zip(row, col)]
-        prev = xs
-    return EDResult(config=cfg, basis_dim=dim, energies=energies, tracked=tracked,
-                    track_quality=quality, interaction=inter,
-                    states=tuple((r, xs[r][:, c].copy()) for r, c in zip(row, col)))
+    parts = []
+    for (f, *_), (k, k2, solved) in zip(blocks, _solve_blocks(cfg, occ, blocks)):
+        e, s = (np.reshape([st[j] for st in solved[1:]], (len(cfg.g_values), len(k))) for j in (0, 1))
+        parts += [(k, k2, e, s)] * f.shape[1]
+    k, k2, e, s = (np.concatenate(a, axis=-1) for a in zip(*parts))
+    sizes = (1,) * cfg.n_particles if cfg.components is None else cfg.components.sizes
+    words = math.factorial(cfg.n_particles) // math.prod(map(math.factorial, sizes))
+    if len(k) != words:
+        raise ValueError(f"{len(k)} states below E_F + 1/2 at 1/g = 0, not one per word ({words})")
+    k, k2 = np.sort(k), np.sort(k2)
+    return EDResult(config=cfg, basis_dim=dim, k_values=k, step_shift=float(np.max(np.abs(k2 - k))),
+                    energies=np.sort(e, axis=1), slopes=np.sort(s, axis=1))
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    """Weighted fit of one tracked state against 1/g.
-
-    k_value is the intercept K of its Hellmann-Feynman slopes g^2 dE/dg =
-    K - 2 c / g, which counts the 1/g^2 term of the energy.  intercept is
-    that of the energies.  uncertainty combines the fit-residual half width
-    (Student-t at 95%), the shift under a basis reduced by four modes, and
-    the gap between K and the Hellmann-Feynman slope at the largest coupling.
+def k_uncertainty(result: EDResult, reduced: EDResult) -> float:
+    """The uncertainty of every K of result, from the run reduced of the same particles on a
+    smaller shell: the largest shift of the sorted K between the two shells, scaled by
+    E_max / (E_max - E_max') as for an error that falls as 1/E_max, plus the step term
+    result.step_shift.  One state's own shift does not bound its error, since a K may
+    converge non-monotonically, so every K takes the largest shift.
     """
-
-    state_index: int
-    k_value: float
-    intercept: float
-    residual_halfwidth: float
-    truncation_shift: float
-    hf_gap: float
-
-    @property
-    def uncertainty(self) -> float:
-        return self.residual_halfwidth + self.truncation_shift + self.hf_gap
-
-
-def _t_quantile(dof: int, p: float = 0.975) -> float:
-    """The p quantile of Student's t for an integer dof: bisection in theta = arctan(t /
-    sqrt(dof)) of the closed-form A(t | dof) = 2 p - 1 (Abramowitz & Stegun 26.7.3-4)."""
-    def two_sided(theta):
-        c, s, term, total = math.cos(theta), math.sin(theta), 1.0, 0.0
-        for j in range(dof // 2):
-            total, term = total + term, term * c * c * (2 * j + 1 + dof % 2) / (2 * j + 2 + dof % 2)
-        return (theta + s * c * total) * 2 / math.pi if dof % 2 else s * total
-
-    lo, hi = 0.0, 0.5 * math.pi
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if two_sided(mid) < 2 * p - 1 else (lo, mid)
-    return math.sqrt(dof) * math.tan(mid)
-
-
-def _weighted_line(g: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    """Slope and intercept of y vs 1/g, weights g^2, and their Student-t 95% half-widths."""
-    x = 1.0 / g
-    w = g**2
-    xm = np.average(x, weights=w)
-    ym = np.average(y, weights=w)
-    sxx = np.sum(w * (x - xm) ** 2)
-    slope = np.sum(w * (x - xm) * (y - ym)) / sxx
-    resid = y - ym - slope * (x - xm)
-    dof = len(g) - 2
-    t2 = _t_quantile(dof) ** 2 * np.sum(w * resid**2) / dof if dof > 0 else math.inf
-    return (float(slope), float(ym - slope * xm), math.sqrt(t2 / sxx),
-            math.sqrt(t2 * (1.0 / np.sum(w) + xm * xm / sxx)))
-
-
-def slope_fit(result: EDResult, state_index: int,
-              reduced: EDResult | None = None) -> SlopeFit:
-    """Extract K for one tracked state, with an honest uncertainty.
-
-    The fits demand at least three couplings.  When no reduced result is
-    supplied, the same configuration is rerun with four fewer modes to
-    estimate the truncation contribution.  A shell nests the shell four
-    quanta below, so the reduced state is the one of largest overlap at the
-    largest coupling; the block columns come in ascending quanta, so its block
-    columns are the first ones of the state's block.  Where no reduced state
-    of that block row is tracked, it is the one of nearest K.
-    """
-    cfg = result.config
-    if len(cfg.g_values) < 3:
-        raise ValueError("slope fits need at least three couplings")
-    if not 0 <= state_index < cfg.n_states:
-        raise ValueError(f"state index {state_index} outside 0..{cfg.n_states - 1}")
-    g = np.asarray(cfg.g_values)
-
-    def fit(res: EDResult, j: int) -> tuple[float, float]:  # K and its half-width
-        _, k, _, half = _weighted_line(g, g**2 * res.interaction[:, j])
-        return k, half
-
-    _, intercept, _, _ = _weighted_line(g, result.tracked[:, state_index])
-    k, half = fit(result, state_index)
-    if reduced is None:
-        reduced = diagonalize(replace(cfg, n_modes=cfg.n_modes - 4))
-    row, x = result.states[state_index]
-    kept = range(reduced.config.n_states)
-    same = [j for j in kept if reduced.states[j][0] == row]
-    if same:  # else no reduced state of this block row is tracked: the nearest K
-        x = x[:len(reduced.states[same[0]][1])]
-        kept = [max(same, key=lambda j: abs(x @ reduced.states[j][1]))]
-    r_k = min((fit(reduced, j)[0] for j in kept), key=lambda v: abs(v - k))
-    return SlopeFit(
-        state_index=state_index,
-        k_value=k,
-        intercept=intercept,
-        residual_halfwidth=half,
-        truncation_shift=abs(r_k - k),
-        hf_gap=abs(k - float(g[-1] ** 2 * result.interaction[-1, state_index])),
-    )
+    e_max, e_red = result.config.n_modes - 1, reduced.config.n_modes - 1
+    if e_red >= e_max or len(reduced.k_values) != len(result.k_values):
+        raise ValueError("the reduced run needs the same particles on a smaller shell")
+    shift = np.max(np.abs(result.k_values - reduced.k_values))
+    return float(e_max / (e_max - e_red) * shift + result.step_shift)

@@ -323,18 +323,19 @@ def _antisymmetric(n_particles: int, n_modes: int, sizes: tuple[int, ...]) -> np
 
 def shell_reference(n_particles: int, n_modes: int, g: float,
                     sizes: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
-    """H0, V_eff(g) and dV_eff/dg of the oracle's shell as dense matrices.
+    """H0, V_eff and -dV_eff/dx at x = 1/g of the oracle's shell as dense matrices.
 
-    In the product basis of shell_states, or with component sizes on the
-    states antisymmetric inside every component.  dV_eff/dg is the central
-    difference of step 1e-4 g in the relative V_eff, as the oracle takes it.
+    g = math.inf gives x = 0.  In the product basis of shell_states, or with
+    component sizes on the states antisymmetric inside every component.
+    -dV_eff/dx = g^2 dV_eff/dg is the central difference of step STEP in x in
+    the relative V_eff, as the oracle takes it.
     """
-    from tonks.oracle import _relative_interaction
+    from tonks.oracle import STEP, _relative_interaction
 
-    v, up, down = _relative_interaction(np.array([g, g * (1 + 1e-4), g * (1 - 1e-4)]),
-                                        (n_modes - 1) // 2 + 1)
+    x = 1.0 / g
+    v, down, up = _relative_interaction(np.array([x, x - STEP, x + STEP]), (n_modes - 1) // 2 + 1)
     h0 = np.diag([sum(r) + 0.5 * n_particles for r in shell_states(n_particles, n_modes)])
-    mats = (h0, *_pair_sum(n_particles, n_modes, np.stack([v, (up - down) / (2e-4 * g)])))
+    mats = (h0, *_pair_sum(n_particles, n_modes, np.stack([v, (down - up) / (2 * STEP)])))
     if sizes is None:
         return mats
     q = _antisymmetric(n_particles, n_modes, sizes)
@@ -367,7 +368,7 @@ def shell_cm(n_particles: int, n_modes: int, sizes: tuple[int, ...] | None = Non
 
 def intrinsic_reference(n_particles: int, n_modes: int, g: float,
                         sizes: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
-    """shell_reference restricted to the kernel of shell_cm: H0, V_eff(g) and dV_eff/dg on
+    """shell_reference restricted to the kernel of shell_cm: H0, V_eff and -dV_eff/dx on
     orthonormal columns Q spanning the states of N_cm = 0, and Q itself."""
     vals, vecs = np.linalg.eigh(shell_cm(n_particles, n_modes, sizes))
     q = vecs[:, vals < 0.5]  # N_cm has integer eigenvalues

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from reference import assembled, grad, mc_gammas, psi, two_body_slope
-from tonks.oracle import EDConfig, diagonalize, slope_fit
+from tonks.oracle import EDConfig, diagonalize, k_uncertainty
 from tonks.sectors import ComponentSpec, build_graph, cycle_ordering, laplacian, projected_laplacian
 from tonks.slater import make_level
 from tonks.spectrum import solve
@@ -121,9 +121,8 @@ def test_criterion_3_gamma_cross_validation(state2, state3):
 def test_criterion_4_oracle_slope_agreement():
     start = time.perf_counter()
 
-    # two particles: fitted slopes against the exact pair {0, 2 gamma}
-    res2 = diagonalize(EDConfig(2, 40, (20.0, 50.0, 100.0), n_states=3))
-    k2 = sorted(slope_fit(res2, j).k_value for j in range(2))
+    # two particles: K at 1/g = 0 against the exact pair {0, 2 gamma}
+    k2 = diagonalize(EDConfig(2, 40)).k_values
     k_pair = 2.0 * GAMMA_2
     assert abs(k2[0]) < 0.05 * k_pair
     assert abs(k2[1] - k_pair) / k_pair < 0.05
@@ -131,14 +130,15 @@ def test_criterion_4_oracle_slope_agreement():
     # the transcendental reference reproduces the same slope at g = 200
     assert abs(two_body_slope(200.0) - k_pair) / k_pair < 0.01
 
-    # three particles: all six slopes, ordering, and degenerate pairs
-    res3 = diagonalize(EDConfig(3, 14, (25.0, 50.0, 100.0), n_states=6))
-    reduced = diagonalize(EDConfig(3, 10, (25.0, 50.0, 100.0), n_states=6))
-    fitted = sorted(slope_fit(res3, j, reduced=reduced).k_value for j in range(6))
+    # three particles: all six K, ordering, and degenerate pairs
+    res3 = diagonalize(EDConfig(3, 14, (25.0, 50.0, 100.0)))
+    fitted = res3.k_values
     predicted = GAMMA_3 * np.array([0.0, 1.0, 1.0, 3.0, 3.0, 4.0])
     k_max = predicted[-1]
+    unc = k_uncertainty(res3, diagonalize(EDConfig(3, 10)))
     for f, p in zip(fitted, predicted):
         assert abs(f - p) < 0.10 * max(p, 0.1 * k_max)
+        assert abs(f - p) <= unc
     assert abs(fitted[1] - fitted[2]) < 0.02 * max(fitted[1], fitted[2])
     assert abs(fitted[3] - fitted[4]) < 0.02 * max(fitted[3], fitted[4])
     # the three distinct levels stay clearly separated
@@ -200,17 +200,18 @@ def test_criterion_5_structural_invariants(basis, state3):
 
 
 def test_criterion_6_hellmann_feynman():
-    # finite-difference dE/dg equals the expectation of dV_eff/dg inside the shell model
-    res = diagonalize(EDConfig(2, 30, (4.975, 5.0, 5.025), n_states=1))
-    fd = (res.tracked[2, 0] - res.tracked[0, 0]) / 0.05
-    hf = res.interaction[1, 0]
+    # finite-difference dE/dg equals the expectation of dV_eff/dg inside the shell model:
+    # the slope g^2 dE/dg = -<dV_eff/dx> of the interacting state, over g^2
+    res = diagonalize(EDConfig(2, 30, (4.975, 5.0, 5.025)))
+    fd = (res.energies[2, 0] - res.energies[0, 0]) / 0.05
+    hf = res.slopes[1, 1] / 5.0**2
     assert abs(fd - hf) / abs(hf) < 1e-4
 
     # the wavefunction at coincidence decays as 1/g, so <dV_eff/dg> falls as
     # 1/g^2 and g^2 <dV_eff/dg> is the stable combination (its large-g limit
     # is the slope K)
-    res2 = diagonalize(EDConfig(2, 40, (20.0, 50.0, 100.0), n_states=3))
-    assert res2.interaction[0, 0] > 1e-3
-    s50 = 50.0**2 * res2.interaction[1, 0]
-    s100 = 100.0**2 * res2.interaction[2, 0]
+    res2 = diagonalize(EDConfig(2, 40, (20.0, 50.0, 100.0)))
+    assert res2.slopes[0, 1] / 20.0**2 > 1e-3
+    s50 = res2.slopes[1, 1]
+    s100 = res2.slopes[2, 1]
     assert abs(s100 - s50) / s50 < 0.10

@@ -37,7 +37,7 @@ def test_version():
 def test_spectrum_json_schema():
     proc = run_cli("spectrum", "--n", "3", "--no-timestamp")
     doc = json.loads(proc.stdout)
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["command"] == "spectrum"
     assert doc["slater"]["occupation"] == [0, 1, 2]
     assert doc["slater"]["free_energy"] == pytest.approx(4.5)
@@ -343,8 +343,10 @@ def test_validate_csv(tmp_path):
 
 
 def test_validate_failure_exits_three():
+    # two particles on the shell are exact up to rounding (K within 1e-9 relative), so only a
+    # tolerance below that fails
     run_cli("validate", "--n", "2", "--n-modes", "24", "--g", "20,50,100",
-            "--rtol", "1e-6", expect=3)
+            "--rtol", "1e-12", expect=3)
 
 
 def test_validate_too_few_modes_exits_two():
@@ -362,6 +364,14 @@ def test_validate_three_body():
     doc = json.loads(proc.stdout)
     assert len(doc["k_predicted"]) == len(doc["k_fitted"]) == 6
     assert doc["passed"] is True
+    # one uncertainty for every K, covering every deviation
+    unc = doc["fit_uncertainties"]
+    assert len(set(unc)) == 1
+    assert np.all(np.abs(np.subtract(doc["k_fitted"], doc["k_predicted"])) <= unc)
+    # the slopes of each coupling, sorted: K - slope shrinks as g grows
+    gap = np.array(doc["k_fitted"]) - np.array(doc["k_at_couplings"])
+    assert gap.shape == (3, 6) and np.all(gap[:, 0] == 0.0)
+    assert np.all(gap[:, 1:] > 0) and np.all(np.diff(gap[:, 1:], axis=0) < 0)
 
 
 def test_validate_mixed_pairs_fit_identically():
@@ -383,10 +393,19 @@ def test_validate_bad_couplings_exit_two(monkeypatch, capsys):
     def refused(cfg):
         raise AssertionError("oracle ran before its input was checked")
 
-    # two couplings cannot give a slope fit: refused before either diagonalization
+    # a list that does not parse is refused before any diagonalization
     monkeypatch.setattr(tonks.oracle, "diagonalize", refused)
-    assert cli.main(["validate", "--n", "3", "--n-modes", "18", "--g", "20,50"]) == 2
-    assert capsys.readouterr().err == "error: slope fits need at least three couplings\n"
+    assert cli.main(["validate", "--n", "3", "--n-modes", "18", "--g", "20,,50"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse couplings '20,,50'\n"
+
+
+def test_validate_one_coupling():
+    # K is taken at 1/g = 0, so one coupling runs; k_at_couplings holds its sorted slopes
+    proc = run_cli("validate", "--n", "2", "--n-modes", "8", "--g", "50", "--no-timestamp")
+    doc = json.loads(proc.stdout)
+    assert doc["schema_version"] == 4 and doc["passed"] is True
+    assert len(doc["k_at_couplings"]) == 1 and doc["k_at_couplings"][0][0] == 0.0
+    assert 0.0 < doc["k_at_couplings"][0][1] < doc["k_fitted"][1]
 
 
 def _refused(state, tol):
@@ -563,5 +582,5 @@ def test_seed_only_reaches_provenance():
     b = json.loads(run_cli("gamma", "--n", "3", "--seed", "2", "--no-timestamp").stdout)
     assert a["provenance"]["seed"] == 1 and b["provenance"]["seed"] == 2
     assert a["gammas"] == b["gammas"]
-    assert a["schema_version"] == 3
+    assert a["schema_version"] == 4
     assert set(a["input"]) == {"trap", "n_particles", "level", "tol"}

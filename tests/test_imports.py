@@ -50,7 +50,7 @@ def test_spectrum_and_density_skip_unused_scipy():
 
 
 def test_validate_and_tabulated_trap_load_no_scipy(tmp_path):
-    # the oracle's interaction, eigensolves, special functions and matcher, and the sinc-DVR
+    # the oracle's interaction, eigensolves and special functions, and the sinc-DVR
     # solve of a tabulated trap, need NumPy alone
     x = np.linspace(-8.0, 8.0, 161)
     np.savetxt(tmp_path / "harmonic.dat", np.column_stack([x, 0.5 * x * x]))
@@ -78,7 +78,7 @@ print(json.dumps({"bare": bare, "oracle": oracle_ok, "same": same, "all": tonks.
                   "dir": listed, "star": sorted(k for k in star if k != "__builtins__")}))
 """)
     assert report["bare"] == [] and report["oracle"] and report["same"]
-    assert len(report["all"]) == 23
+    assert len(report["all"]) == 21
     # test references live in tests/reference.py, not in the package
     assert {"gamma", "two_body_reference", "SectorWavefunction", "delta_tensor"}.isdisjoint(
         report["all"])

@@ -1,27 +1,29 @@
-"""Finite-coupling oracle: shell blocks, diagonalization, slope fits, Monte Carlo weights."""
+"""Finite-coupling oracle: shell blocks, the manifold at infinite coupling, Monte Carlo weights."""
 
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import quad
-from scipy.optimize import linear_sum_assignment
-from scipy.special import digamma, gammaln, stdtrit
+from scipy.special import digamma, gammaln
 
 import tonks.oracle as oracle
-from tonks.oracle import EDConfig, SlopeFit, diagonalize, slope_fit
+from tonks.oracle import EDConfig, diagonalize, k_uncertainty
 from reference import (delta_tensor, intrinsic_reference, mc_gammas, shell_cm, shell_reference,
                        shell_states, two_body_reference, two_body_slope)
-from tonks.sectors import ComponentSpec
+from tonks.sectors import ComponentSpec, build_graph, projected_laplacian
 from tonks.slater import make_level
+from tonks.spectrum import solve
 from tonks.traps import HarmonicBasis
 from tonks.weights import all_gammas
 
 GAMMA_2 = math.sqrt(2.0 / math.pi)
+GAMMA_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
+# the Laplacian K of two and of three distinguishable particles
+K_EXACT = {2: GAMMA_2 * np.array([0.0, 2.0]), 3: GAMMA_3 * np.array([0.0, 1.0, 1.0, 3.0, 3.0, 4.0])}
 
 
 def _phi(n, x):
@@ -63,6 +65,8 @@ def test_mode_cap():
         EDConfig(2, oracle.MODE_CAP + 1, (1.0,))
 
 
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EDConfig(n_particles=4, n_modes=10, g_values=(1.0,))
@@ -76,9 +80,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match="finite and positive"):
             EDConfig(n_particles=2, n_modes=10, g_values=(20.0, 50.0, bad))
     with pytest.raises(ValueError):
-        EDConfig(n_particles=2, n_modes=10, g_values=(1.0,), n_states=0)
-    with pytest.raises(ValueError):
         EDConfig(n_particles=2, n_modes=10, g_values=(1.0,), components=ComponentSpec((3,)))
+    # K needs no coupling
+    assert EDConfig(2, 10).g_values == ()
 
 
 def test_two_body_reference_limits():
@@ -102,8 +106,7 @@ def test_two_body_slope_limit():
 
 @pytest.fixture(scope="module")
 def ed_two():
-    cfg = EDConfig(n_particles=2, n_modes=40, g_values=(20.0, 50.0, 100.0), n_states=4)
-    return diagonalize(cfg)
+    return diagonalize(EDConfig(n_particles=2, n_modes=40, g_values=(20.0, 50.0, 100.0)))
 
 
 def test_ed_matches_two_body_reference(ed_two):
@@ -113,66 +116,64 @@ def test_ed_matches_two_body_reference(ed_two):
         assert abs(ed_two.energies[gi, 0] - two_body_reference(g)) < 1e-10
 
 
-def test_ed_tracking_quality(ed_two):
-    assert ed_two.tracked.shape == (3, 4)
-    assert ed_two.track_quality.shape == (3, 4)
-    assert np.min(ed_two.track_quality) > 0.99
-    assert np.all(np.diff(ed_two.tracked[:, 0]) > 0)
-
-
 def test_ed_fermionic_state_flat(ed_two):
-    # one tracked column is the odd (fermionized) state: energy 2 at
-    # every coupling and vanishing contact expectation
-    flat = np.where(np.max(np.abs(ed_two.tracked - 2.0), axis=0) < 1e-9)[0]
-    assert len(flat) == 1
-    assert np.max(np.abs(ed_two.interaction[:, flat[0]])) < 1e-12
+    # the odd (fermionized) state of the manifold: energy 2 at every coupling and no
+    # interaction, so its slope and its K are exactly 0
+    assert ed_two.energies.shape == ed_two.slopes.shape == (3, 2)
+    np.testing.assert_allclose(ed_two.energies[:, 1], 2.0, rtol=0, atol=1e-9)
+    assert np.all(ed_two.energies[:, 0] < 2.0 - 1e-3)
+    assert np.all(ed_two.slopes[:, 0] == 0.0) and ed_two.k_values[0] == 0.0
 
 
 def test_slope_fit_two_body(ed_two):
-    fit = slope_fit(ed_two, 0)
-    assert isinstance(fit, SlopeFit)
+    # The shell is exact for two particles, so their K at 1/g = 0 is 2 gamma_2 up to the
+    # rounding of the central difference, inside its uncertainty.  The finite-coupling
+    # slopes g^2 dE/dg are those of the transcendental reference, rising toward K.
     k_exact = 2.0 * GAMMA_2
-    assert abs(fit.k_value - k_exact) / k_exact < 0.05
-    assert abs(fit.k_value - k_exact) < 3.0 * fit.uncertainty + 1e-6
-    assert fit.intercept == pytest.approx(2.0, abs=0.08)
-    flat = int(np.where(np.max(np.abs(ed_two.tracked - 2.0), axis=0) < 1e-9)[0][0])
-    assert abs(slope_fit(ed_two, flat).k_value) < 1e-6
+    assert abs(ed_two.k_values[1] - k_exact) < 1e-8 * k_exact
+    unc = k_uncertainty(ed_two, diagonalize(EDConfig(2, 36)))
+    assert abs(ed_two.k_values[1] - k_exact) <= unc < 1e-6
+    for gi, g in enumerate(ed_two.config.g_values):
+        assert ed_two.slopes[gi, 1] == pytest.approx(two_body_slope(g), rel=1e-7)
+    assert np.all(np.diff(ed_two.slopes[:, 1]) > 0) and ed_two.slopes[-1, 1] < k_exact
 
 
-def test_slope_fit_needs_three_couplings():
-    cfg = EDConfig(n_particles=2, n_modes=10, g_values=(5.0, 10.0), n_states=1)
-    with pytest.raises(ValueError, match="three"):
-        slope_fit(diagonalize(cfg), 0)
-    with pytest.raises(ValueError, match="state index"):
-        slope_fit(diagonalize(EDConfig(2, 10, (5.0, 10.0, 20.0), n_states=1)), 1)
+def test_one_coupling_or_none():
+    # K needs no coupling; each coupling adds its row of energies and slopes and changes no K
+    bare = diagonalize(EDConfig(3, 10))
+    assert bare.config.g_values == () and bare.energies.shape == bare.slopes.shape == (0, 6)
+    one = diagonalize(EDConfig(3, 10, (50.0,)))
+    assert one.energies.shape == one.slopes.shape == (1, 6)
+    assert one.k_values.tobytes() == bare.k_values.tobytes() and one.step_shift == bare.step_shift
 
 
 def test_identical_pair_has_no_contact():
-    cfg = EDConfig(n_particles=2, n_modes=12, g_values=(5.0, 10.0),
-                   n_states=2, components=ComponentSpec((2,)))
+    cfg = EDConfig(n_particles=2, n_modes=12, g_values=(5.0, 10.0), components=ComponentSpec((2,)))
     res = diagonalize(cfg)
     # as many intrinsic states as pairs of distinct orbitals with exactly 11 quanta
     assert res.basis_dim == sum(a + b == 11 for a, b in itertools.combinations(range(12), 2)) == 6
-    np.testing.assert_allclose(res.energies[0], res.energies[1], atol=1e-10)
-    assert np.max(np.abs(res.interaction)) < 1e-10
+    # one word: the free state at E_F = 2 at every coupling, with no interaction
+    assert res.energies.tolist() == [[2.0], [2.0]]
+    assert res.k_values.tolist() == [0.0] and np.all(res.slopes == 0.0) and res.step_shift == 0.0
 
 
 def test_component_spectrum_nested_in_full():
-    g_values = (8.0,)
-    full = diagonalize(EDConfig(3, 8, g_values, n_states=12))
-    part = diagonalize(EDConfig(3, 8, g_values, n_states=4, components=ComponentSpec((2, 1))))
+    full = diagonalize(EDConfig(3, 8, (8.0,)))
+    part = diagonalize(EDConfig(3, 8, (8.0,), components=ComponentSpec((2, 1))))
     assert part.basis_dim == sum(a < b and a + b + c == 7
                                  for a, b, c in itertools.product(range(8), repeat=3)) == 16
-    for e in part.energies[0]:
-        assert np.min(np.abs(full.energies[0] - e)) < 1e-8
+    assert part.k_values.shape == (3,) and full.k_values.shape == (6,)
+    for sub, whole in ((part.energies[0], full.energies[0]), (part.slopes[0], full.slopes[0]),
+                       (part.k_values, full.k_values)):
+        for e in sub:
+            assert np.min(np.abs(whole - e)) < 1e-8
 
 
 def test_interaction_is_energy_derivative():
-    # Hellmann-Feynman check inside the truncated model itself
-    cfg = EDConfig(n_particles=2, n_modes=30, g_values=(4.975, 5.0, 5.025), n_states=1)
-    res = diagonalize(cfg)
-    fd = (res.tracked[2, 0] - res.tracked[0, 0]) / 0.05
-    hf = res.interaction[1, 0]
+    # Hellmann-Feynman check inside the truncated model itself: g^2 dE/dg of the interacting state
+    res = diagonalize(EDConfig(n_particles=2, n_modes=30, g_values=(4.975, 5.0, 5.025)))
+    fd = (res.energies[2, 0] - res.energies[0, 0]) / 0.05 * 5.0**2
+    hf = res.slopes[1, 1]
     assert abs(fd - hf) / abs(hf) < 1e-4
 
 
@@ -182,32 +183,32 @@ def test_interaction_is_energy_derivative():
     (3, 8, None), (3, 8, (2, 1)), (3, 8, (1, 2)), (3, 8, (3,)),
 ])
 def test_blocks_match_dense_reference(npart, n_modes, sizes):
-    # The dense shell Hamiltonian restricted to the kernel of the centre-of-mass quanta.
+    # The dense shell Hamiltonian restricted to the kernel of the centre-of-mass quanta and
+    # solved whole: its lowest states, one per word and the only ones below E_F + 1/2, are the
+    # manifold at 1/g = 0 and at each coupling, and -dV_eff/dx on them gives K and the slopes.
     comp = None if sizes is None else ComponentSpec(sizes)
-    # three identical fermions have only the two intrinsic states of at most 5 quanta in six modes
-    m = min(6, _intrinsic_count(n_modes, npart, sizes))
-    cfg = EDConfig(npart, n_modes, (5.0, 20.0), n_states=m, components=comp)
-    res = diagonalize(cfg)
+    res = diagonalize(EDConfig(npart, n_modes, (5.0, 20.0), components=comp))
     _, blocks = oracle._symmetry_blocks(n_modes, npart, comp)
     # every row of every block
     assert sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks) == res.basis_dim
-    for gi, g in enumerate(cfg.g_values):
-        h0, v, dv, _ = intrinsic_reference(npart, n_modes, g, sizes)
+    words = len(res.k_values)
+    for gi, g in enumerate((math.inf, *res.config.g_values)):
+        h0, v, w, _ = intrinsic_reference(npart, n_modes, g, sizes)
         assert res.basis_dim == len(h0)
         vals, vecs = np.linalg.eigh(h0 + v)
-        np.testing.assert_allclose(res.energies[gi], vals[:m], atol=1e-10)
-        # A tracked state may cross above the lowest m, so compare the
-        # interaction expectation of each with the reference state at its
-        # energy; degenerate states share theirs by symmetry.
-        ref = np.argmin(np.abs(vals[:, None] - res.tracked[gi]), axis=0)
-        np.testing.assert_allclose(vals[ref], res.tracked[gi], atol=1e-10)
-        contact = np.einsum("ij,ij->j", vecs[:, ref], dv @ vecs[:, ref])
-        np.testing.assert_allclose(res.interaction[gi], contact, atol=1e-8)
-
+        assert vals[words - 1] < 0.5 * npart**2 + 0.5 < vals[words]
+        on = vecs[:, :words].T @ w @ vecs[:, :words]
+        if gi == 0:
+            np.testing.assert_allclose(res.k_values, np.linalg.eigvalsh(on), rtol=0, atol=1e-8)
+        else:
+            np.testing.assert_allclose(res.energies[gi - 1], vals[:words], rtol=0, atol=1e-10)
+            # the rows of a degenerate pair carry the same expectation, in any basis
+            np.testing.assert_allclose(res.slopes[gi - 1], np.sort(np.diagonal(on)), rtol=0,
+                                       atol=1e-8)
 
 def _row_isometries(occ, blocks):
     """T_f = sum_k f[k, r] T_(e_k) of every retained row r, block by block in the row order
-    of _solve_blocks, as dense arrays on the shell occ, written out from each block's
+    of _symmetry_blocks, as dense arrays on the shell occ, written out from each block's
     gather (states, at, coef)."""
     out = []
     for f, (states, at, coef), p, *_ in blocks:
@@ -223,14 +224,14 @@ def _widths(blocks):
     return [(f.shape, len(p)) for f, _, p, *_ in blocks]
 
 
-def _block_interactions(occ, iso, n_cols, g):
+def _block_interactions(occ, iso, n_cols, g, step=oracle.STEP):
     """The interaction of a block on all its columns, not only the intrinsic ones (P = 1),
-    and its derivative in g, from the pair rows of _pair_rows."""
-    e_max = occ.max()
+    and -dV_eff/dx at x = 1/g by a central difference of the given step, from the pair rows
+    of _pair_rows."""
+    e_max, x = occ.max(), 1.0 / g
     pair = oracle._pair_rows(occ, iso, np.eye(n_cols), oracle._brackets(e_max))
-    v, up, down = oracle._relative_interaction(np.array([g, g * (1 + 1e-4), g * (1 - 1e-4)]),
-                                               e_max // 2 + 1)
-    return oracle._interaction(pair, v), oracle._interaction(pair, (up - down) / (2e-4 * g))
+    v, down, up = oracle._relative_interaction(np.array([x, x - step, x + step]), e_max // 2 + 1)
+    return oracle._interaction(pair, v), oracle._interaction(pair, (down - up) / (2 * step))
 
 
 def _layer_counts(n_modes, npart, sizes):
@@ -287,10 +288,12 @@ def test_block_sizes():
     assert [iso[2].shape[1] for _, iso, *_ in pair] == [2, 2, 1, 1]
 
 
+
 @pytest.mark.parametrize("npart, sizes", [(2, None), (2, (2,)), (3, None), (3, (2, 1))])
 def test_intrinsic_dimension(monkeypatch, npart, sizes):
     # basis_dim counts the intrinsic states, as many as the shell states of exactly
-    # n_modes - 1 quanta; an empty block takes no eigensolve.
+    # n_modes - 1 quanta; an empty block takes no eigensolve, and a block without a
+    # manifold state none at the couplings.
     widths = []
 
     def recording_eigh(a):
@@ -301,41 +304,44 @@ def test_intrinsic_dimension(monkeypatch, npart, sizes):
     comp = None if sizes is None else ComponentSpec(sizes)
     dim = _intrinsic_count(14, npart, sizes)
     assert dim == {(2, None): 14, (2, (2,)): 7, (3, None): 105, (3, (2, 1)): 49}[npart, sizes]
-    res = diagonalize(EDConfig(npart, 14, (20.0, 50.0), n_states=dim, components=comp))
+    res = diagonalize(EDConfig(npart, 14, (20.0, 50.0), components=comp))
     assert res.basis_dim == dim
     _, blocks = oracle._symmetry_blocks(14, npart, comp)
-    assert 0 not in widths and sum(widths) == 2 * sum(len(hp) for *_, hp, c in blocks if c)
+    assert 0 not in widths
+    solved = [len(hp) for *_, hp, contact in blocks if contact and len(hp)]
+    # block by block: at 1/g = 0, then at each coupling if the block holds manifold states
+    assert widths == {(2, None): [7] * 3, (2, (2,)): [],
+                      (3, None): [12] * 3 + [9] + [16] * 3 + [19] * 3,
+                      (3, (2, 1)): [16] * 3 + [19] * 3}[npart, sizes]
+    assert [w for w, _ in itertools.groupby(widths)] == solved
     if npart == 2:
         # two particles: one intrinsic state per relative level, the even ones symmetric,
         # the odd ones antisymmetric, so the [2]-odd and [1,1]-even blocks are empty
         assert [len(hp) for *_, hp, _ in blocks] == ([7, 0, 0, 7] if sizes is None else [0, 7])
-        assert widths == ([7] * 2 if sizes is None else [])
         _, capped = oracle._symmetry_blocks(oracle.MODE_CAP, 2, None)
         assert [len(hp) for *_, hp, _ in capped] == [30, 0, 0, 30]
-    with pytest.raises(ValueError, match=f"intrinsic basis dimension {dim}"):
-        diagonalize(EDConfig(npart, 14, (20.0,), n_states=dim + 1, components=comp))
 
 
 @pytest.mark.parametrize("npart, sizes", [(2, None), (2, (2,)), (3, None), (3, (2, 1))])
 def test_kept_states_have_no_centre_of_mass_quanta(npart, sizes):
-    # Every kept state, mapped to the product basis through its row isometry T_f,
-    # has <N_cm> = 0, against N_cm written out by loops.
+    # Every manifold state, at 1/g = 0 and at each coupling, mapped to the product basis
+    # through its row isometry T_f, has <N_cm> = 0, against N_cm written out by loops.
     comp = None if sizes is None else ComponentSpec(sizes)
     n = 8 if npart == 3 else 10
-    cfg = EDConfig(npart, n, (5.0, 20.0), n_states=_intrinsic_count(n, npart, sizes),
-                   components=comp)
+    cfg = EDConfig(npart, n, (5.0, 20.0), components=comp)
     occ, blocks = oracle._symmetry_blocks(n, npart, comp)
-    isometries = _row_isometries(occ, blocks)
+    isometries = iter(_row_isometries(occ, blocks))
     cm = shell_cm(npart, n)
-    for solved in oracle._solve_blocks(cfg, occ, blocks):
-        vecs = np.hstack([t @ x for t, (_, x, _) in zip(isometries, solved, strict=True)])
-        assert vecs.shape[1] == cfg.n_states
-        np.testing.assert_allclose(np.einsum("ij,ij->j", vecs, cm @ vecs), 0.0, rtol=0, atol=1e-12)
-    res = diagonalize(cfg)
-    for row, y in res.states:
-        v = isometries[row] @ y
-        assert abs(v @ cm @ v) < 1e-12
-
+    kept = 0
+    for (f, *_), (_, _, solved) in zip(blocks, oracle._solve_blocks(cfg, occ, blocks), strict=True):
+        for t in [next(isometries) for _ in range(f.shape[1])]:
+            assert len(solved) == 3
+            for _, _, y in solved:
+                vecs = t @ y
+                np.testing.assert_allclose(np.einsum("ij,ij->j", vecs, cm @ vecs), 0.0, rtol=0,
+                                           atol=1e-12)
+            kept += y.shape[1]
+    assert kept == len(diagonalize(cfg).k_values)
 
 def _swap_and_parity(n_modes, n_particles):
     """Shell permutation of each pair swap P_ij, and the parity of each shell state."""
@@ -370,6 +376,7 @@ def _contact_matrix(n_modes, n_particles):
         w = w + sparse.csr_array((np.repeat(v, len(spect)), (rows, cols)), shape=(dim, dim))
     shell = np.flatnonzero(np.indices((n,) * n_particles).sum(axis=0).ravel() < n)
     return w[shell][:, shell]
+
 
 
 @pytest.mark.parametrize("npart, sizes", [
@@ -436,14 +443,14 @@ def test_block_invariants(npart, sizes):
     np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
     assert q.shape[1] == _shell_count(n, npart, sizes)
     if npart < 4:
-        cfg = EDConfig(npart, n, (1.0,), n_states=1, components=comp)
-        assert diagonalize(cfg).basis_dim == _intrinsic_count(n, npart, sizes)
+        assert diagonalize(EDConfig(npart, n, components=comp)).basis_dim == _intrinsic_count(n, npart, sizes)
     else:
         assert sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks) == _intrinsic_count(
             n, npart, sizes)
     if npart == 4 and sizes is None:
         # shapes (4), (3,1), (2,2), (2,1,1), (1,1,1,1), each even then odd
         assert [f.shape[1] for f, *_ in blocks] == [1, 1, 3, 3, 2, 2, 3, 3, 1, 1]
+
 
 
 def test_mixed_blocks_isospectral():
@@ -464,6 +471,7 @@ def test_mixed_blocks_isospectral():
         np.testing.assert_allclose(tb.T @ h @ tb, ta.T @ h @ ta, atol=1e-12)
 
 
+
 def test_eigh_widths_one_solve_per_mixed_pair(monkeypatch):
     widths = []
 
@@ -476,241 +484,121 @@ def test_eigh_widths_one_solve_per_mixed_pair(monkeypatch):
     def solved(npart, sizes):
         widths.clear()
         comp = None if sizes is None else ComponentSpec(sizes)
-        return diagonalize(EDConfig(npart, 14, (20.0, 50.0), n_states=6, components=comp))
+        return diagonalize(EDConfig(npart, 14, (20.0, 50.0), components=comp))
 
     dist = solved(3, None)
-    # coupling by coupling: one dense solve per shape and parity on its intrinsic states,
+    # block by block, one dense solve per shape and parity on its intrinsic states at 1/g = 0,
+    # and one at each coupling if it holds manifold states (all but the odd symmetric block);
     # the mixed irrep's second row mapped, and no solve of the contact-free (1,1,1)
-    assert widths == [12, 9, 16, 19] * 2
+    assert widths == [12] * 3 + [9] + [16] * 3 + [19] * 3
     _, blocks = oracle._symmetry_blocks(14, 3, None)
     shared = sum((f.shape[1] - 1) * len(hp) for f, _, _, hp, _ in blocks)
     free = sum(len(hp) for *_, hp, contact in blocks if not contact)
-    assert sum(widths[:4]) + shared + free == 56 + 35 + 14 == dist.basis_dim == math.comb(15, 2)
+    assert 12 + 9 + 16 + 19 + shared + free == 56 + 35 + 14 == dist.basis_dim == math.comb(15, 2)
     ones = solved(3, (1, 1, 1))
-    assert widths == [12, 9, 16, 19] * 2
-    for name in ("energies", "tracked", "track_quality", "interaction"):
+    assert widths == [12] * 3 + [9] + [16] * 3 + [19] * 3
+    for name in ("k_values", "energies", "slopes"):
         np.testing.assert_array_equal(getattr(ones, name), getattr(dist, name))
+    assert ones.step_shift == dist.step_shift
     # two particles: the odd [1,1] block is antisymmetric, the even [2] one has 7 states
     solved(2, None)
-    assert widths == [7] * 2
+    assert widths == [7] * 3
     solved(3, (2, 1))
-    assert widths == [16, 19] * 2
+    assert widths == [16] * 3 + [19] * 3
     # identical fermions span only the contact-free shape: no solve at all
     for npart in (2, 3):
         assert solved(npart, (npart,)).basis_dim == _intrinsic_count(14, npart, (npart,)) \
             and widths == []
 
 
+def _block_rows(cfg, occ, blocks):
+    """The manifold of _solve_blocks repeated for every row of its block, in the row order of
+    _row_isometries."""
+    return [solved for (f, *_), (_, _, solved) in zip(blocks, oracle._solve_blocks(cfg, occ, blocks))
+            for _ in range(f.shape[1])]
+
+
 def test_mapped_vectors_are_eigenvectors():
-    # All 21 intrinsic states of the shell of five quanta.  Each state is an eigenvector
-    # in the columns of its block row; mapped by the row isometry T_f, built here, it is
-    # an eigenvector of the shell Hamiltonian in the product basis.
-    cfg = EDConfig(3, 6, (5.0, 20.0), n_states=21)
+    # The six manifold states of the shell of five quanta, at 1/g = 0 and at two couplings.
+    # Each state is an eigenvector in the columns of its block row; mapped by the row
+    # isometry T_f, built here, it is an eigenvector of the shell Hamiltonian in the product
+    # basis, with the expectation of -dV_eff/dx that the oracle gives it.
+    cfg = EDConfig(3, 6, (5.0, 20.0))
     occ, blocks = oracle._symmetry_blocks(6, 3, None)
     isometries = _row_isometries(occ, blocks)
     swaps, _ = _swap_and_parity(6, 3)
-    for g, solved in zip(cfg.g_values, oracle._solve_blocks(cfg, occ, blocks), strict=True):
-        h0, v, dv = shell_reference(3, 6, g)
-        assert len(solved) == len(isometries) and sum(len(e) for e, _, _ in solved) == 21
-        vals = np.concatenate([e for e, _, _ in solved])
-        vecs = np.hstack([t @ y for t, (_, y, _) in zip(isometries, solved)])
-        contact = np.concatenate([c for _, _, c in solved])
+    rows = _block_rows(cfg, occ, blocks)
+    assert len(rows) == len(isometries)
+    for i, g in enumerate((math.inf, *cfg.g_values)):
+        h0, v, w = shell_reference(3, 6, g)
+        vals = np.concatenate([row[i][0] for row in rows])
+        slopes = np.concatenate([row[i][1] for row in rows])
+        vecs = np.hstack([t @ row[i][2] for t, row in zip(isometries, rows)])
+        assert len(vals) == 6
         resid = (h0 + v) @ vecs - vecs * vals
         assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-12)
-        np.testing.assert_allclose(contact, np.einsum("ij,ij->j", vecs, dv @ vecs), atol=1e-12)
-        # the vectors of every row of a multi-row block: class-sum value 0, the mixed irrep
+        np.testing.assert_allclose(slopes, np.einsum("ij,ij->j", vecs, w @ vecs), atol=1e-9)
+        # the vectors of the two-row blocks: class-sum value 0, the mixed irrep
         mixed = np.abs(sum(vecs[p] for p in swaps.values())).max(axis=0) < 1e-12
-        assert np.sum(mixed) == sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks
-                                    if f.shape[1] > 1)
+        assert np.sum(mixed) == 4
         # each of their energies comes from one solve, so the two rows agree bit for bit
         assert np.all(np.unique(vals[mixed], return_counts=True)[1] % 2 == 0)
 
 
 def test_contact_free_states_are_trap_states():
-    # Every intrinsic state of the antisymmetric shape is a column of its block's
-    # isometry P, exactly at its trap energy and with exactly zero interaction.
-    cfg = EDConfig(3, 6, (5.0, 20.0), n_states=21)
+    # The manifold state of the antisymmetric shape is a column of its block's isometry P,
+    # exactly at its trap energy E_F with exactly zero interaction, at every coupling.
+    cfg = EDConfig(3, 6, (5.0, 20.0))
     occ, blocks = oracle._symmetry_blocks(6, 3, None)
-    rows = [block for block in blocks for _ in range(block[0].shape[1])]
-    free = [r for r, (*_, contact) in enumerate(rows) if not contact]
-    for solved in oracle._solve_blocks(cfg, occ, blocks):
-        anti = []
-        for r in free:
-            e, y, c = solved[r]
-            _, _, p, hp, _ = rows[r]
+    anti = []
+    for (_, _, p, hp, contact), (k, k2, solved) in zip(blocks, oracle._solve_blocks(cfg, occ, blocks)):
+        if contact:
+            continue
+        assert len(solved) == 3 and np.all(k == 0.0) and np.all(k2 == 0.0)
+        for e, c, y in solved:
             assert np.all(c == 0.0)
-            np.testing.assert_array_equal(e, hp)
-            np.testing.assert_array_equal(y, p)
-            anti += list(e)
-        assert len(anti) == _intrinsic_count(6, 3, (3,)) == 2
-        np.testing.assert_array_equal(np.sort(anti), _intrinsic_levels(6, 3, (3,)))
-    # Identical fermions: every state is one, tracked with overlap 1 at every coupling.
+            np.testing.assert_array_equal(e, hp[:len(e)])
+            np.testing.assert_array_equal(y, p[:, :len(e)])
+        anti += list(e)
+    assert anti == [4.5] == _intrinsic_levels(6, 3, (3,))[:1]
+    # Identical fermions: one word, the free ground state at E_F, with K = 0.
     for npart, n in ((2, 16), (3, 12)):
-        res = diagonalize(EDConfig(npart, n, (5.0, 20.0, 80.0), n_states=8,
-                                   components=ComponentSpec((npart,))))
-        free = _intrinsic_levels(n, npart, (npart,))
-        np.testing.assert_array_equal(res.energies, np.tile(free[:8], (3, 1)))
-        np.testing.assert_array_equal(res.tracked, res.energies)
-        assert np.all(res.interaction == 0.0)
-        np.testing.assert_allclose(res.track_quality, 1.0, atol=1e-12)
+        res = diagonalize(EDConfig(npart, n, (5.0, 20.0, 80.0), components=ComponentSpec((npart,))))
+        np.testing.assert_array_equal(res.energies, np.full((3, 1), 0.5 * npart**2))
+        assert res.k_values.tolist() == [0.0] and np.all(res.slopes == 0.0)
     # The K = 0 state of three distinguishable particles is the antisymmetric ground
-    # state: its interaction and its fitted K are exactly 0.0.
-    res = diagonalize(EDConfig(3, 10, (20.0, 50.0, 100.0), n_states=6))
-    (j,) = np.flatnonzero(np.all(res.interaction == 0.0, axis=0))
-    fit = slope_fit(res, j)
-    assert fit.k_value == 0.0 and fit.uncertainty == 0.0
-    assert res.tracked[0, j] == 1.5 + 3.0
+    # state: its K and its slopes are exactly 0.0, its energy exactly E_F.
+    res = diagonalize(EDConfig(3, 10, (20.0, 50.0, 100.0)))
+    assert res.k_values[0] == 0.0 and np.all(res.slopes[:, 0] == 0.0)
+    assert all(4.5 in e for e in res.energies.tolist())
 
 
 @pytest.mark.parametrize("sizes", [None, (2, 1)])
 def test_kept_states_match_full_run(sizes):
-    # With n_states no narrower than any block, every block is solved whole
-    # either way, so each row keeps the states of the full run, bit for bit, and
-    # the energies are the lowest n_states of the merged full spectrum.
+    # Every block solved whole, at 1/g = 0 and at every coupling, from the oracle's own pair
+    # rows and tables: the states diagonalize keeps, one per word, are the lowest of the
+    # merged spectra at every coupling, although it solves a block without manifold states
+    # at 1/g = 0 alone.
     comp = None if sizes is None else ComponentSpec(sizes)
-    occ, blocks = oracle._symmetry_blocks(6, 3, comp)
-    dim = sum(f.shape[1] * len(hp) for f, _, _, hp, _ in blocks)
-    cfg = EDConfig(3, 6, (5.0, 20.0), n_states=dim, components=comp)
-    full = list(oracle._solve_blocks(cfg, occ, blocks))
-    assert len(full) == len(cfg.g_values)
-    merged = [np.sort(np.concatenate([e for e, _, _ in whole]), kind="stable") for whole in full]
-    for n_states in (max(len(hp) for *_, hp, _ in blocks), dim - 1):
-        kept = replace(cfg, n_states=n_states)
-        compared = 0
-        for part, whole in zip(oracle._solve_blocks(kept, occ, blocks), full, strict=True):
-            compared += 1
-            assert len(part) == len(whole)
-            for ours, theirs in zip(part, whole):
-                assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
-        assert compared == len(cfg.g_values)
-        res = diagonalize(kept)
-        for gi, vals in enumerate(merged):
-            assert res.energies[gi].tobytes() == vals[:n_states].tobytes()
-        if n_states == dim - 1:  # the contact-free [1^3] states are among them
-            assert np.any(res.interaction == 0.0)
-    # Fewer states than a block holds: its lowest ones, from a partial solve.
-    res = diagonalize(replace(cfg, n_states=4))
-    np.testing.assert_allclose(res.energies, [vals[:4] for vals in merged], rtol=0, atol=1e-12)
-
-
-def _tracked_reference(cfg):
-    """Tracked energies, overlaps and interaction expectations of the lowest
-    n_states eigenvectors of the dense shell Hamiltonian on the states of N_cm = 0
-    at the first coupling, matched to all its eigenvectors at each later coupling
-    by product-basis overlap, as diagonalize matches them.
-
-    A degenerate level has no preferred eigenbasis, so at every coupling after
-    the first its eigenvectors are rotated onto the previous states that
-    project on it most, by the polar factor of their overlaps.
-    """
-    sizes = None if cfg.components is None else cfg.components.sizes
-    out, prev = [], None
-    for g in cfg.g_values:
-        h0, v, dv, _ = intrinsic_reference(cfg.n_particles, cfg.n_modes, g, sizes)
-        vals, vecs = np.linalg.eigh(h0 + v)
-        if prev is None:
-            m = cfg.n_states
-            assert vals[m] - vals[m - 1] > 1e-8, "a degenerate level straddles the cutoff"
-            perm, quality = np.arange(m), np.ones(m)
-        else:
-            start = np.flatnonzero(np.diff(vals, prepend=-np.inf, append=np.inf) > 1e-8)
-            for a, b in zip(start, start[1:]):
-                m = vecs[:, a:b].T @ prev
-                near = np.argsort(-np.linalg.norm(m, axis=0), kind="stable")[:b - a]
-                # zero columns pad a level wider than the tracked states
-                u, _, vt = np.linalg.svd(np.pad(m[:, near], ((0, 0), (0, b - a - len(near)))))
-                vecs[:, a:b] = vecs[:, a:b] @ (u @ vt)
-            overlap = np.abs(prev.T @ vecs)
-            rows, perm = linear_sum_assignment(-overlap)
-            quality = overlap[rows, perm]
-        prev = vecs[:, perm]
-        out.append((vals[perm], quality, np.einsum("ij,ij->j", prev, dv @ prev)))
-    return [np.array(part) for part in zip(*out)]
-
-
-@pytest.mark.parametrize("npart, n_modes, sizes, g_values, n_states, crossed", [
-    (2, 8, None, (5.0, 20.0, 80.0), 4, False),
-    # two particles never cross: each interacting level rises toward the free level above it
-    (2, 8, None, (0.5, 5.0, 200.0), 6, False),
-    (3, 6, None, (1.0, 2.0, 3.0), 6, True),
-    (3, 7, (2, 1), (5.0, 20.0, 80.0), 6, False),
-    (3, 7, (2, 1), (0.5, 3.0, 200.0), 9, True),
-    # column 9 rises past the lowest ten
-    (3, 6, None, (2.0, 5.0, 20.0), 10, True),
-])
-def test_tracking_matches_dense_reference(npart, n_modes, sizes, g_values, n_states, crossed):
-    # Overlaps in block coordinates track the states as product-basis overlaps do.
-    comp = None if sizes is None else ComponentSpec(sizes)
-    cfg = EDConfig(npart, n_modes, g_values, n_states=n_states, components=comp)
+    cfg = EDConfig(3, 8, (2.0, 5.0, 20.0), components=comp)
     res = diagonalize(cfg)
-    tracked, quality, interaction = _tracked_reference(cfg)
-    np.testing.assert_allclose(res.tracked, tracked, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(res.interaction, interaction, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(res.track_quality, quality, rtol=0, atol=1e-12)
-    # every match is unambiguous
-    assert np.min(res.track_quality) > 0.6
-    # crossed: a state kept at one coupling leaves the lowest n_states at the
-    # next, where tracking follows it up its block row
-    assert np.any(res.tracked > res.energies[:, -1:] + 1e-9) == crossed
-
-
-def test_tracked_states_keep_their_block_row():
-    # Column 9 starts in the odd symmetric row, its one state among the lowest ten
-    # intrinsic states, and stays there: a state cannot leave its block row.
-    cfg = EDConfig(3, 6, (2.0, 5.0, 20.0), n_states=10)
-    res = diagonalize(cfg)
-    first = diagonalize(replace(cfg, g_values=(2.0,)))
-    rows = [s[0] for s in res.states]
-    assert rows == [s[0] for s in first.states] and rows.count(1) == 1 and rows[9] == 1
-    assert np.min(res.track_quality) > 0.95
-    # it rises to 6.81 at g = 20, above the lowest ten
-    assert res.tracked[-1, 9] > res.energies[-1, 9] + 0.3
-    own = slope_fit(res, 9, reduced=res)
-    assert own.truncation_shift == 0.0
-    # A rerun that tracks no state of column 9's row: the nearest K among its columns.
-    nine = diagonalize(replace(cfg, n_states=9))
-    assert 1 not in [s[0] for s in nine.states]
-    assert slope_fit(res, 9, reduced=nine).truncation_shift == min(
-        abs(slope_fit(nine, j, reduced=nine).k_value - own.k_value) for j in range(9))
-
-
-@pytest.mark.parametrize("npart, n_modes, sizes, g_values, n_states", [
-    (2, 8, None, (5.0, 20.0, 80.0), 4),
-    (2, 8, None, (2.0, 5.0, 20.0, 80.0), 5),
-    (3, 6, None, (5.0, 20.0, 80.0), 4),
-    (3, 7, None, (5.0, 20.0, 80.0), 5),
-    (3, 7, (2, 1), (2.0, 5.0, 20.0), 5),
-])
-def test_matcher_maximizes_total_overlap(monkeypatch, npart, n_modes, sizes, g_values, n_states):
-    # One assignment per tracked block row and coupling, against every injection of
-    # the row's tracked states into its solved ones: each maximizes the row's summed
-    # overlap, and so their sum the total.  Its columns come in row order.
-    matcher, calls = oracle._assignment, []
-
-    def recording(overlap):
-        cols = matcher(overlap)
-        calls.append((overlap, cols))
-        return cols
-
-    monkeypatch.setattr(oracle, "_assignment", recording)
-    comp = None if sizes is None else ComponentSpec(sizes)
-    res = diagonalize(EDConfig(npart, n_modes, g_values, n_states=n_states, components=comp))
-    row = np.array([state[0] for state in res.states])
-    tracked_rows = np.unique(row)
-    assert len(calls) == (len(g_values) - 1) * len(tracked_rows)
-    for i, (overlap, cols) in enumerate(calls):
-        gi, r = divmod(i, len(tracked_rows))
-        at = np.flatnonzero(row == tracked_rows[r])
-        m, k = overlap.shape
-        assert m == len(at) <= k <= n_states
-        rows = np.arange(m)
-        assert len(set(cols)) == m
-        injections = np.array(list(itertools.permutations(range(k), m)))
-        best = overlap[np.arange(m), injections].sum(axis=1).max()
-        assert overlap[rows, cols].sum() >= best - 1e-12
-        np.testing.assert_allclose(res.track_quality[gi + 1, at], overlap[rows, cols],
-                                   rtol=0, atol=1e-15)
+    occ, blocks = oracle._symmetry_blocks(8, 3, comp)
+    br = oracle._brackets(7)
+    merged = []
+    for table in oracle._relative_interaction(np.array([0.0, *(1.0 / np.array(cfg.g_values))]), 4):
+        vals = []
+        for f, iso, p, hp, contact in blocks:
+            if contact and len(hp):
+                hp = np.linalg.eigvalsh(oracle._interaction(oracle._pair_rows(occ, iso, p, br), table)
+                                        + np.diag(hp))
+            vals += [hp] * f.shape[1]
+        merged.append(np.sort(np.concatenate(vals)))
+    words = len(res.k_values)
+    assert words == (6 if sizes is None else 3)
+    assert np.count_nonzero(merged[0] < 5.0) == words
+    for gi, vals in enumerate(merged[1:]):
+        np.testing.assert_allclose(res.energies[gi], vals[:words], rtol=0, atol=1e-12)
 
 
 def test_special_functions_match_scipy():
@@ -724,30 +612,6 @@ def test_special_functions_match_scipy():
         np.testing.assert_allclose(oracle._digamma(x), digamma(x), rtol=0, atol=1e-14)
 
 
-def test_t_quantile_matches_scipy():
-    for dof in range(1, 61):
-        assert oracle._t_quantile(dof) == pytest.approx(stdtrit(dof, 0.975), rel=1e-12, abs=0)
-
-
-def test_assignment_matches_scipy():
-    # random m x m overlaps, some with ties and zeros: the same greatest total, each column once
-    rng = np.random.default_rng(32)
-    for m in range(1, 13):
-        for draw in (rng.random((m, m)), np.round(rng.random((m, m)), 1),
-                     rng.random((m, m)) * (rng.random((m, m)) < 0.3), np.zeros((m, m)),
-                     np.ones((m, m))):
-            cols = oracle._assignment(draw)
-            assert sorted(cols) == list(range(m))
-            rows, best = linear_sum_assignment(draw, maximize=True)
-            assert draw[np.arange(m), cols].sum() == pytest.approx(draw[rows, best].sum(),
-                                                                    rel=1e-14, abs=1e-14)
-    # more columns than rows: each row gets its own column of the best injection
-    score = rng.random((4, 7))
-    cols = oracle._assignment(score)
-    assert len(set(cols)) == 4
-    rows, best = linear_sum_assignment(score, maximize=True)
-    assert score[np.arange(4), cols].sum() == pytest.approx(score[rows, best].sum(), rel=1e-14)
-
 
 def test_diagonalize_memory_bound():
     # tracemalloc peak of the shell of 29 quanta, the default of `validate`: 84.8 MB with
@@ -755,37 +619,43 @@ def test_diagonalize_memory_bound():
     # 80.2 MB indexed by the 4,960 shell positions with the interaction rows of every
     # coupling alive at once, 40.1 MB with those of one coupling at a time, 32.8 MB with
     # the blocks solved on their intrinsic states alone, 9.9 MB with the interaction built
-    # from dense pair rows.  The bound leaves 10%.  The run is traced cold: diagonalize
-    # imports nothing on its first call.
-    cfg = EDConfig(3, 30, (20.0, 50.0, 100.0), n_states=10)
+    # from dense pair rows, 8.6 MB with the pair rows of one block alive at a time.
+    # The bound leaves 10%.  The run is traced cold: diagonalize imports nothing on its first call.
+    cfg = EDConfig(3, 30, (20.0, 50.0, 100.0))
     tracemalloc.start()
     try:
         diagonalize(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10.9e6
+    assert peak < 9.5e6
 
 
-def test_buffer_states_keep_tracking():
-    # A level crossing at the cutoff of the ten retained states: each column
-    # still follows its own state.
-    res = diagonalize(EDConfig(3, 14, (20.0, 50.0, 100.0), n_states=10))
-    assert res.tracked.shape == res.track_quality.shape == (3, 10)
-    assert np.min(res.track_quality) >= 0.99
-
-
-def test_shell_two_body_matches_reference():
+def test_shell_two_body_matches_reference(monkeypatch):
     # Two particles on the shell of at most 11 quanta: the intrinsic states are the
-    # centre-of-mass ground orbital with every relative level n <= 11.  The even ones are
-    # the exact interacting levels (V_eff from the exact two-body states), the odd ones
-    # the free levels n + 1/2, each shifted by 1/2.
+    # centre-of-mass ground orbital with every relative level n <= 11.  The even ones, the
+    # one solved block, are the exact interacting levels (V_eff from the exact two-body
+    # states), 2b + 2 at 1/g = 0; the odd ones the free levels n + 1/2, each shifted by 1/2.
+    spectra = []
+
+    def recording_eigh(a):
+        out = np.linalg.eigh(a)
+        spectra.append(out[0])
+        return out
+
+    monkeypatch.setattr(oracle, "eigh", recording_eigh)
     e_max, g_values = 11, (20.0, 50.0, 100.0)
-    res = diagonalize(EDConfig(2, e_max + 1, g_values, n_states=e_max + 1))
-    assert res.basis_dim == e_max + 1
+    res = diagonalize(EDConfig(2, e_max + 1, g_values))
+    assert res.basis_dim == e_max + 1 and len(spectra) == 4
+    np.testing.assert_allclose(spectra[0], 2.0 * np.arange(6) + 2.0, rtol=0, atol=1e-10)
+    for vals, g in zip(spectra[1:], g_values):
+        np.testing.assert_allclose(vals, [two_body_reference(g, b) for b in range(6)], rtol=0,
+                                   atol=1e-10)
+    _, blocks = oracle._symmetry_blocks(e_max + 1, 2, None)
+    np.testing.assert_array_equal(blocks[-1][3], np.arange(1, e_max + 1, 2) + 1.0)
+    # the manifold: the interacting ground state and the lowest odd level
     for gi, g in enumerate(g_values):
-        exact = [two_body_reference(g, n // 2) if n % 2 == 0 else n + 1.0 for n in range(e_max + 1)]
-        np.testing.assert_allclose(res.energies[gi], np.sort(exact), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.energies[gi], [two_body_reference(g), 2.0], rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("npart, sizes", [(2, None), (2, (2,)), (3, None), (3, (2, 1)), (3, (3,))])
@@ -793,7 +663,7 @@ def test_shell_block_invariants(npart, sizes):
     # The shell of at most 6 quanta in 7 modes: its block isometries orthonormal, their
     # span mapped into itself by every swap (for identical fermions, negated by every swap
     # inside a component).  At weak coupling V_eff is the bare contact inside the shell,
-    # and so is its derivative.
+    # and so is its derivative in g, g^-2 times -dV_eff/dx (a step of 1e-4 x).
     n, g = 7, 1e-5
     comp = None if sizes is None else ComponentSpec(sizes)
     swaps, _ = _swap_and_parity(n, npart)
@@ -808,63 +678,113 @@ def test_shell_block_invariants(npart, sizes):
         elif labels[i] == labels[j]:
             np.testing.assert_allclose(q[p], -q, atol=1e-12)
     assert q.shape[1] == _shell_count(n, npart, sizes)
-    cfg = EDConfig(npart, n, (g,), n_states=1, components=comp)
-    assert diagonalize(cfg).basis_dim == _intrinsic_count(n, npart, sizes)
+    assert diagonalize(EDConfig(npart, n, components=comp)).basis_dim == _intrinsic_count(n, npart, sizes)
     w = _contact_matrix(n, npart)
     first = np.cumsum([0] + [f.shape[1] for f, *_ in blocks])
     for start, (_, iso, p, _, contact) in zip(first, blocks):
-        v, dv = _block_interactions(occ, iso, len(p), g)
+        v, dv = _block_interactions(occ, iso, len(p), g, step=1e-4 / g)
         bare = rows[start].T @ w @ rows[start]
         np.testing.assert_allclose(v / g, bare, rtol=0, atol=2e-5)
-        np.testing.assert_allclose(dv, bare, rtol=0, atol=2e-5)
+        np.testing.assert_allclose(dv / g**2, bare, rtol=0, atol=2e-5)
         if not contact:  # the bare contact vanishes on [1^N] too
             np.testing.assert_allclose(bare, 0.0, rtol=0, atol=1e-12)
 
 
+
 def test_shell_interaction_is_energy_derivative():
-    # Hellmann-Feynman on the shell: <dV_eff/dg> is dE/dg of the shell model
-    res = diagonalize(EDConfig(3, 10, (4.975, 5.0, 5.025), n_states=6))
-    fd = (res.tracked[2] - res.tracked[0]) / 0.05
-    np.testing.assert_allclose(res.interaction[1], fd, rtol=1e-4, atol=1e-9)
+    # Hellmann-Feynman on the shell: -<dV_eff/dx> is g^2 dE/dg of the shell model
+    res = diagonalize(EDConfig(3, 10, (4.975, 5.0, 5.025)))
+    fd = (res.energies[2] - res.energies[0]) / 0.05 * 5.0**2
+    np.testing.assert_allclose(np.sort(fd), res.slopes[1], rtol=1e-4, atol=1e-9)
 
 
 def test_shell_components_share_k():
     # (2,1) keeps one row of each mixed block and the antisymmetric shape of the
     # distinguishable shell, so its three K are among the distinguishable six.
-    def fitted(comp, m):
-        cfg = EDConfig(3, 12, (20.0, 50.0, 100.0), n_states=m + 2, components=comp)
-        res, reduced = diagonalize(cfg), diagonalize(replace(cfg, n_modes=8))
-        return np.sort([slope_fit(res, j, reduced=reduced).k_value for j in range(m)])
-
-    dist, pair = fitted(None, 6), fitted(ComponentSpec((2, 1)), 3)
-    gamma_3 = 27.0 / (8.0 * math.sqrt(2.0 * math.pi))
-    np.testing.assert_allclose(dist, gamma_3 * np.array([0, 1, 1, 3, 3, 4]), rtol=0.01, atol=1e-9)
+    dist = diagonalize(EDConfig(3, 14)).k_values
+    pair = diagonalize(EDConfig(3, 14, components=ComponentSpec((2, 1)))).k_values
+    np.testing.assert_allclose(dist, K_EXACT[3], rtol=0.01, atol=1e-9)
     np.testing.assert_allclose(pair, dist[[0, 1, 3]], rtol=1e-9, atol=1e-12)
 
 
-def test_shell_reduced_state_matched_by_overlap():
-    # The rerun's columns are matched by overlap after embedding, whatever their order:
-    # against the run itself each column is its own match, and reversing the rerun's
-    # columns changes no shift.  The mixed pairs fit alike.
-    cfg = EDConfig(3, 12, (20.0, 50.0, 100.0), n_states=8)
-    res, reduced = diagonalize(cfg), diagonalize(replace(cfg, n_modes=8))
-    assert all(slope_fit(res, j, reduced=res).truncation_shift == 0.0 for j in range(8))
-    rev = slice(None, None, -1)
-    flipped = replace(reduced, tracked=reduced.tracked[:, rev], interaction=reduced.interaction[:, rev],
-                      track_quality=reduced.track_quality[:, rev], states=reduced.states[rev])
-    fits = [slope_fit(res, j, reduced=reduced) for j in range(6)]
-    assert [f.truncation_shift for f in fits] == [
-        slope_fit(res, j, reduced=flipped).truncation_shift for j in range(6)]
-    # Each match is the nearest K among the rerun's states of the same block row.  The
-    # nearest K overall would match the top state of the even symmetric block to its odd
-    # partner, 7e-15 nearer.
-    own = [(reduced.states[j][0], slope_fit(reduced, j, reduced=reduced).k_value) for j in range(8)]
-    for j, f in enumerate(fits):
-        assert f.uncertainty == f.residual_halfwidth + f.truncation_shift + f.hf_gap
-        assert f.truncation_shift == min(abs(f.k_value - k) for row, k in own
-                                         if row == res.states[j][0])
-    k = sorted(f.k_value for f in fits)
-    assert k[1] == k[2] and k[3] == k[4]
+def test_finite_coupling_energies_keep_the_coupling_table():
+    # The relative V_eff written in x = 1/g is the table written in g: the manifold energies at
+    # g = 20, 50 and 100 are those of u = (2/pi) arctan(g R / (2 sqrt 2)), recorded from the
+    # oracle that solved it in g.
+    recorded = {
+        (3, 14): [[4.244777069791132, 4.305530139391234, 4.305530139391234, 4.433755751462096,
+                   4.433755751462096, 4.5],
+                  [4.397662089853881, 4.420985769266714, 4.420985769266714, 4.473069220679847,
+                   4.473069220679847, 4.5],
+                  [4.450113544460656, 4.4606031966796476, 4.4606031966796476, 4.4864049346487755,
+                   4.4864049346487755, 4.5]],
+        (2, 10): [[1.922513944695433, 2.0], [1.9684211428880625, 2.0], [1.9841235111673958, 2.0]],
+    }
+    for (npart, n_modes), energies in recorded.items():
+        res = diagonalize(EDConfig(npart, n_modes, (20.0, 50.0, 100.0)))
+        np.testing.assert_allclose(res.energies, energies, rtol=0, atol=1e-12)
+
+
+def test_slopes_approach_k():
+    # K - g^2 dE/dg falls as 1/g toward 1/g = 0: g (K - slope) of the top state of the default
+    # shell is 8.0, 6.9 and 6.5 at g = 20, 50 and 100; at g = 1e5 the slopes are K within 1e-4.
+    res = diagonalize(EDConfig(3, 30, (20.0, 50.0, 100.0)))
+    gap = res.k_values - res.slopes
+    assert np.all(gap[:, 0] == 0.0) and np.all(gap[:, 1:] > 0)
+    assert np.all(np.diff(gap[:, 1:], axis=0) < 0)
+    np.testing.assert_allclose(np.array(res.config.g_values) * gap[:, -1], [8.0, 6.9, 6.5], atol=0.1)
+    far = diagonalize(EDConfig(3, 14, (1e5,)))
+    np.testing.assert_allclose(far.slopes[0], far.k_values, rtol=1e-4, atol=1e-12)
+
+
+def test_manifold_holds_one_state_per_word(monkeypatch):
+    # Below E_F + 1/2 at 1/g = 0 lie as many states as words, from the smallest shell on.
+    for npart, sizes, words in ((2, None, 2), (2, (2,), 1), (3, None, 6), (3, (2, 1), 3),
+                                (3, (1, 2), 3), (3, (3,), 1)):
+        comp = None if sizes is None else ComponentSpec(sizes)
+        for n_modes in range(npart + 2, 17):
+            assert len(diagonalize(EDConfig(npart, n_modes, components=comp)).k_values) == words
+    # V_eff raised by 0.6 lifts the interacting ground state of two particles above E_F + 1/2
+    table = oracle._relative_interaction
+    monkeypatch.setattr(oracle, "_relative_interaction", lambda x, d: table(x, d) + 0.6 * np.eye(d))
+    with pytest.raises(ValueError, match="1 states below E_F"):
+        diagonalize(EDConfig(2, 8))
+
+
+@pytest.mark.parametrize("npart", [2, 3])
+def test_uncertainty_covers_every_deviation(npart):
+    # K at 1/g = 0 against the Laplacian K at every even n_modes from 14 to 60, each within
+    # the uncertainty from the shell four quanta down; odd n_modes give the K of the next even.
+    runs = {m: diagonalize(EDConfig(npart, m)) for m in range(10, oracle.MODE_CAP + 1, 2)}
+    for m in range(14, oracle.MODE_CAP + 1, 2):
+        dev = np.abs(runs[m].k_values - K_EXACT[npart])
+        assert np.all(dev <= k_uncertainty(runs[m], runs[m - 4])), m
+
+
+def test_two_body_k_at_every_shell():
+    # The shell is exact for two particles: K = 2 gamma_2 within 1e-8 relative at every n_modes.
+    for m in range(8, oracle.MODE_CAP + 1):
+        k = diagonalize(EDConfig(2, m)).k_values
+        assert k[0] == 0.0 and abs(k[1] - K_EXACT[2][1]) < 1e-8 * K_EXACT[2][1], m
+
+
+@pytest.mark.parametrize("n_modes", [18, 30])
+def test_component_k_within_uncertainty(n_modes):
+    # Two identical fermions and an impurity: the K of the (2,1) word Laplacian, each within the
+    # uncertainty.  At 14 modes the rule falls short (a deviation of 1.2e-2 against 2.7e-3).
+    spec = ComponentSpec((2, 1))
+    weights = [bw.value for bw in all_gammas(make_level(HarmonicBasis(), 3))]
+    pred = solve(projected_laplacian(build_graph(3, spec), weights)).values
+    res = diagonalize(EDConfig(3, n_modes, components=spec))
+    unc = k_uncertainty(res, diagonalize(EDConfig(3, n_modes - 4, components=spec)))
+    assert np.all(np.abs(res.k_values - pred) <= unc)
+
+
+def test_uncertainty_needs_a_smaller_shell_of_the_same_particles():
+    res = diagonalize(EDConfig(3, 10))
+    for other in (res, diagonalize(EDConfig(3, 12)), diagonalize(EDConfig(2, 8))):
+        with pytest.raises(ValueError, match="smaller shell"):
+            k_uncertainty(res, other)
 
 
 @pytest.fixture(scope="module")
