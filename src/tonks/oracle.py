@@ -395,8 +395,7 @@ def diagonalize(cfg: EDConfig) -> EDResult:
         e, s = (np.reshape([st[j] for st in solved[1:]], (len(cfg.g_values), len(k))) for j in (0, 1))
         parts += [(k, k2, e, s)] * f.shape[1]
     k, k2, e, s = (np.concatenate(a, axis=-1) for a in zip(*parts))
-    sizes = (1,) * cfg.n_particles if cfg.components is None else cfg.components.sizes
-    words = math.factorial(cfg.n_particles) // math.prod(map(math.factorial, sizes))
+    words = (cfg.components or ComponentSpec.distinguishable(cfg.n_particles)).n_words
     if len(k) != words:
         raise ValueError(f"{len(k)} states below E_F + 1/2 at 1/g = 0, not one per word ({words})")
     k, k2 = np.sort(k), np.sort(k2)

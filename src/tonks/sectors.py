@@ -292,8 +292,6 @@ class GraphLaplacian:
         self.graph, self.weights = graph, weights
         self.shape = (graph.n_nodes, graph.n_nodes)
 
-    T = property(lambda self: self)  # every P_k is a symmetric permutation
-
     def __matmul__(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return sum((w * (y - y[p]) for w, p in zip(self.weights, self.graph.swaps)),
@@ -312,9 +310,9 @@ class GraphLaplacian:
             rows = rows - np.where(p != node, w, 0.0)
         return rows if axis is not None else float(rows.sum())
 
-    def toarray(self, order: str = "C") -> np.ndarray:
+    def toarray(self) -> np.ndarray:
         """The dense matrix: -gamma_k at each edge (+0.0 if zero), the degrees on the diagonal."""
-        out = np.zeros(self.shape, order=order)
+        out = np.zeros(self.shape)
         u, v, s = self.graph.edges.T
         out[u, v] = out[v, u] = 0.0 - self.weights[s]
         out.flat[::len(out) + 1] = self.diagonal()
@@ -361,14 +359,14 @@ def laplacian(graph: SectorGraph, gammas) -> np.ndarray:
 
 
 def cycle_ordering(graph: SectorGraph) -> np.ndarray:
-    """Hexagon tour for n=3: indices among the 6 orderings in cycle order.
+    """Hexagon tour of the 6 orderings of three particles: their node indices in cycle order.
 
     Starts at the ordering (2,1,3) (1-based particle labels) and walks
     the six sectors by alternating the upper (k=2) and lower (k=1)
     boundary swaps.
     """
-    if graph.n != 3:
-        raise ValueError("the cycle ordering is defined for n=3 only")
+    if graph.components.sizes != (1, 1, 1):
+        raise ValueError("the cycle ordering is defined on the 6 orderings of three particles only")
     cur = [1, 0, 2]
     tour = [cur]
     slot = 1
@@ -377,5 +375,5 @@ def cycle_ordering(graph: SectorGraph) -> np.ndarray:
         cur[slot], cur[slot + 1] = cur[slot + 1], cur[slot]
         tour.append(cur)
         slot = 1 - slot
-    return build_graph(3).index(tour)
+    return graph.index(tour)
 

@@ -8,13 +8,13 @@ normalized Slater determinant
 with total energy the sum of the occupied orbital energies.  The package
 never evaluates the determinant itself: the boundary weights and slot
 distributions in `weights` integrate it exactly through the ordered
-overlaps of the occupied orbitals.
+overlaps of the occupied orbitals.  Levels come from a best-first walk
+over occupations, which assumes orbital energies that do not decrease.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
+import heapq
 from dataclasses import dataclass, field
 
 TIE_TOL = 1e-9  # total energies this close tie, and the level is not unique
@@ -36,11 +36,13 @@ class SlaterState:
 def make_level(basis, n: int, level: int = 0) -> SlaterState:
     """The level-th excited free-fermion state of n particles in the trap.
 
-    Occupations are ranked by total energy over a growing orbital pool;
-    the pool is extended until no occupation involving an unexplored
-    orbital could still undercut the requested level.  A tie at the
-    requested level within TIE_TOL means the state is not unique and is
-    rejected.
+    A heap keyed by (total energy, occupation) starts at (0, ..., n-1); each
+    pop pushes its unseen lifts, one particle up one free orbital within
+    basis.cap.  As orbital energies do not decrease, no lift costs less than
+    its parent, so the pops come in ascending order and the level-th is the
+    level.  The walk stops before the first pop past it by more than TIE_TOL;
+    any other occupation within TIE_TOL makes the level degenerate, and the
+    error names that whole shell.
     """
     if n < 1:
         raise ValueError("need at least one particle")
@@ -49,37 +51,23 @@ def make_level(basis, n: int, level: int = 0) -> SlaterState:
     cap = basis.cap
     if n - 1 > cap:
         raise ValueError(f"{n} particles do not fit in a basis capped at index {cap}")
-    pool = min(cap, n + level)
-    while True:
-        energies = [basis.energy(m) for m in range(pool + 1)]
-        ranked = sorted(
-            (sum(energies[m] for m in occ), occ)
-            for occ in itertools.combinations(range(pool + 1), n)
-        )
-        # Any occupation reaching past the pool costs at least floor_energy.
-        floor_energy = sum(energies[: n - 1]) + basis.energy(pool + 1) if pool < cap else math.inf
-        if len(ranked) > level + 1 and ranked[level + 1][0] < floor_energy - TIE_TOL:
-            break
-        if pool == cap:
-            if len(ranked) <= level:
-                raise ValueError(
-                    f"level {level} needs orbitals beyond the basis cap (index {cap})"
-                )
-            break
-        pool = min(cap, 2 * pool + 1)
-    e_sel, occ_sel = ranked[level]
-    neighbors = []
-    if level > 0:
-        neighbors.append(ranked[level - 1])
-    if len(ranked) > level + 1:
-        neighbors.append(ranked[level + 1])
-    clashes = [occ for e, occ in neighbors if abs(e - e_sel) <= TIE_TOL]
-    if math.isfinite(floor_energy) and floor_energy - e_sel <= TIE_TOL:
-        clashes.append(tuple(range(n - 1)) + (pool + 1,))
-    if clashes:
-        listed = ", ".join(str(c) for c in [occ_sel, *clashes])
+    ground = tuple(range(n))
+    heap, seen, popped = [(sum(basis.energy(m) for m in ground), ground)], {ground}, []
+    while heap and (len(popped) <= level or heap[0][0] - popped[level][0] <= TIE_TOL):
+        popped.append(heapq.heappop(heap))
+        occ = popped[-1][1]
+        for i, m in enumerate(occ):
+            lift = occ[:i] + (m + 1,) + occ[i + 1:]
+            if m < cap and m + 1 not in occ and lift not in seen:
+                seen.add(lift)
+                heapq.heappush(heap, (sum(basis.energy(k) for k in lift), lift))
+    if len(popped) <= level:
+        raise ValueError(f"level {level} needs orbitals beyond the basis cap (index {cap})")
+    e_sel, occ_sel = popped[level]
+    shell = [occ for e, occ in popped if abs(e - e_sel) <= TIE_TOL]
+    if len(shell) > 1:
         raise ValueError(
-            f"level {level} is degenerate: occupations {listed} share total energy "
-            f"{e_sel:.12g} within {TIE_TOL:g}; pick a definite occupation by hand"
+            f"level {level} is degenerate: occupations {', '.join(map(str, shell))} "
+            f"share total energy {e_sel:.12g} within {TIE_TOL:g}"
         )
     return SlaterState(basis=basis, occupation=occ_sel, energy=float(e_sel))

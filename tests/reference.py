@@ -10,6 +10,8 @@ different direction:
   amplitude vector, sector by sector;
 - `mc_gammas` estimates every boundary weight by seeded, stratified
   Monte Carlo from the coordinates up;
+- `level_reference` picks a free-fermion level by sorting every
+  occupation of a spectrum, where `make_level` walks up from the ground;
 - `two_body_reference` and `two_body_slope` solve the transcendental
   two-body relation in the harmonic trap;
 - `isometries` writes out the relabelling isometries T_a of a word graph
@@ -37,6 +39,7 @@ from scipy.special import digamma, ndtri
 from scipy.special import gamma as gamma_fn
 
 from tonks.sectors import build_graph
+from tonks.slater import TIE_TOL
 from tonks.traps import _hermite_ladder
 from tonks.weights import BoundaryWeight
 
@@ -193,6 +196,24 @@ def mc_gammas(state, samples: int = 2_000_000, seed: int = 0) -> list[BoundaryWe
     return [BoundaryWeight(k=k0 + 1, value=float(mean[k0]), error=float(sem[k0]),
                            method="monte-carlo")
             for k0 in range(n - 1)]
+
+
+def level_reference(energies, n: int, level: int) -> tuple[float, tuple[int, ...]]:
+    """(energy, occupation) of the level-th free-fermion level of n particles on orbitals
+    energies[0..cap], by sorting every occupation by (energy, occupation).
+
+    A level whose neighbour in that order lies within TIE_TOL is degenerate: the ValueError
+    names every occupation within TIE_TOL of it, in that order.
+    """
+    ranked = sorted((sum(energies[m] for m in occ), occ)
+                    for occ in itertools.combinations(range(len(energies)), n))
+    if len(ranked) <= level:
+        raise ValueError("beyond the basis cap")
+    e_sel = ranked[level][0]
+    if any(abs(ranked[j][0] - e_sel) <= TIE_TOL for j in (level - 1, level + 1) if 0 <= j < len(ranked)):
+        shell = [occ for e, occ in ranked if abs(e - e_sel) <= TIE_TOL]
+        raise ValueError("degenerate", shell)
+    return ranked[level]
 
 
 def _two_body_g(e_rel: float) -> float:

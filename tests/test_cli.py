@@ -289,6 +289,12 @@ def test_bad_inputs_exit_two(tmp_path):
     run_cli("gamma", "--n", "2", "--trap", str(tmp_path / "missing.dat"), expect=2)
 
 
+def test_degenerate_high_level_exits_two():
+    # the level walk names the shell of 7 quanta after 45 pops, not after sorting C(61, 20) occupations
+    proc = run_cli("gamma", "--n", "20", "--level", "40", "--no-timestamp", expect=2)
+    assert "level 40 is degenerate" in proc.stderr
+
+
 def test_unreached_tolerance_exits_three():
     proc = run_cli("gamma", "--n", "4", "--tol", "1e-20", expect=3)
     assert proc.stderr.startswith("tolerance not met:")

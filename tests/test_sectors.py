@@ -143,6 +143,13 @@ def test_cycle_ordering():
         cycle_ordering(build_graph(4))
 
 
+@pytest.mark.parametrize("sizes", [(2, 1), (1, 2), (2, 2)])
+def test_cycle_ordering_refuses_component_words(sizes):
+    # three words of (2, 1) and six of (2, 2): neither graph holds the six orderings of three particles
+    with pytest.raises(ValueError, match="6 orderings of three particles"):
+        cycle_ordering(build_graph(sum(sizes), ComponentSpec(sizes)))
+
+
 def test_projected_dimension_counts():
     for sizes in ((1, 1, 1), (2, 1), (3,), (2, 2), (3, 1), (2, 1, 1), (4,)):
         spec = ComponentSpec(sizes)

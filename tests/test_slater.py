@@ -2,11 +2,14 @@
 symmetries and normalization through the test reference evaluator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import grad, psi
+from reference import grad, level_reference, psi
 from tonks.slater import SlaterState, make_level
 from tonks.traps import HarmonicBasis
 
@@ -37,9 +40,67 @@ def test_degenerate_level_rejected(basis):
         make_level(basis, 3, level=2)
 
 
+@pytest.mark.parametrize("level, shell", [
+    (4, "(0, 1, 5), (0, 2, 4), (1, 2, 3) share total energy 7.5"),
+    (7, "(0, 1, 6), (0, 2, 5), (0, 3, 4), (1, 2, 4) share total energy 8.5"),
+])
+def test_degenerate_level_names_whole_shell(basis, level, shell):
+    with pytest.raises(ValueError, match=rf"level {level} is degenerate: occupations {re.escape(shell)} within"):
+        make_level(basis, 3, level=level)
+
+
+def test_high_level_of_many_particles_is_found_at_once(basis):
+    # 45 pops to the shell of 7 quanta; sorting every occupation would take C(61, 20) ~ 6.2e15
+    with pytest.raises(ValueError, match="degenerate"):
+        make_level(basis, 20, level=40)
+    assert make_level(basis, 100).occupation == tuple(range(100))
+    assert make_level(basis, 40, level=1).occupation == (*range(39), 40)
+
+
 def test_level_beyond_cap_rejected(basis):
     with pytest.raises(ValueError):
         make_level(basis, 250)
+
+
+class _Orbitals:
+    """Orbital energies alone: all make_level reads of a basis."""
+
+    def __init__(self, energies):
+        self.energies, self.cap = energies, len(energies) - 1
+
+    def energy(self, m):
+        return self.energies[m]
+
+
+@st.composite
+def _spectra(draw):
+    """Non-decreasing orbital energies up to a cap of 3..14: harmonic-spaced, which ties
+    many occupations, random, or drawn from a few repeated values."""
+    size = draw(st.integers(4, 15))
+    kind = draw(st.sampled_from(["harmonic", "random", "repeated"]))
+    if kind == "harmonic":
+        omega = draw(st.floats(0.1, 3.0))
+        return [omega * (m + 0.5) for m in range(size)]
+    values = st.floats(-2.0, 5.0) if kind == "random" else st.sampled_from([0.0, 0.5, 1.0, 1.7, 3.3])
+    return sorted(draw(st.lists(values, min_size=size, max_size=size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectra(), st.data())
+def test_level_walk_matches_sorted_occupations(energies, data):
+    n = data.draw(st.integers(1, min(6, len(energies))))
+    level = data.draw(st.integers(0, 12))
+    try:
+        expected = level_reference(energies, n, level)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=exc.args[0]) as got:
+            make_level(_Orbitals(energies), n, level)
+        if exc.args[0] == "degenerate":
+            assert f"occupations {', '.join(map(str, exc.args[1]))} share" in str(got.value)
+        return
+    s = make_level(_Orbitals(energies), n, level)
+    # the same occupation, and the same float sum bit for bit
+    assert (s.occupation, s.energy.hex()) == (expected[1], expected[0].hex())
 
 
 def test_two_body_closed_form(basis):

@@ -59,7 +59,7 @@ def test_solve_dense_and_sparse_agree(sizes):
     n = sum(sizes)
     w = np.random.default_rng(16).uniform(0.5, 2.0, n - 1)
     lap = projected_laplacian(build_graph(n, ComponentSpec(sizes)), w)
-    dense = lap.toarray(order="F")
+    dense = np.asfortranarray(lap.toarray())
     kept = (dense.copy(), lap.graph.words.copy(), lap.graph.swaps.copy(), lap.weights.copy())
     a, b = solve(dense), solve(lap)
     scale = 2.0 * float(np.sum(w))
