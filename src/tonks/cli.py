@@ -148,19 +148,6 @@ def _build_problem(s: dict):
     return state, trap_desc
 
 
-def _components(s: dict, n: int):
-    from .sectors import ComponentSpec
-
-    if not s["components"]:
-        return ComponentSpec.distinguishable(n)
-    spec = ComponentSpec.parse(s["components"])
-    if spec.n != n:
-        raise InputError(
-            f"component sizes {spec.sizes} sum to {spec.n}, but n={n}"
-        )
-    return spec
-
-
 def _provenance(s: dict) -> dict:
     prov = {"generator": f"tonks {__version__}", "seed": s["seed"]}
     if s["timestamp"]:
@@ -276,13 +263,13 @@ def _cmd_gamma(args, s: dict) -> int:
 
 
 def _cmd_spectrum(args, s: dict) -> int:
-    from .sectors import NODE_CAP, build_graph, cycle_ordering, projected_laplacian
+    from .sectors import NODE_CAP, ComponentSpec, build_graph, cycle_ordering, projected_laplacian
     from .spectrum import classify, solve
 
     state, trap_desc = _build_problem(s)
     n = s["n"]
-    comp = _components(s, n)
-    graph = build_graph(n, comp)  # refuses an over-cap input before the weights are computed
+    # refuses component sizes that do not sum to n, or an over-cap input, before the weights
+    graph = build_graph(n, ComponentSpec.parse(s["components"]) if s["components"] else None)
     gammas = all_gammas(state, tol=s["tol"])
     weights = [bw.value for bw in gammas]
     proj = solve(projected_laplacian(graph, weights))
@@ -302,14 +289,15 @@ def _cmd_spectrum(args, s: dict) -> int:
             "trap": trap_desc,
             "n_particles": n,
             "level": s["level"],
-            "components": list(comp.sizes),
+            "components": list(graph.components.sizes),
             "tol": s["tol"],
         },
         **_reference(state, gammas),
     }
     spectrum = {}
     if full is not None:
-        body["graph"] = {"nodes": orderings.n_nodes, "edges": len(orderings.edges)}
+        # every slot swap of an ordering moves it: n! (n - 1) / 2 edges
+        body["graph"] = {"nodes": orderings.n_nodes, "edges": orderings.n_nodes * (n - 1) // 2}
         spectrum["full"] = {
             "k_values": full.values,
             "groups": [list(gr) for gr in full.groups],
@@ -344,6 +332,8 @@ def _cmd_validate(args, s: dict) -> int:
 
     if s["trap"] != "harmonic" or s["omega"] != 1.0:
         raise InputError("validation against the oracle runs in the unit harmonic trap")
+    if s["level"]:
+        raise InputError(f"validation against the oracle runs on level 0, got level {s['level']}")
     if s["rtol"] < 0:
         raise InputError(f"rtol must be non-negative, got {s['rtol']}")
     try:

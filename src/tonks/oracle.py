@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import eigh
 
-from .sectors import ComponentSpec, _partitions, _young_generators
+from .sectors import ComponentSpec, _partitions, build_graph
 from .traps import _hermite_ladder
 
 # Largest n_modes: the shell of 59 quanta holds C(62, 3) = 37,820 states of three particles.
@@ -221,8 +221,11 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     block's column count, a padding column, past the state's own columns).
 
     Product state w is sigma_w r, with r its sorted occupation and sigma_w the
-    adjacent swaps s_k that sort it.  For a shape with Young's orthogonal form
-    rho of dimension d, the columns e_j span the vectors that rho(s_k) fixes at
+    ordering that stably sorts it.  Each shape's Young orthogonal form rho, of
+    dimension d, is read from the relabellings of the ordering graph of N
+    particles (S_N acting on the orderings), as the Laplacian's S_N blocks read
+    it: rho(sigma_w) at the ordering sigma_w, and rho(s_k) at the slot-k swap of
+    the identity ordering.  The columns e_j span the vectors that rho(s_k) fixes at
     every tied slot pair of r, and the rows f the vectors with rho(s_k) = -1
     for every slot pair inside one component (all rows for distinguishable
     particles).  Column (orbit of r, j) of T_f holds
@@ -237,16 +240,14 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     shape = (n_modes,) * n_particles
     occ = np.indices(shape).reshape(n_particles, -1).T
     occ = occ[occ.sum(axis=1) < n_modes]
-    srt = occ.copy()
-    steps = []  # (slot k, states whose slots k and k+1 swap), in sorting order
-    for _ in range(n_particles - 1):
-        for k in range(n_particles - 1):
-            move = np.flatnonzero(srt[:, k] > srt[:, k + 1])
-            srt[move, k], srt[move, k + 1] = srt[move, k + 1], srt[move, k]
-            steps.append((k, move))
+    graph = build_graph(n_particles)
+    table, young = graph.relabellings
+    elem = np.empty_like(table[:, 0])  # the group element of each ordering
+    elem[table[:, 0]] = np.arange(len(table))
+    sigma = elem[graph.index(np.argsort(occ, axis=1, kind="stable"))]
     # the first state of an orbit, of least product index, is its sorted occupation
-    _, first, orbit, size = np.unique(np.ravel_multi_index(srt.T, shape), return_index=True,
-                                      return_inverse=True, return_counts=True)
+    _, first, orbit, size = np.unique(np.ravel_multi_index(np.sort(occ, axis=1).T, shape),
+                                      return_index=True, return_inverse=True, return_counts=True)
     r = occ[first]
     ties = (r[:, 1:] == r[:, :-1]) @ (1 << np.arange(n_particles - 1))  # tied slot pairs as bits
     quanta = r.sum(axis=1)
@@ -257,24 +258,20 @@ def _symmetry_blocks(n_modes: int, n_particles: int, components: ComponentSpec |
     sizes = (1,) * n_particles if components is None else components.sizes
     label = np.repeat(np.arange(len(sizes)), sizes)
     blocks = []
-    for lam in _partitions(n_particles):
-        gens = _young_generators(lam)
-        d = len(gens[0])
-        f = _kernel(sum((np.eye(d) + rho for rho, a, b in zip(gens, label, label[1:]) if a == b),
+    for lam, rho in zip(_partitions(n_particles), young, strict=True):
+        gens, d = rho[elem[graph.swaps[:, 0]]], rho.shape[1]  # rho(s_k): the swaps of the identity
+        f = _kernel(sum((np.eye(d) + g for g, a, b in zip(gens, label, label[1:]) if a == b),
                         np.zeros((d, d))))
         if not f.shape[1]:
             continue
         e = np.zeros((2 ** (n_particles - 1), d, d))  # fixed vectors of each tie pattern, padded
         width = np.zeros(len(e), dtype=int)
         for p in set(ties.tolist()):  # np.unique would load numpy.ma
-            basis = _kernel(sum((np.eye(d) - rho for k, rho in enumerate(gens) if p >> k & 1),
+            basis = _kernel(sum((np.eye(d) - g for k, g in enumerate(gens) if p >> k & 1),
                                 np.zeros((d, d))))
             e[p, :, :basis.shape[1]] = basis
             width[p] = basis.shape[1]
-        rho_w = np.broadcast_to(np.eye(d), (len(occ), d, d)).copy()
-        for k, move in steps:
-            rho_w[move] = rho_w[move] @ gens[k]
-        coef = rho_w @ e[ties[orbit]] * np.sqrt(d / size[orbit])[:, None, None]
+        coef = rho[sigma] @ e[ties[orbit]] * np.sqrt(d / size[orbit])[:, None, None]
         for parity in (0, 1):
             cols = np.where(quanta % 2 == parity, width[ties], 0)
             start = np.empty_like(cols)  # the first column of each orbit

@@ -16,8 +16,12 @@ different direction:
   two-body relation in the harmonic trap;
 - `isometries` writes out the relabelling isometries T_a of a word graph
   as dense matrices, from its word table and Young matrices;
-- `trace_identity_gap` reads the ordering Laplacian's trace from its edge
-  list alone;
+- `trace_identity_gap` reads the ordering Laplacian's trace from its slot
+  swaps alone;
+- `word_laplacian` assembles the dense word Laplacian entry by entry from
+  the words, by dictionary lookups of each swapped word;
+- `sorting_young` multiplies Young's generators along the bubble sort of
+  each shell state, the construction the oracle once used for rho(sigma_w);
 - `delta_tensor` gives the four-orbital contact integrals of the harmonic
   basis, the bare contact that the oracle's effective interaction tends to
   at weak coupling;
@@ -38,7 +42,7 @@ import numpy as np
 from scipy.special import digamma, ndtri
 from scipy.special import gamma as gamma_fn
 
-from tonks.sectors import build_graph
+from tonks.sectors import _young_generators, build_graph
 from tonks.slater import TIE_TOL
 from tonks.traps import _hermite_ladder
 from tonks.weights import BoundaryWeight
@@ -137,14 +141,48 @@ def isometries(graph) -> list[tuple[np.ndarray, ...]]:
 def trace_identity_gap(graph, gammas) -> float:
     """Relative gap between the Laplacian trace and n! * sum of weights.
 
-    Reads the trace from the edge list, twice the sum of the edge weights,
-    so the edges of every ordering must cover each boundary exactly once.
+    Reads the trace from the slot swaps, gamma_k for each ordering that the
+    slot-k swap moves, so the swaps of every ordering must cover each
+    boundary exactly once.
     """
     full = build_graph(graph.n)
     w = np.array(gammas, dtype=float)
     expected = full.n_nodes * float(np.sum(w))
-    total = 2.0 * float(w[full.edges[:, 2]].sum())
+    node = np.arange(full.n_nodes)
+    total = float(sum(wk * np.count_nonzero(p != node) for wk, p in zip(w, full.swaps)))
     return abs(total - expected) / max(abs(expected), 1.0)
+
+
+def word_laplacian(graph, gammas) -> np.ndarray:
+    """The dense word Laplacian from the words alone: -gamma_k (as 0.0 - gamma_k) between a
+    word and the word with its unequal letters of slots k and k + 1 swapped, and on the
+    diagonal each word's degree, gamma_k added slot by slot where its letters differ."""
+    words = [tuple(int(c) for c in word) for word in graph.words]
+    node = {word: i for i, word in enumerate(words)}
+    out = np.zeros((len(words), len(words)))
+    for i, word in enumerate(words):
+        degree = 0.0
+        for k, wk in enumerate(map(float, gammas)):
+            if word[k] != word[k + 1]:
+                out[i, node[word[:k] + (word[k + 1], word[k]) + word[k + 2:]]] = 0.0 - wk
+                degree += wk
+        out[i, i] = degree
+    return out
+
+
+def sorting_young(occ: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """rho(sigma_w) of each row w of occ in Young's orthogonal form of shape: the product
+    rho(s_k1) rho(s_k2) ... of the generators along the bubble sort s_k1, s_k2, ... that
+    carries w to its sorted occupation, one pass of adjacent slot swaps at a time."""
+    gens = _young_generators(shape)
+    d, n = len(gens[0]), occ.shape[1]
+    srt, rho = occ.copy(), np.broadcast_to(np.eye(d), (len(occ), d, d)).copy()
+    for _ in range(n - 1):
+        for k in range(n - 1):
+            move = np.flatnonzero(srt[:, k] > srt[:, k + 1])
+            srt[move, k], srt[move, k + 1] = srt[move, k + 1], srt[move, k]
+            rho[move] = rho[move] @ gens[k]
+    return rho
 
 
 def mc_gammas(state, samples: int = 2_000_000, seed: int = 0) -> list[BoundaryWeight]:

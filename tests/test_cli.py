@@ -430,6 +430,25 @@ def test_oracle_input_refused_before_weights(monkeypatch, capsys):
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+def test_validate_level_refused_before_weights(tmp_path, monkeypatch, capsys):
+    # the oracle's manifold is the ground level's: a nonzero level, as a flag or from a
+    # config file, is bad input beside the trap refusal
+    monkeypatch.setattr(cli, "all_gammas", _refused)
+    ini = tmp_path / "level.ini"
+    ini.write_text("[particles]\nlevel = 1\n")
+    for extra in (["--level", "1"], ["--config", str(ini)]):
+        assert cli.main(["validate", "--n", "2", "--n-modes", "14", *extra]) == 2
+        assert capsys.readouterr().err == (
+            "error: validation against the oracle runs on level 0, got level 1\n")
+
+
+def test_component_sizes_refused_before_weights(monkeypatch, capsys):
+    # build_graph checks the component sizes before a boundary weight is computed
+    monkeypatch.setattr(cli, "all_gammas", _refused)
+    assert cli.main(["spectrum", "--n", "3", "--components", "2,2"]) == 2
+    assert capsys.readouterr().err == "error: component sizes (2, 2) sum to 4, expected 3\n"
+
+
 def test_over_cap_input_refused_before_weights(monkeypatch, capsys):
     monkeypatch.setattr(cli, "all_gammas", _refused)
     for command in ("spectrum", "density"):

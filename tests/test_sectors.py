@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
-from reference import trace_identity_gap
+from reference import trace_identity_gap, word_laplacian
 from tonks.sectors import (
     NODE_CAP,
     ComponentSpec,
@@ -34,22 +34,38 @@ def test_component_spec_factories():
         ComponentSpec.parse("2;1")
 
 
+def _edges_per_slot(g) -> np.ndarray:
+    """Check that each slot-k swap is an involution that exchanges the letters of slots k and
+    k + 1 and keeps the others; return the number of edges (swaps of unequal letters) per slot."""
+    node = np.arange(g.n_nodes)
+    assert g.swaps.shape == (g.n - 1, g.n_nodes)
+    for k, p in enumerate(g.swaps):
+        np.testing.assert_array_equal(p[p], node)
+        swapped = g.words.copy()
+        swapped[:, [k, k + 1]] = swapped[:, [k + 1, k]]
+        np.testing.assert_array_equal(g.words[p], swapped)
+        # a word stays put exactly where its two letters are equal
+        np.testing.assert_array_equal(p == node, g.words[:, k] == g.words[:, k + 1])
+    moved = np.count_nonzero(g.swaps != node, axis=1)
+    assert np.all(moved % 2 == 0)
+    return moved // 2
+
+
 def test_hexagon_structure():
     g = build_graph(3)
     assert g.n_nodes == 6
     assert g.words.tolist() == [list(p) for p in itertools.permutations(range(3))]
-    assert g.edges.shape == (6, 2)[0:1] + (3,)
+    assert _edges_per_slot(g).tolist() == [3, 3]
     # every node meets exactly two swaps: the graph is a single hexagon
-    degree = np.bincount(g.edges[:, :2].ravel(), minlength=6)
-    assert np.all(degree == 2)
-    slots = np.bincount(g.edges[:, 2], minlength=2)
-    assert np.all(slots == 3)
+    assert np.all(np.count_nonzero(g.swaps != np.arange(6), axis=0) == 2)
 
 
 def test_edge_count_four_particles():
     g = build_graph(4)
     assert g.n_nodes == 24
-    assert g.edges.shape[0] == 24 * 3 // 2
+    per_slot = _edges_per_slot(g)
+    assert per_slot.tolist() == [12, 12, 12]
+    assert per_slot.sum() == 24 * 3 // 2
 
 
 def test_particle_cap():
@@ -69,7 +85,7 @@ def test_two_component_twelve_particles():
     g = build_graph(12, ComponentSpec((6, 6)))
     assert g.n_nodes == math.comb(12, 6) == 924
     # each slot joins the words with 0 then 1 there to their swaps
-    assert g.edges.shape == (11 * math.comb(10, 5), 3)
+    assert _edges_per_slot(g).tolist() == [math.comb(10, 5)] * 11
     # strictly ascending keys: sorted and distinct
     keys = _keys(g.words)
     assert np.array_equal(np.unique(keys), keys)
@@ -89,9 +105,13 @@ def test_index_lookup():
 
 
 def test_signs_alternate_across_edges():
-    g = build_graph(4)
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    assert np.all(g.signs[u] == -g.signs[v])
+    # every swap of unequal letters flips the sign, for orderings and component words alike
+    for sizes in ((1, 1, 1, 1), (2, 2, 1), (3, 2)):
+        g = build_graph(sum(sizes), ComponentSpec(sizes))
+        node = np.arange(g.n_nodes)
+        for p in g.swaps:
+            moved = p != node
+            assert np.all(g.signs[moved] == -g.signs[p[moved]])
 
 
 def test_laplacian_invariants():
@@ -107,6 +127,33 @@ def test_laplacian_invariants():
     # every node meets every boundary once, so the trace is n! * sum(w)
     expected = math.factorial(4) * float(np.sum(w))
     assert np.trace(lap) == pytest.approx(expected, rel=1e-13)
+
+
+def _compositions(n: int):
+    """Every tuple of positive component sizes summing to n."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        sizes, run = [], 1
+        for cut in cuts:
+            if cut:
+                sizes.append(run)
+                run = 0
+            run += 1
+        yield (*sizes, run)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_toarray_matches_words_reference(n):
+    # toarray reads the slot swaps; the reference reads the words.  One weight is zero: its
+    # swaps hold +0.0 (0.0 - 0.0), never -0.0
+    rng = np.random.default_rng(n)
+    for sizes in _compositions(n):
+        g = build_graph(n, ComponentSpec(sizes))
+        w = rng.uniform(0.5, 2.0, size=n - 1)
+        w[rng.integers(n - 1)] = 0.0
+        dense, ref = projected_laplacian(g, w).toarray(), word_laplacian(g, w)
+        np.testing.assert_array_equal(dense, ref, strict=True)
+        assert dense.tobytes() == ref.tobytes()
+        assert not np.any(np.signbit(dense[dense == 0.0]))
 
 
 def test_laplacian_weight_forms():
@@ -133,10 +180,10 @@ def test_cycle_ordering():
     g = build_graph(3)
     order = cycle_ordering(g)
     assert sorted(order) == list(range(6))
-    # consecutive nodes differ by one adjacent-slot swap
-    pairs = {(int(u), int(v)) for u, v in g.edges[:, :2]}
-    for a, b in zip(order, np.roll(order, -1)):
-        assert (min(a, b), max(a, b)) in pairs
+    # consecutive nodes differ by one adjacent-slot swap, the upper and lower slots alternating
+    assert g.words[order[0]].tolist() == [1, 0, 2]
+    for k, a, b in zip([1, 0] * 3, order, np.roll(order, -1)):
+        assert g.swaps[k, a] == b
     # signs alternate around the cycle
     assert np.all(g.signs[order] == g.signs[order[0]] * np.resize([1, -1], 6))
     with pytest.raises(ValueError):
